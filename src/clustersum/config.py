@@ -76,6 +76,11 @@ class PipelineConfig:
             raise ConfigError(f"unknown loss normalization {self.loss_normalization!r}")
         if self.num_clusters < 1:
             raise ConfigError(f"num_clusters must be at least 1, got {self.num_clusters}")
+        # the last generated token is decoded at position max_summary_len - 1
+        if self.max_summary_len > self.max_len:
+            raise ConfigError(
+                f"max_summary_len {self.max_summary_len} exceeds max_len {self.max_len}"
+            )
 
     @classmethod
     def paper_scale(cls) -> "PipelineConfig":

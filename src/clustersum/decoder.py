@@ -5,7 +5,8 @@ values come from a single conditioning vector (a document embedding during
 training, a cluster center at summary time), then a feed-forward sublayer.
 The decoder is trained with teacher forcing to reproduce each document from
 that document's own embedding, weighting every document's token losses by
-its cluster membership weight.
+its cluster membership weight. At summary time it decodes a batch of
+sequences one position per step against a ``DecodeCache``.
 """
 
 from __future__ import annotations
@@ -18,13 +19,29 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clusterer import ClusterSet
 from .encoder import EncoderModel, ModelConfig
-from .layers import DecoderBlock, LayerNorm, PredictionHead, INIT_STD
+from .layers import DecoderBlock, KVCache, LayerNorm, PredictionHead, INIT_STD
 from .optim import AdamW
-from .tensor import Tensor, cross_entropy, gather_rows, init_normal, no_grad
+from .tensor import Tensor, cross_entropy, gather_rows, grad_enabled, init_normal, no_grad
 from .tensor import dropout as dropout_op
 from .tokenizer import EncodedDocument
 
 log = logging.getLogger(__name__)
+
+
+class DecodeCache:
+    """Inference state of a batch of sequences that share one conditioning
+    row and advance one position per step: each block's self-attention keys
+    and values, and each block's cross-attention output for that row."""
+
+    def __init__(self, cross: list[Tensor]):
+        self.cross = cross
+        self.layers = [KVCache() for _ in cross]
+        self.length = 0
+
+    def keep(self, rows) -> None:
+        """Drop every batch row not listed in ``rows``."""
+        for layer in self.layers:
+            layer.keep(rows)
 
 
 class DecoderModel:
@@ -83,18 +100,7 @@ class DecoderModel:
             p.data = loaded.astype(model.dtype, copy=False)
         return model
 
-    def forward(
-        self,
-        input_ids,
-        conditioning: Tensor | np.ndarray,
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
-        """Next-token logits [t, vocab] for a prefix and one conditioning row."""
-        ids = np.asarray(input_ids, dtype=np.intp)
-        t = ids.shape[0]
-        if t > self.config.max_len:
-            raise ValueError(f"sequence length {t} exceeds max_len {self.config.max_len}")
+    def _memory(self, conditioning: Tensor | np.ndarray) -> Tensor:
         memory = conditioning if isinstance(conditioning, Tensor) else Tensor(
             np.asarray(conditioning, dtype=self.dtype)
         )
@@ -105,6 +111,38 @@ class DecoderModel:
                 f"conditioning must be a single row of width {self.config.hidden_size}, "
                 f"got {memory.shape}"
             )
+        return memory
+
+    def start_cache(self, conditioning: Tensor | np.ndarray) -> DecodeCache:
+        """Empty decoding state for sequences conditioned on one row."""
+        memory = self._memory(conditioning)
+        with no_grad():
+            return DecodeCache([block.cross_output(memory) for block in self.blocks])
+
+    def forward(
+        self,
+        input_ids,
+        conditioning: Tensor | np.ndarray | None = None,
+        train: bool = False,
+        rng: np.random.Generator | None = None,
+        cache: DecodeCache | None = None,
+    ) -> Tensor:
+        """Next-token logits [t, vocab] for a prefix and one conditioning row.
+
+        With ``cache`` (from ``start_cache``, which took the conditioning),
+        ``input_ids`` holds the newest token of each of b sequences, all at
+        position ``cache.length``; the logits are [b, vocab] and the cache
+        advances one position. Cached decoding is inference only.
+        """
+        ids = np.asarray(input_ids, dtype=np.intp)
+        if cache is not None:
+            if conditioning is not None or train or grad_enabled():
+                raise ValueError("cached decoding takes no conditioning and runs under no_grad")
+            return self._step(ids, cache)
+        t = ids.shape[0]
+        if t > self.config.max_len:
+            raise ValueError(f"sequence length {t} exceeds max_len {self.config.max_len}")
+        memory = self._memory(conditioning)
         x = gather_rows(self.word_embedding, ids) + gather_rows(self.position_embedding, np.arange(t))
         x = self.embed_norm(x)
         rate = self.config.dropout if train else 0.0
@@ -112,6 +150,17 @@ class DecoderModel:
             x = dropout_op(x, rate, rng)
         for block in self.blocks:
             x = block(x, memory, dropout_rate=rate, train=train, rng=rng)
+        return self.lm_head(x)
+
+    def _step(self, ids: np.ndarray, cache: DecodeCache) -> Tensor:
+        position = cache.length
+        if position >= self.config.max_len:
+            raise ValueError(f"cannot decode position {position} with max_len {self.config.max_len}")
+        x = gather_rows(self.word_embedding, ids) + gather_rows(self.position_embedding, [position])
+        x = self.embed_norm(x)
+        for block, kv, cross in zip(self.blocks, cache.layers, cache.cross):
+            x = block.step(x, kv, cross)
+        cache.length += 1
         return self.lm_head(x)
 
 
@@ -241,18 +290,6 @@ def weighted_ce_loss(
     if normalize == "tokens":
         total = total * (1.0 / token_count)
     return total
-
-
-def teacher_forced_accuracy(decoder: DecoderModel, examples: list[TrainingExample]) -> float:
-    """Fraction of next-token argmax hits under teacher forcing."""
-    correct = 0
-    total = 0
-    with no_grad():
-        for example in examples:
-            logits = decoder.forward(example.input_ids, example.embedding, train=False)
-            correct += int((logits.data.argmax(axis=1) == example.target_ids).sum())
-            total += len(example.target_ids)
-    return correct / max(total, 1)
 
 
 def evaluate_decoder(

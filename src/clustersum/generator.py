@@ -1,10 +1,24 @@
 """Summary decoding from cluster centers.
 
-Autoregressive sampling with combined top-K / nucleus filtering, several
-candidates per cluster, and re-ranking of the candidates by cosine
-similarity between each candidate's encoder embedding and the cluster
-center. Candidate s of cluster c draws from its own RNG stream derived from
-(seed, c, s), so clusters and candidates are reproducible independently.
+Each cluster's candidates are sampled as one batch. Every step feeds only
+the newest token of each live candidate through the decoder: each
+self-attention layer keeps the keys and values of all earlier positions in
+a key/value cache, so a step costs one position per candidate rather than
+the whole prefix. A candidate leaves the batch, and its cache rows are
+dropped, when it emits [SEP] or reaches ``max_summary_len`` tokens.
+
+Cross-attention attends to exactly one memory row, the cluster center, so
+its softmax weight is exactly 1.0 and its output is ``wo(wv(center))`` at
+every position. That output is computed once per cluster; the shortcut is
+exact, not an approximation.
+
+Each step filters the next-token distribution with combined top-K and
+nucleus sampling, then draws one token per live candidate. Candidate s of
+cluster c draws once per token of its own from an RNG stream derived from
+(seed, c, s), so its tokens do not depend on how many other candidates are
+decoded or when they stop, and clusters and candidates are reproducible
+independently. The candidates are then re-ranked by cosine similarity
+between each candidate's encoder embedding and the cluster center.
 """
 
 from __future__ import annotations
@@ -115,42 +129,52 @@ def _np_softmax(logits: np.ndarray) -> np.ndarray:
     return exps / exps.sum()
 
 
-def generate_summary(
+def sample_candidates(
     decoder: DecoderModel,
     center: np.ndarray,
     vocab: Vocabulary,
     sampler: SamplerConfig,
-    rng: np.random.Generator,
     cluster: int = 0,
     trace: list | None = None,
-) -> SummaryCandidate:
-    """Sample one summary conditioned on a cluster-center embedding.
+) -> list[SummaryCandidate]:
+    """Sample ``num_candidates`` summaries conditioned on a cluster center,
+    decoded together as one batch.
 
-    Starts from the configured start token and stops at [SEP] or at
-    ``max_summary_len`` generated tokens. When ``trace`` is given, each
-    step appends ``(support_ids, chosen_id)`` for inspection.
+    Every candidate starts from the configured start token and stops at
+    [SEP] or at ``max_summary_len`` generated tokens. When ``trace`` is
+    given, each draw appends ``(candidate, support_ids, chosen_id)``.
     """
     k = min(sampler.top_k, vocab.size)
-    prefix = [sampler.start_token_id]
-    generated: list[int] = []
+    rngs = [np.random.default_rng([sampler.seed, cluster, s])
+            for s in range(sampler.num_candidates)]
+    generated: list[list[int]] = [[] for _ in rngs]
+    live = list(range(len(rngs)))
+    tokens = [sampler.start_token_id] * len(live)
+    cache = decoder.start_cache(center)
     with no_grad():
-        while len(generated) < sampler.max_summary_len:
-            logits = decoder.forward(np.asarray(prefix), center, train=False)
-            last = logits.data[-1] / sampler.temperature
-            filtered = filter_top_k_top_p(_np_softmax(last), k, sampler.top_p,
-                                          sampler.filter_order)
-            token = sample_token(filtered, rng)
-            if trace is not None:
-                trace.append((np.flatnonzero(filtered > 0), token))
-            generated.append(token)
-            prefix.append(token)
-            if token == vocab.sep_id:
+        for _ in range(sampler.max_summary_len):
+            logits = decoder.forward(tokens, cache=cache).data / sampler.temperature
+            tokens = []
+            kept = []
+            for row, s in enumerate(live):
+                filtered = filter_top_k_top_p(_np_softmax(logits[row]), k, sampler.top_p,
+                                              sampler.filter_order)
+                token = sample_token(filtered, rngs[s])
+                if trace is not None:
+                    trace.append((s, np.flatnonzero(filtered > 0), token))
+                generated[s].append(token)
+                if token != vocab.sep_id:
+                    kept.append(row)
+                    tokens.append(token)
+            if not kept:
                 break
-    return SummaryCandidate(
-        cluster=cluster,
-        token_ids=generated,
-        text=decode(generated, vocab),
-    )
+            if len(kept) < len(live):
+                cache.keep(kept)
+                live = [live[row] for row in kept]
+    return [
+        SummaryCandidate(cluster=cluster, token_ids=ids, text=decode(ids, vocab))
+        for ids in generated
+    ]
 
 
 def summarize_cluster(
@@ -168,15 +192,12 @@ def summarize_cluster(
     generation is kept (and logged); its embedding is that of the bare
     [CLS][SEP] frame.
     """
-    candidates = []
-    for s in range(sampler.num_candidates):
-        rng = np.random.default_rng([sampler.seed, cluster, s])
-        candidate = generate_summary(decoder, center, vocab, sampler, rng, cluster=cluster)
+    candidates = sample_candidates(decoder, center, vocab, sampler, cluster=cluster)
+    for s, candidate in enumerate(candidates):
         embedded = encoder.embed(encode(candidate.text, vocab, encoder.config.max_len).ids)
         candidate.score = cosine_similarity(embedded, center)
         if candidate.is_empty:
             log.warning("cluster %d candidate %d generated an empty summary", cluster, s)
-        candidates.append(candidate)
     order = sorted(range(len(candidates)), key=lambda i: (-candidates[i].score, i))
     ranked = [candidates[i] for i in order]
     for rank, candidate in enumerate(ranked, start=1):

@@ -2,7 +2,9 @@
 
 Post-layer-norm residual arrangement throughout: sublayer output is added to
 the residual stream and then normalized. Attention splits the hidden size
-into equal heads and scales scores by 1/sqrt(head_dim).
+into equal heads and scales scores by 1/sqrt(head_dim). Self-attention can
+also run incrementally, one new position per batch row, against a
+``KVCache`` of the keys and values of every earlier position.
 """
 
 from __future__ import annotations
@@ -51,11 +53,43 @@ def causal_mask(t: int, dtype) -> Tensor:
     return Tensor(np.triu(np.full((t, t), MASK_FILL, dtype=dtype), k=1))
 
 
+class KVCache:
+    """Keys and values of every position one self-attention layer has seen,
+    for a batch of sequences decoded one position per step.
+
+    Keys are held as ``[b, heads, head_dim, T]`` and values as
+    ``[b, heads, T, head_dim]``, so each step's products need no transpose.
+    """
+
+    def __init__(self):
+        self.keys: np.ndarray | None = None
+        self.values: np.ndarray | None = None
+
+    def append(self, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Add one position per row; returns the keys and values so far."""
+        if self.keys is None:
+            self.keys, self.values = keys, values
+        else:
+            self.keys = np.concatenate((self.keys, keys), axis=3)
+            self.values = np.concatenate((self.values, values), axis=2)
+        return self.keys, self.values
+
+    def keep(self, rows) -> None:
+        """Drop every batch row not listed in ``rows``."""
+        if self.keys is not None:
+            self.keys = self.keys[rows]
+            self.values = self.values[rows]
+
+
 class MultiHeadAttention:
     """Scaled dot-product attention over ``num_heads`` parallel heads.
 
     With ``memory`` given, queries come from ``x`` and keys/values from the
     memory rows (cross-attention); otherwise all three come from ``x``.
+    With ``cache`` given (self-attention only), ``x`` holds one new position
+    per batch row (``[b, hidden]``): its keys and values are appended to the
+    cache and its queries attend over every cached position. The cache holds
+    only past positions, so no causal mask is needed.
     """
 
     def __init__(self, rng: np.random.Generator, hidden: int, num_heads: int, dtype=np.float32):
@@ -69,7 +103,10 @@ class MultiHeadAttention:
         self.wv = Linear(rng, hidden, hidden, dtype)
         self.wo = Linear(rng, hidden, hidden, dtype)
 
-    def __call__(self, x: Tensor, memory: Tensor | None = None, causal: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, memory: Tensor | None = None, causal: bool = False,
+                 cache: KVCache | None = None) -> Tensor:
+        if cache is not None:
+            return self._step(x, cache)
         source = x if memory is None else memory
         t = x.shape[0]
         s = source.shape[0]
@@ -84,6 +121,18 @@ class MultiHeadAttention:
             scores = scores + causal_mask(t, x.dtype)
         weights = softmax(scores, axis=-1)
         context = matmul(weights, v).transpose((1, 0, 2)).reshape((t, self.hidden))
+        return self.wo(context)
+
+    def _step(self, x: Tensor, cache: KVCache) -> Tensor:
+        b = x.shape[0]
+        nh, hd = self.num_heads, self.head_dim
+        q = self.wq(x).reshape((b * nh, 1, hd))
+        keys, values = cache.append(self.wk(x).data.reshape((b, nh, hd, 1)),
+                                    self.wv(x).data.reshape((b, nh, 1, hd)))
+        t = keys.shape[3]
+        scores = matmul(q, Tensor(keys.reshape((b * nh, hd, t)))) * (1.0 / math.sqrt(hd))
+        weights = softmax(scores, axis=-1)
+        context = matmul(weights, Tensor(values.reshape((b * nh, t, hd)))).reshape((b, self.hidden))
         return self.wo(context)
 
     def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
@@ -156,6 +205,22 @@ class DecoderBlock:
         x = self.norm_cross(x + c)
         f = _maybe_dropout(self.ffn(x), dropout_rate, train, rng)
         return self.norm_ffn(x + f)
+
+    def cross_output(self, memory: Tensor) -> Tensor:
+        """Cross-attention output ``[1, hidden]`` for a single memory row.
+
+        Softmax over one key is exactly 1.0, so every query position gets
+        ``wo(wv(memory))`` whatever its own value; this is the exact output,
+        not an approximation.
+        """
+        return self.cross_attn.wo(self.cross_attn.wv(memory))
+
+    def step(self, x: Tensor, cache: KVCache, cross: Tensor) -> Tensor:
+        """Inference for one new position per row of ``x`` (``[b, hidden]``),
+        with ``cross`` from ``cross_output`` standing in for cross-attention."""
+        x = self.norm_self(x + self.self_attn(x, cache=cache))
+        x = self.norm_cross(x + cross)
+        return self.norm_ffn(x + self.ffn(x))
 
     def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield from self.self_attn.named_parameters(f"{prefix}.self_attn")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -161,6 +162,20 @@ def _write_manifest(out_dir: Path, manifest: dict) -> None:
 def _record_stage(out_dir: Path, manifest: dict, stage: str, details: dict) -> None:
     manifest["stages"][stage] = details
     _write_manifest(out_dir, manifest)
+
+
+def _write_jsonl_atomic(path: Path, rows: list[dict]) -> None:
+    """Write one JSON record per line to a temporary file beside ``path``,
+    then rename it over ``path``: a failed write leaves the old file as it was."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for row in rows:
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _require_stage(manifest: dict | None, stage: str, out_dir: Path) -> None:
@@ -377,9 +392,7 @@ def stage_summarize(config: PipelineConfig, records: list[CorpusRecord],
                 "token_count": len(candidate.token_ids),
                 "seed": config.seed,
             })
-    with open(out_dir / SUMMARIES_FILE, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    _write_jsonl_atomic(out_dir / SUMMARIES_FILE, rows)
     _record_stage(out_dir, manifest, "summarize", {
         "clusters": cluster_set.k,
         "retained_per_cluster": sampler.retain_top_m,

@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from clustersum.tensor import Tensor
+from clustersum.generator import filter_top_k_top_p, sample_token
+from clustersum.tensor import Tensor, no_grad
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,3 +134,29 @@ def assert_gradients_match(
             f"analytic {analytic:.6g} vs numeric {numeric:.6g} ({dtype})"
         )
     return len(pairs)
+
+
+def reference_candidate_ids(decoder, center, vocab, sampler, cluster: int, candidate: int) -> list[int]:
+    """One candidate decoded alone, re-running the full prefix every step.
+
+    This is the straightforward loop the batched, cached sampler must
+    reproduce token for token: the same (seed, cluster, candidate) RNG
+    stream, the same filter and draw, no key/value cache and no batch.
+    """
+    rng = np.random.default_rng([sampler.seed, cluster, candidate])
+    k = min(sampler.top_k, vocab.size)
+    prefix = [sampler.start_token_id]
+    generated: list[int] = []
+    with no_grad():
+        while len(generated) < sampler.max_summary_len:
+            logits = decoder.forward(np.asarray(prefix), center, train=False)
+            last = (logits.data[-1] / sampler.temperature).astype(np.float64)
+            exps = np.exp(last - last.max())
+            filtered = filter_top_k_top_p(exps / exps.sum(), k, sampler.top_p,
+                                          sampler.filter_order)
+            token = sample_token(filtered, rng)
+            generated.append(token)
+            prefix.append(token)
+            if token == vocab.sep_id:
+                break
+    return generated

@@ -161,6 +161,72 @@ class TestDecoderForward:
             decoder.forward(np.zeros(config.max_len + 1, dtype=np.intp), center)
 
 
+class TestCachedDecoding:
+    """One position per step against the key/value cache reproduces the last
+    row of a full-prefix forward; tolerances fixed per storage dtype."""
+
+    @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_logits_match_full_prefix(self, setup, dtype, atol):
+        vocab = setup[0]
+        steps = 44
+        config = ModelConfig.desk_scale(vocab.size, max_len=steps)
+        encoder = EncoderModel(config, np.random.default_rng(8), dtype=dtype)
+        decoder = init_from_encoder(encoder)
+        rng = np.random.default_rng(9)
+        center = rng.normal(size=config.hidden_size).astype(dtype)
+        ids = rng.integers(0, vocab.size, size=(5, steps))
+        rows = list(range(5))
+        cache = decoder.start_cache(center)
+        worst = 0.0
+        with no_grad():
+            for t in range(steps):
+                if t in (15, 30):
+                    # drop a middle row, as a finished candidate leaves the batch
+                    keep = [i for i in range(len(rows)) if i != 1]
+                    cache.keep(keep)
+                    rows = [rows[i] for i in keep]
+                step = decoder.forward(ids[rows, t], cache=cache).data
+                assert step.shape == (len(rows), vocab.size)
+                for i, r in enumerate(rows):
+                    full = decoder.forward(ids[r, :t + 1], center).data[-1]
+                    worst = max(worst, float(np.abs(step[i] - full).max()))
+        assert len(rows) == 3 and cache.length == steps
+        assert worst <= atol
+
+    def test_cross_output_equals_cross_attention(self, setup):
+        vocab, docs, config, encoder = setup
+        block = init_from_encoder(encoder).blocks[1]
+        rng = np.random.default_rng(10)
+        memory = Tensor(rng.normal(size=(1, config.hidden_size)).astype(np.float32))
+        queries = Tensor(rng.normal(size=(6, config.hidden_size)).astype(np.float32))
+        with no_grad():
+            full = block.cross_attn(queries, memory=memory).data
+            short = block.cross_output(memory).data
+        assert short.shape == (1, config.hidden_size)
+        np.testing.assert_allclose(full, np.broadcast_to(short, full.shape), atol=1e-6)
+
+    def test_position_past_max_len_rejected(self, setup):
+        vocab, docs, config, encoder = setup
+        decoder = init_from_encoder(encoder)
+        cache = decoder.start_cache(encoder.embed(docs[0].ids))
+        with no_grad():
+            for _ in range(config.max_len):
+                decoder.forward([vocab.cls_id], cache=cache)
+            with pytest.raises(ValueError, match="max_len"):
+                decoder.forward([vocab.cls_id], cache=cache)
+
+    def test_training_or_conditioning_with_cache_rejected(self, setup):
+        vocab, docs, config, encoder = setup
+        decoder = init_from_encoder(encoder)
+        center = encoder.embed(docs[0].ids)
+        cache = decoder.start_cache(center)
+        with pytest.raises(ValueError, match="no_grad"):
+            decoder.forward([vocab.cls_id], cache=cache)
+        with no_grad(), pytest.raises(ValueError, match="conditioning"):
+            decoder.forward([vocab.cls_id], center, cache=cache)
+        assert cache.length == 0
+
+
 class TestWeightedLoss:
     def test_weights_scale_document_contributions(self, setup):
         vocab, docs, config, encoder = setup

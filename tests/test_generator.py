@@ -8,13 +8,13 @@ from clustersum.encoder import EncoderModel, ModelConfig
 from clustersum.generator import (
     SamplerConfig,
     filter_top_k_top_p,
-    generate_summary,
+    sample_candidates,
     sample_token,
     summarize_cluster,
 )
 
 from corpora import build_docs, pair_texts
-from oracles import reference_filter
+from oracles import reference_candidate_ids, reference_filter
 
 
 class TestFilter:
@@ -114,34 +114,93 @@ def generation_setup():
     return vocab, encoder, decoder, center
 
 
-class TestGenerateSummary:
+@pytest.fixture(scope="module", params=[np.float32, np.float64], ids=["float32", "float64"])
+def long_setup(request):
+    """A decoder whose candidates run up to 40 tokens and stop at varied steps."""
+    rng = np.random.default_rng(5)
+    texts = pair_texts(rng, num_docs=20, num_pairs=6, doc_len=8)
+    vocab, docs = build_docs(texts, max_len=48)
+    config = ModelConfig.desk_scale(vocab.size, max_len=48)
+    encoder = EncoderModel(config, np.random.default_rng(6), dtype=request.param)
+    decoder = init_from_encoder(encoder)
+    return vocab, decoder, encoder.embed(docs[0].ids)
+
+
+class TestSampleCandidates:
     def test_seeded_determinism(self, generation_setup):
         vocab, encoder, decoder, center = generation_setup
-        sampler = SamplerConfig(top_k=min(50, vocab.size), max_summary_len=10, seed=0)
-        a = generate_summary(decoder, center, vocab, sampler, np.random.default_rng(42))
-        b = generate_summary(decoder, center, vocab, sampler, np.random.default_rng(42))
-        assert a.token_ids == b.token_ids
-        assert a.text == b.text
+        sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=4,
+                                max_summary_len=10, seed=0)
+        a = sample_candidates(decoder, center, vocab, sampler, cluster=1)
+        b = sample_candidates(decoder, center, vocab, sampler, cluster=1)
+        assert [c.token_ids for c in a] == [c.token_ids for c in b]
+        assert [c.text for c in a] == [c.text for c in b]
+        assert all(c.cluster == 1 for c in a)
 
     def test_emitted_ids_lie_in_filtered_support(self, generation_setup):
         vocab, encoder, decoder, center = generation_setup
-        sampler = SamplerConfig(top_k=5, top_p=0.8, max_summary_len=12, seed=0)
+        sampler = SamplerConfig(top_k=5, top_p=0.8, num_candidates=3,
+                                max_summary_len=12, seed=1)
         trace = []
-        candidate = generate_summary(decoder, center, vocab, sampler,
-                                     np.random.default_rng(1), trace=trace)
-        assert len(trace) == len(candidate.token_ids)
-        for (support, chosen), token in zip(trace, candidate.token_ids):
-            assert token == chosen
-            assert token in support
-            assert len(support) <= 5
+        candidates = sample_candidates(decoder, center, vocab, sampler, trace=trace)
+        assert len(trace) == sum(len(c.token_ids) for c in candidates)
+        for s, candidate in enumerate(candidates):
+            steps = [(support, chosen) for who, support, chosen in trace if who == s]
+            assert [chosen for _, chosen in steps] == candidate.token_ids
+            for support, chosen in steps:
+                assert chosen in support
+                assert len(support) <= 5
 
     def test_stops_at_sep_or_length_cap(self, generation_setup):
         vocab, encoder, decoder, center = generation_setup
-        sampler = SamplerConfig(top_k=min(50, vocab.size), max_summary_len=7, seed=0)
-        candidate = generate_summary(decoder, center, vocab, sampler,
-                                     np.random.default_rng(2))
-        assert (candidate.token_ids[-1] == vocab.sep_id
-                or len(candidate.token_ids) == 7)
+        sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=6,
+                                max_summary_len=7, seed=2)
+        for candidate in sample_candidates(decoder, center, vocab, sampler):
+            ids = candidate.token_ids
+            assert 1 <= len(ids) <= 7
+            assert vocab.sep_id not in ids[:-1]
+            assert ids[-1] == vocab.sep_id or len(ids) == 7
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_tokens_match_full_prefix_reference(self, long_setup, seed):
+        vocab, decoder, center = long_setup
+        sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=6,
+                                max_summary_len=40, seed=seed)
+        candidates = sample_candidates(decoder, center, vocab, sampler, cluster=seed % 3)
+        for s, candidate in enumerate(candidates):
+            assert candidate.token_ids == reference_candidate_ids(
+                decoder, center, vocab, sampler, seed % 3, s)
+
+    def test_candidate_independent_of_batch(self, long_setup):
+        """Candidate s is the same whether 3 or 6 are decoded, while its
+        neighbours leave the batch at different steps."""
+        vocab, decoder, center = long_setup
+        three = SamplerConfig(top_k=min(50, vocab.size), num_candidates=3,
+                              max_summary_len=40, seed=7)
+        six = SamplerConfig(top_k=min(50, vocab.size), num_candidates=6,
+                            max_summary_len=40, seed=7)
+        small = sample_candidates(decoder, center, vocab, three, cluster=2)
+        large = sample_candidates(decoder, center, vocab, six, cluster=2)
+        assert [c.token_ids for c in small] == [c.token_ids for c in large[:3]]
+        for batch in (small, large):
+            lengths = [len(c.token_ids) for c in batch]
+            assert len(set(lengths)) > 1, "every candidate stopped at the same step"
+
+    def test_runs_to_max_len(self, generation_setup):
+        """A candidate may use every decoder position: max_summary_len ==
+        max_len decodes its last token at position max_len - 1."""
+        vocab, encoder, _, center = generation_setup
+        decoder = init_from_encoder(encoder)
+        decoder.lm_head.proj.bias.data[vocab.sep_id] = -1e4  # [SEP] never drawn
+        max_len = decoder.config.max_len
+        sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=3,
+                                max_summary_len=max_len, seed=8)
+        candidates = sample_candidates(decoder, center, vocab, sampler)
+        assert [len(c.token_ids) for c in candidates] == [max_len] * 3
+        too_long = SamplerConfig(top_k=min(50, vocab.size), num_candidates=3,
+                                 max_summary_len=max_len + 1, seed=8)
+        with pytest.raises(ValueError, match="max_len"):
+            sample_candidates(decoder, center, vocab, too_long)
 
 
 class TestSummarizeCluster:
