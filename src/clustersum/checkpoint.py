@@ -1,4 +1,5 @@
-"""Versioned binary model checkpoints.
+"""Versioned binary model checkpoints, and the atomic file write that every
+run artifact goes through.
 
 Layout: an ASCII magic line, a JSON header line (format version, component
 tag, model config, extra metadata, tensor names and shapes in payload
@@ -10,6 +11,8 @@ for identical models.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +30,28 @@ class Checkpoint:
     extra: dict = field(default_factory=dict)
 
 
+@contextmanager
+def atomic_write(path: str | Path):
+    """Yield a binary file beside ``path`` and rename it over ``path`` when the
+    block exits cleanly: a failed write leaves the old file as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, records: list[dict]) -> None:
+    """Atomically write one key-sorted JSON record per line."""
+    lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    with atomic_write(path) as fh:
+        fh.write(lines.encode("utf-8"))
+
+
 def save_checkpoint(
     path: str | Path,
     component: str,
@@ -42,7 +67,7 @@ def save_checkpoint(
         "extra": extra or {},
         "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names],
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC + b"\n")
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for name in names:

@@ -12,7 +12,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .config import ConfigError, build_config
+from .config import ConfigError, build_config, parse_setting
 from .pipeline import (
     ArtifactError,
     CorpusError,
@@ -75,26 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace):
-    overrides = {}
-    for key in ("preset", "seed", "clustering", "num_clusters", "no_pretraining",
-                "no_decoder_init", "unweighted_ce", "no_labels"):
-        overrides[key] = getattr(args, key, None)
-    for item in args.set:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, raw = item.split("=", 1)
-        overrides[key.strip()] = raw.strip()
-    if overrides.get("seed") is not None:
-        overrides["seed"] = int(overrides["seed"])
-    # string overrides from --set are coerced through the config-file parser path
-    from .config import _coerce  # noqa: PLC0415
-
-    typed = {}
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        typed[key] = _coerce(key, str(value)) if isinstance(value, str) else value
-    return build_config(args.config, typed)
+    overrides = {key: getattr(args, key) for key in (
+        "preset", "seed", "clustering", "num_clusters", "no_pretraining",
+        "no_decoder_init", "unweighted_ce", "no_labels")}
+    overrides.update(parse_setting(item) for item in args.set)
+    return build_config(args.config, overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_jsonl
 from .encoder import EncoderModel
 from .tokenizer import EncodedDocument
 
@@ -55,22 +56,16 @@ class ClusterSet:
     def members(self, cluster: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == cluster)
 
-    def weight_for(self, doc_id: str) -> float:
-        return float(self.weights[self.doc_ids.index(doc_id)])
-
     def save(self, path: str | Path) -> None:
         """Line-delimited records: a header, one row per document, one per center."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"type": "header", "version": CLUSTER_FORMAT_VERSION, "k": self.k},
-                                sort_keys=True) + "\n")
-            for i, doc_id in enumerate(self.doc_ids):
-                fh.write(json.dumps(
-                    {"type": "doc", "doc_id": doc_id, "cluster": int(self.assignment[i]),
-                     "weight": float(self.weights[i])}, sort_keys=True) + "\n")
-            for c in range(self.k):
-                fh.write(json.dumps(
-                    {"type": "center", "cluster": c, "vector": self.centers[c].tolist(),
-                     "raw_vector": self.raw_centers[c].tolist()}, sort_keys=True) + "\n")
+        records = [{"type": "header", "version": CLUSTER_FORMAT_VERSION, "k": self.k}]
+        for i, doc_id in enumerate(self.doc_ids):
+            records.append({"type": "doc", "doc_id": doc_id, "cluster": int(self.assignment[i]),
+                            "weight": float(self.weights[i])})
+        for c in range(self.k):
+            records.append({"type": "center", "cluster": c, "vector": self.centers[c].tolist(),
+                            "raw_vector": self.raw_centers[c].tolist()})
+        write_jsonl(path, records)
 
     @classmethod
     def load(cls, path: str | Path) -> "ClusterSet":
@@ -245,12 +240,9 @@ def cluster_with_labels(
     k = encoder.num_labels
     if embeddings is None:
         embeddings = encoder.embed_documents(docs)
-    assignment = np.empty(len(docs), dtype=np.intp)
-    weights = np.empty(len(docs), dtype=np.float64)
-    for i, doc in enumerate(docs):
-        probs = encoder.classify_ids(doc.ids)
-        assignment[i] = int(probs.argmax())
-        weights[i] = float(probs.max())
+    probs = encoder.label_probs(embeddings)
+    assignment = probs.argmax(axis=1)
+    weights = probs.max(axis=1).astype(np.float64)
     raw_centers = np.empty((k, embeddings.shape[1]), dtype=np.float64)
     for c in range(k):
         idx = np.flatnonzero(assignment == c)

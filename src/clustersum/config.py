@@ -136,29 +136,32 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-def _coerce(name: str, raw: str):
-    kind = _FIELD_TYPES.get(name)
+def parse_setting(text: str) -> tuple[str, object]:
+    """Split one ``KEY=VALUE`` setting and convert the value to the field's type."""
+    if "=" not in text:
+        raise ConfigError(f"expected KEY=VALUE, got {text!r}")
+    key, raw = (part.strip() for part in text.split("=", 1))
+    kind = _FIELD_TYPES.get(key)
     if kind is None:
-        raise ConfigError(f"unknown configuration key {name!r}")
-    raw = raw.strip()
+        raise ConfigError(f"unknown configuration key {key!r}")
     if kind == "bool":
         low = raw.lower()
         if low in _TRUE:
-            return True
+            return key, True
         if low in _FALSE:
-            return False
-        raise ConfigError(f"bad boolean for {name!r}: {raw!r}")
+            return key, False
+        raise ConfigError(f"bad boolean for {key!r}: {raw!r}")
     if kind == "int":
         try:
-            return int(raw)
+            return key, int(raw)
         except ValueError as exc:
-            raise ConfigError(f"bad integer for {name!r}: {raw!r}") from exc
+            raise ConfigError(f"bad integer for {key!r}: {raw!r}") from exc
     if kind == "float":
         try:
-            return float(raw)
+            return key, float(raw)
         except ValueError as exc:
-            raise ConfigError(f"bad float for {name!r}: {raw!r}") from exc
-    return raw
+            raise ConfigError(f"bad float for {key!r}: {raw!r}") from exc
+    return key, raw
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -168,10 +171,11 @@ def parse_config_file(path: str | Path) -> dict:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, raw = stripped.split("=", 1)
-        overrides[key.strip()] = _coerce(key.strip(), raw)
+        try:
+            key, value = parse_setting(stripped)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        overrides[key] = value
     return overrides
 
 

@@ -12,16 +12,15 @@ sequences one position per step against a ``DecodeCache``.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
 from .clusterer import ClusterSet
-from .encoder import EncoderModel, ModelConfig
-from .layers import DecoderBlock, KVCache, LayerNorm, PredictionHead, INIT_STD
+from .encoder import EncoderModel, Model, ModelConfig
+from .layers import DecoderBlock, KVCache, PredictionHead
 from .optim import AdamW
-from .tensor import Tensor, cross_entropy, gather_rows, grad_enabled, init_normal, no_grad
+from .tensor import Tensor, cross_entropy, gather_rows, grad_enabled, no_grad
 from .tensor import dropout as dropout_op
 from .tokenizer import EncodedDocument
 
@@ -44,61 +43,15 @@ class DecodeCache:
             layer.keep(rows)
 
 
-class DecoderModel:
+class DecoderModel(Model):
     """Word+position embeddings, decoder blocks, next-token head."""
 
     component = "decoder"
+    block_type = DecoderBlock
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator, dtype=np.float32):
-        self.config = config
-        self.dtype = dtype
-        self.word_embedding = init_normal(rng, (config.vocab_size, config.hidden_size), INIT_STD, dtype)
-        self.position_embedding = init_normal(rng, (config.max_len, config.hidden_size), INIT_STD, dtype)
-        self.embed_norm = LayerNorm(config.hidden_size, dtype)
-        self.blocks = [
-            DecoderBlock(rng, config.hidden_size, config.num_heads, config.ffn_size, dtype)
-            for _ in range(config.num_blocks)
-        ]
+        super().__init__(config, rng, dtype)
         self.lm_head = PredictionHead(rng, config.hidden_size, config.vocab_size, dtype)
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {
-            "word_embedding": self.word_embedding,
-            "position_embedding": self.position_embedding,
-        }
-        params.update(self.embed_norm.named_parameters("embed_norm"))
-        for i, block in enumerate(self.blocks):
-            params.update(block.named_parameters(f"block{i}"))
-        params.update(self.lm_head.named_parameters("lm_head"))
-        return params
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.named_parameters().values())
-
-    def save(self, path) -> None:
-        save_checkpoint(
-            path,
-            component=self.component,
-            config=asdict(self.config),
-            tensors={n: p.data for n, p in self.named_parameters().items()},
-        )
-
-    @classmethod
-    def load(cls, path) -> "DecoderModel":
-        ckpt = load_checkpoint(path)
-        if ckpt.component != cls.component:
-            raise ValueError(f"{path} holds a {ckpt.component!r} checkpoint, expected {cls.component!r}")
-        model = cls(ModelConfig(**ckpt.config), np.random.default_rng(0))
-        params = model.named_parameters()
-        if set(params) != set(ckpt.tensors):
-            missing = set(params) ^ set(ckpt.tensors)
-            raise ValueError(f"checkpoint tensor names do not match the model: {sorted(missing)}")
-        for name, p in params.items():
-            loaded = ckpt.tensors[name]
-            if loaded.shape != p.shape:
-                raise ValueError(f"shape mismatch for {name}: {loaded.shape} vs {p.shape}")
-            p.data = loaded.astype(model.dtype, copy=False)
-        return model
 
     def _memory(self, conditioning: Tensor | np.ndarray) -> Tensor:
         memory = conditioning if isinstance(conditioning, Tensor) else Tensor(
@@ -164,6 +117,23 @@ class DecoderModel:
         return self.lm_head(x)
 
 
+# Decoder name fragment -> encoder name fragment it is initialized from.
+_INIT_RENAMES = (
+    ("lm_head.", "mlm_head."),
+    (".self_attn.", ".attn."),
+    (".cross_attn.", ".attn."),
+    (".norm_self.", ".norm_attn."),
+    (".norm_cross.", ".norm_attn."),
+)
+
+
+def encoder_source_name(decoder_name: str) -> str:
+    """Name of the encoder parameter a decoder parameter starts from."""
+    for old, new in _INIT_RENAMES:
+        decoder_name = decoder_name.replace(old, new)
+    return decoder_name
+
+
 def init_from_encoder(encoder: EncoderModel) -> DecoderModel:
     """Build a decoder whose parameters copy the trained encoder.
 
@@ -175,43 +145,16 @@ def init_from_encoder(encoder: EncoderModel) -> DecoderModel:
     decoder training leaves the encoder untouched.
     """
     decoder = DecoderModel(encoder.config, np.random.default_rng(0), dtype=encoder.dtype)
-    mapping = _init_name_mapping(encoder.config.num_blocks)
     enc_params = encoder.named_parameters()
-    dec_params = decoder.named_parameters()
-    for dec_name, enc_name in mapping.items():
+    for dec_name, dst in decoder.named_parameters().items():
+        enc_name = encoder_source_name(dec_name)
         src = enc_params[enc_name]
-        dst = dec_params[dec_name]
         if src.shape != dst.shape:
             raise ValueError(
                 f"cannot initialize {dec_name} ({dst.shape}) from {enc_name} ({src.shape})"
             )
         dst.data = src.data.copy()
     return decoder
-
-
-def _init_name_mapping(num_blocks: int) -> dict[str, str]:
-    mapping = {
-        "word_embedding": "word_embedding",
-        "position_embedding": "position_embedding",
-        "embed_norm.gain": "embed_norm.gain",
-        "embed_norm.bias": "embed_norm.bias",
-    }
-    for part in ("dense.weight", "dense.bias", "norm.gain", "norm.bias",
-                 "proj.weight", "proj.bias"):
-        mapping[f"lm_head.{part}"] = f"mlm_head.{part}"
-    for i in range(num_blocks):
-        for proj in ("wq", "wk", "wv", "wo"):
-            for part in ("weight", "bias"):
-                mapping[f"block{i}.self_attn.{proj}.{part}"] = f"block{i}.attn.{proj}.{part}"
-                mapping[f"block{i}.cross_attn.{proj}.{part}"] = f"block{i}.attn.{proj}.{part}"
-        for part in ("gain", "bias"):
-            mapping[f"block{i}.norm_self.{part}"] = f"block{i}.norm_attn.{part}"
-            mapping[f"block{i}.norm_cross.{part}"] = f"block{i}.norm_attn.{part}"
-            mapping[f"block{i}.norm_ffn.{part}"] = f"block{i}.norm_ffn.{part}"
-        for lin in ("lin1", "lin2"):
-            for part in ("weight", "bias"):
-                mapping[f"block{i}.ffn.{lin}.{part}"] = f"block{i}.ffn.{lin}.{part}"
-    return mapping
 
 
 # -- training ----------------------------------------------------------------

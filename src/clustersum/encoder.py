@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .layers import EncoderBlock, LayerNorm, PredictionHead, INIT_STD
+from .layers import EncoderBlock, LayerNorm, Module, PredictionHead, Projection, INIT_STD
 from .optim import AdamW
-from .tensor import Tensor, cross_entropy, gather_rows, init_normal, matmul, no_grad, softmax
+from .tensor import Tensor, cross_entropy, gather_rows, init_normal, no_grad, softmax
 from .tensor import dropout as dropout_op
 from .tokenizer import EncodedDocument, mask_for_mlm
 
@@ -53,10 +53,13 @@ class ModelConfig:
         return cls(768, 6, 12, 3072, max_len, vocab_size, dropout)
 
 
-class EncoderModel:
-    """Word+position embeddings, encoder blocks, masked-token head."""
+class Model(Module):
+    """Word and position embeddings, a stack of ``block_type`` blocks, and
+    whatever head a subclass adds; saved and loaded as one checkpoint whose
+    ``component`` tag names the subclass."""
 
-    component = "encoder"
+    component: str
+    block_type: type
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator, dtype=np.float32):
         self.config = config
@@ -65,37 +68,9 @@ class EncoderModel:
         self.position_embedding = init_normal(rng, (config.max_len, config.hidden_size), INIT_STD, dtype)
         self.embed_norm = LayerNorm(config.hidden_size, dtype)
         self.blocks = [
-            EncoderBlock(rng, config.hidden_size, config.num_heads, config.ffn_size, dtype)
+            self.block_type(rng, config.hidden_size, config.num_heads, config.ffn_size, dtype)
             for _ in range(config.num_blocks)
         ]
-        self.mlm_head = PredictionHead(rng, config.hidden_size, config.vocab_size, dtype)
-        self.classifier: Tensor | None = None
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def num_labels(self) -> int:
-        if self.classifier is None:
-            raise ValueError("encoder has no classifier head")
-        return self.classifier.shape[1]
-
-    def add_classifier(self, num_labels: int, rng: np.random.Generator) -> None:
-        if num_labels < 1:
-            raise ValueError(f"need at least one label, got {num_labels}")
-        self.classifier = init_normal(rng, (self.config.hidden_size, num_labels), INIT_STD, self.dtype)
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {
-            "word_embedding": self.word_embedding,
-            "position_embedding": self.position_embedding,
-        }
-        params.update(self.embed_norm.named_parameters("embed_norm"))
-        for i, block in enumerate(self.blocks):
-            params.update(block.named_parameters(f"block{i}"))
-        params.update(self.mlm_head.named_parameters("mlm_head"))
-        if self.classifier is not None:
-            params["classifier.weight"] = self.classifier
-        return params
 
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
@@ -108,27 +83,30 @@ class EncoderModel:
             digest.update(np.ascontiguousarray(p.data).tobytes())
         return digest.hexdigest()
 
+    def _checkpoint_extra(self) -> dict:
+        """Header metadata, beyond the config, that ``load`` needs to rebuild
+        this model's parameter shapes."""
+        return {}
+
+    def _apply_checkpoint_extra(self, extra: dict) -> None:
+        """Rebuild what ``_checkpoint_extra`` recorded."""
+
     def save(self, path) -> None:
-        extra = {}
-        if self.classifier is not None:
-            extra["num_labels"] = int(self.classifier.shape[1])
         save_checkpoint(
             path,
             component=self.component,
             config=asdict(self.config),
             tensors={n: p.data for n, p in self.named_parameters().items()},
-            extra=extra,
+            extra=self._checkpoint_extra(),
         )
 
     @classmethod
-    def load(cls, path) -> "EncoderModel":
+    def load(cls, path) -> "Model":
         ckpt = load_checkpoint(path)
         if ckpt.component != cls.component:
             raise ValueError(f"{path} holds a {ckpt.component!r} checkpoint, expected {cls.component!r}")
-        config = ModelConfig(**ckpt.config)
-        model = cls(config, np.random.default_rng(0))
-        if "num_labels" in ckpt.extra:
-            model.add_classifier(int(ckpt.extra["num_labels"]), np.random.default_rng(0))
+        model = cls(ModelConfig(**ckpt.config), np.random.default_rng(0))
+        model._apply_checkpoint_extra(ckpt.extra)
         params = model.named_parameters()
         if set(params) != set(ckpt.tensors):
             missing = set(params) ^ set(ckpt.tensors)
@@ -139,6 +117,38 @@ class EncoderModel:
                 raise ValueError(f"shape mismatch for {name}: {loaded.shape} vs {p.shape}")
             p.data = loaded.astype(model.dtype, copy=False)
         return model
+
+
+class EncoderModel(Model):
+    """Word+position embeddings, encoder blocks, masked-token head."""
+
+    component = "encoder"
+    block_type = EncoderBlock
+
+    def __init__(self, config: ModelConfig, rng: np.random.Generator, dtype=np.float32):
+        super().__init__(config, rng, dtype)
+        self.mlm_head = PredictionHead(rng, config.hidden_size, config.vocab_size, dtype)
+        self.classifier: Projection | None = None
+
+    # -- structure ----------------------------------------------------------
+
+    @property
+    def num_labels(self) -> int:
+        if self.classifier is None:
+            raise ValueError("encoder has no classifier head")
+        return self.classifier.weight.shape[1]
+
+    def add_classifier(self, num_labels: int, rng: np.random.Generator) -> None:
+        if num_labels < 1:
+            raise ValueError(f"need at least one label, got {num_labels}")
+        self.classifier = Projection(rng, self.config.hidden_size, num_labels, self.dtype)
+
+    def _checkpoint_extra(self) -> dict:
+        return {} if self.classifier is None else {"num_labels": self.num_labels}
+
+    def _apply_checkpoint_extra(self, extra: dict) -> None:
+        if "num_labels" in extra:
+            self.add_classifier(int(extra["num_labels"]), np.random.default_rng(0))
 
     # -- forward ------------------------------------------------------------
 
@@ -176,19 +186,13 @@ class EncoderModel:
         """Prediction-head logits restricted to the given positions."""
         return self.mlm_head(gather_rows(hidden, np.asarray(positions, dtype=np.intp)))
 
-    def classify_ids(self, ids) -> np.ndarray:
-        """Full label distribution for one encoded document."""
+    def label_probs(self, embeddings: np.ndarray) -> np.ndarray:
+        """Label distributions [n, labels] for document embeddings [n, h]."""
         if self.classifier is None:
-            raise ValueError("classify requires a fine-tuned classifier head")
+            raise ValueError("label_probs requires a fine-tuned classifier head")
         with no_grad():
-            _, cls_embedding = self.forward(ids, train=False)
-            logits = matmul(cls_embedding.reshape((1, -1)), self.classifier)
-            probs = softmax(logits, axis=-1)
-        return probs.data[0].copy()
-
-
-def classify(encoder: EncoderModel, doc: EncodedDocument) -> np.ndarray:
-    return encoder.classify_ids(doc.ids)
+            logits = self.classifier(Tensor(np.asarray(embeddings, dtype=self.dtype)))
+            return softmax(logits, axis=-1).data
 
 
 # -- training ----------------------------------------------------------------
@@ -313,11 +317,22 @@ def evaluate_classifier(model: EncoderModel, docs: list[EncodedDocument]) -> tup
     with no_grad():
         for doc in docs:
             _, emb = model.forward(doc.ids, train=False)
-            logits = matmul(emb.reshape((1, -1)), model.classifier)
+            logits = model.classifier(emb.reshape((1, -1)))
             loss = cross_entropy(logits, [doc.label], reduction="sum")
             total_loss += loss.item()
             correct += int(logits.data[0].argmax() == doc.label)
     return total_loss / len(docs), correct / len(docs)
+
+
+def train_val_split(items: list, fraction: float, rng: np.random.Generator) -> tuple[list, list]:
+    """Hold out ``max(1, int(len(items) * fraction))`` items, drawn by one
+    permutation from ``rng``; no split when ``fraction <= 0`` or fewer than
+    two items."""
+    if fraction <= 0 or len(items) < 2:
+        return items, []
+    count = max(1, int(len(items) * fraction))
+    order = rng.permutation(len(items))
+    return [items[i] for i in order[count:]], [items[i] for i in order[:count]]
 
 
 def fine_tune_classifier(
@@ -330,81 +345,47 @@ def fine_tune_classifier(
     weight_decay: float = 0.01,
     warmup_steps: int = 20,
     batch_size: int = 8,
-    val_docs: list[EncodedDocument] | None = None,
     val_fraction: float = 0.1,
-    freeze_encoder: bool = False,
-    schedule: str = "linear_decay",
 ) -> tuple[EncoderModel, list[EpochStats]]:
-    """Fit the label classifier on [CLS] embeddings, jointly with the encoder
-    unless ``freeze_encoder``; the best validation snapshot is kept.
-
-    With a frozen encoder the embeddings are computed once and the head is
-    fitted as plain logistic regression: one full-batch gradient-descent step
-    per epoch, so the (convex) loss decreases monotonically for small lr.
-    """
+    """Fit the label classifier on [CLS] embeddings jointly with the encoder,
+    under a warmup-then-linear-decay learning rate; the best validation
+    snapshot is kept."""
     for doc in docs:
         if doc.label is None:
             raise ValueError(f"document {doc.doc_id!r} has no label")
     if model.classifier is None:
         model.add_classifier(num_labels, rng)
-    if val_docs is None and val_fraction > 0 and len(docs) > 1:
-        split = max(1, int(len(docs) * val_fraction))
-        order = rng.permutation(len(docs))
-        val_docs = [docs[i] for i in order[:split]]
-        train_docs = [docs[i] for i in order[split:]]
-    else:
-        train_docs = list(docs)
-    if freeze_encoder:
-        frozen_embeddings = Tensor(model.embed_documents(train_docs))
-        frozen_labels = [d.label for d in train_docs]
-        optimizer = None
-    else:
-        # the masked-token head is off the classification path and gets no grads
-        trainable = [p for n, p in model.named_parameters().items()
-                     if not n.startswith("mlm_head.")]
-        total_steps = None
-        if schedule == "linear_decay":
-            steps_per_epoch = -(-len(train_docs) // batch_size)
-            total_steps = max(epochs * steps_per_epoch, warmup_steps + 1)
-        optimizer = AdamW(
-            trainable, lr=lr, weight_decay=weight_decay, warmup_steps=warmup_steps,
-            schedule=schedule, total_steps=total_steps,
-        )
+    train_docs, val_docs = train_val_split(docs, val_fraction, rng)
+    # the masked-token head is off the classification path and gets no grads
+    trainable = [p for n, p in model.named_parameters().items()
+                 if not n.startswith("mlm_head.")]
+    steps_per_epoch = -(-len(train_docs) // batch_size)
+    optimizer = AdamW(
+        trainable, lr=lr, weight_decay=weight_decay, warmup_steps=warmup_steps,
+        schedule="linear_decay", total_steps=max(epochs * steps_per_epoch, warmup_steps + 1),
+    )
     history: list[EpochStats] = []
     best_loss = float("inf")
     best_params: dict[str, np.ndarray] | None = None
     for epoch in range(1, epochs + 1):
-        if freeze_encoder:
-            logits = matmul(frozen_embeddings, model.classifier)
-            loss = cross_entropy(logits, frozen_labels, reduction="mean")
-            loss.backward()
-            head = model.classifier
-            head.data -= (lr * head.grad).astype(head.data.dtype, copy=False)
-            head.zero_grad()
-            epoch_loss = loss.item()
-            correct = int((logits.data.argmax(axis=1) == np.asarray(frozen_labels)).sum())
-            total = len(frozen_labels)
-        else:
-            order = rng.permutation(len(train_docs))
-            epoch_loss = 0.0
-            correct = 0
-            total = 0
-            pending = 0
-            for j, doc_index in enumerate(order):
-                doc = train_docs[doc_index]
-                _, emb = model.forward(doc.ids, train=True, rng=rng)
-                logits = matmul(emb.reshape((1, -1)), model.classifier)
-                loss = cross_entropy(logits, [doc.label], reduction="sum")
-                (loss * (1.0 / batch_size)).backward()
-                pending += 1
-                epoch_loss += loss.item()
-                correct += int(logits.data[0].argmax() == doc.label)
-                total += 1
-                if pending == batch_size or j == len(order) - 1:
-                    optimizer.step()
-                    pending = 0
-            epoch_loss /= len(train_docs)
-        stats = EpochStats(epoch=epoch, loss=epoch_loss, accuracy=correct / max(total, 1))
+        order = rng.permutation(len(train_docs))
+        epoch_loss = 0.0
+        correct = 0
+        pending = 0
+        for j, doc_index in enumerate(order):
+            doc = train_docs[doc_index]
+            _, emb = model.forward(doc.ids, train=True, rng=rng)
+            logits = model.classifier(emb.reshape((1, -1)))
+            loss = cross_entropy(logits, [doc.label], reduction="sum")
+            (loss * (1.0 / batch_size)).backward()
+            pending += 1
+            epoch_loss += loss.item()
+            correct += int(logits.data[0].argmax() == doc.label)
+            if pending == batch_size or j == len(order) - 1:
+                optimizer.step()
+                pending = 0
+        stats = EpochStats(epoch=epoch, loss=epoch_loss / len(train_docs),
+                           accuracy=correct / max(len(train_docs), 1))
         if val_docs:
             stats.val_loss, stats.val_accuracy = evaluate_classifier(model, val_docs)
             if stats.val_loss < best_loss:

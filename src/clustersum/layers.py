@@ -5,12 +5,17 @@ the residual stream and then normalized. Attention splits the hidden size
 into equal heads and scales scores by 1/sqrt(head_dim). Self-attention can
 also run incrementally, one new position per batch row, against a
 ``KVCache`` of the keys and values of every earlier position.
+
+Every layer and model is a ``Module``, and a parameter's name is its
+attribute path: a trainable ``Tensor`` attribute is named after the
+attribute, a ``Module`` attribute nests its parameters under ``name.``, and
+item i of the list ``blocks`` nests under ``block{i}.`` (so
+``block0.attn.wq.weight``). Checkpoints store parameters under these names.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -21,20 +26,46 @@ LAYER_NORM_EPS = 1e-12
 MASK_FILL = -1e9
 
 
-class Linear:
+class Module:
+    """A layer or model whose parameters are found by walking its attributes."""
+
+    def named_parameters(self) -> dict[str, Tensor]:
+        """Every trainable tensor under its attribute-path name, in attribute order."""
+        params: dict[str, Tensor] = {}
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor) and value.requires_grad:
+                params[name] = value
+            elif isinstance(value, Module):
+                params.update(value._nested(name))
+            elif name == "blocks":
+                for i, block in enumerate(value):
+                    params.update(block._nested(f"block{i}"))
+        return params
+
+    def _nested(self, prefix: str) -> dict[str, Tensor]:
+        return {f"{prefix}.{name}": p for name, p in self.named_parameters().items()}
+
+
+class Projection(Module):
+    """Bias-free linear map ``x @ weight``."""
+
     def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int, dtype=np.float32):
         self.weight = init_normal(rng, (in_dim, out_dim), INIT_STD, dtype)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return matmul(x, self.weight)
+
+
+class Linear(Projection):
+    def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int, dtype=np.float32):
+        super().__init__(rng, in_dim, out_dim, dtype)
         self.bias = Tensor(np.zeros(out_dim, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return matmul(x, self.weight) + self.bias
-
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
+        return super().__call__(x) + self.bias
 
 
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim: int, dtype=np.float32, eps: float = LAYER_NORM_EPS):
         self.gain = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
         self.bias = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
@@ -42,10 +73,6 @@ class LayerNorm:
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gain, self.bias, self.eps)
-
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.gain", self.gain
-        yield f"{prefix}.bias", self.bias
 
 
 def causal_mask(t: int, dtype) -> Tensor:
@@ -81,7 +108,7 @@ class KVCache:
             self.values = self.values[rows]
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Scaled dot-product attention over ``num_heads`` parallel heads.
 
     With ``memory`` given, queries come from ``x`` and keys/values from the
@@ -135,24 +162,14 @@ class MultiHeadAttention:
         context = matmul(weights, Tensor(values.reshape((b * nh, t, hd)))).reshape((b, self.hidden))
         return self.wo(context)
 
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.wq.named_parameters(f"{prefix}.wq")
-        yield from self.wk.named_parameters(f"{prefix}.wk")
-        yield from self.wv.named_parameters(f"{prefix}.wv")
-        yield from self.wo.named_parameters(f"{prefix}.wo")
 
-
-class FeedForward:
+class FeedForward(Module):
     def __init__(self, rng: np.random.Generator, hidden: int, ffn_size: int, dtype=np.float32):
         self.lin1 = Linear(rng, hidden, ffn_size, dtype)
         self.lin2 = Linear(rng, ffn_size, hidden, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(gelu(self.lin1(x)))
-
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.lin1.named_parameters(f"{prefix}.lin1")
-        yield from self.lin2.named_parameters(f"{prefix}.lin2")
 
 
 def _maybe_dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None) -> Tensor:
@@ -163,7 +180,7 @@ def _maybe_dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator
     return dropout(x, rate, rng)
 
 
-class EncoderBlock:
+class EncoderBlock(Module):
     """Bidirectional self-attention followed by a feed-forward sublayer."""
 
     def __init__(self, rng: np.random.Generator, hidden: int, num_heads: int, ffn_size: int, dtype=np.float32):
@@ -179,14 +196,8 @@ class EncoderBlock:
         f = _maybe_dropout(self.ffn(x), dropout_rate, train, rng)
         return self.norm_ffn(x + f)
 
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.attn.named_parameters(f"{prefix}.attn")
-        yield from self.norm_attn.named_parameters(f"{prefix}.norm_attn")
-        yield from self.ffn.named_parameters(f"{prefix}.ffn")
-        yield from self.norm_ffn.named_parameters(f"{prefix}.norm_ffn")
 
-
-class DecoderBlock:
+class DecoderBlock(Module):
     """Causal self-attention, cross-attention on one memory row, feed-forward."""
 
     def __init__(self, rng: np.random.Generator, hidden: int, num_heads: int, ffn_size: int, dtype=np.float32):
@@ -222,16 +233,8 @@ class DecoderBlock:
         x = self.norm_cross(x + cross)
         return self.norm_ffn(x + self.ffn(x))
 
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.self_attn.named_parameters(f"{prefix}.self_attn")
-        yield from self.norm_self.named_parameters(f"{prefix}.norm_self")
-        yield from self.cross_attn.named_parameters(f"{prefix}.cross_attn")
-        yield from self.norm_cross.named_parameters(f"{prefix}.norm_cross")
-        yield from self.ffn.named_parameters(f"{prefix}.ffn")
-        yield from self.norm_ffn.named_parameters(f"{prefix}.norm_ffn")
 
-
-class PredictionHead:
+class PredictionHead(Module):
     """Token-prediction head: dense, GELU, layer norm, vocab projection."""
 
     def __init__(self, rng: np.random.Generator, hidden: int, vocab_size: int, dtype=np.float32):
@@ -241,8 +244,3 @@ class PredictionHead:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.proj(self.norm(gelu(self.dense(x))))
-
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.dense.named_parameters(f"{prefix}.dense")
-        yield from self.norm.named_parameters(f"{prefix}.norm")
-        yield from self.proj.named_parameters(f"{prefix}.proj")

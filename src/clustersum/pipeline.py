@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import FORMAT_VERSION as CHECKPOINT_VERSION
+from .checkpoint import atomic_write, write_jsonl
 from .clusterer import (
     CLUSTER_FORMAT_VERSION,
     ClusterSet,
@@ -32,7 +32,13 @@ from .decoder import (
     init_from_encoder,
     train_decoder,
 )
-from .encoder import EncoderModel, ModelConfig, fine_tune_classifier, pretrain_mlm
+from .encoder import (
+    EncoderModel,
+    ModelConfig,
+    fine_tune_classifier,
+    pretrain_mlm,
+    train_val_split,
+)
 from .generator import SamplerConfig, summarize_cluster
 from .metrics import best_rouge, cosine_center, cosine_top_k
 from .tokenizer import EncodedDocument, Vocabulary, build_vocab, encode, tokenize
@@ -154,28 +160,13 @@ def _check_or_init_manifest(out_dir: Path, config: PipelineConfig,
 
 
 def _write_manifest(out_dir: Path, manifest: dict) -> None:
-    _manifest_path(out_dir).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    with atomic_write(_manifest_path(out_dir)) as fh:
+        fh.write((json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def _record_stage(out_dir: Path, manifest: dict, stage: str, details: dict) -> None:
     manifest["stages"][stage] = details
     _write_manifest(out_dir, manifest)
-
-
-def _write_jsonl_atomic(path: Path, rows: list[dict]) -> None:
-    """Write one JSON record per line to a temporary file beside ``path``,
-    then rename it over ``path``: a failed write leaves the old file as it was."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _require_stage(manifest: dict | None, stage: str, out_dir: Path) -> None:
@@ -204,16 +195,6 @@ def _encode_corpus(records: list[CorpusRecord], vocab: Vocabulary, max_len: int,
         label = label_index.get(r.label) if r.label is not None else None
         docs.append(encode(r.text, vocab, max_len, doc_id=r.id, label=label))
     return docs
-
-
-def _train_val_split(docs: list, fraction: float, rng: np.random.Generator):
-    if fraction <= 0 or len(docs) < 2:
-        return docs, []
-    count = max(1, int(len(docs) * fraction))
-    order = rng.permutation(len(docs))
-    val = [docs[i] for i in order[:count]]
-    train = [docs[i] for i in order[count:]]
-    return train, val
 
 
 def _uses_labels(config: PipelineConfig) -> bool:
@@ -252,7 +233,7 @@ def stage_pretrain(config: PipelineConfig, records: list[CorpusRecord],
         encoder = EncoderModel(model_config, rng)
         details = {"trained": False, "reason": "no_pretraining ablation"}
     else:
-        train_docs, val_docs = _train_val_split(docs, config.val_fraction, rng)
+        train_docs, val_docs = train_val_split(docs, config.val_fraction, rng)
         encoder, history = pretrain_mlm(
             train_docs, model_config, epochs=config.mlm_epochs, rng=rng,
             lr=config.mlm_lr, weight_decay=config.weight_decay,
@@ -342,7 +323,7 @@ def stage_train_decoder(config: PipelineConfig, records: list[CorpusRecord],
         docs, embeddings, cluster_set, config.start_token_id(vocab.cls_id),
         unweighted=config.unweighted_ce,
     )
-    train_examples, val_examples = _train_val_split(examples, config.val_fraction, rng)
+    train_examples, val_examples = train_val_split(examples, config.val_fraction, rng)
     decoder, history = train_decoder(
         decoder, train_examples, epochs=config.decoder_epochs, rng=rng,
         lr=config.decoder_lr, weight_decay=config.weight_decay,
@@ -392,7 +373,7 @@ def stage_summarize(config: PipelineConfig, records: list[CorpusRecord],
                 "token_count": len(candidate.token_ids),
                 "seed": config.seed,
             })
-    _write_jsonl_atomic(out_dir / SUMMARIES_FILE, rows)
+    write_jsonl(out_dir / SUMMARIES_FILE, rows)
     _record_stage(out_dir, manifest, "summarize", {
         "clusters": cluster_set.k,
         "retained_per_cluster": sampler.retain_top_m,

@@ -160,3 +160,30 @@ def reference_candidate_ids(decoder, center, vocab, sampler, cluster: int, candi
             if token == vocab.sep_id:
                 break
     return generated
+
+
+def init_name_mapping(num_blocks: int) -> dict[str, str]:
+    """Decoder parameter name -> encoder parameter it is initialized from,
+    written out by hand, one entry per parameter."""
+    mapping = {
+        "word_embedding": "word_embedding",
+        "position_embedding": "position_embedding",
+        "embed_norm.gain": "embed_norm.gain",
+        "embed_norm.bias": "embed_norm.bias",
+    }
+    for part in ("dense.weight", "dense.bias", "norm.gain", "norm.bias",
+                 "proj.weight", "proj.bias"):
+        mapping[f"lm_head.{part}"] = f"mlm_head.{part}"
+    for i in range(num_blocks):
+        for proj in ("wq", "wk", "wv", "wo"):
+            for part in ("weight", "bias"):
+                mapping[f"block{i}.self_attn.{proj}.{part}"] = f"block{i}.attn.{proj}.{part}"
+                mapping[f"block{i}.cross_attn.{proj}.{part}"] = f"block{i}.attn.{proj}.{part}"
+        for part in ("gain", "bias"):
+            mapping[f"block{i}.norm_self.{part}"] = f"block{i}.norm_attn.{part}"
+            mapping[f"block{i}.norm_cross.{part}"] = f"block{i}.norm_attn.{part}"
+            mapping[f"block{i}.norm_ffn.{part}"] = f"block{i}.norm_ffn.{part}"
+        for lin in ("lin1", "lin2"):
+            for part in ("weight", "bias"):
+                mapping[f"block{i}.ffn.{lin}.{part}"] = f"block{i}.ffn.{lin}.{part}"
+    return mapping

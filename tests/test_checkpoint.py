@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from clustersum.checkpoint import load_checkpoint, save_checkpoint
+from clustersum.decoder import DecoderModel
+from clustersum.encoder import EncoderModel, ModelConfig
 
 
 def test_round_trip(tmp_path):
@@ -47,3 +49,19 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(data[:-16])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("model_type,num_labels", [
+    (EncoderModel, None), (EncoderModel, 3), (DecoderModel, None),
+])
+def test_model_save_load_save_is_byte_identical(tmp_path, model_type, num_labels):
+    config = ModelConfig.desk_scale(vocab_size=20, max_len=8)
+    model = model_type(config, np.random.default_rng(0))
+    if num_labels is not None:
+        model.add_classifier(num_labels, np.random.default_rng(1))
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    model.save(first)
+    loaded = model_type.load(first)
+    loaded.save(second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded.parameter_hash() == model.parameter_hash()

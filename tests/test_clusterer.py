@@ -206,7 +206,7 @@ class TestClusterWithLabels:
         cs = cluster_with_labels(enc, docs)
         assert cs.k == 2
         for i, doc in enumerate(docs):
-            probs = enc.classify_ids(doc.ids)
+            probs = enc.label_probs(enc.embed_documents([doc]))[0]
             assert cs.assignment[i] == probs.argmax()
             assert cs.weights[i] == pytest.approx(probs.max(), rel=1e-6)
 

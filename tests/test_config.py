@@ -5,7 +5,13 @@ import json
 import pytest
 
 from clustersum.cli import main
-from clustersum.config import ConfigError, PipelineConfig, build_config
+from clustersum.config import (
+    ConfigError,
+    PipelineConfig,
+    build_config,
+    parse_config_file,
+    parse_setting,
+)
 
 
 class TestSummaryLength:
@@ -28,3 +34,40 @@ class TestSummaryLength:
         assert code == 2
         assert "max_summary_len" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSettings:
+    def _build_vocab(self, tmp_path, *settings):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"id": "a", "text": "one two"}) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["build-vocab", "--corpus", str(corpus), "--out", str(out)]
+        for item in settings:
+            args += ["--set", item]
+        return main(args), out
+
+    def test_set_seed_is_an_int(self, tmp_path):
+        code, out = self._build_vocab(tmp_path, "seed=7")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["seed"] == 7 and isinstance(manifest["seed"], int)
+
+    @pytest.mark.parametrize("item,message", [
+        ("mlm_epochs=abc", "bad integer"),
+        ("no_such_key=1", "unknown configuration key"),
+        ("seed", "KEY=VALUE"),
+    ])
+    def test_bad_setting_exits_2(self, tmp_path, capsys, item, message):
+        code, out = self._build_vocab(tmp_path, item)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_and_set_share_one_parser(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 7  # comment\nunweighted_ce = yes\n", encoding="utf-8")
+        assert parse_config_file(path) == dict([parse_setting("seed=7"),
+                                                parse_setting("unweighted_ce=yes")])
+        path.write_text("\nmlm_epochs = abc\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"run.cfg:2: bad integer"):
+            parse_config_file(path)

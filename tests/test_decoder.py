@@ -1,5 +1,7 @@
 """Decoder initialization, cross-attention geometry, causality, loss."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from clustersum.decoder import (
     DecoderModel,
     TrainingExample,
     build_training_examples,
+    encoder_source_name,
     init_from_encoder,
     train_decoder,
     weighted_ce_loss,
@@ -15,6 +18,7 @@ from clustersum.encoder import EncoderModel, ModelConfig
 from clustersum.tensor import Tensor, no_grad
 
 from corpora import build_docs, pair_texts
+from oracles import init_name_mapping
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +46,7 @@ class TestInitFromEncoder:
         decoder = init_from_encoder(encoder)
         enc = encoder.named_parameters()
         dec = decoder.named_parameters()
-        from clustersum.decoder import _init_name_mapping
-
-        mapping = _init_name_mapping(config.num_blocks)
+        mapping = init_name_mapping(config.num_blocks)
         assert set(mapping) == set(dec)
         for dec_name, enc_name in mapping.items():
             np.testing.assert_array_equal(dec[dec_name].data, enc[enc_name].data)
@@ -69,13 +71,23 @@ class TestInitFromEncoder:
         vocab, docs, config, encoder = setup
         decoder = DecoderModel(config, np.random.default_rng(33))
         enc = encoder.named_parameters()
-        from clustersum.decoder import _init_name_mapping
-
-        for dec_name, enc_name in _init_name_mapping(config.num_blocks).items():
-            dec_param = decoder.named_parameters()[dec_name]
-            if dec_param.data.std() == 0.0:
+        dec = decoder.named_parameters()
+        for dec_name, enc_name in init_name_mapping(config.num_blocks).items():
+            if dec[dec_name].data.std() == 0.0:
                 continue  # zero-initialized biases and norm constants
-            assert not np.array_equal(dec_param.data, enc[enc_name].data)
+            assert not np.array_equal(dec[dec_name].data, enc[enc_name].data)
+
+    @pytest.mark.parametrize("num_blocks", [1, 2, 6])
+    def test_rename_rule_equals_the_hand_written_table(self, setup, num_blocks):
+        vocab, docs, config, encoder = setup
+        config = replace(config, num_blocks=num_blocks)
+        mapping = init_name_mapping(num_blocks)
+        encoder = EncoderModel(config, np.random.default_rng(1))
+        encoder.add_classifier(2, np.random.default_rng(2))
+        decoder = DecoderModel(config, np.random.default_rng(3))
+        assert set(decoder.named_parameters()) == set(mapping)
+        assert set(encoder.named_parameters()) == set(mapping.values()) | {"classifier.weight"}
+        assert {name: encoder_source_name(name) for name in mapping} == mapping
 
 
 class TestCrossAttention:
