@@ -5,8 +5,13 @@ values come from a single conditioning vector (a document embedding during
 training, a cluster center at summary time), then a feed-forward sublayer.
 The decoder is trained with teacher forcing to reproduce each document from
 that document's own embedding, weighting every document's token losses by
-its cluster membership weight. At summary time it decodes a batch of
-sequences one position per step against a ``DecodeCache``.
+its cluster membership weight. Training and evaluation run one batch of
+documents per forward, right-padded to the longest, each document
+cross-attending to its own embedding row. The causal mask alone keeps
+padding out of every real position's attention, since a position sees only
+earlier ones and all padding follows the real positions. At summary time
+it decodes a batch of sequences that share one conditioning row, one
+position per step, against a ``DecodeCache``.
 """
 
 from __future__ import annotations
@@ -17,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clusterer import ClusterSet
-from .encoder import EncoderModel, Model, ModelConfig
-from .layers import DecoderBlock, KVCache, PredictionHead
+from .encoder import EVAL_BATCH_SIZE, EncoderModel, Model, ModelConfig, batches
+from .layers import DecoderBlock, KVCache, PredictionHead, causal_mask
 from .optim import AdamW
 from .tensor import Tensor, cross_entropy, gather_rows, grad_enabled, no_grad
-from .tensor import dropout as dropout_op
 from .tokenizer import EncodedDocument
 
 log = logging.getLogger(__name__)
@@ -53,22 +57,22 @@ class DecoderModel(Model):
         super().__init__(config, rng, dtype)
         self.lm_head = PredictionHead(rng, config.hidden_size, config.vocab_size, dtype)
 
-    def _memory(self, conditioning: Tensor | np.ndarray) -> Tensor:
+    def _memory(self, conditioning: Tensor | np.ndarray, rows: int) -> Tensor:
         memory = conditioning if isinstance(conditioning, Tensor) else Tensor(
             np.asarray(conditioning, dtype=self.dtype)
         )
         if memory.ndim == 1:
             memory = memory.reshape((1, memory.shape[0]))
-        if memory.shape != (1, self.config.hidden_size):
+        if memory.shape != (rows, self.config.hidden_size):
             raise ValueError(
-                f"conditioning must be a single row of width {self.config.hidden_size}, "
+                f"conditioning must be {rows} row(s) of width {self.config.hidden_size}, "
                 f"got {memory.shape}"
             )
         return memory
 
     def start_cache(self, conditioning: Tensor | np.ndarray) -> DecodeCache:
         """Empty decoding state for sequences conditioned on one row."""
-        memory = self._memory(conditioning)
+        memory = self._memory(conditioning, 1)
         with no_grad():
             return DecodeCache([block.cross_output(memory) for block in self.blocks])
 
@@ -80,30 +84,32 @@ class DecoderModel(Model):
         rng: np.random.Generator | None = None,
         cache: DecodeCache | None = None,
     ) -> Tensor:
-        """Next-token logits [t, vocab] for a prefix and one conditioning row.
+        """Next-token logits for a batch of b prefixes, each conditioned on
+        its own row of ``conditioning`` (``[b, h]``; a single ``[h]`` row for
+        one prefix).
+
+        The prefixes are padded to the longest; the logits hold only real
+        positions, ``[sum of lengths, vocab]``, every prefix's rows in turn.
 
         With ``cache`` (from ``start_cache``, which took the conditioning),
         ``input_ids`` holds the newest token of each of b sequences, all at
         position ``cache.length``; the logits are [b, vocab] and the cache
         advances one position. Cached decoding is inference only.
         """
-        ids = np.asarray(input_ids, dtype=np.intp)
         if cache is not None:
             if conditioning is not None or train or grad_enabled():
                 raise ValueError("cached decoding takes no conditioning and runs under no_grad")
-            return self._step(ids, cache)
-        t = ids.shape[0]
-        if t > self.config.max_len:
-            raise ValueError(f"sequence length {t} exceeds max_len {self.config.max_len}")
-        memory = self._memory(conditioning)
-        x = gather_rows(self.word_embedding, ids) + gather_rows(self.position_embedding, np.arange(t))
-        x = self.embed_norm(x)
+            return self._step(np.asarray(input_ids, dtype=np.intp), cache)
+        x, lengths = self._embed(input_ids, train, rng)
+        b = len(lengths)
+        t = x.shape[0] // b
+        memory = self._memory(conditioning, b)
+        mask = causal_mask(t, self.dtype)
         rate = self.config.dropout if train else 0.0
-        if rate:
-            x = dropout_op(x, rate, rng)
         for block in self.blocks:
-            x = block(x, memory, dropout_rate=rate, train=train, rng=rng)
-        return self.lm_head(x)
+            x = block(x, memory, b, mask, dropout_rate=rate, train=train, rng=rng)
+        real = np.flatnonzero(np.arange(t) < lengths[:, None])
+        return self.lm_head(gather_rows(x, real))
 
     def _step(self, ids: np.ndarray, cache: DecodeCache) -> Tensor:
         position = cache.length
@@ -213,26 +219,25 @@ def weighted_ce_loss(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Membership-weighted sum of per-document token NLL sums.
+    """Membership-weighted sum of per-document token NLL sums, from one
+    padded forward over the batch.
 
     ``normalize="tokens"`` divides by the total token count of the batch,
     which keeps the learning-rate scale independent of document length;
-    ``"raw"`` is the plain weighted sum.
+    ``"raw"`` is the plain weighted sum. Each target token's row weight is
+    its document's weight times that normalization.
     """
     if normalize not in ("raw", "tokens"):
         raise ValueError(f"unknown normalization {normalize!r}")
     if not batch:
         raise ValueError("weighted_ce_loss needs at least one example")
-    total: Tensor | None = None
-    token_count = 0
-    for example in batch:
-        logits = decoder.forward(example.input_ids, example.embedding, train=train, rng=rng)
-        doc_loss = cross_entropy(logits, example.target_ids, reduction="sum") * example.weight
-        total = doc_loss if total is None else total + doc_loss
-        token_count += len(example.target_ids)
+    logits = decoder.forward([e.input_ids for e in batch],
+                             np.stack([e.embedding for e in batch]), train=train, rng=rng)
+    targets = np.concatenate([e.target_ids for e in batch])
+    weights = np.repeat([e.weight for e in batch], [len(e.target_ids) for e in batch])
     if normalize == "tokens":
-        total = total * (1.0 / token_count)
-    return total
+        weights = weights / targets.size
+    return cross_entropy(logits, targets, weights=weights)
 
 
 def evaluate_decoder(
@@ -240,8 +245,15 @@ def evaluate_decoder(
     examples: list[TrainingExample],
     normalize: str = "tokens",
 ) -> float:
+    """``weighted_ce_loss`` over every example, ``EVAL_BATCH_SIZE`` per forward."""
+    if normalize not in ("raw", "tokens"):
+        raise ValueError(f"unknown normalization {normalize!r}")
     with no_grad():
-        return weighted_ce_loss(decoder, examples, normalize=normalize, train=False).item()
+        total = sum(weighted_ce_loss(decoder, chunk, normalize="raw").item()
+                    for chunk in batches(examples, EVAL_BATCH_SIZE))
+    if normalize == "tokens":
+        total /= sum(len(e.target_ids) for e in examples)
+    return total
 
 
 @dataclass

@@ -4,6 +4,13 @@ Three jobs: masked-token pretraining over a raw corpus, document embedding
 (the hidden state of the leading [CLS] position after the last block), and
 optional label-supervised fine-tuning through a softmax classifier head on
 that embedding.
+
+Every forward takes a batch of documents, right-padded with [PAD] to the
+longest one; padded keys are masked out of attention, so each document's
+hidden states are those it would have alone. Training runs one forward and
+one backward per batch of ``batch_size`` documents (the last batch may be
+shorter and keeps the ``1/batch_size`` scale per document); embedding and
+evaluation run in batches of ``EVAL_BATCH_SIZE``.
 """
 
 from __future__ import annotations
@@ -15,13 +22,29 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .layers import EncoderBlock, LayerNorm, Module, PredictionHead, Projection, INIT_STD
+from .layers import (
+    EncoderBlock,
+    LayerNorm,
+    Module,
+    PredictionHead,
+    Projection,
+    INIT_STD,
+    padding_mask,
+)
 from .optim import AdamW
 from .tensor import Tensor, cross_entropy, gather_rows, init_normal, no_grad, softmax
 from .tensor import dropout as dropout_op
-from .tokenizer import EncodedDocument, mask_for_mlm
+from .tokenizer import EncodedDocument, mask_for_mlm, pad_batch
 
 log = logging.getLogger(__name__)
+
+# Documents per forward when embedding or evaluating without gradients.
+EVAL_BATCH_SIZE = 32
+
+
+def batches(items: list, size: int) -> list[list]:
+    """Consecutive runs of ``size`` items; the last may be shorter."""
+    return [items[start:start + size] for start in range(0, len(items), size)]
 
 
 @dataclass(frozen=True)
@@ -74,6 +97,20 @@ class Model(Module):
 
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
+
+    def _embed(self, sequences, train: bool, rng: np.random.Generator | None):
+        """Embedding-layer output ``[b·t, h]`` of b token-id sequences padded
+        to the longest (t), with each sequence's length."""
+        ids, lengths = pad_batch(sequences)
+        b, t = ids.shape
+        if t > self.config.max_len:
+            raise ValueError(f"sequence length {t} exceeds max_len {self.config.max_len}")
+        x = (gather_rows(self.word_embedding, ids.reshape(-1))
+             + gather_rows(self.position_embedding, np.tile(np.arange(t), b)))
+        x = self.embed_norm(x)
+        if train and self.config.dropout:
+            x = dropout_op(x, self.config.dropout, rng)
+        return x, lengths
 
     def parameter_hash(self) -> str:
         """SHA-256 over all parameter names and payloads."""
@@ -158,33 +195,33 @@ class EncoderModel(Model):
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, Tensor]:
-        """Return final hidden states [n, h] and the [CLS] embedding [h]."""
-        ids = np.asarray(ids, dtype=np.intp)
-        n = ids.shape[0]
-        if n > self.config.max_len:
-            raise ValueError(f"sequence length {n} exceeds max_len {self.config.max_len}")
-        x = gather_rows(self.word_embedding, ids) + gather_rows(self.position_embedding, np.arange(n))
-        x = self.embed_norm(x)
-        rate = self.config.dropout if train else 0.0
-        if rate:
-            x = dropout_op(x, rate, rng)
-        for block in self.blocks:
-            x = block(x, dropout_rate=rate, train=train, rng=rng)
-        cls_embedding = gather_rows(x, np.array([0])).reshape((self.config.hidden_size,))
-        return x, cls_embedding
+        """Final hidden states ``[b·t, h]`` and [CLS] embeddings ``[b, h]`` of
+        a batch of b token-id sequences, padded to the longest (t).
 
-    def embed(self, ids) -> np.ndarray:
-        """Deterministic document embedding (no graph, eval mode)."""
-        with no_grad():
-            _, cls_embedding = self.forward(ids, train=False)
-        return cls_embedding.data.copy()
+        Row i·t + j of the hidden states is position j of sequence i; rows
+        past a sequence's length are padding, which no real position sees.
+        """
+        x, lengths = self._embed(ids, train, rng)
+        b = len(lengths)
+        mask = padding_mask(lengths, x.shape[0] // b, self.dtype)
+        rate = self.config.dropout if train else 0.0
+        for block in self.blocks:
+            x = block(x, b, mask, dropout_rate=rate, train=train, rng=rng)
+        cls_embeddings = gather_rows(x, np.arange(b) * (x.shape[0] // b))
+        return x, cls_embeddings
 
     def embed_documents(self, docs: list[EncodedDocument]) -> np.ndarray:
-        return np.stack([self.embed(d.ids) for d in docs])
+        """Deterministic document embeddings ``[n, h]`` (no graph, eval mode),
+        ``EVAL_BATCH_SIZE`` documents per forward."""
+        with no_grad():
+            return np.concatenate([
+                self.forward([d.ids for d in chunk])[1].data
+                for chunk in batches(docs, EVAL_BATCH_SIZE)
+            ])
 
-    def mlm_logits(self, hidden: Tensor, positions) -> Tensor:
-        """Prediction-head logits restricted to the given positions."""
-        return self.mlm_head(gather_rows(hidden, np.asarray(positions, dtype=np.intp)))
+    def mlm_logits(self, hidden: Tensor, rows) -> Tensor:
+        """Prediction-head logits at the given rows of ``[b·t, h]`` hidden states."""
+        return self.mlm_head(gather_rows(hidden, np.asarray(rows, dtype=np.intp)))
 
     def label_probs(self, embeddings: np.ndarray) -> np.ndarray:
         """Label distributions [n, labels] for document embeddings [n, h]."""
@@ -207,24 +244,48 @@ class EpochStats:
     val_accuracy: float | None = None
 
 
-def _mlm_loss_for_doc(
+def _mlm_batch(
     model: EncoderModel,
-    doc: EncodedDocument,
+    docs: list[EncodedDocument],
     rate: float,
     rng: np.random.Generator,
     train: bool,
     bert_corruption: bool = False,
     vocab=None,
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Masked-position logits and original ids of one padded batch, with
+    each document's masked-position count.
+
+    Each document's mask is drawn from ``rng`` in batch order, all of them
+    before the forward, whose dropout then draws from the same ``rng``.
+    """
+    masked = [mask_for_mlm(doc, rate=rate, rng=rng, vocab=vocab, bert_corruption=bert_corruption)
+              for doc in docs]
+    ids, positions, originals = zip(*masked)
+    hidden, _ = model.forward(ids, train=train, rng=rng)
+    t = hidden.shape[0] // len(docs)
+    rows = np.concatenate([i * t + np.asarray(p) for i, p in enumerate(positions)])
+    counts = np.array([len(o) for o in originals])
+    return model.mlm_logits(hidden, rows), np.concatenate(originals), counts
+
+
+def mlm_batch_loss(
+    model: EncoderModel,
+    docs: list[EncodedDocument],
+    rate: float,
+    rng: np.random.Generator,
+    batch_size: int,
+    train: bool = False,
+    bert_corruption: bool = False,
+    vocab=None,
 ) -> tuple[Tensor, int, int]:
-    """Mean masked-position loss plus (correct, total) prediction counts."""
-    masked_ids, positions, originals = mask_for_mlm(
-        doc, rate=rate, rng=rng, vocab=vocab, bert_corruption=bert_corruption
-    )
-    hidden, _ = model.forward(masked_ids, train=train, rng=rng)
-    logits = model.mlm_logits(hidden, positions)
-    loss = cross_entropy(logits, originals, reduction="mean")
-    correct = int((logits.data.argmax(axis=1) == np.asarray(originals)).sum())
-    return loss, correct, len(originals)
+    """One batch's training loss, each document's masked-position mean loss
+    times ``1/batch_size``, summed; plus (correct, total) prediction counts."""
+    logits, originals, counts = _mlm_batch(model, docs, rate, rng, train,
+                                           bert_corruption=bert_corruption, vocab=vocab)
+    loss = cross_entropy(logits, originals, weights=np.repeat(1.0 / (counts * batch_size), counts))
+    correct = int((logits.data.argmax(axis=1) == originals).sum())
+    return loss, correct, originals.size
 
 
 def evaluate_mlm(
@@ -233,16 +294,17 @@ def evaluate_mlm(
     rng: np.random.Generator,
     mask_rate: float = 0.15,
 ) -> tuple[float, float]:
-    """Masked-token loss and accuracy under eval-mode forwards."""
+    """Masked-token loss (mean over every masked position) and accuracy
+    under eval-mode forwards."""
     total_loss = 0.0
     correct = 0
     total = 0
     with no_grad():
-        for doc in docs:
-            loss, c, t = _mlm_loss_for_doc(model, doc, mask_rate, rng, train=False)
-            total_loss += loss.item() * t
-            correct += c
-            total += t
+        for chunk in batches(docs, EVAL_BATCH_SIZE):
+            logits, originals, _ = _mlm_batch(model, chunk, mask_rate, rng, train=False)
+            total_loss += cross_entropy(logits, originals).item()
+            correct += int((logits.data.argmax(axis=1) == originals).sum())
+            total += originals.size
     return total_loss / max(total, 1), correct / max(total, 1)
 
 
@@ -279,21 +341,16 @@ def pretrain_mlm(
         epoch_loss = 0.0
         correct = 0
         total = 0
-        pending = 0
-        for j, doc_index in enumerate(order):
-            doc = corpus[doc_index]
-            loss, c, t = _mlm_loss_for_doc(
-                model, doc, mask_rate, rng, train=True,
+        for batch in batches([corpus[i] for i in order], batch_size):
+            loss, c, t = mlm_batch_loss(
+                model, batch, mask_rate, rng, batch_size, train=True,
                 bert_corruption=bert_corruption, vocab=vocab,
             )
-            (loss * (1.0 / batch_size)).backward()
-            pending += 1
-            epoch_loss += loss.item()
+            loss.backward()
+            optimizer.step()
+            epoch_loss += loss.item() * batch_size
             correct += c
             total += t
-            if pending == batch_size or j == len(order) - 1:
-                optimizer.step()
-                pending = 0
         stats = EpochStats(
             epoch=epoch,
             loss=epoch_loss / len(corpus),
@@ -311,16 +368,30 @@ def pretrain_mlm(
     return model, history
 
 
+def classifier_batch_loss(
+    model: EncoderModel,
+    docs: list[EncodedDocument],
+    batch_size: int,
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+) -> tuple[Tensor, int]:
+    """One batch's classification loss, each document's label loss times
+    ``1/batch_size``, summed; plus the number of correct argmax labels."""
+    _, embeddings = model.forward([d.ids for d in docs], train=train, rng=rng)
+    logits = model.classifier(embeddings)
+    labels = np.array([d.label for d in docs])
+    loss = cross_entropy(logits, labels, weights=np.full(len(docs), 1.0 / batch_size))
+    return loss, int((logits.data.argmax(axis=1) == labels).sum())
+
+
 def evaluate_classifier(model: EncoderModel, docs: list[EncodedDocument]) -> tuple[float, float]:
     total_loss = 0.0
     correct = 0
     with no_grad():
-        for doc in docs:
-            _, emb = model.forward(doc.ids, train=False)
-            logits = model.classifier(emb.reshape((1, -1)))
-            loss = cross_entropy(logits, [doc.label], reduction="sum")
+        for chunk in batches(docs, EVAL_BATCH_SIZE):
+            loss, c = classifier_batch_loss(model, chunk, batch_size=1)
             total_loss += loss.item()
-            correct += int(logits.data[0].argmax() == doc.label)
+            correct += c
     return total_loss / len(docs), correct / len(docs)
 
 
@@ -371,19 +442,12 @@ def fine_tune_classifier(
         order = rng.permutation(len(train_docs))
         epoch_loss = 0.0
         correct = 0
-        pending = 0
-        for j, doc_index in enumerate(order):
-            doc = train_docs[doc_index]
-            _, emb = model.forward(doc.ids, train=True, rng=rng)
-            logits = model.classifier(emb.reshape((1, -1)))
-            loss = cross_entropy(logits, [doc.label], reduction="sum")
-            (loss * (1.0 / batch_size)).backward()
-            pending += 1
-            epoch_loss += loss.item()
-            correct += int(logits.data[0].argmax() == doc.label)
-            if pending == batch_size or j == len(order) - 1:
-                optimizer.step()
-                pending = 0
+        for batch in batches([train_docs[i] for i in order], batch_size):
+            loss, c = classifier_batch_loss(model, batch, batch_size, train=True, rng=rng)
+            loss.backward()
+            optimizer.step()
+            epoch_loss += loss.item() * batch_size
+            correct += c
         stats = EpochStats(epoch=epoch, loss=epoch_loss / len(train_docs),
                            accuracy=correct / max(len(train_docs), 1))
         if val_docs:

@@ -17,8 +17,9 @@ nucleus sampling, then draws one token per live candidate. Candidate s of
 cluster c draws once per token of its own from an RNG stream derived from
 (seed, c, s), so its tokens do not depend on how many other candidates are
 decoded or when they stop, and clusters and candidates are reproducible
-independently. The candidates are then re-ranked by cosine similarity
-between each candidate's encoder embedding and the cluster center.
+independently. The candidates are then embedded by the encoder as one
+padded batch and re-ranked by cosine similarity between each candidate's
+embedding and the cluster center.
 """
 
 from __future__ import annotations
@@ -193,9 +194,10 @@ def summarize_cluster(
     [CLS][SEP] frame.
     """
     candidates = sample_candidates(decoder, center, vocab, sampler, cluster=cluster)
+    embedded = encoder.embed_documents(
+        [encode(c.text, vocab, encoder.config.max_len) for c in candidates])
     for s, candidate in enumerate(candidates):
-        embedded = encoder.embed(encode(candidate.text, vocab, encoder.config.max_len).ids)
-        candidate.score = cosine_similarity(embedded, center)
+        candidate.score = cosine_similarity(embedded[s], center)
         if candidate.is_empty:
             log.warning("cluster %d candidate %d generated an empty summary", cluster, s)
     order = sorted(range(len(candidates)), key=lambda i: (-candidates[i].score, i))

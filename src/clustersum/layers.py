@@ -6,6 +6,15 @@ into equal heads and scales scores by 1/sqrt(head_dim). Self-attention can
 also run incrementally, one new position per batch row, against a
 ``KVCache`` of the keys and values of every earlier position.
 
+Batch layout: a batch of b sequences, right-padded to a common length t,
+travels between layers as a 2-D ``[b·t, hidden]`` tensor whose row i·t + j
+is position j of sequence i, so every position-wise layer (linear, layer
+norm, GELU, feed-forward, heads) treats it as plain rows. Only attention
+needs the sequence boundaries: it takes the batch size, works on
+``[b·heads, t, head_dim]`` stacks, and takes an additive mask
+(``MASK_FILL`` on every score a query must not see, such as padded keys)
+that broadcasts to ``[b, t, s]``.
+
 Every layer and model is a ``Module``, and a parameter's name is its
 attribute path: a trainable ``Tensor`` attribute is named after the
 attribute, a ``Module`` attribute nests its parameters under ``name.``, and
@@ -75,9 +84,15 @@ class LayerNorm(Module):
         return layer_norm(x, self.gain, self.bias, self.eps)
 
 
-def causal_mask(t: int, dtype) -> Tensor:
-    """Additive mask hiding positions j > i; large negative, kept finite."""
-    return Tensor(np.triu(np.full((t, t), MASK_FILL, dtype=dtype), k=1))
+def causal_mask(t: int, dtype) -> np.ndarray:
+    """Additive mask [t, t] hiding positions j > i; large negative, kept finite."""
+    return np.triu(np.full((t, t), MASK_FILL, dtype=dtype), k=1)
+
+
+def padding_mask(lengths, t: int, dtype) -> np.ndarray:
+    """Additive key mask [b, 1, t] hiding each sequence's positions past its length."""
+    padded = np.arange(t) >= np.asarray(lengths)[:, None]
+    return np.where(padded, MASK_FILL, 0.0).astype(dtype)[:, None, :]
 
 
 class KVCache:
@@ -111,12 +126,15 @@ class KVCache:
 class MultiHeadAttention(Module):
     """Scaled dot-product attention over ``num_heads`` parallel heads.
 
-    With ``memory`` given, queries come from ``x`` and keys/values from the
+    ``x`` holds ``batch`` sequences of t positions as ``[batch·t, hidden]``
+    rows. With ``memory`` given (``[batch·s, hidden]``, s rows per
+    sequence), queries come from ``x`` and keys/values from that sequence's
     memory rows (cross-attention); otherwise all three come from ``x``.
+    ``mask`` is added to the scores and must broadcast to ``[batch, t, s]``.
     With ``cache`` given (self-attention only), ``x`` holds one new position
     per batch row (``[b, hidden]``): its keys and values are appended to the
     cache and its queries attend over every cached position. The cache holds
-    only past positions, so no causal mask is needed.
+    only past positions, so no mask is needed.
     """
 
     def __init__(self, rng: np.random.Generator, hidden: int, num_heads: int, dtype=np.float32):
@@ -130,25 +148,24 @@ class MultiHeadAttention(Module):
         self.wv = Linear(rng, hidden, hidden, dtype)
         self.wo = Linear(rng, hidden, hidden, dtype)
 
-    def __call__(self, x: Tensor, memory: Tensor | None = None, causal: bool = False,
-                 cache: KVCache | None = None) -> Tensor:
+    def __call__(self, x: Tensor, batch: int = 1, memory: Tensor | None = None,
+                 mask: np.ndarray | None = None, cache: KVCache | None = None) -> Tensor:
         if cache is not None:
             return self._step(x, cache)
         source = x if memory is None else memory
-        t = x.shape[0]
-        s = source.shape[0]
-        nh, hd = self.num_heads, self.head_dim
-        q = self.wq(x).reshape((t, nh, hd)).transpose((1, 0, 2))
-        k = self.wk(source).reshape((s, nh, hd)).transpose((1, 2, 0))
-        v = self.wv(source).reshape((s, nh, hd)).transpose((1, 0, 2))
+        b, nh, hd = batch, self.num_heads, self.head_dim
+        t = x.shape[0] // b
+        s = source.shape[0] // b
+        q = self.wq(x).reshape((b, t, nh, hd)).transpose((0, 2, 1, 3)).reshape((b * nh, t, hd))
+        k = self.wk(source).reshape((b, s, nh, hd)).transpose((0, 2, 3, 1)).reshape((b * nh, hd, s))
+        v = self.wv(source).reshape((b, s, nh, hd)).transpose((0, 2, 1, 3)).reshape((b * nh, s, hd))
         scores = matmul(q, k) * (1.0 / math.sqrt(hd))
-        if causal:
-            if memory is not None:
-                raise ValueError("causal masking applies to self-attention only")
-            scores = scores + causal_mask(t, x.dtype)
+        if mask is not None:
+            # batch row i's mask serves its heads i·nh .. i·nh + nh - 1
+            scores = scores + Tensor(np.repeat(np.broadcast_to(mask, (b, t, s)), nh, axis=0))
         weights = softmax(scores, axis=-1)
-        context = matmul(weights, v).transpose((1, 0, 2)).reshape((t, self.hidden))
-        return self.wo(context)
+        context = matmul(weights, v).reshape((b, nh, t, hd)).transpose((0, 2, 1, 3))
+        return self.wo(context.reshape((b * t, self.hidden)))
 
     def _step(self, x: Tensor, cache: KVCache) -> Tensor:
         b = x.shape[0]
@@ -189,16 +206,17 @@ class EncoderBlock(Module):
         self.ffn = FeedForward(rng, hidden, ffn_size, dtype)
         self.norm_ffn = LayerNorm(hidden, dtype)
 
-    def __call__(self, x: Tensor, dropout_rate: float = 0.0, train: bool = False,
-                 rng: np.random.Generator | None = None) -> Tensor:
-        a = _maybe_dropout(self.attn(x), dropout_rate, train, rng)
+    def __call__(self, x: Tensor, batch: int, mask: np.ndarray, dropout_rate: float = 0.0,
+                 train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+        a = _maybe_dropout(self.attn(x, batch, mask=mask), dropout_rate, train, rng)
         x = self.norm_attn(x + a)
         f = _maybe_dropout(self.ffn(x), dropout_rate, train, rng)
         return self.norm_ffn(x + f)
 
 
 class DecoderBlock(Module):
-    """Causal self-attention, cross-attention on one memory row, feed-forward."""
+    """Causal self-attention, cross-attention on one memory row per
+    sequence, feed-forward."""
 
     def __init__(self, rng: np.random.Generator, hidden: int, num_heads: int, ffn_size: int, dtype=np.float32):
         self.self_attn = MultiHeadAttention(rng, hidden, num_heads, dtype)
@@ -208,11 +226,14 @@ class DecoderBlock(Module):
         self.ffn = FeedForward(rng, hidden, ffn_size, dtype)
         self.norm_ffn = LayerNorm(hidden, dtype)
 
-    def __call__(self, x: Tensor, memory: Tensor, dropout_rate: float = 0.0, train: bool = False,
+    def __call__(self, x: Tensor, memory: Tensor, batch: int, mask: np.ndarray,
+                 dropout_rate: float = 0.0, train: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
-        a = _maybe_dropout(self.self_attn(x, causal=True), dropout_rate, train, rng)
+        """``memory`` is ``[batch, hidden]``; ``mask`` is the self-attention
+        mask, at least causal."""
+        a = _maybe_dropout(self.self_attn(x, batch, mask=mask), dropout_rate, train, rng)
         x = self.norm_self(x + a)
-        c = _maybe_dropout(self.cross_attn(x, memory=memory), dropout_rate, train, rng)
+        c = _maybe_dropout(self.cross_attn(x, batch, memory=memory), dropout_rate, train, rng)
         x = self.norm_cross(x + c)
         f = _maybe_dropout(self.ffn(x), dropout_rate, train, rng)
         return self.norm_ffn(x + f)

@@ -49,6 +49,7 @@ VOCAB_FILE = "vocab.txt"
 LABELS_FILE = "labels.txt"
 ENCODER_FILE = "encoder.ckpt"
 CLUSTERS_FILE = "clusters.jsonl"
+EMBEDDINGS_FILE = "embeddings.npy"
 DECODER_FILE = "decoder.ckpt"
 SUMMARIES_FILE = "summaries.jsonl"
 METRICS_JSON = "metrics.json"
@@ -160,8 +161,12 @@ def _check_or_init_manifest(out_dir: Path, config: PipelineConfig,
 
 
 def _write_manifest(out_dir: Path, manifest: dict) -> None:
-    with atomic_write(_manifest_path(out_dir)) as fh:
-        fh.write((json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+    _write_text(_manifest_path(out_dir), json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _record_stage(out_dir: Path, manifest: dict, stage: str, details: dict) -> None:
@@ -215,7 +220,7 @@ def stage_build_vocab(config: PipelineConfig, records: list[CorpusRecord],
         names = _label_ids(records)
         if not names:
             raise ConfigError("labels clustering mode needs a labeled corpus")
-        (out_dir / LABELS_FILE).write_text("\n".join(names) + "\n", encoding="utf-8")
+        _write_text(out_dir / LABELS_FILE, "\n".join(names) + "\n")
     _record_stage(out_dir, manifest, "build-vocab", {"vocab_size": vocab.size})
     log.info("vocabulary built: %d tokens", vocab.size)
     return vocab
@@ -288,17 +293,21 @@ def stage_cluster(config: PipelineConfig, records: list[CorpusRecord],
     encoder = EncoderModel.load(out_dir / ENCODER_FILE)
     if _uses_labels(config):
         _require_stage(manifest, "finetune", out_dir)
-        names = (out_dir / LABELS_FILE).read_text(encoding="utf-8").splitlines()
-        docs = _encode_corpus(records, vocab, config.max_len, names)
-        cluster_set = cluster_with_labels(encoder, docs)
+    docs = _encode_corpus(records, vocab, config.max_len, None)
+    embeddings = encoder.embed_documents(docs)
+    if _uses_labels(config):
+        cluster_set = cluster_with_labels(encoder, docs, embeddings=embeddings)
     else:
-        docs = _encode_corpus(records, vocab, config.max_len, None)
         rng = np.random.default_rng([config.seed, 3])
-        cluster_set = cluster_without_labels(encoder, docs, config.num_clusters, rng=rng)
+        cluster_set = cluster_without_labels(encoder, docs, config.num_clusters, rng=rng,
+                                             embeddings=embeddings)
+    with atomic_write(out_dir / EMBEDDINGS_FILE) as fh:
+        np.save(fh, embeddings)
     cluster_set.save(out_dir / CLUSTERS_FILE)
     _record_stage(out_dir, manifest, "cluster", {
         "k": cluster_set.k,
         "sizes": [int(cluster_set.members(c).size) for c in range(cluster_set.k)],
+        "embeddings": {"file": EMBEDDINGS_FILE, "shape": list(embeddings.shape)},
     })
     return cluster_set
 
@@ -311,7 +320,7 @@ def stage_train_decoder(config: PipelineConfig, records: list[CorpusRecord],
     encoder = EncoderModel.load(out_dir / ENCODER_FILE)
     cluster_set = ClusterSet.load(out_dir / CLUSTERS_FILE)
     docs = _encode_corpus(records, vocab, config.max_len, None)
-    embeddings = encoder.embed_documents(docs)
+    embeddings = np.load(out_dir / EMBEDDINGS_FILE)
     rng = np.random.default_rng([config.seed, 4])
     if config.no_decoder_init:
         decoder = DecoderModel(encoder.config, rng)
@@ -406,7 +415,7 @@ def stage_evaluate(config: PipelineConfig, records: list[CorpusRecord],
     encoder = EncoderModel.load(out_dir / ENCODER_FILE)
     cluster_set = ClusterSet.load(out_dir / CLUSTERS_FILE)
     docs = _encode_corpus(records, vocab, config.max_len, None)
-    doc_embeddings = encoder.embed_documents(docs)
+    doc_embeddings = np.load(out_dir / EMBEDDINGS_FILE)
 
     top_summaries: dict[int, str] = {}
     with open(out_dir / SUMMARIES_FILE, "r", encoding="utf-8") as fh:
@@ -414,10 +423,8 @@ def stage_evaluate(config: PipelineConfig, records: list[CorpusRecord],
             row = json.loads(line)
             if row["rank"] == 1:
                 top_summaries[row["cluster"]] = row["text"]
-    summary_embeddings = np.stack([
-        encoder.embed(encode(top_summaries[c], vocab, config.max_len).ids)
-        for c in range(cluster_set.k)
-    ])
+    summary_embeddings = encoder.embed_documents(
+        [encode(top_summaries[c], vocab, config.max_len) for c in range(cluster_set.k)])
 
     report: dict = {
         "clusters": cluster_set.k,
@@ -446,10 +453,8 @@ def stage_evaluate(config: PipelineConfig, records: list[CorpusRecord],
             }
         report["rouge"] = rouge_rows
 
-    (out_dir / METRICS_JSON).write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    (out_dir / METRICS_TXT).write_text(_render_metrics_table(report), encoding="utf-8")
+    _write_text(out_dir / METRICS_JSON, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_text(out_dir / METRICS_TXT, _render_metrics_table(report))
     _record_stage(out_dir, manifest, "evaluate", {"has_rouge": references_path is not None})
     return report
 

@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .checkpoint import atomic_write
+
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 
@@ -54,8 +56,10 @@ class Vocabulary:
         return token_id < len(SPECIAL_TOKENS)
 
     def save(self, path: str | Path) -> None:
-        """One token per line; the line number is the id, specials first."""
-        Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")
+        """One token per line; the line number is the id, specials first.
+        Written atomically: a failed write leaves the old file as it was."""
+        with atomic_write(path) as fh:
+            fh.write(("\n".join(self.id_to_token) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
@@ -114,6 +118,20 @@ def encode(
         raise ValueError(f"max_len must be at least 2, got {max_len}")
     body = [vocab.id_for(t) for t in tokenize(text)][: max_len - 2]
     return EncodedDocument(doc_id=doc_id, ids=[vocab.cls_id] + body + [vocab.sep_id], label=label)
+
+
+def pad_batch(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad token-id sequences with [PAD] to the longest one.
+
+    Returns ids ``[b, t]`` and each sequence's length ``[b]``.
+    """
+    if len(sequences) == 0 or any(np.ndim(s) != 1 for s in sequences):
+        raise ValueError("expected a non-empty batch of token-id sequences")
+    lengths = np.array([len(s) for s in sequences], dtype=np.intp)
+    ids = np.full((len(sequences), int(lengths.max())), PAD_ID, dtype=np.intp)
+    for row, seq in enumerate(sequences):
+        ids[row, :len(seq)] = seq
+    return ids, lengths
 
 
 def decode(ids: Sequence[int], vocab: Vocabulary, skip_special: bool = True) -> str:

@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from clustersum.generator import filter_top_k_top_p, sample_token
-from clustersum.tensor import Tensor, no_grad
+from clustersum.tensor import Tensor, cross_entropy, no_grad
+from clustersum.tokenizer import mask_for_mlm
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -149,7 +150,7 @@ def reference_candidate_ids(decoder, center, vocab, sampler, cluster: int, candi
     generated: list[int] = []
     with no_grad():
         while len(generated) < sampler.max_summary_len:
-            logits = decoder.forward(np.asarray(prefix), center, train=False)
+            logits = decoder.forward([prefix], center, train=False)
             last = (logits.data[-1] / sampler.temperature).astype(np.float64)
             exps = np.exp(last - last.max())
             filtered = filter_top_k_top_p(exps / exps.sum(), k, sampler.top_p,
@@ -187,3 +188,51 @@ def init_name_mapping(num_blocks: int) -> dict[str, str]:
             for part in ("weight", "bias"):
                 mapping[f"block{i}.ffn.{lin}.{part}"] = f"block{i}.ffn.{lin}.{part}"
     return mapping
+
+
+# -- per-document references for the batched encoder and decoder paths ------
+# Each runs one forward per document (a batch of one, so no padding) and
+# accumulates per-document gradients, as training did before batching.
+
+
+def per_document_embeddings(encoder, docs) -> np.ndarray:
+    with no_grad():
+        return np.stack([encoder.forward([d.ids])[1].data[0] for d in docs])
+
+
+def per_document_mlm_loss(model, docs, rate: float, rng: np.random.Generator,
+                          batch_size: int) -> float:
+    """Each document in turn: draw its mask, forward, masked-position mean
+    loss times 1/batch_size, backward. Returns the summed loss."""
+    total = 0.0
+    for doc in docs:
+        masked, positions, originals = mask_for_mlm(doc, rate=rate, rng=rng)
+        hidden, _ = model.forward([masked])
+        loss = cross_entropy(model.mlm_logits(hidden, positions), originals, reduction="mean")
+        (loss * (1.0 / batch_size)).backward()
+        total += loss.item() / batch_size
+    return total
+
+
+def per_document_classifier_loss(model, docs, batch_size: int) -> float:
+    """Each document in turn: forward, label loss times 1/batch_size, backward."""
+    total = 0.0
+    for doc in docs:
+        _, embedding = model.forward([doc.ids])
+        loss = cross_entropy(model.classifier(embedding), [doc.label]) * (1.0 / batch_size)
+        loss.backward()
+        total += loss.item()
+    return total
+
+
+def per_document_weighted_loss(decoder, examples, normalize: str) -> Tensor:
+    """Membership-weighted sum of per-document token NLL sums, one forward
+    per document, optionally divided by the batch's token count."""
+    total = None
+    tokens = 0
+    for e in examples:
+        logits = decoder.forward([e.input_ids], e.embedding)
+        doc_loss = cross_entropy(logits, e.target_ids) * e.weight
+        total = doc_loss if total is None else total + doc_loss
+        tokens += len(e.target_ids)
+    return total * (1.0 / tokens) if normalize == "tokens" else total

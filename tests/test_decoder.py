@@ -136,41 +136,41 @@ class TestDecoderForward:
     def test_logits_shape(self, setup):
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
-        center = encoder.embed(docs[0].ids)
+        center = encoder.embed_documents(docs[:1])[0]
         with no_grad():
-            logits = decoder.forward(docs[0].ids, center)
+            logits = decoder.forward([docs[0].ids], center)
         assert logits.shape == (len(docs[0].ids), vocab.size)
 
     def test_causal_mask_perturbation(self, setup):
         """Changing the token at position j leaves logits before j bit-identical."""
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
-        center = encoder.embed(docs[0].ids)
+        center = encoder.embed_documents(docs[:1])[0]
         ids = list(docs[0].ids)
         j = 5
         changed = list(ids)
         changed[j] = (changed[j] + 1) % vocab.size
         with no_grad():
-            a = decoder.forward(ids, center).data
-            b = decoder.forward(changed, center).data
+            a = decoder.forward([ids], center).data
+            b = decoder.forward([changed], center).data
         np.testing.assert_array_equal(a[:j], b[:j])
         assert not np.array_equal(a[j:], b[j:])
 
     def test_conditioning_reaches_every_position(self, setup):
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
-        center = encoder.embed(docs[0].ids)
+        center = encoder.embed_documents(docs[:1])[0]
         with no_grad():
-            a = decoder.forward(docs[0].ids, center).data
-            b = decoder.forward(docs[0].ids, center + 0.5).data
+            a = decoder.forward([docs[0].ids], center).data
+            b = decoder.forward([docs[0].ids], center + 0.5).data
         assert np.all(np.abs(a - b).max(axis=1) > 0)
 
     def test_length_overflow_rejected(self, setup):
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
-        center = encoder.embed(docs[0].ids)
+        center = encoder.embed_documents(docs[:1])[0]
         with pytest.raises(ValueError, match="max_len"):
-            decoder.forward(np.zeros(config.max_len + 1, dtype=np.intp), center)
+            decoder.forward([np.zeros(config.max_len + 1, dtype=np.intp)], center)
 
 
 class TestCachedDecoding:
@@ -200,7 +200,7 @@ class TestCachedDecoding:
                 step = decoder.forward(ids[rows, t], cache=cache).data
                 assert step.shape == (len(rows), vocab.size)
                 for i, r in enumerate(rows):
-                    full = decoder.forward(ids[r, :t + 1], center).data[-1]
+                    full = decoder.forward([ids[r, :t + 1]], center).data[-1]
                     worst = max(worst, float(np.abs(step[i] - full).max()))
         assert len(rows) == 3 and cache.length == steps
         assert worst <= atol
@@ -220,7 +220,7 @@ class TestCachedDecoding:
     def test_position_past_max_len_rejected(self, setup):
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
-        cache = decoder.start_cache(encoder.embed(docs[0].ids))
+        cache = decoder.start_cache(encoder.embed_documents(docs[:1])[0])
         with no_grad():
             for _ in range(config.max_len):
                 decoder.forward([vocab.cls_id], cache=cache)
@@ -230,7 +230,7 @@ class TestCachedDecoding:
     def test_training_or_conditioning_with_cache_rejected(self, setup):
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
-        center = encoder.embed(docs[0].ids)
+        center = encoder.embed_documents(docs[:1])[0]
         cache = decoder.start_cache(center)
         with pytest.raises(ValueError, match="no_grad"):
             decoder.forward([vocab.cls_id], cache=cache)
@@ -304,7 +304,7 @@ class TestWeightedLoss:
         decoder = init_from_encoder(encoder)
         with pytest.raises(ValueError, match="conditioning"):
             with no_grad():
-                decoder.forward(example.input_ids, np.zeros(3, dtype=np.float32))
+                decoder.forward([example.input_ids], np.zeros(3, dtype=np.float32))
 
 
 class TestTraining:
@@ -322,13 +322,13 @@ class TestTraining:
     def test_checkpoint_round_trip(self, setup, tmp_path):
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
-        center = encoder.embed(docs[0].ids)
+        center = encoder.embed_documents(docs[:1])[0]
         path = tmp_path / "decoder.ckpt"
         decoder.save(path)
         loaded = DecoderModel.load(path)
         with no_grad():
-            a = decoder.forward(docs[0].ids, center).data
-            b = loaded.forward(docs[0].ids, center).data
+            a = decoder.forward([docs[0].ids], center).data
+            b = loaded.forward([docs[0].ids], center).data
         np.testing.assert_array_equal(a, b)
 
     def test_encoder_checkpoint_rejected(self, setup, tmp_path):

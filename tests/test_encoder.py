@@ -13,7 +13,7 @@ from clustersum.encoder import (
     pretrain_mlm,
 )
 from clustersum.tensor import cross_entropy, no_grad, softmax
-from clustersum.tokenizer import MASK_ID, build_vocab, encode, mask_for_mlm
+from clustersum.tokenizer import MASK_ID, EncodedDocument, build_vocab, encode, mask_for_mlm
 
 from corpora import build_docs, graded_topic_texts, pair_texts
 
@@ -31,14 +31,14 @@ def small_setup():
 class TestForward:
     def test_output_shapes(self, small_setup):
         vocab, docs, config, model = small_setup
-        hidden, cls_embedding = model.forward(docs[0].ids)
+        hidden, cls_embedding = model.forward([docs[0].ids])
         assert hidden.shape == (len(docs[0].ids), config.hidden_size)
-        assert cls_embedding.shape == (config.hidden_size,)
+        assert cls_embedding.shape == (1, config.hidden_size)
 
     def test_sequence_too_long_rejected(self, small_setup):
         vocab, docs, config, model = small_setup
         with pytest.raises(ValueError, match="max_len"):
-            model.forward(np.zeros(config.max_len + 1, dtype=np.intp))
+            model.forward([np.zeros(config.max_len + 1, dtype=np.intp)])
 
     def test_position_embeddings_active(self, small_setup):
         """Swapping two body tokens changes the document embedding."""
@@ -49,22 +49,21 @@ class TestForward:
         assert ids[1] != ids[2]
         swapped = list(ids)
         swapped[1], swapped[2] = swapped[2], swapped[1]
-        a = model.embed(ids)
-        b = model.embed(swapped)
+        a, b = model.embed_documents([EncodedDocument("a", ids), EncodedDocument("b", swapped)])
         assert not np.array_equal(a, b)
         assert cosine_similarity(a, b) < 1.0
 
     def test_eval_forward_deterministic(self, small_setup):
         vocab, docs, config, model = small_setup
-        a = model.embed(docs[0].ids)
-        b = model.embed(docs[0].ids)
+        a = model.embed_documents(docs[:1])
+        b = model.embed_documents(docs[:1])
         np.testing.assert_array_equal(a, b)
 
     def test_train_mode_with_fixed_seed_reproducible(self, small_setup):
         vocab, docs, config, model = small_setup
         with no_grad():
-            h1, _ = model.forward(docs[0].ids, train=True, rng=np.random.default_rng(42))
-            h2, _ = model.forward(docs[0].ids, train=True, rng=np.random.default_rng(42))
+            h1, _ = model.forward([docs[0].ids], train=True, rng=np.random.default_rng(42))
+            h2, _ = model.forward([docs[0].ids], train=True, rng=np.random.default_rng(42))
         np.testing.assert_array_equal(h1.data, h2.data)
 
     def test_bidirectional_attention(self, small_setup):
@@ -74,8 +73,8 @@ class TestForward:
         changed = list(ids)
         changed[-2] = MASK_ID
         with no_grad():
-            h1, _ = model.forward(ids)
-            h2, _ = model.forward(changed)
+            h1, _ = model.forward([ids])
+            h2, _ = model.forward([changed])
         assert not np.allclose(h1.data[1], h2.data[1])
 
 
@@ -93,7 +92,7 @@ class TestMlmTraining:
         doc = docs[0]
         masked, positions, originals = mask_for_mlm(doc, rng=np.random.default_rng(3))
         with no_grad():
-            hidden, _ = model.forward(masked)
+            hidden, _ = model.forward([masked])
             restricted = cross_entropy(model.mlm_logits(hidden, positions), originals,
                                        reduction="mean")
             full_targets = np.array(doc.ids)
@@ -165,8 +164,8 @@ class TestClassifier:
         with no_grad():
             expected = []
             for doc in docs:
-                _, emb = model.forward(doc.ids)
-                expected.append(softmax(model.classifier(emb.reshape((1, -1))), axis=-1).data[0])
+                _, emb = model.forward([doc.ids])
+                expected.append(softmax(model.classifier(emb), axis=-1).data[0])
         np.testing.assert_array_equal(model.label_probs(model.embed_documents(docs)),
                                       np.stack(expected))
 
@@ -193,7 +192,7 @@ class TestPersistence:
         path = tmp_path / "encoder.ckpt"
         model.save(path)
         loaded = EncoderModel.load(path)
-        np.testing.assert_array_equal(model.embed(docs[0].ids), loaded.embed(docs[0].ids))
+        np.testing.assert_array_equal(model.embed_documents(docs[:1]), loaded.embed_documents(docs[:1]))
         assert loaded.parameter_hash() == model.parameter_hash()
 
     def test_classifier_head_round_trips(self, small_setup, tmp_path):

@@ -110,7 +110,7 @@ def generation_setup():
     config = ModelConfig.desk_scale(vocab.size, max_len=16)
     encoder = EncoderModel(config, np.random.default_rng(6))
     decoder = init_from_encoder(encoder)
-    center = encoder.embed(docs[0].ids)
+    center = encoder.embed_documents(docs[:1])[0]
     return vocab, encoder, decoder, center
 
 
@@ -123,7 +123,7 @@ def long_setup(request):
     config = ModelConfig.desk_scale(vocab.size, max_len=48)
     encoder = EncoderModel(config, np.random.default_rng(6), dtype=request.param)
     decoder = init_from_encoder(encoder)
-    return vocab, decoder, encoder.embed(docs[0].ids)
+    return vocab, decoder, encoder.embed_documents(docs[:1])[0]
 
 
 class TestSampleCandidates:

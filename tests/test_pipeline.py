@@ -1,4 +1,5 @@
-"""Stage artifacts are replaced atomically; staged runs equal run-all."""
+"""Stage artifacts are replaced atomically; staged runs equal run-all; the
+CLI's exit codes for out-of-order stages, foreign artifacts and bad corpora."""
 
 import hashlib
 import json
@@ -10,7 +11,9 @@ import pytest
 from clustersum import checkpoint, pipeline
 from clustersum.cli import main
 from clustersum.config import PipelineConfig
+from clustersum.encoder import EncoderModel
 from clustersum.pipeline import CorpusRecord
+from clustersum.tokenizer import Vocabulary, encode
 
 from corpora import graded_topic_texts, pair_texts
 
@@ -83,6 +86,91 @@ def test_failed_checkpoint_write_keeps_old_encoder(tmp_path, monkeypatch):
     assert encoder_file.read_bytes() == b"previous"
     assert "pretrain" not in _stages(tmp_path)
     assert not list(tmp_path.glob(".*.tmp"))
+
+
+def test_stored_embeddings_equal_a_fresh_embedding(trained_run):
+    config, records, out_dir = trained_run
+    vocab = Vocabulary.load(out_dir / pipeline.VOCAB_FILE)
+    encoder = EncoderModel.load(out_dir / pipeline.ENCODER_FILE)
+    docs = [encode(r.text, vocab, config.max_len) for r in records]
+    stored = np.load(out_dir / pipeline.EMBEDDINGS_FILE)
+    np.testing.assert_array_equal(stored, encoder.embed_documents(docs))
+    assert _stages(out_dir)["cluster"]["embeddings"] == {
+        "file": pipeline.EMBEDDINGS_FILE, "shape": list(stored.shape)}
+
+
+def test_failed_vocab_write_keeps_old_vocab(tmp_path, monkeypatch):
+    records = [CorpusRecord("a", "one two three"), CorpusRecord("b", "two three four")]
+    vocab_file = tmp_path / pipeline.VOCAB_FILE
+    vocab_file.write_text("previous\n", encoding="utf-8")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        pipeline.stage_build_vocab(PipelineConfig(max_len=8, max_summary_len=4), records,
+                                   tmp_path)
+    assert vocab_file.read_text(encoding="utf-8") == "previous\n"
+    assert not (tmp_path / pipeline.MANIFEST_FILE).exists()
+    assert not list(tmp_path.glob(".*.tmp"))
+
+
+def test_failed_metrics_write_keeps_old_report(run_copy, monkeypatch):
+    config, records, out_dir = run_copy
+    pipeline.stage_summarize(config, records, out_dir)
+    metrics = out_dir / pipeline.METRICS_JSON
+    metrics.write_text("previous\n", encoding="utf-8")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        pipeline.stage_evaluate(config, records, out_dir)
+    assert metrics.read_text(encoding="utf-8") == "previous\n"
+    assert not (out_dir / pipeline.METRICS_TXT).exists()
+    assert "evaluate" not in _stages(out_dir)
+    assert not list(out_dir.glob(".*.tmp"))
+
+
+class TestExitCodes:
+    SETTINGS = ["--set", "max_len=8", "--set", "mlm_epochs=1", "--set", "max_summary_len=4"]
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        texts = pair_texts(np.random.default_rng(14), num_docs=8, num_pairs=2, doc_len=4)
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps({"id": f"d{i}", "text": t}) + "\n"
+                                for i, t in enumerate(texts)), encoding="utf-8")
+        return path
+
+    def _run(self, stage, corpus, out, *extra):
+        return main([stage, "--corpus", str(corpus), "--out", str(out), *self.SETTINGS, *extra])
+
+    def test_another_seed_in_the_same_out_exits_4(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self._run("build-vocab", corpus, out, "--seed", "1") == 0
+        assert self._run("build-vocab", corpus, out, "--seed", "2") == 4
+        assert "was produced under a different" in capsys.readouterr().err
+        assert self._run("pretrain", corpus, out, "--seed", "2") == 4
+        assert "pretrain" not in _stages(out)
+
+    def test_malformed_corpus_line_exits_3(self, corpus, tmp_path, capsys):
+        corpus.write_text(corpus.read_text(encoding="utf-8") + "{not json\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert self._run("build-vocab", corpus, out) == 3
+        assert ":9: malformed record" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_summarize_before_train_decoder_exits_4(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        for stage in ("build-vocab", "pretrain", "cluster"):
+            assert self._run(stage, corpus, out) == 0
+        assert self._run("summarize", corpus, out) == 4
+        assert "'train-decoder' has not run" in capsys.readouterr().err
+        assert not (out / pipeline.SUMMARIES_FILE).exists()
+        assert "summarize" not in _stages(out)
 
 
 @pytest.mark.parametrize("clustering", ["kmeans", "labels"])

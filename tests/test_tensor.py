@@ -19,6 +19,8 @@ from clustersum.tensor import (
     tensor,
 )
 
+from clustersum.layers import MultiHeadAttention, causal_mask, padding_mask
+
 from oracles import assert_gradients_match, naive_matmul, naive_nll
 
 
@@ -148,6 +150,20 @@ class TestCrossEntropy:
         mean = cross_entropy(Tensor(logits), targets, reduction="mean").item()
         assert total == pytest.approx(6 * mean, rel=1e-6)
 
+    def test_row_weights_scale_each_row(self):
+        rng = np.random.default_rng(10)
+        logits = rng.normal(size=(5, 6), scale=2)
+        targets = rng.integers(0, 6, size=5)
+        weights = np.array([1.0, 0.0, 0.5, 2.0, 0.25])
+        expected = sum(w * naive_nll(logits[i:i + 1], targets[i:i + 1])
+                       for i, w in enumerate(weights))
+        out = cross_entropy(Tensor(logits, dtype=np.float64), targets, weights=weights)
+        assert out.item() == pytest.approx(expected, rel=1e-12)
+
+    def test_row_weights_shape_checked(self):
+        with pytest.raises(ValueError, match="weights"):
+            cross_entropy(Tensor(np.zeros((3, 4))), [0, 1, 2], weights=[1.0, 1.0])
+
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
@@ -173,6 +189,16 @@ class TestBackward:
         loss2 = x.sum()
         loss2.backward()
         np.testing.assert_allclose(x.grad, 2 * first)
+
+    def test_backward_releases_interior_gradients(self):
+        """Leaves keep their gradients; interior nodes drop theirs once
+        passed on, so a batch's interior gradients are not all held."""
+        x = init_normal(np.random.default_rng(13), (3,))
+        y = x * x
+        loss = y.sum()
+        loss.backward()
+        np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-6)
+        assert y.grad is None and loss.grad is None
 
     def test_no_grad_blocks_recording(self):
         x = init_normal(np.random.default_rng(12), (3,))
@@ -263,6 +289,37 @@ class TestGradientChecks:
         assert_gradients_match(
             lambda ts: cross_entropy(ts[0], targets, reduction="mean"),
             [logits], rng=rng, dtype=dtype,
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    def test_weighted_cross_entropy(self, dtype, reduction):
+        rng = np.random.default_rng(30)
+        logits = rng.normal(size=(12, 11), scale=2)
+        targets = rng.integers(0, 11, size=12)
+        weights = rng.uniform(0.0, 1.0, size=12) / 4
+        weights[3] = 0.0
+        assert_gradients_match(
+            lambda ts: cross_entropy(ts[0], targets, reduction=reduction, weights=weights),
+            [logits], rng=rng, dtype=dtype,
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_masked_attention(self, dtype, causal):
+        """Two padded sequences (lengths 5 and 3) in one [b·t, h] batch."""
+        rng = np.random.default_rng(31)
+        attn = MultiHeadAttention(rng, 8, 2, dtype)
+        for p in attn.named_parameters().values():
+            p.data = p.data * 20.0
+        mask = padding_mask([5, 3], 5, dtype)
+        if causal:
+            mask = mask + causal_mask(5, dtype)
+        x = rng.normal(size=(10, 8))
+        probe = rng.normal(size=(10, 8)) / 10.0
+        assert_gradients_match(
+            lambda ts: (attn(ts[0], 2, mask=mask) * Tensor(probe, dtype=ts[0].dtype)).sum(),
+            [x], rng=rng, dtype=dtype, num_coords=80,
         )
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
