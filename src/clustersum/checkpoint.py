@@ -76,6 +76,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint; each payload is read straight into its own fresh
+    float32 array, with no intermediate buffer or copy."""
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != MAGIC:
@@ -85,12 +87,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise ValueError(f"unsupported checkpoint version {header.get('version')}")
         tensors: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 4)
-            if len(raw) != count * 4:
+            arr = np.empty(tuple(entry["shape"]), dtype="<f4")
+            if fh.readinto(arr) != arr.nbytes:
                 raise ValueError(f"truncated checkpoint payload for {entry['name']!r}")
-            tensors[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+            tensors[entry["name"]] = arr
     return Checkpoint(
         component=header["component"],
         config=header["config"],

@@ -53,7 +53,7 @@ class DecoderModel(Model):
     component = "decoder"
     block_type = DecoderBlock
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None, dtype=np.float32):
         super().__init__(config, rng, dtype)
         self.lm_head = PredictionHead(rng, config.hidden_size, config.vocab_size, dtype)
 
@@ -148,9 +148,11 @@ def init_from_encoder(encoder: EncoderModel) -> DecoderModel:
     block's cross-attention copies the same block's encoder self-attention
     (query, key, value, output projections alike); the norm that follows it
     copies the encoder's attention norm. All copies are independent, so
-    decoder training leaves the encoder untouched.
+    decoder training leaves the encoder untouched. The decoder is built
+    without a generator, so nothing is drawn only to be overwritten; every
+    one of its parameters has an encoder source.
     """
-    decoder = DecoderModel(encoder.config, np.random.default_rng(0), dtype=encoder.dtype)
+    decoder = DecoderModel(encoder.config, None, dtype=encoder.dtype)
     enc_params = encoder.named_parameters()
     for dec_name, dst in decoder.named_parameters().items():
         enc_name = encoder_source_name(dec_name)

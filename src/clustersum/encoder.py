@@ -84,7 +84,9 @@ class Model(Module):
     component: str
     block_type: type
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None, dtype=np.float32):
+        """Draw every weight matrix from ``rng``; with ``rng=None`` they are
+        zero shells, for a model whose parameters are set right after."""
         self.config = config
         self.dtype = dtype
         self.word_embedding = init_normal(rng, (config.vocab_size, config.hidden_size), INIT_STD, dtype)
@@ -129,6 +131,10 @@ class Model(Module):
         """Rebuild what ``_checkpoint_extra`` recorded."""
 
     def save(self, path) -> None:
+        """Write the model as a float32 checkpoint; any other dtype is refused,
+        since the checkpoint would silently round it."""
+        if np.dtype(self.dtype) != np.float32:
+            raise ValueError(f"checkpoints store float32; this model is {np.dtype(self.dtype)}")
         save_checkpoint(
             path,
             component=self.component,
@@ -139,10 +145,17 @@ class Model(Module):
 
     @classmethod
     def load(cls, path) -> "Model":
+        """Rebuild a saved model as float32.
+
+        The model is built without a generator (zero shells, nothing drawn)
+        and every parameter is then replaced by its checkpoint tensor. The
+        checkpoint must hold exactly the model's parameter names, each at
+        the model's shape, so no shell can survive the load.
+        """
         ckpt = load_checkpoint(path)
         if ckpt.component != cls.component:
             raise ValueError(f"{path} holds a {ckpt.component!r} checkpoint, expected {cls.component!r}")
-        model = cls(ModelConfig(**ckpt.config), np.random.default_rng(0))
+        model = cls(ModelConfig(**ckpt.config), None)
         model._apply_checkpoint_extra(ckpt.extra)
         params = model.named_parameters()
         if set(params) != set(ckpt.tensors):
@@ -162,7 +175,7 @@ class EncoderModel(Model):
     component = "encoder"
     block_type = EncoderBlock
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None, dtype=np.float32):
         super().__init__(config, rng, dtype)
         self.mlm_head = PredictionHead(rng, config.hidden_size, config.vocab_size, dtype)
         self.classifier: Projection | None = None
@@ -175,7 +188,7 @@ class EncoderModel(Model):
             raise ValueError("encoder has no classifier head")
         return self.classifier.weight.shape[1]
 
-    def add_classifier(self, num_labels: int, rng: np.random.Generator) -> None:
+    def add_classifier(self, num_labels: int, rng: np.random.Generator | None) -> None:
         if num_labels < 1:
             raise ValueError(f"need at least one label, got {num_labels}")
         self.classifier = Projection(rng, self.config.hidden_size, num_labels, self.dtype)
@@ -185,7 +198,7 @@ class EncoderModel(Model):
 
     def _apply_checkpoint_extra(self, extra: dict) -> None:
         if "num_labels" in extra:
-            self.add_classifier(int(extra["num_labels"]), np.random.default_rng(0))
+            self.add_classifier(int(extra["num_labels"]), None)
 
     # -- forward ------------------------------------------------------------
 

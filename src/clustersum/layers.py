@@ -58,7 +58,7 @@ class Module:
 class Projection(Module):
     """Bias-free linear map ``x @ weight``."""
 
-    def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, in_dim: int, out_dim: int, dtype=np.float32):
         self.weight = init_normal(rng, (in_dim, out_dim), INIT_STD, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -66,7 +66,7 @@ class Projection(Module):
 
 
 class Linear(Projection):
-    def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, in_dim: int, out_dim: int, dtype=np.float32):
         super().__init__(rng, in_dim, out_dim, dtype)
         self.bias = Tensor(np.zeros(out_dim, dtype=dtype), requires_grad=True)
 
@@ -137,7 +137,7 @@ class MultiHeadAttention(Module):
     only past positions, so no mask is needed.
     """
 
-    def __init__(self, rng: np.random.Generator, hidden: int, num_heads: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, hidden: int, num_heads: int, dtype=np.float32):
         if hidden % num_heads != 0:
             raise ValueError(f"hidden size {hidden} not divisible by {num_heads} heads")
         self.hidden = hidden
@@ -181,7 +181,7 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
-    def __init__(self, rng: np.random.Generator, hidden: int, ffn_size: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, hidden: int, ffn_size: int, dtype=np.float32):
         self.lin1 = Linear(rng, hidden, ffn_size, dtype)
         self.lin2 = Linear(rng, ffn_size, hidden, dtype)
 
@@ -200,7 +200,7 @@ def _maybe_dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator
 class EncoderBlock(Module):
     """Bidirectional self-attention followed by a feed-forward sublayer."""
 
-    def __init__(self, rng: np.random.Generator, hidden: int, num_heads: int, ffn_size: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, hidden: int, num_heads: int, ffn_size: int, dtype=np.float32):
         self.attn = MultiHeadAttention(rng, hidden, num_heads, dtype)
         self.norm_attn = LayerNorm(hidden, dtype)
         self.ffn = FeedForward(rng, hidden, ffn_size, dtype)
@@ -218,7 +218,7 @@ class DecoderBlock(Module):
     """Causal self-attention, cross-attention on one memory row per
     sequence, feed-forward."""
 
-    def __init__(self, rng: np.random.Generator, hidden: int, num_heads: int, ffn_size: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, hidden: int, num_heads: int, ffn_size: int, dtype=np.float32):
         self.self_attn = MultiHeadAttention(rng, hidden, num_heads, dtype)
         self.norm_self = LayerNorm(hidden, dtype)
         self.cross_attn = MultiHeadAttention(rng, hidden, num_heads, dtype)
@@ -258,7 +258,7 @@ class DecoderBlock(Module):
 class PredictionHead(Module):
     """Token-prediction head: dense, GELU, layer norm, vocab projection."""
 
-    def __init__(self, rng: np.random.Generator, hidden: int, vocab_size: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, hidden: int, vocab_size: int, dtype=np.float32):
         self.dense = Linear(rng, hidden, hidden, dtype)
         self.norm = LayerNorm(hidden, dtype)
         self.proj = Linear(rng, hidden, vocab_size, dtype)

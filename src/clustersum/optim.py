@@ -67,7 +67,12 @@ class AdamW:
             p.grad = None
 
     def step(self) -> None:
-        """Apply one update to every parameter, then clear gradients."""
+        """Apply one update to every parameter, then clear gradients.
+
+        Each parameter's update runs in place through two scratch arrays of
+        its size, allocated per parameter so that only one parameter's
+        scratch is alive at a time.
+        """
         self.step_count += 1
         t = self.step_count
         lr_t = self.effective_lr(t)
@@ -78,14 +83,21 @@ class AdamW:
             g = p.grad
             m = self.first_moment[i]
             v = self.second_moment[i]
+            scratch = np.multiply(g, 1.0 - beta1, out=np.empty_like(g))
             m *= beta1
-            m += (1.0 - beta1) * g
+            m += scratch
+            np.multiply(g, g, out=scratch)
+            scratch *= 1.0 - beta2
             v *= beta2
-            v += (1.0 - beta2) * (g * g)
-            m_hat = m / (1.0 - beta1 ** t)
-            v_hat = v / (1.0 - beta2 ** t)
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
+            v += scratch
+            update = np.divide(m, 1.0 - beta1 ** t, out=np.empty_like(m))
+            np.divide(v, 1.0 - beta2 ** t, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            update /= scratch
             if self.weight_decay > 0.0:
-                update = update + self.weight_decay * p.data
-            p.data -= (lr_t * update).astype(p.data.dtype, copy=False)
+                np.multiply(p.data, self.weight_decay, out=scratch)
+                update += scratch
+            update *= lr_t
+            p.data -= update
         self.zero_grad()

@@ -196,8 +196,15 @@ def zeros(shape, requires_grad: bool = False, dtype=np.float32) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
 
-def init_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> Tensor:
-    """Trainable parameter tensor with N(0, std) entries."""
+def init_normal(rng: np.random.Generator | None, shape, std: float = 0.02, dtype=np.float32) -> Tensor:
+    """Trainable parameter tensor with N(0, std) entries drawn from ``rng``.
+
+    With ``rng=None`` the tensor is zero-filled and nothing is drawn: a
+    model built only to have its parameters overwritten (by a checkpoint
+    load or a copy) gets shells of the right shape at no sampling cost.
+    """
+    if rng is None:
+        return zeros(shape, requires_grad=True, dtype=dtype)
     return Tensor(rng.normal(0.0, std, size=shape).astype(dtype), requires_grad=True)
 
 
@@ -217,8 +224,10 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += grad.astype(t.data.dtype, copy=False)
+        # a fresh C-ordered copy: one array may reach several operands (add)
+        t.grad = np.array(grad, dtype=t.data.dtype, order="C")
+    else:
+        t.grad += grad.astype(t.data.dtype, copy=False)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -236,3 +236,21 @@ def per_document_weighted_loss(decoder, examples, normalize: str) -> Tensor:
         total = doc_loss if total is None else total + doc_loss
         tokens += len(e.target_ids)
     return total * (1.0 / tokens) if normalize == "tokens" else total
+
+
+def reference_adamw_update(data: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+                           t: int, lr_t: float, betas: tuple[float, float], eps: float,
+                           weight_decay: float) -> None:
+    """One AdamW update of ``data``, ``m`` and ``v`` in place, written as
+    whole-array expressions with a fresh temporary per operation."""
+    beta1, beta2 = betas
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * (grad * grad)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    update = m_hat / (np.sqrt(v_hat) + eps)
+    if weight_decay > 0.0:
+        update = update + weight_decay * data
+    data -= (lr_t * update).astype(data.dtype, copy=False)

@@ -1,10 +1,14 @@
 """Binary checkpoint container format."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+import clustersum.encoder
+import clustersum.layers
 from clustersum.checkpoint import load_checkpoint, save_checkpoint
-from clustersum.decoder import DecoderModel
+from clustersum.decoder import DecoderModel, init_from_encoder
 from clustersum.encoder import EncoderModel, ModelConfig
 
 
@@ -41,6 +45,21 @@ def test_bad_magic_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_zero_dim_and_empty_tensors_round_trip(tmp_path):
+    tensors = {
+        "scalar": np.array(1.5, dtype=np.float32),
+        "empty": np.zeros(0, dtype=np.float32),
+        "empty_rows": np.zeros((0, 3), dtype=np.float32),
+        "after": np.arange(4, dtype=np.float32),
+    }
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, component="encoder", config={}, tensors=tensors)
+    ckpt = load_checkpoint(path)
+    for name, arr in tensors.items():
+        assert ckpt.tensors[name].shape == arr.shape
+        np.testing.assert_array_equal(ckpt.tensors[name], arr)
+
+
 def test_truncated_payload_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, component="encoder", config={},
@@ -65,3 +84,81 @@ def test_model_save_load_save_is_byte_identical(tmp_path, model_type, num_labels
     loaded.save(second)
     assert first.read_bytes() == second.read_bytes()
     assert loaded.parameter_hash() == model.parameter_hash()
+
+
+def _desk_model(model_type=EncoderModel, num_labels=None):
+    model = model_type(ModelConfig.desk_scale(vocab_size=20, max_len=8), np.random.default_rng(0))
+    if num_labels is not None:
+        model.add_classifier(num_labels, np.random.default_rng(1))
+    return model
+
+
+def _drop_ffn_bias(tensors):
+    del tensors["block1.ffn.lin2.bias"]
+
+
+def _add_stray(tensors):
+    tensors["stray.weight"] = np.ones((2, 2), dtype=np.float32)
+
+
+def _narrow_query(tensors):
+    tensors["block0.attn.wq.weight"] = np.ones((64, 32), dtype=np.float32)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (_drop_ffn_bias, "block1.ffn.lin2.bias"),
+    (_add_stray, "stray.weight"),
+    (_narrow_query, "shape mismatch for block0.attn.wq.weight"),
+])
+def test_load_rejects_mismatched_tensors(tmp_path, edit, match):
+    """``Model.load`` builds zero shells; its name and shape checks are what
+    guarantee every shell is replaced by a checkpoint tensor."""
+    model = _desk_model()
+    tensors = {n: p.data for n, p in model.named_parameters().items()}
+    edit(tensors)
+    save_checkpoint(tmp_path / "m.ckpt", component=model.component,
+                    config=asdict(model.config), tensors=tensors)
+    with pytest.raises(ValueError, match=match):
+        EncoderModel.load(tmp_path / "m.ckpt")
+
+
+@pytest.fixture
+def init_normal_generators(monkeypatch):
+    """The ``rng`` argument of every ``init_normal`` call the layers and
+    models make while the fixture is active."""
+    seen = []
+    real = clustersum.layers.init_normal
+
+    def spy(rng, *args, **kwargs):
+        seen.append(rng)
+        return real(rng, *args, **kwargs)
+
+    monkeypatch.setattr(clustersum.layers, "init_normal", spy)
+    monkeypatch.setattr(clustersum.encoder, "init_normal", spy)
+    return seen
+
+
+@pytest.mark.parametrize("model_type,num_labels", [
+    (EncoderModel, None), (EncoderModel, 3), (DecoderModel, None),
+])
+def test_load_draws_nothing(tmp_path, init_normal_generators, model_type, num_labels):
+    model = _desk_model(model_type, num_labels)
+    model.save(tmp_path / "m.ckpt")
+    init_normal_generators.clear()
+    model_type.load(tmp_path / "m.ckpt")
+    assert init_normal_generators and all(rng is None for rng in init_normal_generators)
+
+
+def test_init_from_encoder_draws_nothing(init_normal_generators):
+    encoder = _desk_model()
+    init_normal_generators.clear()
+    init_from_encoder(encoder)
+    assert init_normal_generators and all(rng is None for rng in init_normal_generators)
+
+
+def test_float64_model_save_refused(tmp_path):
+    model = EncoderModel(ModelConfig.desk_scale(vocab_size=20, max_len=8),
+                         np.random.default_rng(0), dtype=np.float64)
+    with pytest.raises(ValueError, match="float64"):
+        model.save(tmp_path / "m.ckpt")
+    assert list(tmp_path.iterdir()) == []

@@ -6,6 +6,8 @@ import pytest
 from clustersum.optim import AdamW
 from clustersum.tensor import Tensor
 
+from oracles import reference_adamw_update
+
 
 def _param(values):
     p = Tensor(np.asarray(values, dtype=np.float32), requires_grad=True)
@@ -84,6 +86,36 @@ class TestContracts:
             AdamW([_param([0.0])], lr=0.1, weight_decay=-1.0)
         with pytest.raises(ValueError):
             AdamW([_param([0.0])], lr=0.1, schedule="linear_decay")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_step_matches_reference_formula_bit_for_bit(dtype, weight_decay):
+    """Steps 1-2 warm up, 3-8 decay linearly; parameters and moments equal
+    the whole-array formula exactly, signed zeros included."""
+    rng = np.random.default_rng(3)
+    shapes = [(5, 7), (7,), ()]
+    params = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
+    shadow = [p.data.copy() for p in params]
+    m = [np.zeros_like(d) for d in shadow]
+    v = [np.zeros_like(d) for d in shadow]
+    opt = AdamW(params, lr=0.01, weight_decay=weight_decay, warmup_steps=2,
+                schedule="linear_decay", total_steps=8)
+    for step in range(1, 9):
+        grads = [rng.normal(size=s).astype(dtype) for s in shapes]
+        grads[0][0, :3] = 0.0
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        opt.step()
+        for data, g, m_i, v_i in zip(shadow, grads, m, v):
+            reference_adamw_update(data, g, m_i, v_i, step, opt.effective_lr(step),
+                                   opt.betas, opt.eps, weight_decay)
+        for p, data, m_i, v_i, om, ov in zip(params, shadow, m, v,
+                                              opt.first_moment, opt.second_moment):
+            assert p.data.dtype == dtype
+            assert p.data.tobytes() == data.tobytes()
+            assert om.tobytes() == m_i.tobytes()
+            assert ov.tobytes() == v_i.tobytes()
 
 
 def test_converges_on_quadratic():

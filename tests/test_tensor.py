@@ -200,11 +200,38 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-6)
         assert y.grad is None and loss.grad is None
 
+    @pytest.mark.parametrize("mul_first", [False, True])
+    def test_shared_gradient_is_not_aliased(self, mul_first):
+        """``add`` hands one array to both operands; each leaf's first
+        gradient must be its own copy, whichever order they arrive in."""
+        a = init_normal(np.random.default_rng(16), (3,))
+        b = init_normal(np.random.default_rng(17), (3,))
+        tail = (a * Tensor(np.full(3, 3.0, dtype=np.float32))).sum()
+        head = ((a + b) * Tensor(np.full(3, 2.0, dtype=np.float32))).sum()
+        (tail + head if mul_first else head + tail).backward()
+        np.testing.assert_array_equal(a.grad, np.full(3, 5.0, dtype=np.float32))
+        np.testing.assert_array_equal(b.grad, np.full(3, 2.0, dtype=np.float32))
+
+    def test_first_gradient_is_c_ordered(self):
+        x = init_normal(np.random.default_rng(18), (3, 4))
+        w = Tensor(np.arange(12, dtype=np.float32).reshape(4, 3))
+        (x.transpose((1, 0)) * w).sum().backward()
+        assert x.grad.flags.c_contiguous
+        np.testing.assert_array_equal(x.grad, w.data.T)
+
     def test_no_grad_blocks_recording(self):
         x = init_normal(np.random.default_rng(12), (3,))
         with no_grad():
             out = (x * x).sum()
         assert out._backward_fn is None and not out.requires_grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_normal_without_generator_is_zero_filled(dtype):
+    x = init_normal(None, (3, 5), dtype=dtype)
+    assert x.shape == (3, 5) and x.dtype == dtype
+    assert x.requires_grad
+    assert not x.data.any()
 
 
 class TestFiniteness:
