@@ -1,8 +1,10 @@
 """Command-line entry points for the summarization pipeline.
 
-Subcommands run individual stages or everything end to end; flags override
-config-file values which override preset defaults. Exit codes: 0 success,
-2 configuration error, 3 corpus error, 4 artifact mismatch, 1 anything else.
+One subcommand per entry of ``pipeline.STAGES``, in the table's order, plus
+``run-all``; each dispatches through ``run_stage`` or ``run_all``. Flags
+override config-file values which override preset defaults. Exit codes:
+0 success, 2 configuration error, 3 corpus error, 4 artifact mismatch,
+1 anything else.
 """
 
 from __future__ import annotations
@@ -14,30 +16,13 @@ from pathlib import Path
 
 from .config import ConfigError, build_config, parse_setting
 from .pipeline import (
+    STAGES,
     ArtifactError,
     CorpusError,
     load_corpus,
     run_all,
-    stage_build_vocab,
-    stage_cluster,
-    stage_evaluate,
-    stage_finetune,
-    stage_pretrain,
-    stage_summarize,
-    stage_train_decoder,
+    run_stage,
 )
-
-log = logging.getLogger(__name__)
-
-_STAGES = {
-    "build-vocab": stage_build_vocab,
-    "pretrain": stage_pretrain,
-    "finetune": stage_finetune,
-    "cluster": stage_cluster,
-    "train-decoder": stage_train_decoder,
-    "summarize": stage_summarize,
-}
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", required=True, help="JSON-lines corpus file")
@@ -66,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [*_STAGES, "evaluate", "run-all"]:
+    for name in [*(s.name for s in STAGES), "run-all"]:
         p = sub.add_parser(name)
         _add_common(p)
         if name in ("evaluate", "run-all"):
@@ -93,14 +78,11 @@ def main(argv: list[str] | None = None) -> int:
         records = load_corpus(args.corpus,
                               require_labels=(config.clustering == "labels"
                                               and not config.no_labels))
-        out_dir = Path(args.out)
+        references = getattr(args, "references", None)
         if args.command == "run-all":
-            report = run_all(config, records, out_dir, getattr(args, "references", None))
-            log.info("run complete; cosine_center %.4f", report["cosine_center"])
-        elif args.command == "evaluate":
-            stage_evaluate(config, records, out_dir, getattr(args, "references", None))
+            run_all(config, records, Path(args.out), references)
         else:
-            _STAGES[args.command](config, records, out_dir)
+            run_stage(args.command, config, records, Path(args.out), references)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,7 @@
 Precedence is CLI > file > preset defaults. The canonical rendering of a
 configuration hashes to a run fingerprint; artifacts record it so a later
 phase refuses to mix with artifacts built under a different configuration.
+A value no stage could run with is rejected when the configuration is built.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+
+from .generator import SamplerConfig
 
 
 class ConfigError(Exception):
@@ -81,6 +84,15 @@ class PipelineConfig:
             raise ConfigError(
                 f"max_summary_len {self.max_summary_len} exceeds max_len {self.max_len}"
             )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith(("_epochs", "_batch_size")) and value < 1:
+                raise ConfigError(f"{f.name} must be at least 1, got {value}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
+        # the sampling and evaluation settings too, so a bad value fails before any stage
+        self.sampler_config(vocab_size=self.top_k, cls_id=0)
+        self.top_k_values()
 
     @classmethod
     def paper_scale(cls) -> "PipelineConfig":
@@ -120,6 +132,24 @@ class PipelineConfig:
             return int(self.start_token)
         except ValueError as exc:
             raise ConfigError(f"start_token must be 'cls' or an id, got {self.start_token!r}") from exc
+
+    def sampler_config(self, vocab_size: int, cls_id: int) -> SamplerConfig:
+        """The summary sampling settings for a vocabulary of ``vocab_size``
+        tokens whose [CLS] id is ``cls_id``."""
+        try:
+            return SamplerConfig(
+                top_k=min(self.top_k, vocab_size),
+                top_p=self.top_p,
+                num_candidates=self.num_candidates,
+                max_summary_len=self.max_summary_len,
+                temperature=self.temperature,
+                start_token_id=self.start_token_id(cls_id),
+                seed=self.seed,
+                filter_order=self.filter_order,
+                retain_top_m=self.retain_top_m,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def canonical_string(self) -> str:
         lines = []

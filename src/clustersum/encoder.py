@@ -334,7 +334,6 @@ def pretrain_mlm(
     bert_corruption: bool = False,
     vocab=None,
     val_docs: list[EncodedDocument] | None = None,
-    model: EncoderModel | None = None,
 ) -> tuple[EncoderModel, list[EpochStats]]:
     """Train an encoder to recover masked tokens; returns per-epoch stats.
 
@@ -343,8 +342,7 @@ def pretrain_mlm(
     """
     if not corpus:
         raise ValueError("cannot pretrain on an empty corpus")
-    if model is None:
-        model = EncoderModel(config, rng)
+    model = EncoderModel(config, rng)
     optimizer = AdamW(
         model.parameters(), lr=lr, weight_decay=weight_decay, warmup_steps=warmup_steps
     )

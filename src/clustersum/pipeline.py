@@ -1,9 +1,16 @@
 """End-to-end orchestration: corpus ingestion, staged runs, artifacts.
 
-Every stage writes into one output directory and records itself in
-``manifest.json`` together with the configuration hash, corpus hash and
-seed. A stage refuses to run on top of artifacts produced under a different
-configuration or corpus.
+``STAGES`` is the method's chain of steps, in order, and ``run_stage`` the
+one code path that runs any of them. The runner refuses an output directory
+whose ``manifest.json`` names another configuration hash, corpus hash or
+seed, and requires the stage before this one among the stages that apply to
+the configuration (``finetune`` applies only in labels mode). It then runs
+the stage body and records the details the body returns in the manifest.
+
+A stage body gets a ``_Context`` that loads each artifact of the output
+directory on first use, writes its own artifacts and returns its manifest
+details. Nothing passes from one stage to the next in memory, so
+``run_all`` and one stage at a time write the same bytes.
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +48,7 @@ from .encoder import (
     pretrain_mlm,
     train_val_split,
 )
-from .generator import SamplerConfig, summarize_cluster
+from .generator import summarize_cluster
 from .metrics import best_rouge, cosine_center, cosine_top_k
 from .tokenizer import EncodedDocument, Vocabulary, build_vocab, encode, tokenize
 
@@ -118,50 +127,18 @@ def corpus_hash(records: list[CorpusRecord]) -> str:
     return digest.hexdigest()
 
 
-# -- manifest -----------------------------------------------------------------
+# -- stage inputs -------------------------------------------------------------
 
 
-def _manifest_path(out_dir: Path) -> Path:
-    return out_dir / MANIFEST_FILE
+def _uses_labels(config: PipelineConfig) -> bool:
+    return config.clustering == "labels" and not config.no_labels
 
 
-def _load_manifest(out_dir: Path) -> dict | None:
-    path = _manifest_path(out_dir)
-    if not path.exists():
-        return None
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
-def _check_or_init_manifest(out_dir: Path, config: PipelineConfig,
-                            records: list[CorpusRecord]) -> dict:
-    manifest = _load_manifest(out_dir)
-    expected = {
-        "config_hash": config.config_hash(),
-        "corpus_hash": corpus_hash(records),
-        "seed": config.seed,
-    }
-    if manifest is None:
-        manifest = {
-            **expected,
-            "versions": {
-                "package": __version__,
-                "checkpoint_format": CHECKPOINT_VERSION,
-                "cluster_format": CLUSTER_FORMAT_VERSION,
-            },
-            "stages": {},
-        }
-        return manifest
-    for key, value in expected.items():
-        if manifest.get(key) != value:
-            raise ArtifactError(
-                f"{out_dir} was produced under a different {key.replace('_', ' ')} "
-                f"({manifest.get(key)!r} vs {value!r}); use a fresh output directory"
-            )
-    return manifest
-
-
-def _write_manifest(out_dir: Path, manifest: dict) -> None:
-    _write_text(_manifest_path(out_dir), json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+def _encode_corpus(records: list[CorpusRecord], vocab: Vocabulary, max_len: int,
+                   label_names: list[str] | None = None) -> list[EncodedDocument]:
+    label_index = {name: i for i, name in enumerate(label_names or [])}
+    return [encode(r.text, vocab, max_len, doc_id=r.id, label=label_index.get(r.label))
+            for r in records]
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -169,82 +146,76 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
-def _record_stage(out_dir: Path, manifest: dict, stage: str, details: dict) -> None:
-    manifest["stages"][stage] = details
-    _write_manifest(out_dir, manifest)
+@dataclass
+class _Context:
+    """One stage's inputs: the run's settings, and the output directory's
+    artifacts, each loaded on first use."""
+
+    config: PipelineConfig
+    records: list[CorpusRecord]
+    out_dir: Path
+    references_path: str | Path | None = None
+
+    @cached_property
+    def vocab(self) -> Vocabulary:
+        return Vocabulary.load(self.out_dir / VOCAB_FILE)
+
+    @cached_property
+    def label_names(self) -> list[str]:
+        return (self.out_dir / LABELS_FILE).read_text(encoding="utf-8").splitlines()
+
+    @cached_property
+    def docs(self) -> list[EncodedDocument]:
+        return _encode_corpus(self.records, self.vocab, self.config.max_len)
+
+    @cached_property
+    def encoder(self) -> EncoderModel:
+        return EncoderModel.load(self.out_dir / ENCODER_FILE)
+
+    @cached_property
+    def cluster_set(self) -> ClusterSet:
+        return ClusterSet.load(self.out_dir / CLUSTERS_FILE)
+
+    @cached_property
+    def embeddings(self) -> np.ndarray:
+        return np.load(self.out_dir / EMBEDDINGS_FILE)
+
+    @cached_property
+    def decoder(self) -> DecoderModel:
+        return DecoderModel.load(self.out_dir / DECODER_FILE)
 
 
-def _require_stage(manifest: dict | None, stage: str, out_dir: Path) -> None:
-    if manifest is None or stage not in manifest.get("stages", {}):
-        raise ArtifactError(f"stage {stage!r} has not run in {out_dir}; run it first")
+# -- stage bodies -------------------------------------------------------------
 
 
-# -- shared helpers -----------------------------------------------------------
-
-
-def _model_config(config: PipelineConfig, vocab_size: int) -> ModelConfig:
-    if config.preset == "paper":
-        return ModelConfig.paper_scale(vocab_size, config.max_len, config.dropout)
-    return ModelConfig.desk_scale(vocab_size, config.max_len, config.dropout)
-
-
-def _label_ids(records: list[CorpusRecord]) -> list[str]:
-    return sorted({r.label for r in records if r.label is not None})
-
-
-def _encode_corpus(records: list[CorpusRecord], vocab: Vocabulary, max_len: int,
-                   label_names: list[str] | None) -> list[EncodedDocument]:
-    label_index = {name: i for i, name in enumerate(label_names)} if label_names else {}
-    docs = []
-    for r in records:
-        label = label_index.get(r.label) if r.label is not None else None
-        docs.append(encode(r.text, vocab, max_len, doc_id=r.id, label=label))
-    return docs
-
-
-def _uses_labels(config: PipelineConfig) -> bool:
-    return config.clustering == "labels" and not config.no_labels
-
-
-# -- stages -------------------------------------------------------------------
-
-
-def stage_build_vocab(config: PipelineConfig, records: list[CorpusRecord],
-                      out_dir: Path) -> Vocabulary:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _check_or_init_manifest(out_dir, config, records)
-    vocab = build_vocab((r.text for r in records), config.vocab_max_size,
+def _build_vocab(ctx: _Context) -> dict:
+    config = ctx.config
+    vocab = build_vocab((r.text for r in ctx.records), config.vocab_max_size,
                         config.vocab_min_count)
-    vocab.save(out_dir / VOCAB_FILE)
+    vocab.save(ctx.out_dir / VOCAB_FILE)
     if _uses_labels(config):
-        names = _label_ids(records)
-        if not names:
-            raise ConfigError("labels clustering mode needs a labeled corpus")
-        _write_text(out_dir / LABELS_FILE, "\n".join(names) + "\n")
-    _record_stage(out_dir, manifest, "build-vocab", {"vocab_size": vocab.size})
+        _write_text(ctx.out_dir / LABELS_FILE,
+                    "\n".join(sorted({r.label for r in ctx.records})) + "\n")
     log.info("vocabulary built: %d tokens", vocab.size)
-    return vocab
+    return {"vocab_size": vocab.size}
 
 
-def stage_pretrain(config: PipelineConfig, records: list[CorpusRecord],
-                   out_dir: Path) -> EncoderModel:
-    manifest = _check_or_init_manifest(out_dir, config, records)
-    _require_stage(manifest, "build-vocab", out_dir)
-    vocab = Vocabulary.load(out_dir / VOCAB_FILE)
-    docs = _encode_corpus(records, vocab, config.max_len, None)
-    model_config = _model_config(config, vocab.size)
+def _pretrain(ctx: _Context) -> dict:
+    config = ctx.config
+    scale = ModelConfig.paper_scale if config.preset == "paper" else ModelConfig.desk_scale
+    model_config = scale(ctx.vocab.size, config.max_len, config.dropout)
     rng = np.random.default_rng([config.seed, 1])
     if config.no_pretraining:
         encoder = EncoderModel(model_config, rng)
         details = {"trained": False, "reason": "no_pretraining ablation"}
     else:
-        train_docs, val_docs = train_val_split(docs, config.val_fraction, rng)
+        train_docs, val_docs = train_val_split(ctx.docs, config.val_fraction, rng)
         encoder, history = pretrain_mlm(
             train_docs, model_config, epochs=config.mlm_epochs, rng=rng,
             lr=config.mlm_lr, weight_decay=config.weight_decay,
             warmup_steps=config.mlm_warmup_steps, batch_size=config.mlm_batch_size,
             mask_rate=config.mask_rate, bert_corruption=config.bert_corruption,
-            vocab=vocab, val_docs=val_docs,
+            vocab=ctx.vocab, val_docs=val_docs,
         )
         details = {
             "trained": True,
@@ -252,84 +223,53 @@ def stage_pretrain(config: PipelineConfig, records: list[CorpusRecord],
             "final_loss": history[-1].loss,
             "final_accuracy": history[-1].accuracy,
         }
-    encoder.save(out_dir / ENCODER_FILE)
-    _record_stage(out_dir, manifest, "pretrain", details)
-    return encoder
+    encoder.save(ctx.out_dir / ENCODER_FILE)
+    return details
 
 
-def stage_finetune(config: PipelineConfig, records: list[CorpusRecord],
-                   out_dir: Path) -> EncoderModel:
-    if not _uses_labels(config):
-        raise ConfigError("finetune only applies in labels clustering mode")
-    manifest = _check_or_init_manifest(out_dir, config, records)
-    _require_stage(manifest, "pretrain", out_dir)
-    vocab = Vocabulary.load(out_dir / VOCAB_FILE)
-    names = (out_dir / LABELS_FILE).read_text(encoding="utf-8").splitlines()
-    for r in records:
-        if r.label is None:
-            raise CorpusError(f"document {r.id!r} has no label; labels mode needs all labels")
-    docs = _encode_corpus(records, vocab, config.max_len, names)
-    encoder = EncoderModel.load(out_dir / ENCODER_FILE)
-    rng = np.random.default_rng([config.seed, 2])
+def _finetune(ctx: _Context) -> dict:
+    config, names = ctx.config, ctx.label_names
+    docs = _encode_corpus(ctx.records, ctx.vocab, config.max_len, names)
     encoder, history = fine_tune_classifier(
-        encoder, docs, num_labels=len(names), epochs=config.finetune_epochs, rng=rng,
+        ctx.encoder, docs, num_labels=len(names), epochs=config.finetune_epochs,
+        rng=np.random.default_rng([config.seed, 2]),
         lr=config.finetune_lr, weight_decay=config.weight_decay,
         warmup_steps=config.finetune_warmup_steps, batch_size=config.finetune_batch_size,
         val_fraction=config.val_fraction,
     )
-    encoder.save(out_dir / ENCODER_FILE)
-    _record_stage(out_dir, manifest, "finetune", {
-        "num_labels": len(names),
-        "final_val_accuracy": history[-1].val_accuracy,
-    })
-    return encoder
+    encoder.save(ctx.out_dir / ENCODER_FILE)
+    return {"num_labels": len(names), "final_val_accuracy": history[-1].val_accuracy}
 
 
-def stage_cluster(config: PipelineConfig, records: list[CorpusRecord],
-                  out_dir: Path) -> ClusterSet:
-    manifest = _check_or_init_manifest(out_dir, config, records)
-    _require_stage(manifest, "pretrain", out_dir)
-    vocab = Vocabulary.load(out_dir / VOCAB_FILE)
-    encoder = EncoderModel.load(out_dir / ENCODER_FILE)
-    if _uses_labels(config):
-        _require_stage(manifest, "finetune", out_dir)
-    docs = _encode_corpus(records, vocab, config.max_len, None)
-    embeddings = encoder.embed_documents(docs)
-    if _uses_labels(config):
-        cluster_set = cluster_with_labels(encoder, docs, embeddings=embeddings)
+def _cluster(ctx: _Context) -> dict:
+    embeddings = ctx.encoder.embed_documents(ctx.docs)
+    if _uses_labels(ctx.config):
+        cluster_set = cluster_with_labels(ctx.encoder, ctx.docs, embeddings=embeddings)
     else:
-        rng = np.random.default_rng([config.seed, 3])
-        cluster_set = cluster_without_labels(encoder, docs, config.num_clusters, rng=rng,
-                                             embeddings=embeddings)
-    with atomic_write(out_dir / EMBEDDINGS_FILE) as fh:
+        rng = np.random.default_rng([ctx.config.seed, 3])
+        cluster_set = cluster_without_labels(ctx.encoder, ctx.docs, ctx.config.num_clusters,
+                                             rng=rng, embeddings=embeddings)
+    with atomic_write(ctx.out_dir / EMBEDDINGS_FILE) as fh:
         np.save(fh, embeddings)
-    cluster_set.save(out_dir / CLUSTERS_FILE)
-    _record_stage(out_dir, manifest, "cluster", {
+    cluster_set.save(ctx.out_dir / CLUSTERS_FILE)
+    return {
         "k": cluster_set.k,
         "sizes": [int(cluster_set.members(c).size) for c in range(cluster_set.k)],
         "embeddings": {"file": EMBEDDINGS_FILE, "shape": list(embeddings.shape)},
-    })
-    return cluster_set
+    }
 
 
-def stage_train_decoder(config: PipelineConfig, records: list[CorpusRecord],
-                        out_dir: Path) -> DecoderModel:
-    manifest = _check_or_init_manifest(out_dir, config, records)
-    _require_stage(manifest, "cluster", out_dir)
-    vocab = Vocabulary.load(out_dir / VOCAB_FILE)
-    encoder = EncoderModel.load(out_dir / ENCODER_FILE)
-    cluster_set = ClusterSet.load(out_dir / CLUSTERS_FILE)
-    docs = _encode_corpus(records, vocab, config.max_len, None)
-    embeddings = np.load(out_dir / EMBEDDINGS_FILE)
+def _train_decoder(ctx: _Context) -> dict:
+    config = ctx.config
     rng = np.random.default_rng([config.seed, 4])
     if config.no_decoder_init:
-        decoder = DecoderModel(encoder.config, rng)
+        decoder = DecoderModel(ctx.encoder.config, rng)
         init_mode = "random"
     else:
-        decoder = init_from_encoder(encoder)
+        decoder = init_from_encoder(ctx.encoder)
         init_mode = "from_encoder"
     examples = build_training_examples(
-        docs, embeddings, cluster_set, config.start_token_id(vocab.cls_id),
+        ctx.docs, ctx.embeddings, ctx.cluster_set, config.start_token_id(ctx.vocab.cls_id),
         unweighted=config.unweighted_ce,
     )
     train_examples, val_examples = train_val_split(examples, config.val_fraction, rng)
@@ -339,39 +279,22 @@ def stage_train_decoder(config: PipelineConfig, records: list[CorpusRecord],
         warmup_steps=config.decoder_warmup_steps, batch_size=config.decoder_batch_size,
         normalize=config.loss_normalization, val_examples=val_examples,
     )
-    decoder.save(out_dir / DECODER_FILE)
-    _record_stage(out_dir, manifest, "train-decoder", {
+    decoder.save(ctx.out_dir / DECODER_FILE)
+    return {
         "init": init_mode,
         "unweighted_ce": config.unweighted_ce,
         "epochs": config.decoder_epochs,
         "final_loss": history[-1].loss,
         "final_val_loss": history[-1].val_loss,
-    })
-    return decoder
+    }
 
 
-def stage_summarize(config: PipelineConfig, records: list[CorpusRecord],
-                    out_dir: Path) -> list[dict]:
-    manifest = _check_or_init_manifest(out_dir, config, records)
-    _require_stage(manifest, "train-decoder", out_dir)
-    vocab = Vocabulary.load(out_dir / VOCAB_FILE)
-    encoder = EncoderModel.load(out_dir / ENCODER_FILE)
-    decoder = DecoderModel.load(out_dir / DECODER_FILE)
-    cluster_set = ClusterSet.load(out_dir / CLUSTERS_FILE)
-    sampler = SamplerConfig(
-        top_k=min(config.top_k, vocab.size),
-        top_p=config.top_p,
-        num_candidates=config.num_candidates,
-        max_summary_len=config.max_summary_len,
-        temperature=config.temperature,
-        start_token_id=config.start_token_id(vocab.cls_id),
-        seed=config.seed,
-        filter_order=config.filter_order,
-        retain_top_m=config.retain_top_m,
-    )
+def _summarize(ctx: _Context) -> dict:
+    cluster_set = ctx.cluster_set
+    sampler = ctx.config.sampler_config(ctx.vocab.size, ctx.vocab.cls_id)
     rows = []
     for c in range(cluster_set.k):
-        ranked = summarize_cluster(decoder, encoder, vocab,
+        ranked = summarize_cluster(ctx.decoder, ctx.encoder, ctx.vocab,
                                    cluster_set.centers[c], c, sampler)
         for candidate in ranked[: sampler.retain_top_m]:
             rows.append({
@@ -380,14 +303,10 @@ def stage_summarize(config: PipelineConfig, records: list[CorpusRecord],
                 "score": candidate.score,
                 "text": candidate.text,
                 "token_count": len(candidate.token_ids),
-                "seed": config.seed,
+                "seed": ctx.config.seed,
             })
-    write_jsonl(out_dir / SUMMARIES_FILE, rows)
-    _record_stage(out_dir, manifest, "summarize", {
-        "clusters": cluster_set.k,
-        "retained_per_cluster": sampler.retain_top_m,
-    })
-    return rows
+    write_jsonl(ctx.out_dir / SUMMARIES_FILE, rows)
+    return {"clusters": cluster_set.k, "retained_per_cluster": sampler.retain_top_m}
 
 
 def load_references(path: str | Path) -> dict[int, list[list[str]]]:
@@ -401,43 +320,37 @@ def load_references(path: str | Path) -> dict[int, list[list[str]]]:
                 raw = json.loads(line)
                 cluster = int(raw["cluster"])
                 tokens = tokenize(str(raw["text"]))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed reference: {exc}") from exc
             references.setdefault(cluster, []).append(tokens)
     return references
 
 
-def stage_evaluate(config: PipelineConfig, records: list[CorpusRecord],
-                   out_dir: Path, references_path: str | Path | None = None) -> dict:
-    manifest = _check_or_init_manifest(out_dir, config, records)
-    _require_stage(manifest, "summarize", out_dir)
-    vocab = Vocabulary.load(out_dir / VOCAB_FILE)
-    encoder = EncoderModel.load(out_dir / ENCODER_FILE)
-    cluster_set = ClusterSet.load(out_dir / CLUSTERS_FILE)
-    docs = _encode_corpus(records, vocab, config.max_len, None)
-    doc_embeddings = np.load(out_dir / EMBEDDINGS_FILE)
 
+def _evaluate(ctx: _Context) -> dict:
+    config, cluster_set = ctx.config, ctx.cluster_set
     top_summaries: dict[int, str] = {}
-    with open(out_dir / SUMMARIES_FILE, "r", encoding="utf-8") as fh:
+    with open(ctx.out_dir / SUMMARIES_FILE, "r", encoding="utf-8") as fh:
         for line in fh:
             row = json.loads(line)
             if row["rank"] == 1:
                 top_summaries[row["cluster"]] = row["text"]
-    summary_embeddings = encoder.embed_documents(
-        [encode(top_summaries[c], vocab, config.max_len) for c in range(cluster_set.k)])
+    summary_embeddings = ctx.encoder.embed_documents(
+        [encode(top_summaries[c], ctx.vocab, config.max_len) for c in range(cluster_set.k)])
 
     report: dict = {
         "clusters": cluster_set.k,
         "cosine_center": cosine_center(summary_embeddings, cluster_set.centers),
         "cosine_top_k": {},
     }
+    # ClusterSet.doc_ids is in corpus order, the order of the stored embeddings
     for k in config.top_k_values():
         report["cosine_top_k"][str(k)] = cosine_top_k(
-            summary_embeddings, doc_embeddings, [d.doc_id for d in docs],
+            summary_embeddings, ctx.embeddings, cluster_set.doc_ids,
             cluster_set.assignment, cluster_set.centers, k,
         )
-    if references_path is not None:
-        references = load_references(references_path)
+    if ctx.references_path is not None:
+        references = load_references(ctx.references_path)
         rouge_rows = {}
         for metric, kind, n in (("rouge-1", "n", 1), ("rouge-2", "n", 2), ("rouge-l", "l", 1)):
             scores = []
@@ -453,10 +366,10 @@ def stage_evaluate(config: PipelineConfig, records: list[CorpusRecord],
             }
         report["rouge"] = rouge_rows
 
-    _write_text(out_dir / METRICS_JSON, json.dumps(report, sort_keys=True, indent=2) + "\n")
-    _write_text(out_dir / METRICS_TXT, _render_metrics_table(report))
-    _record_stage(out_dir, manifest, "evaluate", {"has_rouge": references_path is not None})
-    return report
+    _write_text(ctx.out_dir / METRICS_JSON, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_text(ctx.out_dir / METRICS_TXT, _render_metrics_table(report))
+    log.info("cosine_center %.4f", report["cosine_center"])
+    return {"has_rouge": ctx.references_path is not None}
 
 
 def _render_metrics_table(report: dict) -> str:
@@ -478,34 +391,88 @@ def _render_metrics_table(report: dict) -> str:
     return "\n".join(lines)
 
 
-# -- phase wrappers -----------------------------------------------------------
+# -- the stage table and its runner -------------------------------------------
 
 
-def run_phase1(config: PipelineConfig, records: list[CorpusRecord], out_dir: str | Path):
-    """Vocabulary, encoder pretraining, optional fine-tuning, clustering."""
+@dataclass(frozen=True)
+class Stage:
+    """One step of the method: ``run`` writes the step's artifacts and
+    returns the details ``manifest.json`` records for it."""
+
+    name: str
+    run: Callable[[_Context], dict]
+    labels_only: bool = False
+
+
+STAGES = (
+    Stage("build-vocab", _build_vocab),
+    Stage("pretrain", _pretrain),
+    Stage("finetune", _finetune, labels_only=True),
+    Stage("cluster", _cluster),
+    Stage("train-decoder", _train_decoder),
+    Stage("summarize", _summarize),
+    Stage("evaluate", _evaluate),
+)
+
+
+def _stages_for(config: PipelineConfig) -> list[Stage]:
+    return [s for s in STAGES if _uses_labels(config) or not s.labels_only]
+
+
+def run_stage(name: str, config: PipelineConfig, records: list[CorpusRecord],
+              out_dir: str | Path, references_path: str | Path | None = None) -> dict:
+    """Run stage ``name`` into ``out_dir`` and return the details it records.
+
+    Nothing is created before the checks pass: the stage applies to the
+    configuration, every record is labeled in labels mode, the manifest (if
+    any) was written for this configuration, corpus and seed, and the stage
+    before this one has run.
+    """
     out_dir = Path(out_dir)
+    stages = _stages_for(config)
+    names = [s.name for s in stages]
+    if name not in names:
+        raise ConfigError(f"stage {name!r} is not among this configuration's stages "
+                          f"{names}; finetune runs only in labels clustering mode")
     if _uses_labels(config) and any(r.label is None for r in records):
         raise CorpusError("labels clustering mode requires a label on every record")
-    stage_build_vocab(config, records, out_dir)
-    encoder = stage_pretrain(config, records, out_dir)
-    if _uses_labels(config):
-        encoder = stage_finetune(config, records, out_dir)
-    cluster_set = stage_cluster(config, records, out_dir)
-    return encoder, cluster_set
-
-
-def run_phase2(config: PipelineConfig, records: list[CorpusRecord], out_dir: str | Path,
-               references_path: str | Path | None = None):
-    """Decoder training, cluster summaries, metrics report."""
-    out_dir = Path(out_dir)
-    decoder = stage_train_decoder(config, records, out_dir)
-    summaries = stage_summarize(config, records, out_dir)
-    report = stage_evaluate(config, records, out_dir, references_path)
-    return decoder, summaries, report
+    expected = {
+        "config_hash": config.config_hash(),
+        "corpus_hash": corpus_hash(records),
+        "seed": config.seed,
+    }
+    manifest_path = out_dir / MANIFEST_FILE
+    if manifest_path.exists():
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        for key, value in expected.items():
+            if manifest.get(key) != value:
+                raise ArtifactError(
+                    f"{out_dir} was produced under a different {key.replace('_', ' ')} "
+                    f"({manifest.get(key)!r} vs {value!r}); use a fresh output directory"
+                )
+    else:
+        manifest = {
+            **expected,
+            "versions": {
+                "package": __version__,
+                "checkpoint_format": CHECKPOINT_VERSION,
+                "cluster_format": CLUSTER_FORMAT_VERSION,
+            },
+            "stages": {},
+        }
+    position = names.index(name)
+    if position and names[position - 1] not in manifest["stages"]:
+        raise ArtifactError(
+            f"stage {names[position - 1]!r} has not run in {out_dir}; run it first")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    details = stages[position].run(_Context(config, records, out_dir, references_path))
+    manifest["stages"][name] = details
+    _write_text(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    return details
 
 
 def run_all(config: PipelineConfig, records: list[CorpusRecord], out_dir: str | Path,
-            references_path: str | Path | None = None) -> dict:
-    run_phase1(config, records, out_dir)
-    _, _, report = run_phase2(config, records, out_dir, references_path)
-    return report
+            references_path: str | Path | None = None) -> None:
+    """Every stage that applies to ``config``, in order, each from a fresh context."""
+    for stage in _stages_for(config):
+        run_stage(stage.name, config, records, out_dir, references_path)

@@ -94,12 +94,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, dtype=self.dtype)
-
     def zero_grad(self) -> None:
         self.grad = None
 

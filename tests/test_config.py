@@ -1,6 +1,7 @@
 """Configuration validation at build time."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +63,43 @@ class TestSettings:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    # each value used to get past parsing and fail mid-run, or only at the stage reading it
+    @pytest.mark.parametrize("item,message", [
+        ("mlm_epochs=0", "mlm_epochs"),
+        ("finetune_epochs=0", "finetune_epochs"),
+        ("decoder_epochs=0", "decoder_epochs"),
+        ("mlm_batch_size=0", "mlm_batch_size"),
+        ("finetune_batch_size=0", "finetune_batch_size"),
+        ("decoder_batch_size=0", "decoder_batch_size"),
+        ("val_fraction=1.5", "val_fraction"),
+        ("val_fraction=1", "val_fraction"),
+        ("val_fraction=-0.1", "val_fraction"),
+        ("num_candidates=0", "num_candidates"),
+        ("temperature=0", "temperature"),
+        ("top_k=0", "top_k"),
+        ("top_p=0", "top_p"),
+        ("retain_top_m=0", "retain_top_m"),
+        ("filter_order=random", "filter_order"),
+        ("start_token=x", "start_token"),
+        ("cosine_top_k_values=0", "cosine_top_k_values"),
+    ])
+    def test_bad_value_exits_2_before_any_stage(self, tmp_path, capsys, item, message):
+        code, out = self._build_vocab(tmp_path, item)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_defaults_paper_scale_and_benchmark_settings_parse(self, monkeypatch):
+        PipelineConfig()
+        PipelineConfig.paper_scale()
+        assert PipelineConfig(val_fraction=0.0).val_fraction == 0.0
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import WORKLOADS
+
+        for workload in WORKLOADS.values():
+            for tiny in (False, True):
+                build_config(cli_overrides=workload.merged_settings(tiny))
 
     def test_config_file_and_set_share_one_parser(self, tmp_path):
         path = tmp_path / "run.cfg"
