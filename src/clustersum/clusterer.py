@@ -11,8 +11,7 @@ same weighted way. Embeddings and centers are frozen once computed.
 from __future__ import annotations
 
 import json
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +20,8 @@ from .checkpoint import write_jsonl
 from .encoder import EncoderModel
 from .tokenizer import EncodedDocument
 
-log = logging.getLogger(__name__)
-
 DISTANCE_EPS = 1e-8
-CLUSTER_FORMAT_VERSION = 1
+CLUSTER_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -36,17 +33,15 @@ class ClusterSet:
     assignment: np.ndarray          # [n] cluster index per document
     weights: np.ndarray             # [n] membership weight in (0, 1]
     centers: np.ndarray             # [k, h] weighted centers
-    raw_centers: np.ndarray         # [k, h] pre-weighting centers
 
     def __post_init__(self):
         self.assignment = np.asarray(self.assignment, dtype=np.intp)
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.centers = np.asarray(self.centers, dtype=np.float64)
-        self.raw_centers = np.asarray(self.raw_centers, dtype=np.float64)
         n = len(self.doc_ids)
         if not (self.assignment.shape == (n,) and self.weights.shape == (n,)):
             raise ValueError("assignment/weights must have one entry per document")
-        if self.centers.shape[0] != self.k or self.raw_centers.shape[0] != self.k:
+        if self.centers.shape[0] != self.k:
             raise ValueError(f"expected {self.k} centers, got {self.centers.shape[0]}")
         if np.any(self.assignment < 0) or np.any(self.assignment >= self.k):
             raise ValueError("assignment indices out of range")
@@ -63,8 +58,7 @@ class ClusterSet:
             records.append({"type": "doc", "doc_id": doc_id, "cluster": int(self.assignment[i]),
                             "weight": float(self.weights[i])})
         for c in range(self.k):
-            records.append({"type": "center", "cluster": c, "vector": self.centers[c].tolist(),
-                            "raw_vector": self.raw_centers[c].tolist()})
+            records.append({"type": "center", "cluster": c, "vector": self.centers[c].tolist()})
         write_jsonl(path, records)
 
     @classmethod
@@ -73,7 +67,6 @@ class ClusterSet:
         assignment: list[int] = []
         weights: list[float] = []
         centers: dict[int, list[float]] = {}
-        raw_centers: dict[int, list[float]] = {}
         k = None
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -88,7 +81,6 @@ class ClusterSet:
                     weights.append(rec["weight"])
                 elif rec["type"] == "center":
                     centers[rec["cluster"]] = rec["vector"]
-                    raw_centers[rec["cluster"]] = rec["raw_vector"]
         if k is None:
             raise ValueError(f"{path} has no cluster header record")
         return cls(
@@ -97,7 +89,6 @@ class ClusterSet:
             assignment=np.array(assignment),
             weights=np.array(weights),
             centers=np.array([centers[c] for c in range(k)]),
-            raw_centers=np.array([raw_centers[c] for c in range(k)]),
         )
 
 
@@ -211,11 +202,11 @@ def cluster_without_labels(
         raise ValueError(f"need at least one cluster, got {k}")
     if embeddings is None:
         embeddings = encoder.embed_documents(docs)
-    assignment, raw_centers = kmeans(embeddings, k, max_iters=max_iters, rng=rng)
+    assignment, centroids = kmeans(embeddings, k, max_iters=max_iters, rng=rng)
     weights = np.empty(len(docs), dtype=np.float64)
     for c in range(k):
         idx = np.flatnonzero(assignment == c)
-        weights[idx] = membership_weights(embeddings[idx], raw_centers[c])
+        weights[idx] = membership_weights(embeddings[idx], centroids[c])
     centers = weighted_centers(embeddings, assignment, weights, k)
     return ClusterSet(
         k=k,
@@ -223,7 +214,6 @@ def cluster_without_labels(
         assignment=assignment,
         weights=weights,
         centers=centers,
-        raw_centers=raw_centers,
     )
 
 
@@ -234,8 +224,7 @@ def cluster_with_labels(
 ) -> ClusterSet:
     """Classifier-driven clustering: argmax label, max probability as weight.
 
-    One cluster per label. Argmax ties resolve to the lowest label id. The
-    pre-weighting centers are the plain member means.
+    One cluster per label. Argmax ties resolve to the lowest label id.
     """
     k = encoder.num_labels
     if embeddings is None:
@@ -243,12 +232,9 @@ def cluster_with_labels(
     probs = encoder.label_probs(embeddings)
     assignment = probs.argmax(axis=1)
     weights = probs.max(axis=1).astype(np.float64)
-    raw_centers = np.empty((k, embeddings.shape[1]), dtype=np.float64)
     for c in range(k):
-        idx = np.flatnonzero(assignment == c)
-        if idx.size == 0:
+        if not np.any(assignment == c):
             raise ValueError(f"no document was assigned label {c}; cannot form its cluster")
-        raw_centers[c] = embeddings[idx].mean(axis=0)
     centers = weighted_centers(embeddings, assignment, weights, k)
     return ClusterSet(
         k=k,
@@ -256,5 +242,4 @@ def cluster_with_labels(
         assignment=assignment,
         weights=weights,
         centers=centers,
-        raw_centers=raw_centers,
     )

@@ -16,7 +16,6 @@ position per step, against a ``DecodeCache``.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +23,9 @@ import numpy as np
 from .clusterer import ClusterSet
 from .encoder import EVAL_BATCH_SIZE, EncoderModel, Model, ModelConfig, batches
 from .layers import DecoderBlock, KVCache, PredictionHead, causal_mask
-from .optim import AdamW
+from .optim import AdamW, EpochStats, fit
 from .tensor import Tensor, cross_entropy, gather_rows, grad_enabled, no_grad
 from .tokenizer import EncodedDocument
-
-log = logging.getLogger(__name__)
 
 
 class DecodeCache:
@@ -258,13 +255,6 @@ def evaluate_decoder(
     return total
 
 
-@dataclass
-class DecoderEpochStats:
-    epoch: int
-    loss: float
-    val_loss: float | None = None
-
-
 def train_decoder(
     decoder: DecoderModel,
     examples: list[TrainingExample],
@@ -276,30 +266,21 @@ def train_decoder(
     batch_size: int = 8,
     normalize: str = "tokens",
     val_examples: list[TrainingExample] | None = None,
-) -> tuple[DecoderModel, list[DecoderEpochStats]]:
+) -> tuple[DecoderModel, list[EpochStats]]:
     """Teacher-forced next-token training against frozen embeddings."""
     if not examples:
         raise ValueError("cannot train a decoder without examples")
     optimizer = AdamW(
         decoder.parameters(), lr=lr, weight_decay=weight_decay, warmup_steps=warmup_steps
     )
-    history: list[DecoderEpochStats] = []
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(examples))
-        epoch_loss = 0.0
-        for start in range(0, len(order), batch_size):
-            batch = [examples[i] for i in order[start:start + batch_size]]
-            loss = weighted_ce_loss(decoder, batch, normalize=normalize, train=True, rng=rng)
-            loss.backward()
-            optimizer.step()
-            epoch_loss += loss.item() * (len(batch) if normalize == "tokens" else 1)
-        stats = DecoderEpochStats(epoch=epoch, loss=epoch_loss / len(examples))
-        if val_examples:
-            stats.val_loss = evaluate_decoder(decoder, val_examples, normalize=normalize)
-        history.append(stats)
-        log.info(
-            "decoder epoch %d: loss %.4f%s",
-            epoch, stats.loss,
-            f" val_loss {stats.val_loss:.4f}" if val_examples else "",
-        )
+
+    def batch_loss(batch):
+        loss = weighted_ce_loss(decoder, batch, normalize=normalize, train=True, rng=rng)
+        return loss, len(batch) if normalize == "tokens" else 1, 0, 0
+
+    def validate(epoch):
+        return evaluate_decoder(decoder, val_examples, normalize=normalize), None
+
+    history = fit(examples, batch_loss, optimizer, epochs, batch_size, rng,
+                  validate=validate if val_examples else None, name="decoder")
     return decoder, history

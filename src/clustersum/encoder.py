@@ -16,7 +16,6 @@ evaluation run in batches of ``EVAL_BATCH_SIZE``.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,12 +30,10 @@ from .layers import (
     INIT_STD,
     padding_mask,
 )
-from .optim import AdamW
+from .optim import AdamW, EpochStats, fit
 from .tensor import Tensor, cross_entropy, gather_rows, init_normal, no_grad, softmax
 from .tensor import dropout as dropout_op
 from .tokenizer import EncodedDocument, mask_for_mlm, pad_batch
-
-log = logging.getLogger(__name__)
 
 # Documents per forward when embedding or evaluating without gradients.
 EVAL_BATCH_SIZE = 32
@@ -248,15 +245,6 @@ class EncoderModel(Model):
 # -- training ----------------------------------------------------------------
 
 
-@dataclass
-class EpochStats:
-    epoch: int
-    loss: float
-    accuracy: float
-    val_loss: float | None = None
-    val_accuracy: float | None = None
-
-
 def _mlm_batch(
     model: EncoderModel,
     docs: list[EncodedDocument],
@@ -346,36 +334,17 @@ def pretrain_mlm(
     optimizer = AdamW(
         model.parameters(), lr=lr, weight_decay=weight_decay, warmup_steps=warmup_steps
     )
-    history: list[EpochStats] = []
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(corpus))
-        epoch_loss = 0.0
-        correct = 0
-        total = 0
-        for batch in batches([corpus[i] for i in order], batch_size):
-            loss, c, t = mlm_batch_loss(
-                model, batch, mask_rate, rng, batch_size, train=True,
-                bert_corruption=bert_corruption, vocab=vocab,
-            )
-            loss.backward()
-            optimizer.step()
-            epoch_loss += loss.item() * batch_size
-            correct += c
-            total += t
-        stats = EpochStats(
-            epoch=epoch,
-            loss=epoch_loss / len(corpus),
-            accuracy=correct / max(total, 1),
-        )
-        if val_docs:
-            eval_rng = np.random.default_rng([7, epoch])
-            stats.val_loss, stats.val_accuracy = evaluate_mlm(model, val_docs, eval_rng, mask_rate)
-        history.append(stats)
-        log.info(
-            "mlm epoch %d: loss %.4f acc %.3f%s",
-            epoch, stats.loss, stats.accuracy,
-            f" val_loss {stats.val_loss:.4f} val_acc {stats.val_accuracy:.3f}" if val_docs else "",
-        )
+
+    def batch_loss(batch):
+        loss, correct, total = mlm_batch_loss(model, batch, mask_rate, rng, batch_size, train=True,
+                                              bert_corruption=bert_corruption, vocab=vocab)
+        return loss, batch_size, correct, total
+
+    def validate(epoch):
+        return evaluate_mlm(model, val_docs, np.random.default_rng([7, epoch]), mask_rate)
+
+    history = fit(corpus, batch_loss, optimizer, epochs, batch_size, rng,
+                  validate=validate if val_docs else None, name="mlm")
     return model, history
 
 
@@ -446,33 +415,14 @@ def fine_tune_classifier(
         trainable, lr=lr, weight_decay=weight_decay, warmup_steps=warmup_steps,
         schedule="linear_decay", total_steps=max(epochs * steps_per_epoch, warmup_steps + 1),
     )
-    history: list[EpochStats] = []
-    best_loss = float("inf")
-    best_params: dict[str, np.ndarray] | None = None
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(train_docs))
-        epoch_loss = 0.0
-        correct = 0
-        for batch in batches([train_docs[i] for i in order], batch_size):
-            loss, c = classifier_batch_loss(model, batch, batch_size, train=True, rng=rng)
-            loss.backward()
-            optimizer.step()
-            epoch_loss += loss.item() * batch_size
-            correct += c
-        stats = EpochStats(epoch=epoch, loss=epoch_loss / len(train_docs),
-                           accuracy=correct / max(len(train_docs), 1))
-        if val_docs:
-            stats.val_loss, stats.val_accuracy = evaluate_classifier(model, val_docs)
-            if stats.val_loss < best_loss:
-                best_loss = stats.val_loss
-                best_params = {n: p.data.copy() for n, p in model.named_parameters().items()}
-        history.append(stats)
-        log.info(
-            "classifier epoch %d: loss %.4f acc %.3f%s",
-            epoch, stats.loss, stats.accuracy,
-            f" val_loss {stats.val_loss:.4f} val_acc {stats.val_accuracy:.3f}" if val_docs else "",
-        )
-    if best_params is not None:
-        for n, p in model.named_parameters().items():
-            p.data = best_params[n]
+
+    def batch_loss(batch):
+        loss, correct = classifier_batch_loss(model, batch, batch_size, train=True, rng=rng)
+        return loss, batch_size, correct, len(batch)
+
+    def validate(epoch):
+        return evaluate_classifier(model, val_docs)
+
+    history = fit(train_docs, batch_loss, optimizer, epochs, batch_size, rng,
+                  validate=validate if val_docs else None, keep_best=True, name="classifier")
     return model, history

@@ -1,12 +1,17 @@
-"""Adam optimizer with decoupled weight decay and linear learning-rate warmup."""
+"""Adam optimizer with decoupled weight decay and linear learning-rate
+warmup, and ``fit``, the one epoch loop every training objective runs."""
 
 from __future__ import annotations
 
-from typing import Sequence
+import logging
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .tensor import Tensor
+
+log = logging.getLogger(__name__)
 
 
 class AdamW:
@@ -101,3 +106,71 @@ class AdamW:
             update *= lr_t
             p.data -= update
         self.zero_grad()
+
+
+@dataclass
+class EpochStats:
+    """One epoch's mean training loss and accuracy (``None`` when the
+    objective counts no predictions), with the validation figures if any."""
+
+    epoch: int
+    loss: float
+    accuracy: float | None = None
+    val_loss: float | None = None
+    val_accuracy: float | None = None
+
+
+def fit(
+    items: Sequence,
+    batch_loss: Callable[[list], tuple[Tensor, float, int, int]],
+    optimizer: AdamW,
+    epochs: int,
+    batch_size: int,
+    rng: np.random.Generator,
+    validate: Callable[[int], tuple[float, float | None]] | None = None,
+    keep_best: bool = False,
+    name: str = "train",
+) -> list[EpochStats]:
+    """Run ``epochs`` passes of minibatch training over ``items``.
+
+    Each epoch draws one permutation from ``rng`` and cuts it into batches
+    of ``batch_size`` (the last may be shorter). ``batch_loss(batch)``
+    returns the loss, the factor that turns ``loss.item()`` into the
+    batch's share of the epoch's summed loss, and (correct, counted)
+    prediction counts; each loss gets one backward and one optimizer step.
+    The epoch loss is that sum over ``len(items)``. After the epoch,
+    ``validate(epoch)`` returns the validation loss and accuracy (or
+    ``None``). With ``keep_best``, the optimizer's parameters end as they
+    were after the epoch with the strictly lowest validation loss.
+    """
+    history: list[EpochStats] = []
+    best_loss = float("inf")
+    best_params: list[np.ndarray] | None = None
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(len(items))
+        epoch_loss = 0.0
+        correct = 0
+        counted = 0
+        for start in range(0, len(order), batch_size):
+            loss, factor, c, n = batch_loss([items[i] for i in order[start:start + batch_size]])
+            loss.backward()
+            optimizer.step()
+            epoch_loss += loss.item() * factor
+            correct += c
+            counted += n
+        stats = EpochStats(epoch, epoch_loss / len(items),
+                           correct / counted if counted else None)
+        if validate is not None:
+            stats.val_loss, stats.val_accuracy = validate(epoch)
+            if keep_best and stats.val_loss < best_loss:
+                best_loss = stats.val_loss
+                best_params = [p.data.copy() for p in optimizer.params]
+        history.append(stats)
+        shown = (("acc", stats.accuracy), ("val_loss", stats.val_loss),
+                 ("val_acc", stats.val_accuracy))
+        log.info("%s epoch %d: loss %.4f%s", name, epoch, stats.loss,
+                 "".join(f" {label} {value:.4f}" for label, value in shown if value is not None))
+    if best_params is not None:
+        for p, data in zip(optimizer.params, best_params):
+            p.data = data
+    return history

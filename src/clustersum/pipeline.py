@@ -318,7 +318,9 @@ def load_references(path: str | Path) -> dict[int, list[list[str]]]:
                 continue
             try:
                 raw = json.loads(line)
-                cluster = int(raw["cluster"])
+                cluster = raw["cluster"]
+                if type(cluster) is not int:
+                    raise TypeError(f"cluster must be a JSON integer, got {cluster!r}")
                 tokens = tokenize(str(raw["text"]))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed reference: {exc}") from exc
@@ -351,6 +353,10 @@ def _evaluate(ctx: _Context) -> dict:
         )
     if ctx.references_path is not None:
         references = load_references(ctx.references_path)
+        unknown = sorted(c for c in references if not 0 <= c < cluster_set.k)
+        if unknown:
+            raise CorpusError(f"{ctx.references_path}: reference clusters {unknown} "
+                              f"outside [0, {cluster_set.k})")
         rouge_rows = {}
         for metric, kind, n in (("rouge-1", "n", 1), ("rouge-2", "n", 2), ("rouge-l", "l", 1)):
             scores = []

@@ -1,9 +1,12 @@
 """Clustering: k-means behavior, membership weights, weighted centers."""
 
+import json
+
 import numpy as np
 import pytest
 
 from clustersum.clusterer import (
+    CLUSTER_FORMAT_VERSION,
     ClusterSet,
     cluster_with_labels,
     cluster_without_labels,
@@ -232,7 +235,18 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.assignment, cs.assignment)
         np.testing.assert_allclose(loaded.weights, cs.weights, rtol=1e-15)
         np.testing.assert_allclose(loaded.centers, cs.centers, rtol=1e-15)
-        np.testing.assert_allclose(loaded.raw_centers, cs.raw_centers, rtol=1e-15)
+
+    def test_version_1_file_is_refused(self, clustered_setup, tmp_path):
+        vocab, docs, labels, encoder = clustered_setup
+        path = tmp_path / "clusters.jsonl"
+        cluster_without_labels(encoder, docs, 2, rng=np.random.default_rng(16)).save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        assert header["version"] == CLUSTER_FORMAT_VERSION == 2
+        header["version"] = 1
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unsupported cluster file version 1"):
+            ClusterSet.load(path)
 
     def test_identical_runs_identical_files(self, clustered_setup, tmp_path):
         vocab, docs, labels, encoder = clustered_setup
@@ -245,5 +259,4 @@ class TestPersistence:
     def test_invariant_validation(self):
         with pytest.raises(ValueError, match="weights"):
             ClusterSet(k=1, doc_ids=["a"], assignment=np.array([0]),
-                       weights=np.array([0.0]), centers=np.zeros((1, 2)),
-                       raw_centers=np.zeros((1, 2)))
+                       weights=np.array([0.0]), centers=np.zeros((1, 2)))

@@ -1,9 +1,10 @@
-"""AdamW update rule, warmup scaling, and contract errors."""
+"""AdamW update rule, warmup scaling, and contract errors; the ``fit``
+epoch loop on a toy objective."""
 
 import numpy as np
 import pytest
 
-from clustersum.optim import AdamW
+from clustersum.optim import AdamW, fit
 from clustersum.tensor import Tensor
 
 from oracles import reference_adamw_update
@@ -128,3 +129,83 @@ def test_converges_on_quadratic():
         (diff * diff).sum().backward()
         opt.step()
     np.testing.assert_allclose(p.data, target, atol=1e-2)
+
+
+class TestFit:
+    """``fit`` pulls one scalar towards the items: each batch's loss is the
+    mean squared distance of its items from the parameter."""
+
+    ITEMS = [0.5, -1.0, 2.0, 1.5, -0.5, 3.0, 0.0, 1.0, -2.0, 2.5]
+
+    def _setup(self):
+        p = _param([0.0])
+        return p, AdamW([p], lr=0.3)
+
+    @staticmethod
+    def _square_loss(p, batch):
+        diff = p + Tensor(-np.asarray(batch, dtype=np.float32))
+        return (diff * diff).sum() / len(batch)
+
+    def _run(self, keep_best, val_losses):
+        p, opt = self._setup()
+        after_epoch = []
+
+        def validate(epoch):
+            after_epoch.append(p.data.copy())
+            return val_losses[epoch - 1], None
+
+        fit(self.ITEMS, lambda b: (self._square_loss(p, b), len(b), 0, 0), opt,
+            epochs=len(val_losses), batch_size=3, rng=np.random.default_rng(4),
+            validate=validate, keep_best=keep_best)
+        return p, after_epoch
+
+    def test_keep_best_ends_on_the_strictly_lowest_validation_epoch(self):
+        # epoch 2 is the lowest; epoch 4 ties it and must not replace it
+        p, after_epoch = self._run(True, [3.0, 1.0, 2.0, 1.0])
+        assert len({a.tobytes() for a in after_epoch}) == 4
+        assert p.data.tobytes() == after_epoch[1].tobytes()
+
+    def test_without_keep_best_the_last_epoch_remains(self):
+        p, after_epoch = self._run(False, [3.0, 1.0, 2.0, 1.0])
+        assert p.data.tobytes() == after_epoch[-1].tobytes()
+
+    def test_one_step_per_batch_last_batch_shorter(self):
+        p, opt = self._setup()
+        seen = []
+
+        def batch_loss(batch):
+            seen.append(list(batch))
+            return self._square_loss(p, batch), len(batch), 0, 0
+
+        fit(self.ITEMS, batch_loss, opt, epochs=2, batch_size=4, rng=np.random.default_rng(5))
+        # ceil(10 / 4) = 3 steps per epoch, one permutation drawn per epoch
+        assert [len(b) for b in seen] == [4, 4, 2] * 2
+        assert opt.step_count == 6
+        orders = np.random.default_rng(5)
+        for epoch in range(2):
+            expected = [self.ITEMS[i] for i in orders.permutation(len(self.ITEMS))]
+            assert sum(seen[3 * epoch:3 * epoch + 3], []) == expected
+
+    def test_epoch_loss_is_factor_weighted_sum_over_items(self):
+        p, opt = self._setup()
+        shares = []
+
+        def batch_loss(batch):
+            loss = self._square_loss(p, batch)
+            factor = 2.0 * len(batch) + 1.0
+            shares.append(loss.item() * factor)
+            return loss, factor, 0, 0
+
+        (stats,) = fit(self.ITEMS, batch_loss, opt, epochs=1, batch_size=4,
+                       rng=np.random.default_rng(6))
+        assert stats.loss == pytest.approx(sum(shares) / len(self.ITEMS), rel=1e-12)
+        assert stats.val_loss is None and stats.val_accuracy is None
+
+    def test_accuracy_is_none_when_nothing_was_counted(self):
+        p, opt = self._setup()
+        (uncounted,) = fit(self.ITEMS, lambda b: (self._square_loss(p, b), 1, 0, 0), opt,
+                           epochs=1, batch_size=4, rng=np.random.default_rng(7))
+        assert uncounted.accuracy is None
+        (counted,) = fit(self.ITEMS, lambda b: (self._square_loss(p, b), 1, 1, len(b)), opt,
+                         epochs=1, batch_size=4, rng=np.random.default_rng(7))
+        assert counted.accuracy == pytest.approx(3 / 10)

@@ -189,8 +189,9 @@ def test_cli_subcommands_follow_the_stage_table():
     assert list(subcommands.choices) == [s.name for s in pipeline.STAGES] + ["run-all"]
 
 
-@pytest.mark.parametrize("line", ["[1, 2]", '{"cluster": null, "text": "a"}'])
-def test_malformed_reference_line_exits_3(run_copy, capsys, line):
+def _evaluate_with_references(run_copy, line):
+    """Exit code of ``evaluate`` with a reference file of one good line and
+    then ``line``; nothing may be recorded when it fails."""
     config, records, out_dir = run_copy
     pipeline.run_stage("summarize", config, records, out_dir)
     corpus = out_dir.parent / "corpus.jsonl"
@@ -205,10 +206,26 @@ def test_malformed_reference_line_exits_3(run_copy, capsys, line):
         settings += ["--set", f"{key}={getattr(config, key)}"]
     code = main(["evaluate", "--corpus", str(corpus), "--out", str(out_dir),
                  "--references", str(references), *settings])
+    if code != 0:
+        assert not (out_dir / pipeline.METRICS_JSON).exists()
+        assert "evaluate" not in _stages(out_dir)
+    return code, references
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '{"cluster": null, "text": "a"}',
+                                  '{"cluster": 1.7, "text": "a"}',
+                                  '{"cluster": true, "text": "a"}',
+                                  '{"cluster": "0", "text": "a"}'])
+def test_malformed_reference_line_exits_3(run_copy, capsys, line):
+    code, references = _evaluate_with_references(run_copy, line)
     assert code == 3
     assert f"{references}:2: malformed reference" in capsys.readouterr().err
-    assert not (out_dir / pipeline.METRICS_JSON).exists()
-    assert "evaluate" not in _stages(out_dir)
+
+
+def test_reference_cluster_outside_the_clusters_exits_3(run_copy, capsys):
+    code, references = _evaluate_with_references(run_copy, '{"cluster": 9, "text": "a"}')
+    assert code == 3
+    assert f"{references}: reference clusters [9] outside [0, " in capsys.readouterr().err
 
 
 class TestExitCodes:
