@@ -25,7 +25,7 @@ embedding and the cluster center.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -84,8 +84,11 @@ class CorpusRecord:
 def load_corpus(path: str | Path, require_labels: bool = False) -> list[CorpusRecord]:
     """Read one JSON record per line: {"id", "text", optional "label"}.
 
-    Blank lines are skipped; malformed lines, duplicate ids, empty texts,
-    and (when required) missing labels are rejected with line numbers.
+    An id is a JSON string or integer (read as its decimal string); text
+    and label are JSON strings, and a null or absent label means unlabelled.
+    Blank lines are skipped; malformed lines, fields of any other JSON type,
+    duplicate ids, empty texts, and (when required) missing labels are
+    rejected with line numbers.
     """
     path = Path(path)
     if not path.exists():
@@ -102,19 +105,28 @@ def load_corpus(path: str | Path, require_labels: bool = False) -> list[CorpusRe
                 raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
             if not isinstance(raw, dict) or "id" not in raw or "text" not in raw:
                 raise CorpusError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
-            doc_id = str(raw["id"])
+            doc_id = raw["id"]
+            if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+                raise CorpusError(f"{path}:{lineno}: id must be a string or an integer, "
+                                  f"got {json.dumps(doc_id)}")
+            doc_id = str(doc_id)
             if doc_id in seen:
                 raise CorpusError(
                     f"duplicate id {doc_id!r} at lines {seen[doc_id]} and {lineno}"
                 )
             seen[doc_id] = lineno
-            if not tokenize(str(raw["text"])):
+            text = raw["text"]
+            if not isinstance(text, str):
+                raise CorpusError(f"{path}:{lineno}: text must be a string, got {json.dumps(text)}")
+            if not tokenize(text):
                 raise CorpusError(f"{path}:{lineno}: text is empty after normalization")
             label = raw.get("label")
+            if label is not None and not isinstance(label, str):
+                raise CorpusError(f"{path}:{lineno}: label must be a string, "
+                                  f"got {json.dumps(label)}")
             if require_labels and label is None:
                 raise CorpusError(f"{path}:{lineno}: label required in labels mode")
-            records.append(CorpusRecord(doc_id, str(raw["text"]),
-                                        None if label is None else str(label)))
+            records.append(CorpusRecord(doc_id, text, label))
     if not records:
         raise CorpusError(f"corpus file {path} holds no records")
     return records

@@ -5,11 +5,14 @@ plus a small set of differentiable operations. Each operation records itself
 on a graph; ``Tensor.backward`` replays the graph in reverse topological
 order and accumulates gradients on every participating node.
 
-Storage is float32 by default. float64 is supported end to end so gradient
-checks can run a high-precision shadow. Regardless of storage dtype,
-reductions (matrix-product accumulation, softmax denominators, variances,
-loss sums) are carried out in float64 and cast back, which keeps small-scale
-training stable without doubling memory.
+Storage is float32 by default; float64 is supported end to end so gradient
+checks can run a high-precision shadow. Every operation computes in its
+operands' storage dtype, forward and backward: matrix products go to BLAS in
+that dtype, and no operation makes a full-size float64 copy. float64 is only
+the accumulator of a few reductions, whose small results are cast back to the
+storage dtype: the softmax denominator and its backward inner sum, the
+layer_norm mean and variance and their backward means, the ``cross_entropy``
+exponential sums and loss total, and ``reduce_sum``.
 
 A recorded graph belongs to one training context and must not be shared
 across threads; operations on disjoint tensors are otherwise pure.
@@ -293,16 +296,16 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     def backward_fn(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        buffer = np.zeros_like(x.data)
-        np.add.at(buffer, idx, grad.astype(x.data.dtype, copy=False))
-        _accumulate(x, buffer)
+        # scatter straight into the gradient: no table-sized buffer per call
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        np.add.at(x.grad, idx, grad)
 
     return _record(out, (x,), backward_fn)
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    acc = x.data.astype(np.float64, copy=False).sum(axis=axis, keepdims=keepdims)
-    out = np.asarray(acc, dtype=x.dtype)
+    out = np.asarray(x.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64), dtype=x.dtype)
 
     def backward_fn(grad: np.ndarray) -> None:
         g = grad
@@ -338,32 +341,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul needs matrices, got shapes {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    a64 = a.data.astype(np.float64, copy=False)
-    b64 = b.data.astype(np.float64, copy=False)
-    out = (a64 @ b64).astype(a.dtype, copy=False)
+    out = a.data @ b.data
 
     def backward_fn(grad: np.ndarray) -> None:
-        g64 = grad.astype(np.float64, copy=False)
         if a.requires_grad:
-            _accumulate(a, g64 @ np.swapaxes(b64, -1, -2))
+            _accumulate(a, grad @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            _accumulate(b, np.swapaxes(a64, -1, -2) @ g64)
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ grad)
 
     return _record(out, (a, b), backward_fn)
 
 
+def _row_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along ``axis`` (kept) with a float64 accumulator, cast back."""
+    return x.sum(axis=axis, keepdims=True, dtype=np.float64).astype(x.dtype, copy=False)
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the last axis (kept) with a float64 accumulator, cast back."""
+    return x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype, copy=False)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Shift-invariant softmax along ``axis``; rows sum to 1."""
-    x64 = x.data.astype(np.float64, copy=False)
-    shifted = x64 - x64.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    out64 = exps / exps.sum(axis=axis, keepdims=True)
-    out = out64.astype(x.dtype, copy=False)
+    exps = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    out = exps / _row_sum(exps, axis)
 
     def backward_fn(grad: np.ndarray) -> None:
-        g64 = grad.astype(np.float64, copy=False)
-        inner = (out64 * g64).sum(axis=axis, keepdims=True)
-        _accumulate(x, out64 * (g64 - inner))
+        _accumulate(x, out * (grad - _row_sum(out * grad, axis)))
 
     return _record(out, (x,), backward_fn)
 
@@ -377,27 +382,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         raise ValueError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim {h}"
         )
-    x64 = x.data.astype(np.float64, copy=False)
-    mean = x64.mean(axis=-1, keepdims=True)
-    centered = x64 - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    centered = x.data - _row_mean(x.data)
+    var = (centered * centered).mean(axis=-1, keepdims=True, dtype=np.float64)
+    inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype, copy=False)
     normalized = centered * inv
-    gain64 = gain.data.astype(np.float64, copy=False)
-    out = (normalized * gain64 + bias.data.astype(np.float64, copy=False)).astype(x.dtype, copy=False)
+    out = normalized * gain.data + bias.data
 
     def backward_fn(grad: np.ndarray) -> None:
-        g64 = grad.astype(np.float64, copy=False)
+        axes = tuple(range(grad.ndim - 1))
         if gain.requires_grad:
-            axes = tuple(range(g64.ndim - 1))
-            _accumulate(gain, (g64 * normalized).sum(axis=axes))
+            _accumulate(gain, (grad * normalized).sum(axis=axes))
         if bias.requires_grad:
-            axes = tuple(range(g64.ndim - 1))
-            _accumulate(bias, g64.sum(axis=axes))
+            _accumulate(bias, grad.sum(axis=axes))
         if x.requires_grad:
-            d_norm = g64 * gain64
-            term = d_norm - d_norm.mean(axis=-1, keepdims=True)
-            term -= normalized * (d_norm * normalized).mean(axis=-1, keepdims=True)
+            d_norm = grad * gain.data
+            term = d_norm - _row_mean(d_norm)
+            term -= normalized * _row_mean(d_norm * normalized)
             _accumulate(x, inv * term)
 
     return _record(out, (x, gain, bias), backward_fn)
@@ -405,17 +405,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
-    x64 = x.data.astype(np.float64, copy=False)
+    xd = x.data
     # powers as products: numpy's float ``**`` is many times slower
-    inner = _GELU_SCALE * (x64 + _GELU_CUBIC * (x64 * x64 * x64))
-    tanh_inner = np.tanh(inner)
-    out = (0.5 * x64 * (1.0 + tanh_inner)).astype(x.dtype, copy=False)
+    tanh_inner = np.tanh(_GELU_SCALE * (xd + _GELU_CUBIC * (xd * xd * xd)))
+    out = 0.5 * xd * (1.0 + tanh_inner)
 
     def backward_fn(grad: np.ndarray) -> None:
-        d_inner = _GELU_SCALE * (1.0 + 3.0 * _GELU_CUBIC * (x64 * x64))
+        d_inner = _GELU_SCALE * (1.0 + 3.0 * _GELU_CUBIC * (xd * xd))
         sech2 = 1.0 - tanh_inner * tanh_inner
-        local = 0.5 * (1.0 + tanh_inner) + 0.5 * x64 * sech2 * d_inner
-        _accumulate(x, grad.astype(np.float64, copy=False) * local)
+        local = 0.5 * (1.0 + tanh_inner) + 0.5 * xd * sech2 * d_inner
+        _accumulate(x, grad * local)
 
     return _record(out, (x,), backward_fn)
 
@@ -445,10 +444,10 @@ def cross_entropy(logits: Tensor, targets, reduction: str = "sum", weights=None)
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != ids.shape:
             raise ValueError(f"weights shape {weights.shape} does not match targets {ids.shape}")
-    x64 = logits.data.astype(np.float64, copy=False)
-    shift = x64.max(axis=1, keepdims=True)
-    logsumexp = shift[:, 0] + np.log(np.exp(x64 - shift).sum(axis=1))
-    nll = logsumexp - x64[np.arange(ids.shape[0]), ids]
+    rows = np.arange(ids.shape[0])
+    shift = logits.data.max(axis=1, keepdims=True)
+    sums = np.exp(logits.data - shift).sum(axis=1, dtype=np.float64)
+    nll = shift[:, 0] + np.log(sums) - logits.data[rows, ids]
     if weights is not None:
         nll = nll * weights
     total = nll.sum() if reduction == "sum" else nll.mean()
@@ -457,11 +456,11 @@ def cross_entropy(logits: Tensor, targets, reduction: str = "sum", weights=None)
     def backward_fn(grad: np.ndarray) -> None:
         if not logits.requires_grad:
             return
-        probs = np.exp(x64 - shift)
-        probs /= probs.sum(axis=1, keepdims=True)
-        probs[np.arange(ids.shape[0]), ids] -= 1.0
+        probs = np.exp(logits.data - shift)
+        probs /= sums.astype(probs.dtype)[:, None]
+        probs[rows, ids] -= 1.0
         if weights is not None:
-            probs *= weights[:, None]
+            probs *= weights.astype(probs.dtype)[:, None]
         if reduction == "mean":
             probs /= ids.shape[0]
         _accumulate(logits, grad.item() * probs)

@@ -44,6 +44,15 @@ def naive_nll(logits: np.ndarray, targets) -> float:
     return total
 
 
+def dense_gather_rows_grad(existing, shape, dtype, indices, grad: np.ndarray) -> np.ndarray:
+    """Gradient of a row-gathered tensor after one ``gather_rows`` backward,
+    by the dense route: scatter ``grad`` into a zero buffer of the whole
+    table, then take the buffer as the gradient or add it to ``existing``."""
+    buffer = np.zeros(shape, dtype=dtype)
+    np.add.at(buffer, np.asarray(indices, dtype=np.intp), grad)
+    return buffer if existing is None else existing + buffer
+
+
 def brute_force_lcs(a, b) -> int:
     """Longest common subsequence by enumerating all subsequences of a."""
     best = 0

@@ -14,7 +14,7 @@ from clustersum.clusterer import (
     membership_weights,
     weighted_centers,
 )
-from clustersum.encoder import EncoderModel, ModelConfig
+from clustersum.encoder import ModelConfig
 
 from corpora import build_docs, graded_topic_texts
 

@@ -7,7 +7,6 @@ import pytest
 
 from clustersum.decoder import (
     DecoderModel,
-    TrainingExample,
     build_training_examples,
     encoder_source_name,
     init_from_encoder,

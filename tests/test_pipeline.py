@@ -265,6 +265,18 @@ class TestExitCodes:
         assert ":9: malformed record" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", [
+        '{"id": null, "text": "a b"}', '{"id": 1.0, "text": "a b"}',
+        '{"id": true, "text": "a b"}', '{"id": "y", "label": ["l"], "text": "a b"}',
+        '{"id": "y", "text": 5}',
+    ])
+    def test_field_of_another_type_exits_3(self, corpus, tmp_path, capsys, line):
+        corpus.write_text(corpus.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert self._run("build-vocab", corpus, out) == 3
+        assert ":9: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_summarize_before_train_decoder_exits_4(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"
         for stage in ("build-vocab", "pretrain", "cluster"):

@@ -141,3 +141,34 @@ def test_load_corpus_names_both_lines_of_a_duplicate_id(records, blanks, data):
     message = f"duplicate id {copy.id!r} at lines {numbers[first]} and {numbers[at]}"
     with pytest.raises(CorpusError, match=re.escape(message)):
         _in_file(text, load_corpus)
+
+
+NOT_AN_ID = (st.none() | st.booleans() | st.floats() | st.lists(st.integers(), max_size=2)
+             | st.dictionaries(LINE_TEXT, st.integers(), max_size=1))
+BAD_FIELD = {"id": NOT_AN_ID, "text": NOT_AN_ID | st.integers(),
+             "label": NOT_AN_ID.filter(lambda v: v is not None) | st.integers()}
+
+
+@given(RECORDS, st.data())
+@settings(max_examples=50)
+def test_load_corpus_rejects_a_field_of_another_type(records, data):
+    """Only string or integer ids, string texts and string (or null)
+    labels load; anything else names its line instead of loading as its
+    ``str()``."""
+    at = data.draw(st.integers(0, len(records) - 1))
+    text, numbers = _jsonl(records, [0] * len(records))
+    lines = text.splitlines()
+    row = json.loads(lines[at])
+    key = data.draw(st.sampled_from(sorted(BAD_FIELD)))
+    row[key] = data.draw(BAD_FIELD[key])
+    lines[at] = json.dumps(row)
+    message = f":{numbers[at]}: {key} must be a string"
+    with pytest.raises(CorpusError, match=re.escape(message)):
+        _in_file("\n".join(lines) + "\n", load_corpus)
+
+
+@given(st.lists(st.integers(), min_size=1, max_size=10, unique=True))
+@settings(max_examples=50)
+def test_load_corpus_reads_integer_ids_as_decimal_strings(ids):
+    text = "".join(json.dumps({"id": i, "text": "some words"}) + "\n" for i in ids)
+    assert [r.id for r in _in_file(text, load_corpus)] == [str(i) for i in ids]

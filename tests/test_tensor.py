@@ -21,7 +21,7 @@ from clustersum.tensor import (
 
 from clustersum.layers import MultiHeadAttention, causal_mask, padding_mask
 
-from oracles import assert_gradients_match, naive_matmul, naive_nll
+from oracles import assert_gradients_match, dense_gather_rows_grad, naive_matmul, naive_nll
 
 
 class TestMatmul:
@@ -163,6 +163,42 @@ class TestCrossEntropy:
     def test_row_weights_shape_checked(self):
         with pytest.raises(ValueError, match="weights"):
             cross_entropy(Tensor(np.zeros((3, 4))), [0, 1, 2], weights=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestGatherRowsBackward:
+    """The scatter straight into ``x.grad`` against the dense-buffer route."""
+
+    IDX = [3, 1, 3, 3, 0, 8, 1]
+
+    def _case(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        table = Tensor(rng.normal(size=(9, 6)), requires_grad=True, dtype=dtype)
+        probe = rng.normal(size=(len(self.IDX), 6)).astype(dtype)
+        other = rng.normal(size=(9, 6)).astype(dtype)
+        return table, probe, other
+
+    def test_duplicate_indices_match_dense_buffer(self, dtype):
+        table, probe, _ = self._case(dtype, 40)
+        (gather_rows(table, self.IDX) * Tensor(probe)).sum().backward()
+        expected = dense_gather_rows_grad(None, table.shape, dtype, self.IDX, probe)
+        assert table.grad.dtype == dtype
+        np.testing.assert_array_equal(table.grad, expected)
+
+    @pytest.mark.parametrize("gather_first", [False, True])
+    def test_adds_to_gradient_from_another_op(self, dtype, gather_first):
+        """The table's gradient from a second use (here an elementwise
+        product) is kept and the gathered rows' gradient added to it,
+        whichever of the two reaches the table first."""
+        table, probe, other = self._case(dtype, 41)
+        gathered = (gather_rows(table, self.IDX) * Tensor(probe)).sum()
+        product = (table * Tensor(other)).sum()
+        (gathered + product if gather_first else product + gathered).backward()
+        expected = dense_gather_rows_grad(other, table.shape, dtype, self.IDX, probe)
+        assert table.grad.dtype == dtype
+        # duplicate rows are summed in a different order: rounding only
+        np.testing.assert_allclose(table.grad, expected, rtol=0,
+                                   atol=8 * np.finfo(dtype).eps)
 
 
 class TestBackward:
