@@ -5,7 +5,8 @@ Layout: an ASCII magic line, a JSON header line (format version, component
 tag, model config, extra metadata, tensor names and shapes in payload
 order), then the raw tensor payloads concatenated as little-endian float32,
 row-major. Tensor order is the sorted name order, so files are byte-stable
-for identical models.
+for identical models. float32 is the only on-disk format: the header records
+no dtype, and ``Model.save`` refuses any other rather than round it.
 """
 
 from __future__ import annotations

@@ -38,8 +38,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         dest="no_decoder_init", help="random decoder init (ablation)")
     parser.add_argument("--unweighted-ce", action="store_const", const=True,
                         dest="unweighted_ce", help="ignore membership weights (ablation)")
-    parser.add_argument("--no-labels", action="store_const", const=True,
-                        dest="no_labels", help="ignore label information (ablation)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override any configuration field")
 
@@ -62,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace):
     overrides = {key: getattr(args, key) for key in (
         "preset", "seed", "clustering", "num_clusters", "no_pretraining",
-        "no_decoder_init", "unweighted_ce", "no_labels")}
+        "no_decoder_init", "unweighted_ce")}
     overrides.update(parse_setting(item) for item in args.set)
     return build_config(args.config, overrides)
 
@@ -75,9 +73,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         config = _config_from_args(args)
-        records = load_corpus(args.corpus,
-                              require_labels=(config.clustering == "labels"
-                                              and not config.no_labels))
+        records = load_corpus(args.corpus, require_labels=config.uses_labels)
         references = getattr(args, "references", None)
         if args.command == "run-all":
             run_all(config, records, Path(args.out), references)

@@ -32,7 +32,6 @@ class PipelineConfig:
     no_pretraining: bool = False
     no_decoder_init: bool = False
     unweighted_ce: bool = False
-    no_labels: bool = False
     # vocabulary
     vocab_max_size: int = 2000
     vocab_min_count: int = 1
@@ -115,6 +114,10 @@ class PipelineConfig:
         if preset == "desk":
             return cls()
         raise ConfigError(f"unknown preset {preset!r}")
+
+    @property
+    def uses_labels(self) -> bool:
+        return self.clustering == "labels"
 
     def top_k_values(self) -> list[int]:
         try:

@@ -1,8 +1,9 @@
 """Autoregressive transformer decoder conditioned on one frozen embedding.
 
-Each block runs causal self-attention, then cross-attention whose keys and
-values come from a single conditioning vector (a document embedding during
-training, a cluster center at summary time), then a feed-forward sublayer.
+Each block runs causal self-attention, then cross-attention on a single
+conditioning vector (a document embedding during training, a cluster center
+at summary time), which is ``wo(wv(conditioning))`` at every position in
+every code path, then a feed-forward sublayer.
 The decoder is trained with teacher forcing to reproduce each document from
 that document's own embedding, weighting every document's token losses by
 its cluster membership weight. Training and evaluation run one batch of
@@ -71,7 +72,7 @@ class DecoderModel(Model):
         """Empty decoding state for sequences conditioned on one row."""
         memory = self._memory(conditioning, 1)
         with no_grad():
-            return DecodeCache([block.cross_output(memory) for block in self.blocks])
+            return DecodeCache([block.cross_attn(memory) for block in self.blocks])
 
     def forward(
         self,
@@ -142,10 +143,10 @@ def init_from_encoder(encoder: EncoderModel) -> DecoderModel:
 
     Embeddings, each block's self-attention, feed-forward and layer norms,
     and the prediction head copy their encoder counterparts directly. Each
-    block's cross-attention copies the same block's encoder self-attention
-    (query, key, value, output projections alike); the norm that follows it
-    copies the encoder's attention norm. All copies are independent, so
-    decoder training leaves the encoder untouched. The decoder is built
+    block's cross-attention copies the value and output projections of the
+    same block's encoder self-attention; the norm that follows it copies the
+    encoder's attention norm. All copies are independent, so decoder
+    training leaves the encoder untouched. The decoder is built
     without a generator, so nothing is drawn only to be overwritten; every
     one of its parameters has an encoder source.
     """

@@ -7,10 +7,9 @@ a key/value cache, so a step costs one position per candidate rather than
 the whole prefix. A candidate leaves the batch, and its cache rows are
 dropped, when it emits [SEP] or reaches ``max_summary_len`` tokens.
 
-Cross-attention attends to exactly one memory row, the cluster center, so
-its softmax weight is exactly 1.0 and its output is ``wo(wv(center))`` at
-every position. That output is computed once per cluster; the shortcut is
-exact, not an approximation.
+Cross-attention depends only on the cluster center (see ``decoder``), so
+each block's cross output is computed once per cluster, when the cache
+starts.
 
 Each step filters the next-token distribution with combined top-K and
 nucleus sampling, then draws one token per live candidate. Candidate s of

@@ -9,11 +9,11 @@ also run incrementally, one new position per batch row, against a
 Batch layout: a batch of b sequences, right-padded to a common length t,
 travels between layers as a 2-D ``[b·t, hidden]`` tensor whose row i·t + j
 is position j of sequence i, so every position-wise layer (linear, layer
-norm, GELU, feed-forward, heads) treats it as plain rows. Only attention
-needs the sequence boundaries: it takes the batch size, works on
-``[b·heads, t, head_dim]`` stacks, and takes an additive mask
+norm, GELU, feed-forward, heads) treats it as plain rows. Only
+self-attention needs the sequence boundaries: it takes the batch size,
+works on ``[b·heads, t, head_dim]`` stacks, and takes an additive mask
 (``MASK_FILL`` on every score a query must not see, such as padded keys)
-that broadcasts to ``[b, t, s]``.
+that broadcasts to ``[b, t, t]``.
 
 Every layer and model is a ``Module``, and a parameter's name is its
 attribute path: a trainable ``Tensor`` attribute is named after the
@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, dropout, gelu, init_normal, layer_norm, matmul, softmax
+from .tensor import Tensor, dropout, gather_rows, gelu, init_normal, layer_norm, matmul, softmax
 
 INIT_STD = 0.02
 LAYER_NORM_EPS = 1e-12
@@ -124,17 +124,15 @@ class KVCache:
 
 
 class MultiHeadAttention(Module):
-    """Scaled dot-product attention over ``num_heads`` parallel heads.
+    """Scaled dot-product self-attention over ``num_heads`` parallel heads.
 
     ``x`` holds ``batch`` sequences of t positions as ``[batch·t, hidden]``
-    rows. With ``memory`` given (``[batch·s, hidden]``, s rows per
-    sequence), queries come from ``x`` and keys/values from that sequence's
-    memory rows (cross-attention); otherwise all three come from ``x``.
-    ``mask`` is added to the scores and must broadcast to ``[batch, t, s]``.
-    With ``cache`` given (self-attention only), ``x`` holds one new position
-    per batch row (``[b, hidden]``): its keys and values are appended to the
-    cache and its queries attend over every cached position. The cache holds
-    only past positions, so no mask is needed.
+    rows; queries, keys and values all come from ``x``. ``mask`` is added to
+    the scores and must broadcast to ``[batch, t, t]``. With ``cache`` given,
+    ``x`` holds one new position per batch row (``[b, hidden]``): its keys
+    and values are appended to the cache and its queries attend over every
+    cached position. The cache holds only past positions, so no mask is
+    needed.
     """
 
     def __init__(self, rng: np.random.Generator | None, hidden: int, num_heads: int, dtype=np.float32):
@@ -148,21 +146,19 @@ class MultiHeadAttention(Module):
         self.wv = Linear(rng, hidden, hidden, dtype)
         self.wo = Linear(rng, hidden, hidden, dtype)
 
-    def __call__(self, x: Tensor, batch: int = 1, memory: Tensor | None = None,
-                 mask: np.ndarray | None = None, cache: KVCache | None = None) -> Tensor:
+    def __call__(self, x: Tensor, batch: int = 1, mask: np.ndarray | None = None,
+                 cache: KVCache | None = None) -> Tensor:
         if cache is not None:
             return self._step(x, cache)
-        source = x if memory is None else memory
         b, nh, hd = batch, self.num_heads, self.head_dim
         t = x.shape[0] // b
-        s = source.shape[0] // b
         q = self.wq(x).reshape((b, t, nh, hd)).transpose((0, 2, 1, 3)).reshape((b * nh, t, hd))
-        k = self.wk(source).reshape((b, s, nh, hd)).transpose((0, 2, 3, 1)).reshape((b * nh, hd, s))
-        v = self.wv(source).reshape((b, s, nh, hd)).transpose((0, 2, 1, 3)).reshape((b * nh, s, hd))
+        k = self.wk(x).reshape((b, t, nh, hd)).transpose((0, 2, 3, 1)).reshape((b * nh, hd, t))
+        v = self.wv(x).reshape((b, t, nh, hd)).transpose((0, 2, 1, 3)).reshape((b * nh, t, hd))
         scores = matmul(q, k) * (1.0 / math.sqrt(hd))
         if mask is not None:
             # batch row i's mask serves its heads i·nh .. i·nh + nh - 1
-            scores = scores + Tensor(np.repeat(np.broadcast_to(mask, (b, t, s)), nh, axis=0))
+            scores = scores + Tensor(np.repeat(np.broadcast_to(mask, (b, t, t)), nh, axis=0))
         weights = softmax(scores, axis=-1)
         context = matmul(weights, v).reshape((b, nh, t, hd)).transpose((0, 2, 1, 3))
         return self.wo(context.reshape((b * t, self.hidden)))
@@ -178,6 +174,19 @@ class MultiHeadAttention(Module):
         weights = softmax(scores, axis=-1)
         context = matmul(weights, Tensor(values.reshape((b * nh, t, hd)))).reshape((b, self.hidden))
         return self.wo(context)
+
+
+class CrossAttention(Module):
+    """Attention over one memory row per sequence. Softmax over a single key
+    is exactly 1.0 whatever the query, so every position of the sequence gets
+    the same row, ``wo(wv(memory))``; no query or key projection can matter."""
+
+    def __init__(self, rng: np.random.Generator | None, hidden: int, dtype=np.float32):
+        self.wv = Linear(rng, hidden, hidden, dtype)
+        self.wo = Linear(rng, hidden, hidden, dtype)
+
+    def __call__(self, memory: Tensor) -> Tensor:
+        return self.wo(self.wv(memory))
 
 
 class FeedForward(Module):
@@ -221,7 +230,7 @@ class DecoderBlock(Module):
     def __init__(self, rng: np.random.Generator | None, hidden: int, num_heads: int, ffn_size: int, dtype=np.float32):
         self.self_attn = MultiHeadAttention(rng, hidden, num_heads, dtype)
         self.norm_self = LayerNorm(hidden, dtype)
-        self.cross_attn = MultiHeadAttention(rng, hidden, num_heads, dtype)
+        self.cross_attn = CrossAttention(rng, hidden, dtype)
         self.norm_cross = LayerNorm(hidden, dtype)
         self.ffn = FeedForward(rng, hidden, ffn_size, dtype)
         self.norm_ffn = LayerNorm(hidden, dtype)
@@ -233,23 +242,16 @@ class DecoderBlock(Module):
         mask, at least causal."""
         a = _maybe_dropout(self.self_attn(x, batch, mask=mask), dropout_rate, train, rng)
         x = self.norm_self(x + a)
-        c = _maybe_dropout(self.cross_attn(x, batch, memory=memory), dropout_rate, train, rng)
+        # one row per position, so dropout masks each position apart
+        c = gather_rows(self.cross_attn(memory), np.repeat(np.arange(batch), x.shape[0] // batch))
+        c = _maybe_dropout(c, dropout_rate, train, rng)
         x = self.norm_cross(x + c)
         f = _maybe_dropout(self.ffn(x), dropout_rate, train, rng)
         return self.norm_ffn(x + f)
 
-    def cross_output(self, memory: Tensor) -> Tensor:
-        """Cross-attention output ``[1, hidden]`` for a single memory row.
-
-        Softmax over one key is exactly 1.0, so every query position gets
-        ``wo(wv(memory))`` whatever its own value; this is the exact output,
-        not an approximation.
-        """
-        return self.cross_attn.wo(self.cross_attn.wv(memory))
-
     def step(self, x: Tensor, cache: KVCache, cross: Tensor) -> Tensor:
         """Inference for one new position per row of ``x`` (``[b, hidden]``),
-        with ``cross`` from ``cross_output`` standing in for cross-attention."""
+        with ``cross`` the ``cross_attn`` output of the rows' shared memory."""
         x = self.norm_self(x + self.self_attn(x, cache=cache))
         x = self.norm_cross(x + cross)
         return self.norm_ffn(x + self.ffn(x))

@@ -142,10 +142,6 @@ def corpus_hash(records: list[CorpusRecord]) -> str:
 # -- stage inputs -------------------------------------------------------------
 
 
-def _uses_labels(config: PipelineConfig) -> bool:
-    return config.clustering == "labels" and not config.no_labels
-
-
 def _encode_corpus(records: list[CorpusRecord], vocab: Vocabulary, max_len: int,
                    label_names: list[str] | None = None) -> list[EncodedDocument]:
     label_index = {name: i for i, name in enumerate(label_names or [])}
@@ -205,7 +201,7 @@ def _build_vocab(ctx: _Context) -> dict:
     vocab = build_vocab((r.text for r in ctx.records), config.vocab_max_size,
                         config.vocab_min_count)
     vocab.save(ctx.out_dir / VOCAB_FILE)
-    if _uses_labels(config):
+    if config.uses_labels:
         _write_text(ctx.out_dir / LABELS_FILE,
                     "\n".join(sorted({r.label for r in ctx.records})) + "\n")
     log.info("vocabulary built: %d tokens", vocab.size)
@@ -255,7 +251,7 @@ def _finetune(ctx: _Context) -> dict:
 
 def _cluster(ctx: _Context) -> dict:
     embeddings = ctx.encoder.embed_documents(ctx.docs)
-    if _uses_labels(ctx.config):
+    if ctx.config.uses_labels:
         cluster_set = cluster_with_labels(ctx.encoder, ctx.docs, embeddings=embeddings)
     else:
         rng = np.random.default_rng([ctx.config.seed, 3])
@@ -434,7 +430,7 @@ STAGES = (
 
 
 def _stages_for(config: PipelineConfig) -> list[Stage]:
-    return [s for s in STAGES if _uses_labels(config) or not s.labels_only]
+    return [s for s in STAGES if config.uses_labels or not s.labels_only]
 
 
 def run_stage(name: str, config: PipelineConfig, records: list[CorpusRecord],
@@ -452,7 +448,7 @@ def run_stage(name: str, config: PipelineConfig, records: list[CorpusRecord],
     if name not in names:
         raise ConfigError(f"stage {name!r} is not among this configuration's stages "
                           f"{names}; finetune runs only in labels clustering mode")
-    if _uses_labels(config) and any(r.label is None for r in records):
+    if config.uses_labels and any(r.label is None for r in records):
         raise CorpusError("labels clustering mode requires a label on every record")
     expected = {
         "config_hash": config.config_hash(),

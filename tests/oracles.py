@@ -172,6 +172,30 @@ def reference_candidate_ids(decoder, center, vocab, sampler, cluster: int, candi
     return generated
 
 
+def full_cross_attention(queries: np.ndarray, memory: np.ndarray, projections: dict,
+                         num_heads: int) -> np.ndarray:
+    """Multi-head scaled dot-product attention of every query row over one
+    memory row, by the textbook formula with nothing skipped: queries and
+    keys are projected, scored, scaled and soft-maxed per head.
+    ``projections`` maps ``wq``, ``wk``, ``wv`` and ``wo`` to (weight, bias)
+    pairs; the result has one row per query."""
+    t, hidden = queries.shape
+    hd = hidden // num_heads
+
+    def project(x, name):
+        weight, bias = projections[name]
+        return x @ weight + bias
+
+    q = project(queries, "wq").reshape(t, num_heads, hd)
+    k = project(memory, "wk").reshape(1, num_heads, hd)
+    v = project(memory, "wv").reshape(1, num_heads, hd)
+    scores = np.einsum("thd,shd->hts", q, k) / math.sqrt(hd)
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    context = np.einsum("hts,shd->thd", weights, v).reshape(t, hidden)
+    return project(context, "wo")
+
+
 def init_name_mapping(num_blocks: int) -> dict[str, str]:
     """Decoder parameter name -> encoder parameter it is initialized from,
     written out by hand, one entry per parameter."""
@@ -188,7 +212,8 @@ def init_name_mapping(num_blocks: int) -> dict[str, str]:
         for proj in ("wq", "wk", "wv", "wo"):
             for part in ("weight", "bias"):
                 mapping[f"block{i}.self_attn.{proj}.{part}"] = f"block{i}.attn.{proj}.{part}"
-                mapping[f"block{i}.cross_attn.{proj}.{part}"] = f"block{i}.attn.{proj}.{part}"
+                if proj in ("wv", "wo"):
+                    mapping[f"block{i}.cross_attn.{proj}.{part}"] = f"block{i}.attn.{proj}.{part}"
         for part in ("gain", "bias"):
             mapping[f"block{i}.norm_self.{part}"] = f"block{i}.norm_attn.{part}"
             mapping[f"block{i}.norm_cross.{part}"] = f"block{i}.norm_attn.{part}"

@@ -4,6 +4,7 @@ With dropout off, every batched loss, gradient and embedding must equal the
 per-document references in ``oracles``: on a full batch of mixed lengths and
 on a partial last batch, within a tolerance fixed per storage dtype. The
 evaluators and ``embed_documents`` must also hold across chunk boundaries.
+One training batch must reach every parameter of both models.
 """
 
 import numpy as np
@@ -115,6 +116,31 @@ def test_weighted_decoder_loss_and_gradients(corpus, dtype, atol, docs):
     expected = per_document_weighted_loss(decoder, batch, "tokens")
     expected.backward()
     _assert_equal(loss.item(), grads, expected.item(), _take_grads(decoder), atol)
+
+
+# An attention key bias adds the same amount to every score of a query row,
+# which softmax cancels, so its true gradient is zero: on this batch it read
+# at most 2.2e-12 in float32 and 2.6e-21 in float64, while every other
+# parameter read at least 7e-6.
+DEAD_GRAD = 1e-9
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_parameter_is_dead(corpus, dtype):
+    """A weight the loss cannot reach would still be decayed by AdamW and
+    stored in every checkpoint."""
+    vocab, docs = corpus
+    encoder = _encoder(vocab, dtype)
+    loss, _, _ = mlm_batch_loss(encoder, docs, 0.3, np.random.default_rng(3), len(docs),
+                                train=True)
+    loss.backward()
+    decoder = init_from_encoder(encoder)
+    examples = build_training_examples(docs, encoder.embed_documents(docs), None, vocab.cls_id)
+    weighted_ce_loss(decoder, examples, normalize="tokens", train=True).backward()
+    for model in (encoder, decoder):
+        for name, p in model.named_parameters().items():
+            if not name.endswith(".wk.bias"):
+                assert p.grad is not None and np.abs(p.grad).max() > DEAD_GRAD, name
 
 
 @pytest.mark.parametrize("dtype, atol", DTYPES)

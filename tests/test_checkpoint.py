@@ -105,21 +105,34 @@ def _narrow_query(tensors):
     tensors["block0.attn.wq.weight"] = np.ones((64, 32), dtype=np.float32)
 
 
-@pytest.mark.parametrize("edit,match", [
-    (_drop_ffn_bias, "block1.ffn.lin2.bias"),
-    (_add_stray, "stray.weight"),
-    (_narrow_query, "shape mismatch for block0.attn.wq.weight"),
+def _old_cross_layout(tensors):
+    """Cross-attention once held query and key projections, which could not
+    change its output; a checkpoint written then still holds them."""
+    for i in range(2):
+        for proj in ("wq", "wk"):
+            tensors[f"block{i}.cross_attn.{proj}.weight"] = np.ones((64, 64), dtype=np.float32)
+            tensors[f"block{i}.cross_attn.{proj}.bias"] = np.zeros(64, dtype=np.float32)
+
+
+@pytest.mark.parametrize("model_type,edit,match", [
+    pytest.param(EncoderModel, _drop_ffn_bias, "block1.ffn.lin2.bias",
+                 id="_drop_ffn_bias-block1.ffn.lin2.bias"),
+    pytest.param(EncoderModel, _add_stray, "stray.weight", id="_add_stray-stray.weight"),
+    pytest.param(EncoderModel, _narrow_query, "shape mismatch for block0.attn.wq.weight",
+                 id="_narrow_query-shape mismatch for block0.attn.wq.weight"),
+    pytest.param(DecoderModel, _old_cross_layout, "block0.cross_attn.wq.weight",
+                 id="DecoderModel-_old_cross_layout"),
 ])
-def test_load_rejects_mismatched_tensors(tmp_path, edit, match):
+def test_load_rejects_mismatched_tensors(tmp_path, model_type, edit, match):
     """``Model.load`` builds zero shells; its name and shape checks are what
     guarantee every shell is replaced by a checkpoint tensor."""
-    model = _desk_model()
+    model = _desk_model(model_type)
     tensors = {n: p.data for n, p in model.named_parameters().items()}
     edit(tensors)
     save_checkpoint(tmp_path / "m.ckpt", component=model.component,
                     config=asdict(model.config), tensors=tensors)
     with pytest.raises(ValueError, match=match):
-        EncoderModel.load(tmp_path / "m.ckpt")
+        model_type.load(tmp_path / "m.ckpt")
 
 
 @pytest.fixture

@@ -56,6 +56,7 @@ class TestSettings:
     @pytest.mark.parametrize("item,message", [
         ("mlm_epochs=abc", "bad integer"),
         ("no_such_key=1", "unknown configuration key"),
+        ("no_labels=true", "unknown configuration key"),
         ("seed", "KEY=VALUE"),
     ])
     def test_bad_setting_exits_2(self, tmp_path, capsys, item, message):

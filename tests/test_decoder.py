@@ -17,7 +17,7 @@ from clustersum.encoder import EncoderModel, ModelConfig
 from clustersum.tensor import Tensor, no_grad
 
 from corpora import build_docs, pair_texts
-from oracles import init_name_mapping
+from oracles import full_cross_attention, init_name_mapping
 
 
 @pytest.fixture(scope="module")
@@ -90,44 +90,43 @@ class TestInitFromEncoder:
 
 
 class TestCrossAttention:
-    def test_singleton_memory_rows_identical(self, setup):
-        """One memory row means softmax over one key: every output row is
-        the same vector regardless of the query content."""
+    @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_equals_full_attention_over_one_memory_row(self, setup, dtype, atol):
+        """Softmax over one key is exactly 1.0: full multi-head attention,
+        with any query and key projections, gives every query row the cross
+        module's one output row."""
         vocab, docs, config, encoder = setup
-        decoder = init_from_encoder(encoder)
+        h = config.hidden_size
         rng = np.random.default_rng(3)
-        block = decoder.blocks[0]
-        e_t = Tensor(rng.normal(size=(7, config.hidden_size)).astype(np.float32))
-        memory = Tensor(rng.normal(size=(1, config.hidden_size)).astype(np.float32))
-        with no_grad():
-            out = block.cross_attn(e_t, memory=memory).data
-        spread = np.abs(out - out[0]).max()
-        assert spread <= 1e-6
-
-    def test_output_independent_of_queries(self, setup):
-        vocab, docs, config, encoder = setup
-        decoder = init_from_encoder(encoder)
-        rng = np.random.default_rng(4)
-        block = decoder.blocks[1]
-        memory = Tensor(rng.normal(size=(1, config.hidden_size)).astype(np.float32))
-        one = Tensor(rng.normal(size=(1, config.hidden_size)).astype(np.float32))
-        five = Tensor(rng.normal(size=(5, config.hidden_size)).astype(np.float32))
-        with no_grad():
-            a = block.cross_attn(one, memory=memory).data
-            b = block.cross_attn(five, memory=memory).data
-        for row in b:
-            np.testing.assert_allclose(row, a[0], atol=1e-6)
+        decoder = DecoderModel(config, np.random.default_rng(4), dtype=dtype)
+        for block in decoder.blocks:
+            cross = block.cross_attn
+            for linear in (cross.wv, cross.wo):
+                linear.bias.data = rng.normal(size=h).astype(dtype)
+            projections = {
+                "wq": (rng.normal(size=(h, h)).astype(dtype), rng.normal(size=h).astype(dtype)),
+                "wk": (rng.normal(size=(h, h)).astype(dtype), rng.normal(size=h).astype(dtype)),
+                "wv": (cross.wv.weight.data, cross.wv.bias.data),
+                "wo": (cross.wo.weight.data, cross.wo.bias.data),
+            }
+            queries = rng.normal(size=(7, h)).astype(dtype)
+            memory = rng.normal(size=(1, h)).astype(dtype)
+            expected = full_cross_attention(queries, memory, projections, config.num_heads)
+            with no_grad():
+                out = cross(Tensor(memory)).data
+            assert out.shape == (1, h)
+            np.testing.assert_allclose(np.broadcast_to(out, expected.shape), expected,
+                                       rtol=0, atol=atol)
 
     def test_scaling_memory_changes_output(self, setup):
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
         rng = np.random.default_rng(5)
         block = decoder.blocks[0]
-        e_t = Tensor(rng.normal(size=(3, config.hidden_size)).astype(np.float32))
         memory = rng.normal(size=(1, config.hidden_size)).astype(np.float32)
         with no_grad():
-            a = block.cross_attn(e_t, memory=Tensor(memory)).data
-            b = block.cross_attn(e_t, memory=Tensor(2.0 * memory)).data
+            a = block.cross_attn(Tensor(memory)).data
+            b = block.cross_attn(Tensor(2.0 * memory)).data
         assert np.abs(a - b).max() > 1e-4
 
 
@@ -203,18 +202,6 @@ class TestCachedDecoding:
                     worst = max(worst, float(np.abs(step[i] - full).max()))
         assert len(rows) == 3 and cache.length == steps
         assert worst <= atol
-
-    def test_cross_output_equals_cross_attention(self, setup):
-        vocab, docs, config, encoder = setup
-        block = init_from_encoder(encoder).blocks[1]
-        rng = np.random.default_rng(10)
-        memory = Tensor(rng.normal(size=(1, config.hidden_size)).astype(np.float32))
-        queries = Tensor(rng.normal(size=(6, config.hidden_size)).astype(np.float32))
-        with no_grad():
-            full = block.cross_attn(queries, memory=memory).data
-            short = block.cross_output(memory).data
-        assert short.shape == (1, config.hidden_size)
-        np.testing.assert_allclose(full, np.broadcast_to(short, full.shape), atol=1e-6)
 
     def test_position_past_max_len_rejected(self, setup):
         vocab, docs, config, encoder = setup
