@@ -39,6 +39,19 @@ def _examples(vocab, docs, encoder, weights=None):
     return examples
 
 
+def _cross_projections(encoder_block, cross):
+    """Full-attention projections of a decoder cross module: its own value
+    and output projections, with the query and key projections of the
+    encoder block that the decoder block is initialized from."""
+    attn = encoder_block.attn
+    return {
+        "wq": (attn.wq.weight.data, attn.wq.bias.data),
+        "wk": (attn.wk.weight.data, attn.wk.bias.data),
+        "wv": (cross.wv.weight.data, cross.wv.bias.data),
+        "wo": (cross.wo.weight.data, cross.wo.bias.data),
+    }
+
+
 class TestInitFromEncoder:
     def test_every_copied_parameter_equals_its_source(self, setup):
         vocab, docs, config, encoder = setup
@@ -90,6 +103,24 @@ class TestInitFromEncoder:
 
 
 class TestCrossAttention:
+    def test_singleton_memory_rows_identical(self, setup):
+        """One memory row means softmax over one key: every output row is
+        the same vector regardless of the query content, and it is the
+        cross module's one row."""
+        vocab, docs, config, encoder = setup
+        decoder = init_from_encoder(encoder)
+        rng = np.random.default_rng(3)
+        block = decoder.blocks[0]
+        queries = rng.normal(size=(7, config.hidden_size)).astype(np.float32)
+        memory = rng.normal(size=(1, config.hidden_size)).astype(np.float32)
+        out = full_cross_attention(queries, memory, _cross_projections(encoder.blocks[0], block.cross_attn),
+                                   config.num_heads)
+        spread = np.abs(out - out[0]).max()
+        assert spread <= 1e-6
+        with no_grad():
+            row = block.cross_attn(Tensor(memory)).data
+        np.testing.assert_allclose(np.broadcast_to(row, out.shape), out, atol=1e-6)
+
     @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_equals_full_attention_over_one_memory_row(self, setup, dtype, atol):
         """Softmax over one key is exactly 1.0: full multi-head attention,
@@ -202,6 +233,22 @@ class TestCachedDecoding:
                     worst = max(worst, float(np.abs(step[i] - full).max()))
         assert len(rows) == 3 and cache.length == steps
         assert worst <= atol
+
+    def test_cross_output_equals_cross_attention(self, setup):
+        """The cross rows the cache holds are what full attention over the
+        conditioning row gives every query position."""
+        vocab, docs, config, encoder = setup
+        decoder = init_from_encoder(encoder)
+        rng = np.random.default_rng(10)
+        memory = rng.normal(size=config.hidden_size).astype(np.float32)
+        queries = rng.normal(size=(6, config.hidden_size)).astype(np.float32)
+        cache = decoder.start_cache(memory)
+        assert len(cache.cross) == len(decoder.blocks)
+        for enc_block, block, short in zip(encoder.blocks, decoder.blocks, cache.cross):
+            full = full_cross_attention(queries, memory[None], _cross_projections(enc_block, block.cross_attn),
+                                        config.num_heads)
+            assert short.shape == (1, config.hidden_size)
+            np.testing.assert_allclose(full, np.broadcast_to(short.data, full.shape), atol=1e-6)
 
     def test_position_past_max_len_rejected(self, setup):
         vocab, docs, config, encoder = setup
