@@ -3,6 +3,7 @@ warmup, and ``fit``, the one epoch loop every training objective runs."""
 
 from __future__ import annotations
 
+import bisect
 import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -13,6 +14,10 @@ from .tensor import Tensor
 
 log = logging.getLogger(__name__)
 
+# Elements per step block: at float32, the block's parameters, moments,
+# gradient and scratch (6 x 256 KiB) stay in a core's L2 cache.
+BLOCK = 1 << 16
+
 
 class AdamW:
     """Adaptive-moment updates with bias correction and decoupled decay.
@@ -21,6 +26,16 @@ class AdamW:
     ``(step / warmup_steps) * learning_rate``, and afterwards stays constant
     or decreases linearly to zero at ``total_steps`` when
     ``schedule="linear_decay"``.
+
+    The optimizer owns its parameters' storage. The constructor copies each
+    parameter, one at a time, into ``buffer``, one flat array of the
+    parameters' common dtype in list order, and rebinds ``p.data`` to a view
+    of its slice; the moments live in two more flat arrays, and
+    ``first_moment[i]``/``second_moment[i]`` are views of parameter i's
+    slice. Parameters must share one dtype and be C-contiguous. Write new
+    values into a parameter (``p.data[...] = values``) rather than rebinding
+    ``p.data``: ``step`` refuses a parameter whose data is no longer its
+    view, since the update would not reach it.
     """
 
     def __init__(
@@ -46,6 +61,14 @@ class AdamW:
             if total_steps is None or total_steps <= warmup_steps:
                 raise ValueError("linear_decay needs total_steps greater than warmup_steps")
         self.params = list(params)
+        dtypes = {p.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("a parameter is listed more than once")
+        for i, p in enumerate(self.params):
+            if not p.data.flags.c_contiguous:
+                raise ValueError(f"parameter {i} {p.shape} is not C-contiguous")
         self.learning_rate = lr
         self.betas = betas
         self.eps = eps
@@ -54,8 +77,33 @@ class AdamW:
         self.schedule = schedule
         self.total_steps = total_steps
         self.step_count = 0
-        self.first_moment = [np.zeros_like(p.data) for p in self.params]
-        self.second_moment = [np.zeros_like(p.data) for p in self.params]
+
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
+        bounds = np.cumsum([0] + [p.size for p in self.params]).tolist()
+        total = bounds[-1]
+        self.buffer = np.empty(total, dtype)
+        first, second = np.zeros(total, dtype), np.zeros(total, dtype)
+        self._moments = (first, second)
+        self._views: list[np.ndarray] = []
+        self.first_moment: list[np.ndarray] = []
+        self.second_moment: list[np.ndarray] = []
+        for p, lo, hi in zip(self.params, bounds, bounds[1:]):
+            view = self.buffer[lo:hi].reshape(p.shape)
+            view[...] = p.data
+            p.data = view  # frees the old array: peak memory is one parameter over
+            self._views.append(view)
+            self.first_moment.append(first[lo:hi].reshape(p.shape))
+            self.second_moment.append(second[lo:hi].reshape(p.shape))
+        self._scratch = (np.empty(min(BLOCK, total), dtype), np.empty(min(BLOCK, total), dtype))
+        # each block: its flat range and the (parameter, local start, local
+        # end) pieces of the parameters it spans
+        self._blocks: list[tuple[int, int, list[tuple[int, int, int]]]] = []
+        for start in range(0, total, BLOCK):
+            end = min(start + BLOCK, total)
+            span = range(bisect.bisect_right(bounds, start) - 1, bisect.bisect_left(bounds, end))
+            pieces = [(i, max(start, bounds[i]) - bounds[i], min(end, bounds[i + 1]) - bounds[i])
+                      for i in span if bounds[i] < bounds[i + 1]]
+            self._blocks.append((start, end, pieces))
 
     def effective_lr(self, step: int | None = None) -> float:
         t = self.step_count if step is None else step
@@ -74,37 +122,58 @@ class AdamW:
     def step(self) -> None:
         """Apply one update to every parameter, then clear gradients.
 
-        Each parameter's update runs in place through two scratch arrays of
-        its size, allocated per parameter so that only one parameter's
-        scratch is alive at a time.
+        The update sweeps the flat buffers in blocks of ``BLOCK`` elements,
+        so that each block's parameters, moments, gradient and two scratch
+        arrays stay in cache through all of its elementwise operations. A
+        block's gradient is a view when the block lies in one parameter and
+        is otherwise gathered into scratch. Every element sees the same
+        operations in the same order as a whole-array update, so the result
+        does not depend on the blocking.
         """
+        for i, (p, view) in enumerate(zip(self.params, self._views)):
+            if p.data is not view:
+                raise ValueError(
+                    f"parameter {i} {p.shape} was rebound after the optimizer was built; "
+                    "assign into p.data[...] instead"
+                )
+            if p.grad is None:
+                raise ValueError(f"parameter {i} has no gradient; run backward first")
+            if p.grad.shape != p.shape:
+                raise ValueError(f"parameter {i} {p.shape} has a gradient of shape {p.grad.shape}")
         self.step_count += 1
         t = self.step_count
         lr_t = self.effective_lr(t)
         beta1, beta2 = self.betas
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                raise ValueError(f"parameter {i} has no gradient; run backward first")
-            g = p.grad
-            m = self.first_moment[i]
-            v = self.second_moment[i]
-            scratch = np.multiply(g, 1.0 - beta1, out=np.empty_like(g))
+        keep1, keep2 = 1.0 - beta1, 1.0 - beta2
+        correct1, correct2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        grads = [p.grad.reshape(-1) for p in self.params]
+        first, second = self._moments
+        for start, end, pieces in self._blocks:
+            n = end - start
+            a, b = self._scratch[0][:n], self._scratch[1][:n]
+            if len(pieces) == 1:
+                i, lo, hi = pieces[0]
+                g = grads[i][lo:hi]
+            else:
+                g = np.concatenate([grads[i][lo:hi] for i, lo, hi in pieces], out=a)
+            data, m, v = self.buffer[start:end], first[start:end], second[start:end]
+            np.multiply(g, keep1, out=b)
             m *= beta1
-            m += scratch
-            np.multiply(g, g, out=scratch)
-            scratch *= 1.0 - beta2
+            m += b
+            np.multiply(g, g, out=b)
+            b *= keep2
             v *= beta2
-            v += scratch
-            update = np.divide(m, 1.0 - beta1 ** t, out=np.empty_like(m))
-            np.divide(v, 1.0 - beta2 ** t, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += self.eps
-            update /= scratch
+            v += b
+            update = np.divide(m, correct1, out=a)
+            np.divide(v, correct2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            update /= b
             if self.weight_decay > 0.0:
-                np.multiply(p.data, self.weight_decay, out=scratch)
-                update += scratch
+                np.multiply(data, self.weight_decay, out=b)
+                update += b
             update *= lr_t
-            p.data -= update
+            data -= update
         self.zero_grad()
 
 
@@ -145,7 +214,7 @@ def fit(
     """
     history: list[EpochStats] = []
     best_loss = float("inf")
-    best_params: list[np.ndarray] | None = None
+    best_params: np.ndarray | None = None
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(items))
         epoch_loss = 0.0
@@ -164,13 +233,12 @@ def fit(
             stats.val_loss, stats.val_accuracy = validate(epoch)
             if keep_best and stats.val_loss < best_loss:
                 best_loss = stats.val_loss
-                best_params = [p.data.copy() for p in optimizer.params]
+                best_params = optimizer.buffer.copy()
         history.append(stats)
         shown = (("acc", stats.accuracy), ("val_loss", stats.val_loss),
                  ("val_acc", stats.val_accuracy))
         log.info("%s epoch %d: loss %.4f%s", name, epoch, stats.loss,
                  "".join(f" {label} {value:.4f}" for label, value in shown if value is not None))
     if best_params is not None:
-        for p, data in zip(optimizer.params, best_params):
-            p.data = data
+        optimizer.buffer[...] = best_params
     return history

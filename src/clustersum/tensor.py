@@ -14,6 +14,13 @@ storage dtype: the softmax denominator and its backward inner sum, the
 layer_norm mean and variance and their backward means, the ``cross_entropy``
 exponential sums and loss total, and ``reduce_sum``.
 
+A node's first gradient becomes its ``grad`` without a copy when the op
+that produced it allocated it for that one operand: matmul, mul, dropout,
+softmax, layer_norm, gelu and cross_entropy pass ``owned=True`` to
+``_accumulate``. ``add``, ``reshape``, ``transpose`` and ``reduce_sum`` hand
+on the incoming array, a view of it or a broadcast, which may reach several
+operands, so those are copied; later gradients add into the first.
+
 A recorded graph belongs to one training context and must not be shared
 across threads; operations on disjoint tensors are otherwise pure.
 """
@@ -217,12 +224,18 @@ def _record(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tenso
     return Tensor(data)
 
 
-def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+def _accumulate(t: Tensor, grad: np.ndarray, owned: bool = False) -> None:
+    """Add ``grad`` into ``t.grad``; the first gradient is adopted as is when
+    ``owned`` (the caller built it and hands it to no other operand) and its
+    dtype, shape and C order already match, and copied otherwise."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # a fresh C-ordered copy: one array may reach several operands (add)
-        t.grad = np.array(grad, dtype=t.data.dtype, order="C")
+        if (owned and grad.dtype == t.data.dtype and grad.shape == t.shape
+                and grad.flags.c_contiguous):
+            t.grad = grad
+        else:
+            t.grad = np.array(grad, dtype=t.data.dtype, order="C")
     else:
         t.grad += grad.astype(t.data.dtype, copy=False)
 
@@ -259,8 +272,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def backward_fn(grad: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(grad * b.data, a.shape))
-        _accumulate(b, _unbroadcast(grad * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(grad * b.data, a.shape), owned=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(grad * a.data, b.shape), owned=True)
 
     return _record(out, (a, b), backward_fn)
 
@@ -299,9 +314,27 @@ def gather_rows(x: Tensor, indices) -> Tensor:
         # scatter straight into the gradient: no table-sized buffer per call
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, idx, grad)
+        _scatter_add_rows(x.grad, idx, grad)
 
     return _record(out, (x,), backward_fn)
+
+
+def _scatter_add_rows(target: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(target, idx, rows)`` with the same additions in the same
+    order: the k-th occurrence of every index is added in one vectorized
+    pass k, and within a pass no index repeats."""
+    if idx.size == 0:
+        return
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    first = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
+    rank = np.arange(idx.size) - np.repeat(first, np.diff(np.r_[first, idx.size]))
+    # occurrences grouped by rank, in index order within a rank
+    by_rank = order[np.argsort(rank, kind="stable")]
+    ends = np.cumsum(np.bincount(rank))
+    for lo, hi in zip(np.r_[0, ends[:-1]], ends):
+        sel = by_rank[lo:hi]
+        target[idx[sel]] += rows[sel]
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -326,7 +359,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     out = x.data * mask
 
     def backward_fn(grad: np.ndarray) -> None:
-        _accumulate(x, grad * mask)
+        _accumulate(x, grad * mask, owned=True)
 
     return _record(out, (x,), backward_fn)
 
@@ -345,9 +378,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(grad: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, grad @ np.swapaxes(b.data, -1, -2))
+            _accumulate(a, grad @ np.swapaxes(b.data, -1, -2), owned=True)
         if b.requires_grad:
-            _accumulate(b, np.swapaxes(a.data, -1, -2) @ grad)
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ grad, owned=True)
 
     return _record(out, (a, b), backward_fn)
 
@@ -368,7 +401,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     out = exps / _row_sum(exps, axis)
 
     def backward_fn(grad: np.ndarray) -> None:
-        _accumulate(x, out * (grad - _row_sum(out * grad, axis)))
+        _accumulate(x, out * (grad - _row_sum(out * grad, axis)), owned=True)
 
     return _record(out, (x,), backward_fn)
 
@@ -391,14 +424,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     def backward_fn(grad: np.ndarray) -> None:
         axes = tuple(range(grad.ndim - 1))
         if gain.requires_grad:
-            _accumulate(gain, (grad * normalized).sum(axis=axes))
+            _accumulate(gain, (grad * normalized).sum(axis=axes), owned=True)
         if bias.requires_grad:
-            _accumulate(bias, grad.sum(axis=axes))
+            _accumulate(bias, grad.sum(axis=axes), owned=True)
         if x.requires_grad:
             d_norm = grad * gain.data
             term = d_norm - _row_mean(d_norm)
             term -= normalized * _row_mean(d_norm * normalized)
-            _accumulate(x, inv * term)
+            _accumulate(x, inv * term, owned=True)
 
     return _record(out, (x, gain, bias), backward_fn)
 
@@ -414,7 +447,7 @@ def gelu(x: Tensor) -> Tensor:
         d_inner = _GELU_SCALE * (1.0 + 3.0 * _GELU_CUBIC * (xd * xd))
         sech2 = 1.0 - tanh_inner * tanh_inner
         local = 0.5 * (1.0 + tanh_inner) + 0.5 * xd * sech2 * d_inner
-        _accumulate(x, grad * local)
+        _accumulate(x, grad * local, owned=True)
 
     return _record(out, (x,), backward_fn)
 
@@ -463,6 +496,7 @@ def cross_entropy(logits: Tensor, targets, reduction: str = "sum", weights=None)
             probs *= weights.astype(probs.dtype)[:, None]
         if reduction == "mean":
             probs /= ids.shape[0]
-        _accumulate(logits, grad.item() * probs)
+        probs *= grad.item()
+        _accumulate(logits, probs, owned=True)
 
     return _record(out, (logits,), backward_fn)

@@ -143,6 +143,29 @@ def test_no_parameter_is_dead(corpus, dtype):
                 assert p.grad is not None and np.abs(p.grad).max() > DEAD_GRAD, name
 
 
+def test_no_two_parameter_gradients_share_memory(corpus):
+    """Ops hand their first gradient over without a copy; each such array
+    must end up with one parameter only, or AdamW would apply one
+    parameter's gradient to another. Dropout is on, so its path is in too."""
+    vocab, docs = corpus
+    encoder = EncoderModel(ModelConfig.desk_scale(vocab.size, max_len=16),
+                           np.random.default_rng(41))
+    rng = np.random.default_rng(42)
+    loss, _, _ = mlm_batch_loss(encoder, docs, 0.3, rng, len(docs), train=True)
+    loss.backward()
+    decoder = init_from_encoder(encoder)
+    examples = build_training_examples(docs, encoder.embed_documents(docs), None, vocab.cls_id)
+    for example, weight in zip(examples, [1.0, 0.5, 0.0, 0.8, 0.3, 1.0, 0.25, 0.9]):
+        example.weight = weight
+    weighted_ce_loss(decoder, examples, normalize="tokens", train=True, rng=rng).backward()
+    grads = [(f"{model.component}.{name}", p.grad) for model in (encoder, decoder)
+             for name, p in model.named_parameters().items()]
+    assert all(g is not None for _, g in grads)
+    for i, (name, grad) in enumerate(grads):
+        for other, other_grad in grads[i + 1:]:
+            assert not np.shares_memory(grad, other_grad), (name, other)
+
+
 @pytest.mark.parametrize("dtype, atol", DTYPES)
 def test_padded_embeddings_equal_per_document(corpus, dtype, atol):
     vocab, docs = corpus

@@ -4,7 +4,7 @@ epoch loop on a toy objective."""
 import numpy as np
 import pytest
 
-from clustersum.optim import AdamW, fit
+from clustersum.optim import BLOCK, AdamW, fit
 from clustersum.tensor import Tensor
 
 from oracles import reference_adamw_update
@@ -80,6 +80,38 @@ class TestContracts:
         assert opt.first_moment[0].shape == (3, 4)
         assert opt.second_moment[1].shape == (7,)
 
+    def test_rebound_parameter_makes_step_raise(self):
+        p1, p2 = _param(np.zeros(3)), _param(np.zeros((2, 2)))
+        opt = AdamW([p1, p2], lr=0.1)
+        p2.data = p2.data.copy()
+        p1.grad, p2.grad = np.ones(3, dtype=np.float32), np.ones((2, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"parameter 1 \(2, 2\) was rebound"):
+            opt.step()
+        assert opt.step_count == 0
+        assert not p1.data.any()
+
+    def test_parameters_become_views_of_one_buffer(self):
+        p1, p2 = _param([1.0, 2.0]), _param([[3.0], [4.0]])
+        opt = AdamW([p1, p2], lr=0.1)
+        assert p1.data.base is opt.buffer and p2.data.base is opt.buffer
+        assert opt.buffer.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_rejects_mixed_dtypes(self):
+        p64 = Tensor(np.zeros(2), requires_grad=True, dtype=np.float64)
+        with pytest.raises(ValueError, match="mix dtypes"):
+            AdamW([_param([0.0]), p64], lr=0.1)
+
+    def test_rejects_non_contiguous_parameter(self):
+        p = _param(np.zeros((3, 4)))
+        p.data = p.data.T
+        with pytest.raises(ValueError, match=r"parameter 1 \(4, 3\) is not C-contiguous"):
+            AdamW([_param([0.0]), p], lr=0.1)
+
+    def test_rejects_a_parameter_listed_twice(self):
+        p = _param([0.0])
+        with pytest.raises(ValueError, match="more than once"):
+            AdamW([p, p], lr=0.1)
+
     def test_rejects_bad_hyperparameters(self):
         with pytest.raises(ValueError):
             AdamW([_param([0.0])], lr=0.0)
@@ -93,9 +125,12 @@ class TestContracts:
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 def test_step_matches_reference_formula_bit_for_bit(dtype, weight_decay):
     """Steps 1-2 warm up, 3-8 decay linearly; parameters and moments equal
-    the whole-array formula exactly, signed zeros included."""
+    the whole-array formula exactly, signed zeros included. The shapes make
+    blocks of every kind: several parameters gathered into one block, one
+    parameter larger than a block, 0-d parameters between others, and a
+    block that lies inside one parameter."""
     rng = np.random.default_rng(3)
-    shapes = [(5, 7), (7,), ()]
+    shapes = [(5, 7), (7,), (), (3, BLOCK // 2 + 5)] + [(13,)] * 40 + [(), (BLOCK - 7,)]
     params = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
     shadow = [p.data.copy() for p in params]
     m = [np.zeros_like(d) for d in shadow]
@@ -168,6 +203,26 @@ class TestFit:
     def test_without_keep_best_the_last_epoch_remains(self):
         p, after_epoch = self._run(False, [3.0, 1.0, 2.0, 1.0])
         assert p.data.tobytes() == after_epoch[-1].tobytes()
+
+    def test_keep_best_restores_into_the_buffer(self):
+        """The best epoch is copied back in place: the parameter stays a
+        view of the optimizer's buffer and the next step still reaches it."""
+        p = _param([0.0])
+        opt = AdamW([p], lr=0.3)
+        after_epoch = []
+
+        def validate(epoch):
+            after_epoch.append(p.data.copy())
+            return [3.0, 1.0, 2.0][epoch - 1], None
+
+        fit(self.ITEMS, lambda b: (self._square_loss(p, b), len(b), 0, 0), opt, epochs=3,
+            batch_size=3, rng=np.random.default_rng(4), validate=validate, keep_best=True)
+        assert p.data.tobytes() == after_epoch[1].tobytes()
+        assert p.data.base is opt.buffer
+        p.grad = np.ones(1, dtype=np.float32)
+        opt.step()
+        assert p.data.base is opt.buffer
+        assert p.data[0] < after_epoch[1][0]
 
     def test_one_step_per_batch_last_batch_shorter(self):
         p, opt = self._setup()

@@ -8,7 +8,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clustersum.config import ConfigError, PipelineConfig, parse_config_file, parse_setting
@@ -124,6 +124,8 @@ def _jsonl(records, blanks) -> tuple[str, list[int]]:
 
 
 @given(RECORDS, st.lists(st.integers(0, 2), min_size=21, max_size=21))
+@example(records=[CorpusRecord(" padded id ", "first text", None),
+                  CorpusRecord("\ttabbed\t", "second text", "topic")], blanks=[0] * 21)
 @settings(max_examples=50)
 def test_load_corpus_reads_back_written_records(records, blanks):
     text, _ = _jsonl(records, blanks)

@@ -201,6 +201,45 @@ class TestGatherRowsBackward:
                                    atol=8 * np.finfo(dtype).eps)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_rows_backward_adds_in_add_at_order(dtype):
+    """Into a gradient another op already left, the rows' gradient adds up
+    exactly as ``np.add.at`` would: same additions, same order, so the same
+    rounding. Magnitudes spread over six decades make the order matter."""
+    rng = np.random.default_rng(42)
+    idx = rng.integers(0, 12, size=300)
+    idx[:40] = 5
+    table = Tensor(rng.normal(size=(12, 4)), requires_grad=True, dtype=dtype)
+    existing = rng.normal(size=(12, 4)).astype(dtype)
+    probe = (rng.normal(size=(300, 4)) * 10.0 ** rng.uniform(-3, 3, size=(300, 1))).astype(dtype)
+    table.grad = existing.copy()
+    (gather_rows(table, idx) * Tensor(probe)).sum().backward()
+    expected = existing.copy()
+    np.add.at(expected, idx, probe)
+    assert table.grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestSharedOperand:
+    """An op whose two operands are one tensor hands it both gradients: the
+    first is adopted or copied, the second is added to it."""
+
+    def _check(self, op, shape, dtype, seed):
+        rng = np.random.default_rng(seed)
+        probe = rng.normal(size=shape)
+        assert_gradients_match(lambda ts: (op(ts[0], ts[0]) * Tensor(probe, dtype=ts[0].dtype)).sum(),
+                               [rng.normal(size=shape)], rng=rng, dtype=dtype)
+
+    def test_add(self, dtype):
+        self._check(lambda a, b: a + b, (3, 4), dtype, 50)
+
+    def test_mul(self, dtype):
+        self._check(lambda a, b: a * b, (3, 4), dtype, 51)
+
+    def test_matmul(self, dtype):
+        self._check(matmul, (4, 4), dtype, 52)
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = init_normal(np.random.default_rng(8), (3, 4))
@@ -245,6 +284,7 @@ class TestBackward:
         tail = (a * Tensor(np.full(3, 3.0, dtype=np.float32))).sum()
         head = ((a + b) * Tensor(np.full(3, 2.0, dtype=np.float32))).sum()
         (tail + head if mul_first else head + tail).backward()
+        assert not np.shares_memory(a.grad, b.grad)
         np.testing.assert_array_equal(a.grad, np.full(3, 5.0, dtype=np.float32))
         np.testing.assert_array_equal(b.grad, np.full(3, 2.0, dtype=np.float32))
 
