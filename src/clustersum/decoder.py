@@ -113,8 +113,8 @@ class DecoderModel(Model):
         position = cache.length
         if position >= self.config.max_len:
             raise ValueError(f"cannot decode position {position} with max_len {self.config.max_len}")
-        x = gather_rows(self.word_embedding, ids) + gather_rows(self.position_embedding, [position])
-        x = self.embed_norm(x)
+        x = self.embed_norm(gather_rows(self.word_embedding, ids),
+                            gather_rows(self.position_embedding, np.full(len(ids), position)))
         for block, kv, cross in zip(self.blocks, cache.layers, cache.cross):
             x = block.step(x, kv, cross)
         cache.length += 1

@@ -15,7 +15,6 @@ evaluation run in batches of ``EVAL_BATCH_SIZE``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -104,20 +103,11 @@ class Model(Module):
         b, t = ids.shape
         if t > self.config.max_len:
             raise ValueError(f"sequence length {t} exceeds max_len {self.config.max_len}")
-        x = (gather_rows(self.word_embedding, ids.reshape(-1))
-             + gather_rows(self.position_embedding, np.tile(np.arange(t), b)))
-        x = self.embed_norm(x)
+        x = self.embed_norm(gather_rows(self.word_embedding, ids.reshape(-1)),
+                            gather_rows(self.position_embedding, np.tile(np.arange(t), b)))
         if train and self.config.dropout:
             x = dropout_op(x, self.config.dropout, rng)
         return x, lengths
-
-    def parameter_hash(self) -> str:
-        """SHA-256 over all parameter names and payloads."""
-        digest = hashlib.sha256()
-        for name, p in sorted(self.named_parameters().items()):
-            digest.update(name.encode("utf-8"))
-            digest.update(np.ascontiguousarray(p.data).tobytes())
-        return digest.hexdigest()
 
     def _checkpoint_extra(self) -> dict:
         """Header metadata, beyond the config, that ``load`` needs to rebuild

@@ -1,17 +1,20 @@
 """Transformer building blocks shared by the encoder and decoder.
 
 Post-layer-norm residual arrangement throughout: sublayer output is added to
-the residual stream and then normalized. Attention splits the hidden size
-into equal heads and scales scores by 1/sqrt(head_dim). Self-attention can
-also run incrementally, one new position per batch row, against a
-``KVCache`` of the keys and values of every earlier position.
+the residual stream and then normalized, ``LayerNorm(x, residual)``, which is
+one graph node (``tensor.add_layer_norm``). Attention splits the hidden size
+into equal heads and scales scores by 1/sqrt(head_dim); everything between
+the query/key/value projections and the output projection is one graph node
+(``tensor.attention``). Self-attention can also run incrementally, one new
+position per batch row, against a ``KVCache`` of the keys and values of
+every earlier position, through the same numpy core (``tensor.attend``).
 
 Batch layout: a batch of b sequences, right-padded to a common length t,
 travels between layers as a 2-D ``[b·t, hidden]`` tensor whose row i·t + j
 is position j of sequence i, so every position-wise layer (linear, layer
 norm, GELU, feed-forward, heads) treats it as plain rows. Only
 self-attention needs the sequence boundaries: it takes the batch size,
-works on ``[b·heads, t, head_dim]`` stacks, and takes an additive mask
+works on ``[b, heads, t, head_dim]`` stacks, and takes an additive mask
 (``MASK_FILL`` on every score a query must not see, such as padded keys)
 that broadcasts to ``[b, t, t]``.
 
@@ -24,11 +27,10 @@ item i of the list ``blocks`` nests under ``block{i}.`` (so
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .tensor import Tensor, dropout, gather_rows, gelu, init_normal, layer_norm, matmul, softmax
+from .tensor import (Tensor, add_layer_norm, attend, attention, dropout, gather_rows, gelu,
+                     init_normal, layer_norm, linear)
 
 INIT_STD = 0.02
 LAYER_NORM_EPS = 1e-12
@@ -62,7 +64,7 @@ class Projection(Module):
         self.weight = init_normal(rng, (in_dim, out_dim), INIT_STD, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return matmul(x, self.weight)
+        return linear(x, self.weight)
 
 
 class Linear(Projection):
@@ -71,7 +73,7 @@ class Linear(Projection):
         self.bias = Tensor(np.zeros(out_dim, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return super().__call__(x) + self.bias
+        return linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -80,8 +82,10 @@ class LayerNorm(Module):
         self.bias = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
         self.eps = eps
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias, self.eps)
+    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        if residual is None:
+            return layer_norm(x, self.gain, self.bias, self.eps)
+        return add_layer_norm(x, residual, self.gain, self.bias, self.eps)
 
 
 def causal_mask(t: int, dtype) -> np.ndarray:
@@ -150,30 +154,16 @@ class MultiHeadAttention(Module):
                  cache: KVCache | None = None) -> Tensor:
         if cache is not None:
             return self._step(x, cache)
-        b, nh, hd = batch, self.num_heads, self.head_dim
-        t = x.shape[0] // b
-        q = self.wq(x).reshape((b, t, nh, hd)).transpose((0, 2, 1, 3)).reshape((b * nh, t, hd))
-        k = self.wk(x).reshape((b, t, nh, hd)).transpose((0, 2, 3, 1)).reshape((b * nh, hd, t))
-        v = self.wv(x).reshape((b, t, nh, hd)).transpose((0, 2, 1, 3)).reshape((b * nh, t, hd))
-        scores = matmul(q, k) * (1.0 / math.sqrt(hd))
-        if mask is not None:
-            # batch row i's mask serves its heads i·nh .. i·nh + nh - 1
-            scores = scores + Tensor(np.repeat(np.broadcast_to(mask, (b, t, t)), nh, axis=0))
-        weights = softmax(scores, axis=-1)
-        context = matmul(weights, v).reshape((b, nh, t, hd)).transpose((0, 2, 1, 3))
-        return self.wo(context.reshape((b * t, self.hidden)))
+        return self.wo(attention(self.wq(x), self.wk(x), self.wv(x), batch, self.num_heads, mask))
 
     def _step(self, x: Tensor, cache: KVCache) -> Tensor:
         b = x.shape[0]
         nh, hd = self.num_heads, self.head_dim
-        q = self.wq(x).reshape((b * nh, 1, hd))
+        q = self.wq(x).data.reshape((b, nh, 1, hd))
         keys, values = cache.append(self.wk(x).data.reshape((b, nh, hd, 1)),
                                     self.wv(x).data.reshape((b, nh, 1, hd)))
-        t = keys.shape[3]
-        scores = matmul(q, Tensor(keys.reshape((b * nh, hd, t)))) * (1.0 / math.sqrt(hd))
-        weights = softmax(scores, axis=-1)
-        context = matmul(weights, Tensor(values.reshape((b * nh, t, hd)))).reshape((b, self.hidden))
-        return self.wo(context)
+        _, context = attend(q, keys, values)
+        return self.wo(Tensor(context.reshape((b, self.hidden))))
 
 
 class CrossAttention(Module):
@@ -218,9 +208,9 @@ class EncoderBlock(Module):
     def __call__(self, x: Tensor, batch: int, mask: np.ndarray, dropout_rate: float = 0.0,
                  train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         a = _maybe_dropout(self.attn(x, batch, mask=mask), dropout_rate, train, rng)
-        x = self.norm_attn(x + a)
+        x = self.norm_attn(x, a)
         f = _maybe_dropout(self.ffn(x), dropout_rate, train, rng)
-        return self.norm_ffn(x + f)
+        return self.norm_ffn(x, f)
 
 
 class DecoderBlock(Module):
@@ -241,20 +231,20 @@ class DecoderBlock(Module):
         """``memory`` is ``[batch, hidden]``; ``mask`` is the self-attention
         mask, at least causal."""
         a = _maybe_dropout(self.self_attn(x, batch, mask=mask), dropout_rate, train, rng)
-        x = self.norm_self(x + a)
+        x = self.norm_self(x, a)
         # one row per position, so dropout masks each position apart
         c = gather_rows(self.cross_attn(memory), np.repeat(np.arange(batch), x.shape[0] // batch))
         c = _maybe_dropout(c, dropout_rate, train, rng)
-        x = self.norm_cross(x + c)
+        x = self.norm_cross(x, c)
         f = _maybe_dropout(self.ffn(x), dropout_rate, train, rng)
-        return self.norm_ffn(x + f)
+        return self.norm_ffn(x, f)
 
     def step(self, x: Tensor, cache: KVCache, cross: Tensor) -> Tensor:
         """Inference for one new position per row of ``x`` (``[b, hidden]``),
         with ``cross`` the ``cross_attn`` output of the rows' shared memory."""
-        x = self.norm_self(x + self.self_attn(x, cache=cache))
-        x = self.norm_cross(x + cross)
-        return self.norm_ffn(x + self.ffn(x))
+        x = self.norm_self(x, self.self_attn(x, cache=cache))
+        x = self.norm_cross(x, gather_rows(cross, np.zeros(x.shape[0], dtype=np.intp)))
+        return self.norm_ffn(x, self.ffn(x))
 
 
 class PredictionHead(Module):

@@ -270,12 +270,15 @@ def _cluster(ctx: _Context) -> dict:
 def _train_decoder(ctx: _Context) -> dict:
     config = ctx.config
     rng = np.random.default_rng([config.seed, 4])
+    # a local encoder, not ``ctx.encoder``, so it is freed before training
+    encoder = EncoderModel.load(ctx.out_dir / ENCODER_FILE)
     if config.no_decoder_init:
-        decoder = DecoderModel(ctx.encoder.config, rng)
+        decoder = DecoderModel(encoder.config, rng)
         init_mode = "random"
     else:
-        decoder = init_from_encoder(ctx.encoder)
+        decoder = init_from_encoder(encoder)
         init_mode = "from_encoder"
+    del encoder
     examples = build_training_examples(
         ctx.docs, ctx.embeddings, ctx.cluster_set, config.start_token_id(ctx.vocab.cls_id),
         unweighted=config.unweighted_ce,

@@ -14,12 +14,19 @@ storage dtype: the softmax denominator and its backward inner sum, the
 layer_norm mean and variance and their backward means, the ``cross_entropy``
 exponential sums and loss total, and ``reduce_sum``.
 
+Three fused ops are one node each, ``linear`` (``x @ w + b``), ``attention``
+(multi-head, on ``[b·t, hidden]`` rows, around the numpy core ``attend``)
+and ``add_layer_norm`` (``layer_norm(x + a)``); their backwards replay the
+composed graphs' expressions in the same order, so the bytes are the same.
+
 A node's first gradient becomes its ``grad`` without a copy when the op
-that produced it allocated it for that one operand: matmul, mul, dropout,
-softmax, layer_norm, gelu and cross_entropy pass ``owned=True`` to
-``_accumulate``. ``add``, ``reshape``, ``transpose`` and ``reduce_sum`` hand
-on the incoming array, a view of it or a broadcast, which may reach several
-operands, so those are copied; later gradients add into the first.
+that produced it allocated it for that one operand: linear, attention, mul,
+dropout, softmax, layer_norm, gelu and cross_entropy pass ``owned=True`` to
+``_accumulate``, and so does ``add_layer_norm`` for its second operand; its
+first operand gets a copy of the same array. ``add``, ``reshape`` and
+``reduce_sum`` hand on the incoming array, a view of it or a broadcast,
+which may reach several operands, so those are copied; later gradients add
+into the first.
 
 A recorded graph belongs to one training context and must not be shared
 across threads; operations on disjoint tensors are otherwise pure.
@@ -132,21 +139,11 @@ class Tensor:
     def __truediv__(self, scalar: float) -> "Tensor":
         return self * (1.0 / float(scalar))
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return reduce_sum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.size if axis is None else self.shape[axis]
-        return reduce_sum(self, axis=axis, keepdims=keepdims) * (1.0 / count)
-
     def reshape(self, shape: Sequence[int]) -> "Tensor":
         return reshape(self, shape)
-
-    def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
-        return transpose(self, axes)
 
     # -- autodiff -----------------------------------------------------------
 
@@ -190,10 +187,6 @@ def _as_tensor(value, dtype) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(np.asarray(value, dtype=dtype))
-
-
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
 
 
 def zeros(shape, requires_grad: bool = False, dtype=np.float32) -> Tensor:
@@ -290,17 +283,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _record(out, (x,), backward_fn)
 
 
-def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    axes = tuple(axes) if axes is not None else tuple(reversed(range(x.ndim)))
-    inverse = np.argsort(axes)
-    out = np.ascontiguousarray(np.transpose(x.data, axes))
-
-    def backward_fn(grad: np.ndarray) -> None:
-        _accumulate(x, np.transpose(grad, inverse))
-
-    return _record(out, (x,), backward_fn)
-
-
 def gather_rows(x: Tensor, indices) -> Tensor:
     """Select rows along axis 0; duplicate indices accumulate on backward."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -367,22 +349,24 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # -- core math ops ----------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of 2-D operands, or stacked 3-D with equal batch dims."""
-    _common_dtype(a, b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul needs matrices, got shapes {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = a.data @ b.data
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Rows ``x`` [n, in] times ``w`` [in, out], plus the bias row ``b`` if given."""
+    _common_dtype(x, w)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"linear shape mismatch: {x.shape} x {w.shape}")
+    out = x.data @ w.data
+    if b is not None:
+        out += b.data
 
     def backward_fn(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, grad @ np.swapaxes(b.data, -1, -2), owned=True)
-        if b.requires_grad:
-            _accumulate(b, np.swapaxes(a.data, -1, -2) @ grad, owned=True)
+        if b is not None and b.requires_grad:
+            _accumulate(b, grad.sum(axis=(0,)), owned=True)
+        if x.requires_grad:
+            _accumulate(x, grad @ w.data.T, owned=True)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ grad, owned=True)
 
-    return _record(out, (a, b), backward_fn)
+    return _record(out, (x, w) if b is None else (x, w, b), backward_fn)
 
 
 def _row_sum(x: np.ndarray, axis: int) -> np.ndarray:
@@ -395,19 +379,90 @@ def _row_mean(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype, copy=False)
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    exps = np.exp(x - x.max(axis=axis, keepdims=True))
+    return exps / _row_sum(exps, axis)
+
+
+def _softmax_grad(out: np.ndarray, grad: np.ndarray, axis: int) -> np.ndarray:
+    return out * (grad - _row_sum(out * grad, axis))
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Shift-invariant softmax along ``axis``; rows sum to 1."""
-    exps = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-    out = exps / _row_sum(exps, axis)
+    out = _softmax(x.data, axis)
 
     def backward_fn(grad: np.ndarray) -> None:
-        _accumulate(x, out * (grad - _row_sum(out * grad, axis)), owned=True)
+        _accumulate(x, _softmax_grad(out, grad, axis), owned=True)
 
     return _record(out, (x,), backward_fn)
 
 
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+           mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention of stacked heads ``q`` [..., t, d] over
+    transposed keys ``k`` [..., d, s] and values ``v`` [..., s, d], without a
+    graph; ``mask`` is added to the scores. Returns (weights, context)."""
+    scores = q @ k
+    scores *= np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=q.dtype)
+    if mask is not None:
+        scores += mask
+    weights = _softmax(scores, -1)
+    return weights, weights @ v
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int,
+              mask: np.ndarray | None = None) -> Tensor:
+    """Attention over ``heads`` heads of ``batch`` sequences of t positions,
+    given as ``[batch·t, hidden]`` query, key and value rows, as one node;
+    ``mask`` must broadcast to ``[batch, t, t]`` and serves every head."""
+    _common_dtype(q, k)
+    _common_dtype(q, v)
+    if not q.shape == k.shape == v.shape or q.ndim != 2:
+        raise ValueError(f"attention needs equal 2-D operands: {q.shape}, {k.shape}, {v.shape}")
+    rows, hidden = q.shape
+    t = rows // batch
+    split = (batch, t, heads, hidden // heads)
+    qs = np.ascontiguousarray(q.data.reshape(split).transpose(0, 2, 1, 3))
+    ks = np.ascontiguousarray(k.data.reshape(split).transpose(0, 2, 3, 1))
+    vs = np.ascontiguousarray(v.data.reshape(split).transpose(0, 2, 1, 3))
+    if mask is not None:
+        mask = np.broadcast_to(mask, (batch, t, t))[:, None]
+    weights, context = attend(qs, ks, vs, mask)
+
+    def merge(heads_grad: np.ndarray, axes) -> np.ndarray:
+        return np.ascontiguousarray(heads_grad.transpose(axes)).reshape(rows, hidden)
+
+    def backward_fn(grad: np.ndarray) -> None:
+        d_context = np.ascontiguousarray(grad.reshape(split).transpose(0, 2, 1, 3))
+        d_weights = d_context @ np.swapaxes(vs, -1, -2)
+        _accumulate(v, merge(np.swapaxes(weights, -1, -2) @ d_context, (0, 2, 1, 3)), owned=True)
+        d_scores = _softmax_grad(weights, d_weights, -1)
+        # scaled after the softmax backward, where the composed graph's
+        # product node applied it: the other order rounds differently
+        d_scores *= np.asarray(1.0 / math.sqrt(split[3]), dtype=d_scores.dtype)
+        _accumulate(q, merge(d_scores @ np.swapaxes(ks, -1, -2), (0, 2, 1, 3)), owned=True)
+        _accumulate(k, merge(np.swapaxes(qs, -1, -2) @ d_scores, (0, 3, 1, 2)), owned=True)
+
+    return _record(merge(context, (0, 2, 1, 3)), (q, k, v), backward_fn)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then affine."""
+    return _layer_norm(x, None, gain, bias, eps)
+
+
+def add_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
+                   eps: float = 1e-12) -> Tensor:
+    """``layer_norm(x + a, gain, bias, eps)`` as one node; ``x`` and ``a``
+    must have one shape."""
+    _common_dtype(x, a)
+    if x.shape != a.shape:
+        raise ValueError(f"add_layer_norm operands differ in shape: {x.shape} vs {a.shape}")
+    return _layer_norm(x, a, gain, bias, eps)
+
+
+def _layer_norm(x: Tensor, a: Tensor | None, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     if eps <= 0:
         raise ValueError(f"layer_norm eps must be positive, got {eps}")
     h = x.shape[-1]
@@ -415,7 +470,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         raise ValueError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim {h}"
         )
-    centered = x.data - _row_mean(x.data)
+    total = x.data if a is None else x.data + a.data
+    centered = total - _row_mean(total)
     var = (centered * centered).mean(axis=-1, keepdims=True, dtype=np.float64)
     inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype, copy=False)
     normalized = centered * inv
@@ -427,13 +483,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
             _accumulate(gain, (grad * normalized).sum(axis=axes), owned=True)
         if bias.requires_grad:
             _accumulate(bias, grad.sum(axis=axes), owned=True)
-        if x.requires_grad:
+        if x.requires_grad or (a is not None and a.requires_grad):
             d_norm = grad * gain.data
             term = d_norm - _row_mean(d_norm)
             term -= normalized * _row_mean(d_norm * normalized)
-            _accumulate(x, inv * term, owned=True)
+            d_total = inv * term
+            if a is None:
+                _accumulate(x, d_total, owned=True)
+            else:
+                # the first operand copies the array the second adopts
+                _accumulate(x, d_total)
+                _accumulate(a, d_total, owned=True)
 
-    return _record(out, (x, gain, bias), backward_fn)
+    return _record(out, (x, gain, bias) if a is None else (x, a, gain, bias), backward_fn)
 
 
 def gelu(x: Tensor) -> Tensor:

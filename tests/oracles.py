@@ -2,17 +2,31 @@
 
 Everything here recomputes expected values through a route that does not
 touch the library code under test: plain Python loops, numpy reference
-formulas, and central finite differences.
+formulas, and central finite differences. The composed graphs are the one
+exception: they build linear, attention and residual layer norm from the
+library's smaller ops, node by node, and the fused ops must match them byte
+for byte.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+from typing import Sequence
 
 import numpy as np
 
 from clustersum.generator import filter_top_k_top_p, sample_token
-from clustersum.tensor import Tensor, cross_entropy, no_grad
+from clustersum.tensor import (
+    Tensor,
+    _accumulate,
+    _common_dtype,
+    _record,
+    cross_entropy,
+    layer_norm,
+    no_grad,
+    softmax,
+)
 from clustersum.tokenizer import mask_for_mlm
 
 
@@ -42,6 +56,93 @@ def naive_nll(logits: np.ndarray, targets) -> float:
         probs = naive_softmax(row)
         total += -math.log(probs[t])
     return total
+
+
+# -- composed graphs the fused ops must reproduce byte for byte -------------
+# ``matmul`` and ``transpose`` are general autograd ops that only these
+# graphs and the tests use; the library's linear and attention are single
+# nodes.
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of 2-D operands, or stacked 3-D with equal batch dims."""
+    _common_dtype(a, b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"matmul needs matrices, got shapes {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    out = a.data @ b.data
+
+    def backward_fn(grad: np.ndarray) -> None:
+        if a.requires_grad:
+            _accumulate(a, grad @ np.swapaxes(b.data, -1, -2), owned=True)
+        if b.requires_grad:
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ grad, owned=True)
+
+    return _record(out, (a, b), backward_fn)
+
+
+def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    axes = tuple(axes) if axes is not None else tuple(reversed(range(x.ndim)))
+    inverse = np.argsort(axes)
+    out = np.ascontiguousarray(np.transpose(x.data, axes))
+
+    def backward_fn(grad: np.ndarray) -> None:
+        _accumulate(x, np.transpose(grad, inverse))
+
+    return _record(out, (x,), backward_fn)
+
+
+def composed_linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    out = matmul(x, w)
+    return out if b is None else out + b
+
+
+def composed_attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int,
+                       mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head attention of ``[batch·t, hidden]`` rows as the graph of
+    reshapes, transposes, matmuls, scale, mask add and softmax it once was."""
+    b, nh = batch, heads
+    t, hidden = q.shape[0] // b, q.shape[1]
+    hd = hidden // nh
+    qs = transpose(q.reshape((b, t, nh, hd)), (0, 2, 1, 3)).reshape((b * nh, t, hd))
+    ks = transpose(k.reshape((b, t, nh, hd)), (0, 2, 3, 1)).reshape((b * nh, hd, t))
+    vs = transpose(v.reshape((b, t, nh, hd)), (0, 2, 1, 3)).reshape((b * nh, t, hd))
+    scores = matmul(qs, ks) * (1.0 / math.sqrt(hd))
+    if mask is not None:
+        # batch row i's mask serves its heads i·nh .. i·nh + nh - 1
+        scores = scores + Tensor(np.repeat(np.broadcast_to(mask, (b, t, t)), nh, axis=0))
+    context = transpose(matmul(softmax(scores, axis=-1), vs).reshape((b, nh, t, hd)),
+                        (0, 2, 1, 3))
+    return context.reshape((b * t, hidden))
+
+
+def composed_add_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
+                            eps: float = 1e-12) -> Tensor:
+    return layer_norm(x + a, gain, bias, eps)
+
+
+def graph_nodes(out: Tensor, inputs: Sequence[Tensor] = ()) -> int:
+    """Number of recorded op nodes between ``inputs`` and ``out``."""
+    stop = {id(t) for t in inputs}
+    seen: set[int] = set()
+    stack = [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or id(node) in stop or node._backward_fn is None:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+    return len(seen)
+
+
+def parameter_hash(model) -> str:
+    """SHA-256 over all of a model's parameter names and payloads."""
+    digest = hashlib.sha256()
+    for name, p in sorted(model.named_parameters().items()):
+        digest.update(name.encode("utf-8"))
+        digest.update(np.ascontiguousarray(p.data).tobytes())
+    return digest.hexdigest()
 
 
 def dense_gather_rows_grad(existing, shape, dtype, indices, grad: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -115,6 +116,28 @@ def test_stored_embeddings_equal_a_fresh_embedding(trained_run):
     np.testing.assert_array_equal(stored, encoder.embed_documents(docs))
     assert _stages(out_dir)["cluster"]["embeddings"] == {
         "file": pipeline.EMBEDDINGS_FILE, "shape": list(stored.shape)}
+
+
+def test_encoder_is_freed_before_the_decoder_trains(run_copy, monkeypatch):
+    """The train-decoder stage drops the encoder it initialized the decoder
+    from before training starts."""
+    config, records, out_dir = run_copy
+    encoders = []
+    real_init, real_train = pipeline.init_from_encoder, pipeline.train_decoder
+
+    def init_from_encoder(encoder):
+        encoders.append(weakref.ref(encoder))
+        return real_init(encoder)
+
+    def train_decoder(*args, **kwargs):
+        assert len(encoders) == 1 and encoders[0]() is None
+        encoders.append("trained")
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "init_from_encoder", init_from_encoder)
+    monkeypatch.setattr(pipeline, "train_decoder", train_decoder)
+    pipeline.run_stage("train-decoder", config, records, out_dir)
+    assert encoders[1:] == ["trained"]
 
 
 def test_evaluate_scores_equal_those_over_the_encoded_corpus(run_copy):

@@ -126,14 +126,14 @@ def _jsonl(records, blanks) -> tuple[str, list[int]]:
 @given(RECORDS, st.lists(st.integers(0, 2), min_size=21, max_size=21))
 @example(records=[CorpusRecord(" padded id ", "first text", None),
                   CorpusRecord("\ttabbed\t", "second text", "topic")], blanks=[0] * 21)
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None)
 def test_load_corpus_reads_back_written_records(records, blanks):
     text, _ = _jsonl(records, blanks)
     assert _in_file(text, load_corpus) == records
 
 
 @given(RECORDS, st.lists(st.integers(0, 2), min_size=21, max_size=21), st.data())
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None)
 def test_load_corpus_names_both_lines_of_a_duplicate_id(records, blanks, data):
     first = data.draw(st.integers(0, len(records) - 1))
     at = data.draw(st.integers(first + 1, len(records)))
@@ -152,7 +152,7 @@ BAD_FIELD = {"id": NOT_AN_ID, "text": NOT_AN_ID | st.integers(),
 
 
 @given(RECORDS, st.data())
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None)
 def test_load_corpus_rejects_a_field_of_another_type(records, data):
     """Only string or integer ids, string texts and string (or null)
     labels load; anything else names its line instead of loading as its
@@ -170,7 +170,7 @@ def test_load_corpus_rejects_a_field_of_another_type(records, data):
 
 
 @given(st.lists(st.integers(), min_size=1, max_size=10, unique=True))
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None)
 def test_load_corpus_reads_integer_ids_as_decimal_strings(ids):
     text = "".join(json.dumps({"id": i, "text": "some words"}) + "\n" for i in ids)
     assert [r.id for r in _in_file(text, load_corpus)] == [str(i) for i in ids]
