@@ -17,8 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import write_jsonl
-from .encoder import EncoderModel
-from .tokenizer import EncodedDocument
 
 DISTANCE_EPS = 1e-8
 CLUSTER_FORMAT_VERSION = 2
@@ -190,27 +188,25 @@ def weighted_centers(
 
 
 def cluster_without_labels(
-    encoder: EncoderModel,
-    docs: list[EncodedDocument],
+    doc_ids: list[str],
+    embeddings: np.ndarray,
     k: int,
     max_iters: int = 100,
     rng: np.random.Generator | None = None,
-    embeddings: np.ndarray | None = None,
 ) -> ClusterSet:
-    """k-means on [CLS] embeddings, then weights and weighted centers."""
+    """k-means on the documents' [CLS] embeddings [n, h], then weights and
+    weighted centers."""
     if k < 1:
         raise ValueError(f"need at least one cluster, got {k}")
-    if embeddings is None:
-        embeddings = encoder.embed_documents(docs)
     assignment, centroids = kmeans(embeddings, k, max_iters=max_iters, rng=rng)
-    weights = np.empty(len(docs), dtype=np.float64)
+    weights = np.empty(len(doc_ids), dtype=np.float64)
     for c in range(k):
         idx = np.flatnonzero(assignment == c)
         weights[idx] = membership_weights(embeddings[idx], centroids[c])
     centers = weighted_centers(embeddings, assignment, weights, k)
     return ClusterSet(
         k=k,
-        doc_ids=[d.doc_id for d in docs],
+        doc_ids=list(doc_ids),
         assignment=assignment,
         weights=weights,
         centers=centers,
@@ -218,18 +214,16 @@ def cluster_without_labels(
 
 
 def cluster_with_labels(
-    encoder: EncoderModel,
-    docs: list[EncodedDocument],
-    embeddings: np.ndarray | None = None,
+    doc_ids: list[str],
+    embeddings: np.ndarray,
+    probs: np.ndarray,
 ) -> ClusterSet:
-    """Classifier-driven clustering: argmax label, max probability as weight.
+    """Classifier-driven clustering from label distributions ``probs``
+    [n, labels]: argmax label, max probability as weight.
 
     One cluster per label. Argmax ties resolve to the lowest label id.
     """
-    k = encoder.num_labels
-    if embeddings is None:
-        embeddings = encoder.embed_documents(docs)
-    probs = encoder.label_probs(embeddings)
+    k = probs.shape[1]
     assignment = probs.argmax(axis=1)
     weights = probs.max(axis=1).astype(np.float64)
     for c in range(k):
@@ -238,7 +232,7 @@ def cluster_with_labels(
     centers = weighted_centers(embeddings, assignment, weights, k)
     return ClusterSet(
         k=k,
-        doc_ids=[d.doc_id for d in docs],
+        doc_ids=list(doc_ids),
         assignment=assignment,
         weights=weights,
         centers=centers,

@@ -64,7 +64,6 @@ class PipelineConfig:
     max_summary_len: int = 32
     temperature: float = 1.0
     start_token: str = "cls"        # "cls" or a literal token id
-    filter_order: str = "top_k_first"
     retain_top_m: int = 1
     # evaluation
     cosine_top_k_values: str = "1,5,10"
@@ -148,7 +147,6 @@ class PipelineConfig:
                 temperature=self.temperature,
                 start_token_id=self.start_token_id(cls_id),
                 seed=self.seed,
-                filter_order=self.filter_order,
                 retain_top_m=self.retain_top_m,
             )
         except ValueError as exc:

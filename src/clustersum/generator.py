@@ -11,14 +11,15 @@ Cross-attention depends only on the cluster center (see ``decoder``), so
 each block's cross output is computed once per cluster, when the cache
 starts.
 
-Each step filters the next-token distribution with combined top-K and
-nucleus sampling, then draws one token per live candidate. Candidate s of
-cluster c draws once per token of its own from an RNG stream derived from
-(seed, c, s), so its tokens do not depend on how many other candidates are
-decoded or when they stop, and clusters and candidates are reproducible
-independently. The candidates are then embedded by the encoder as one
-padded batch and re-ranked by cosine similarity between each candidate's
-embedding and the cluster center.
+Each step turns the live candidates' logits into one row-wise softmax,
+filters every row at once with combined top-K and nucleus sampling, and
+draws one token per row by inverting the row's CDF in token-id order.
+Candidate s of cluster c draws once per token of its own from an RNG stream
+derived from (seed, c, s), so its tokens do not depend on how many other
+candidates are decoded or when they stop, and clusters and candidates are
+reproducible independently. The candidates are then embedded by the encoder
+as one padded batch and re-ranked by cosine similarity between each
+candidate's embedding and the cluster center.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class SamplerConfig:
+    """Summary sampling settings. Each decoding step keeps the top_k most
+    probable next tokens and, among those, the shortest prefix whose mass
+    reaches top_p; both cuts keep a prefix of one ranking, so their order
+    does not matter."""
+
     top_k: int = 50
     top_p: float = 0.95
     num_candidates: int = 10
@@ -46,7 +52,6 @@ class SamplerConfig:
     temperature: float = 1.0
     start_token_id: int = CLS_ID
     seed: int = 0
-    filter_order: str = "top_k_first"   # or "top_p_first"
     retain_top_m: int = 1
 
     def __post_init__(self):
@@ -60,8 +65,6 @@ class SamplerConfig:
             raise ValueError(f"max_summary_len must be at least 1, got {self.max_summary_len}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.filter_order not in ("top_k_first", "top_p_first"):
-            raise ValueError(f"unknown filter_order {self.filter_order!r}")
         if self.retain_top_m < 1:
             raise ValueError(f"retain_top_m must be at least 1, got {self.retain_top_m}")
 
@@ -79,54 +82,44 @@ class SummaryCandidate:
         return len(self.text) == 0
 
 
-def filter_top_k_top_p(probs: np.ndarray, k: int, p: float,
-                       order: str = "top_k_first") -> np.ndarray:
-    """Restrict a distribution to the k most probable tokens and the minimal
-    probability mass >= p, then renormalize.
+def filter_top_k_top_p(probs: np.ndarray, k: int, p: float) -> np.ndarray:
+    """Restrict each row of ``probs`` [n, vocab] to its k most probable
+    tokens and, among those, the shortest prefix whose mass reaches p; then
+    renormalize the row.
 
-    Ties in probability resolve toward the lower token id. With
-    ``order="top_p_first"`` the nucleus is taken before the top-k cut.
+    Ties in probability resolve toward the lower token id. Both cuts keep a
+    prefix of one ranking, so their order does not matter.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1 or probs.size == 0:
-        raise ValueError("filter expects a non-empty 1-D distribution")
+    if probs.ndim != 2 or probs.size == 0:
+        raise ValueError("filter expects a non-empty [n, vocab] array of distributions")
     if np.any(probs < 0):
         raise ValueError("probabilities must be non-negative")
-    if probs.sum() <= 0.0:
+    if np.any(probs.sum(axis=-1) <= 0.0):
         raise ValueError("degenerate all-zero distribution")
-    if not 1 <= k <= probs.size:
-        raise ValueError(f"top_k must lie in [1, {probs.size}], got {k}")
-    ranked = np.argsort(-probs, kind="stable")
-
-    def nucleus(candidates: np.ndarray) -> np.ndarray:
-        cumulative = np.cumsum(probs[candidates])
-        keep = int(np.searchsorted(cumulative, p, side="left")) + 1
-        return candidates[: min(keep, candidates.size)]
-
-    if order == "top_k_first":
-        kept = nucleus(ranked[:k])
-    elif order == "top_p_first":
-        kept = nucleus(ranked)[:k]
-    else:
-        raise ValueError(f"unknown filter order {order!r}")
-    out = np.zeros_like(probs)
-    out[kept] = probs[kept]
-    return out / out.sum()
+    if not 1 <= k <= probs.shape[1]:
+        raise ValueError(f"top_k must lie in [1, {probs.shape[1]}], got {k}")
+    ranked = np.argsort(-probs, axis=-1, kind="stable")[:, :k]
+    top = np.take_along_axis(probs, ranked, axis=-1)
+    below_p = (np.cumsum(top, axis=-1) < p).sum(axis=-1)
+    kept = np.zeros(probs.shape, dtype=bool)
+    np.put_along_axis(kept, ranked, np.arange(k) <= below_p[:, None], axis=-1)
+    out = np.where(kept, probs, 0.0)
+    return out / out.sum(axis=-1, keepdims=True)
 
 
-def sample_token(filtered: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one token id; zero-probability tokens are never selected."""
-    support = np.flatnonzero(filtered)
-    cumulative = np.cumsum(filtered[support])
-    r = rng.random() * cumulative[-1]
-    idx = int(np.searchsorted(cumulative, r, side="right"))
-    return int(support[min(idx, support.size - 1)])
+def sample_tokens(filtered: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Draw one token id per row of ``filtered`` [n, vocab] by inverting the
+    row's CDF, in token-id order, at ``uniforms[row]`` in [0, 1).
 
-
-def _np_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits.astype(np.float64) - logits.max()
-    exps = np.exp(shifted)
-    return exps / exps.sum()
+    Zero-probability ids are never drawn: a uniform whose scaled value
+    reaches the row's total takes the row's last nonzero id.
+    """
+    cumulative = np.cumsum(filtered, axis=-1)
+    r = uniforms * cumulative[:, -1]
+    ids = (cumulative <= r[:, None]).sum(axis=-1)
+    last = filtered.shape[1] - 1 - np.argmax(filtered[:, ::-1] > 0, axis=-1)
+    return np.minimum(ids, last)
 
 
 def sample_candidates(
@@ -135,14 +128,12 @@ def sample_candidates(
     vocab: Vocabulary,
     sampler: SamplerConfig,
     cluster: int = 0,
-    trace: list | None = None,
 ) -> list[SummaryCandidate]:
     """Sample ``num_candidates`` summaries conditioned on a cluster center,
     decoded together as one batch.
 
     Every candidate starts from the configured start token and stops at
-    [SEP] or at ``max_summary_len`` generated tokens. When ``trace`` is
-    given, each draw appends ``(candidate, support_ids, chosen_id)``.
+    [SEP] or at ``max_summary_len`` generated tokens.
     """
     k = min(sampler.top_k, vocab.size)
     rngs = [np.random.default_rng([sampler.seed, cluster, s])
@@ -154,23 +145,19 @@ def sample_candidates(
     with no_grad():
         for _ in range(sampler.max_summary_len):
             logits = decoder.forward(tokens, cache=cache).data / sampler.temperature
-            tokens = []
-            kept = []
-            for row, s in enumerate(live):
-                filtered = filter_top_k_top_p(_np_softmax(logits[row]), k, sampler.top_p,
-                                              sampler.filter_order)
-                token = sample_token(filtered, rngs[s])
-                if trace is not None:
-                    trace.append((s, np.flatnonzero(filtered > 0), token))
+            exps = np.exp(logits.astype(np.float64) - logits.max(axis=-1, keepdims=True))
+            filtered = filter_top_k_top_p(exps / exps.sum(axis=-1, keepdims=True), k,
+                                          sampler.top_p)
+            drawn = sample_tokens(filtered, np.array([rngs[s].random() for s in live]))
+            for s, token in zip(live, drawn.tolist()):
                 generated[s].append(token)
-                if token != vocab.sep_id:
-                    kept.append(row)
-                    tokens.append(token)
+            kept = np.flatnonzero(drawn != vocab.sep_id).tolist()
             if not kept:
                 break
             if len(kept) < len(live):
                 cache.keep(kept)
                 live = [live[row] for row in kept]
+            tokens = drawn[kept]
     return [
         SummaryCandidate(cluster=cluster, token_ids=ids, text=decode(ids, vocab))
         for ids in generated

@@ -251,12 +251,14 @@ def _finetune(ctx: _Context) -> dict:
 
 def _cluster(ctx: _Context) -> dict:
     embeddings = ctx.encoder.embed_documents(ctx.docs)
+    doc_ids = [d.doc_id for d in ctx.docs]
     if ctx.config.uses_labels:
-        cluster_set = cluster_with_labels(ctx.encoder, ctx.docs, embeddings=embeddings)
+        probs = ctx.encoder.label_probs(embeddings)
+        cluster_set = cluster_with_labels(doc_ids, embeddings, probs)
     else:
         rng = np.random.default_rng([ctx.config.seed, 3])
-        cluster_set = cluster_without_labels(ctx.encoder, ctx.docs, ctx.config.num_clusters,
-                                             rng=rng, embeddings=embeddings)
+        cluster_set = cluster_without_labels(doc_ids, embeddings, ctx.config.num_clusters,
+                                             rng=rng)
     with atomic_write(ctx.out_dir / EMBEDDINGS_FILE) as fh:
         np.save(fh, embeddings)
     cluster_set.save(ctx.out_dir / CLUSTERS_FILE)
@@ -332,7 +334,12 @@ def load_references(path: str | Path) -> dict[int, list[list[str]]]:
                 cluster = raw["cluster"]
                 if type(cluster) is not int:
                     raise TypeError(f"cluster must be a JSON integer, got {cluster!r}")
-                tokens = tokenize(str(raw["text"]))
+                text = raw["text"]
+                if not isinstance(text, str):
+                    raise TypeError(f"text must be a string, got {json.dumps(text)}")
+                tokens = tokenize(text)
+                if not tokens:
+                    raise ValueError("text is empty after normalization")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed reference: {exc}") from exc
             references.setdefault(cluster, []).append(tokens)

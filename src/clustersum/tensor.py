@@ -375,8 +375,10 @@ def _row_sum(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _row_mean(x: np.ndarray) -> np.ndarray:
-    """Mean over the last axis (kept) with a float64 accumulator, cast back."""
-    return x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype, copy=False)
+    """Mean over the last axis (kept) with a float64 accumulator, cast back.
+    The bytes of ``ndarray.mean``, without its Python-level wrapper."""
+    mean = x.sum(axis=-1, keepdims=True, dtype=np.float64) / x.shape[-1]
+    return mean.astype(x.dtype, copy=False)
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -472,7 +474,7 @@ def _layer_norm(x: Tensor, a: Tensor | None, gain: Tensor, bias: Tensor, eps: fl
         )
     total = x.data if a is None else x.data + a.data
     centered = total - _row_mean(total)
-    var = (centered * centered).mean(axis=-1, keepdims=True, dtype=np.float64)
+    var = (centered * centered).sum(axis=-1, keepdims=True, dtype=np.float64) / h
     inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype, copy=False)
     normalized = centered * inv
     out = normalized * gain.data + bias.data

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from clustersum.generator import filter_top_k_top_p, sample_token
 from clustersum.tensor import (
     Tensor,
     _accumulate,
@@ -195,6 +194,16 @@ def reference_filter(probs: np.ndarray, k: int, p: float) -> np.ndarray:
     return out / out.sum()
 
 
+def reference_draw(filtered: np.ndarray, u: float) -> int:
+    """Invert the CDF over the nonzero entries only, at ``u`` in [0, 1];
+    a scaled value at or past the total takes the last nonzero id."""
+    support = np.flatnonzero(filtered)
+    cumulative = np.cumsum(filtered[support])
+    r = u * cumulative[-1]
+    idx = int(np.searchsorted(cumulative, r, side="right"))
+    return int(support[min(idx, support.size - 1)])
+
+
 def finite_difference(forward, array: np.ndarray, flat_index: int, step: float) -> float:
     original = array.flat[flat_index]
     array.flat[flat_index] = original + step
@@ -252,7 +261,8 @@ def reference_candidate_ids(decoder, center, vocab, sampler, cluster: int, candi
 
     This is the straightforward loop the batched, cached sampler must
     reproduce token for token: the same (seed, cluster, candidate) RNG
-    stream, the same filter and draw, no key/value cache and no batch.
+    stream, but a 1-D filter and draw of its own, no key/value cache and no
+    batch.
     """
     rng = np.random.default_rng([sampler.seed, cluster, candidate])
     k = min(sampler.top_k, vocab.size)
@@ -263,9 +273,8 @@ def reference_candidate_ids(decoder, center, vocab, sampler, cluster: int, candi
             logits = decoder.forward([prefix], center, train=False)
             last = (logits.data[-1] / sampler.temperature).astype(np.float64)
             exps = np.exp(last - last.max())
-            filtered = filter_top_k_top_p(exps / exps.sum(), k, sampler.top_p,
-                                          sampler.filter_order)
-            token = sample_token(filtered, rng)
+            token = reference_draw(reference_filter(exps / exps.sum(), k, sampler.top_p),
+                                   rng.random())
             generated.append(token)
             prefix.append(token)
             if token == vocab.sep_id:

@@ -162,10 +162,15 @@ def clustered_setup():
     return vocab, docs, labels, encoder
 
 
+def _ids_and_embeddings(docs, encoder):
+    return [d.doc_id for d in docs], encoder.embed_documents(docs)
+
+
 class TestClusterWithoutLabels:
     def test_cluster_set_invariants(self, clustered_setup):
         vocab, docs, labels, encoder = clustered_setup
-        cs = cluster_without_labels(encoder, docs, 3, rng=np.random.default_rng(12))
+        cs = cluster_without_labels(*_ids_and_embeddings(docs, encoder), 3,
+                                    rng=np.random.default_rng(12))
         assert cs.k == 3
         assert len(cs.doc_ids) == len(docs)
         for c in range(3):
@@ -176,18 +181,16 @@ class TestClusterWithoutLabels:
 
     def test_k_one_weighted_mean(self, clustered_setup):
         vocab, docs, labels, encoder = clustered_setup
-        embeddings = encoder.embed_documents(docs)
-        cs = cluster_without_labels(encoder, docs, 1, rng=np.random.default_rng(13),
-                                    embeddings=embeddings)
+        ids, embeddings = _ids_and_embeddings(docs, encoder)
+        cs = cluster_without_labels(ids, embeddings, 1, rng=np.random.default_rng(13))
         w = cs.weights[:, None]
         expected = (w * embeddings).sum(axis=0) / w.sum()
         np.testing.assert_allclose(cs.centers[0], expected, rtol=1e-9)
 
     def test_weighted_center_in_member_hull_per_coordinate(self, clustered_setup):
         vocab, docs, labels, encoder = clustered_setup
-        embeddings = encoder.embed_documents(docs)
-        cs = cluster_without_labels(encoder, docs, 2, rng=np.random.default_rng(14),
-                                    embeddings=embeddings)
+        ids, embeddings = _ids_and_embeddings(docs, encoder)
+        cs = cluster_without_labels(ids, embeddings, 2, rng=np.random.default_rng(14))
         for c in range(2):
             members = embeddings[cs.members(c)]
             assert np.all(cs.centers[c] >= members.min(axis=0) - 1e-9)
@@ -206,8 +209,10 @@ class TestClusterWithLabels:
                                             rng=np.random.default_rng(15),
                                             lr=3e-3, warmup_steps=5)
         assert history[-1].val_accuracy is not None
-        cs = cluster_with_labels(enc, docs)
+        ids, embeddings = _ids_and_embeddings(docs, enc)
+        cs = cluster_with_labels(ids, embeddings, enc.label_probs(embeddings))
         assert cs.k == 2
+        assert cs.doc_ids == ids
         for i, doc in enumerate(docs):
             probs = enc.label_probs(enc.embed_documents([doc]))[0]
             assert cs.assignment[i] == probs.argmax()
@@ -215,18 +220,29 @@ class TestClusterWithLabels:
 
     def test_requires_classifier(self, clustered_setup):
         vocab, docs, labels, encoder = clustered_setup
+        ids, embeddings = _ids_and_embeddings(docs, encoder)
         with pytest.raises(ValueError, match="classifier"):
-            cluster_with_labels(encoder, docs)
+            cluster_with_labels(ids, embeddings, encoder.label_probs(embeddings))
 
     def test_tie_breaks_to_lowest_label(self):
-        probs = np.array([0.25, 0.25, 0.25, 0.25])
-        assert int(probs.argmax()) == 0
+        probs = np.array([[0.5, 0.5], [0.2, 0.8], [0.5, 0.5]])
+        cs = cluster_with_labels(["a", "b", "c"], np.eye(3), probs)
+        assert cs.k == 2
+        assert cs.assignment.tolist() == [0, 1, 0]
+        assert cs.weights.tolist() == [0.5, 0.8, 0.5]
+        np.testing.assert_array_equal(cs.centers, [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+
+    def test_label_without_documents_rejected(self):
+        probs = np.array([[0.6, 0.3, 0.1], [0.2, 0.7, 0.1]])
+        with pytest.raises(ValueError, match="label 2"):
+            cluster_with_labels(["a", "b"], np.eye(2), probs)
 
 
 class TestPersistence:
     def test_save_load_round_trip(self, clustered_setup, tmp_path):
         vocab, docs, labels, encoder = clustered_setup
-        cs = cluster_without_labels(encoder, docs, 2, rng=np.random.default_rng(16))
+        cs = cluster_without_labels(*_ids_and_embeddings(docs, encoder), 2,
+                                    rng=np.random.default_rng(16))
         path = tmp_path / "clusters.jsonl"
         cs.save(path)
         loaded = ClusterSet.load(path)
@@ -239,7 +255,8 @@ class TestPersistence:
     def test_version_1_file_is_refused(self, clustered_setup, tmp_path):
         vocab, docs, labels, encoder = clustered_setup
         path = tmp_path / "clusters.jsonl"
-        cluster_without_labels(encoder, docs, 2, rng=np.random.default_rng(16)).save(path)
+        cluster_without_labels(*_ids_and_embeddings(docs, encoder), 2,
+                               rng=np.random.default_rng(16)).save(path)
         lines = path.read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
         assert header["version"] == CLUSTER_FORMAT_VERSION == 2
@@ -252,8 +269,10 @@ class TestPersistence:
         vocab, docs, labels, encoder = clustered_setup
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
-        cluster_without_labels(encoder, docs, 2, rng=np.random.default_rng(17)).save(a)
-        cluster_without_labels(encoder, docs, 2, rng=np.random.default_rng(17)).save(b)
+        cluster_without_labels(*_ids_and_embeddings(docs, encoder), 2,
+                               rng=np.random.default_rng(17)).save(a)
+        cluster_without_labels(*_ids_and_embeddings(docs, encoder), 2,
+                               rng=np.random.default_rng(17)).save(b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_invariant_validation(self):

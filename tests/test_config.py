@@ -81,7 +81,7 @@ class TestSettings:
         ("top_k=0", "top_k"),
         ("top_p=0", "top_p"),
         ("retain_top_m=0", "retain_top_m"),
-        ("filter_order=random", "filter_order"),
+        ("max_summary_len=0", "max_summary_len"),
         ("start_token=x", "start_token"),
         ("cosine_top_k_values=0", "cosine_top_k_values"),
     ])

@@ -3,48 +3,70 @@
 import numpy as np
 import pytest
 
+from clustersum import generator
 from clustersum.decoder import init_from_encoder
 from clustersum.encoder import EncoderModel, ModelConfig
 from clustersum.generator import (
     SamplerConfig,
     filter_top_k_top_p,
     sample_candidates,
-    sample_token,
+    sample_tokens,
     summarize_cluster,
 )
 
 from corpora import build_docs, pair_texts
-from oracles import reference_candidate_ids, reference_filter
+from oracles import reference_candidate_ids, reference_draw, reference_filter
+
+
+def _filter_one(probs, k, p):
+    return filter_top_k_top_p(np.asarray(probs)[None], k=k, p=p)[0]
+
+
+def _random_rows(rng, n, vocab):
+    """Distributions with exact ties, zero entries and one dominant token."""
+    kind = rng.integers(3)
+    if kind == 0:
+        rows = rng.dirichlet(np.ones(vocab), size=n)
+    elif kind == 1:
+        rows = rng.integers(0, 4, size=(n, vocab)).astype(np.float64)
+        rows[:, 0] += 1.0
+    else:
+        rows = rng.dirichlet(np.full(vocab, 0.2), size=n)
+        rows[:, rng.integers(vocab)] += 5.0
+    return rows / rows.sum(axis=-1, keepdims=True)
 
 
 class TestFilter:
     def test_top_two_renormalized(self):
-        out = filter_top_k_top_p(np.array([0.5, 0.3, 0.1, 0.1]), k=2, p=1.0)
+        out = _filter_one([0.5, 0.3, 0.1, 0.1], k=2, p=1.0)
         np.testing.assert_allclose(out, [0.625, 0.375, 0.0, 0.0])
 
     def test_minimal_prefix_reaches_mass(self):
-        out = filter_top_k_top_p(np.array([0.5, 0.3, 0.1, 0.1]), k=4, p=0.75)
+        out = _filter_one([0.5, 0.3, 0.1, 0.1], k=4, p=0.75)
         np.testing.assert_allclose(out, [0.625, 0.375, 0.0, 0.0])
+        # a prefix whose mass equals p exactly is enough
+        out = _filter_one([0.5, 0.25, 0.25], k=3, p=0.75)
+        np.testing.assert_allclose(out, [2 / 3, 1 / 3, 0.0])
 
     def test_k_one_is_greedy(self):
         for p in (0.01, 0.5, 1.0):
-            out = filter_top_k_top_p(np.array([0.2, 0.5, 0.3]), k=1, p=p)
+            out = _filter_one([0.2, 0.5, 0.3], k=1, p=p)
             np.testing.assert_array_equal(out, [0.0, 1.0, 0.0])
 
     def test_identity_when_unrestricted(self):
         probs = np.array([0.5, 0.25, 0.125, 0.125])
-        out = filter_top_k_top_p(probs, k=4, p=1.0)
+        out = _filter_one(probs, k=4, p=1.0)
         np.testing.assert_array_equal(out, probs)
 
     def test_support_at_most_k(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            probs = rng.dirichlet(np.ones(20))
+            probs = rng.dirichlet(np.ones(20), size=4)
             k = int(rng.integers(1, 21))
             p = float(rng.uniform(0.05, 1.0))
             out = filter_top_k_top_p(probs, k=k, p=p)
-            assert (out > 0).sum() <= k
-            assert out.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all((out > 0).sum(axis=-1) <= k)
+            np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_retained_mass_reaches_p_or_topk_mass(self):
         rng = np.random.default_rng(1)
@@ -52,35 +74,59 @@ class TestFilter:
             probs = rng.dirichlet(np.ones(12))
             k = int(rng.integers(1, 13))
             p = float(rng.uniform(0.05, 1.0))
-            out = filter_top_k_top_p(probs, k=k, p=p)
+            out = _filter_one(probs, k=k, p=p)
             kept_mass = probs[out > 0].sum()
             order = np.argsort(-probs, kind="stable")
             topk_mass = probs[order[:k]].sum()
             assert kept_mass >= min(p, topk_mass) - 1e-12
 
     def test_ties_break_to_lower_token_id(self):
-        out = filter_top_k_top_p(np.array([0.25, 0.25, 0.25, 0.25]), k=2, p=1.0)
+        out = _filter_one([0.25, 0.25, 0.25, 0.25], k=2, p=1.0)
         np.testing.assert_allclose(out, [0.5, 0.5, 0.0, 0.0])
 
     def test_matches_reference_oracle(self):
+        """Every row of the batched filter equals the enumerating oracle byte
+        for byte, across ties, p = 1, k = 1 and k = vocab."""
         rng = np.random.default_rng(2)
+        for trial in range(300):
+            vocab = int(rng.integers(1, 15))
+            probs = _random_rows(rng, int(rng.integers(1, 8)), vocab)
+            k = (1, vocab, int(rng.integers(1, vocab + 1)))[trial % 3]
+            p = 1.0 if trial % 4 == 0 else float(rng.uniform(0.05, 1.0))
+            out = filter_top_k_top_p(probs, k=k, p=p)
+            for row, expected in zip(out, probs):
+                assert row.tobytes() == reference_filter(expected, k, p).tobytes()
+
+    def test_order_of_the_cuts_does_not_matter(self):
+        """The nucleus of the whole ranking cut to k tokens is the nucleus
+        of the top k: both are one prefix of the same ranking."""
+        rng = np.random.default_rng(9)
         for _ in range(300):
-            probs = rng.dirichlet(np.ones(int(rng.integers(2, 15))))
-            k = int(rng.integers(1, probs.size + 1))
-            p = float(rng.uniform(0.05, 1.0))
-            np.testing.assert_allclose(
-                filter_top_k_top_p(probs, k=k, p=p),
-                reference_filter(probs, k, p),
-                atol=1e-9,
-            )
+            vocab = int(rng.integers(1, 15))
+            probs = _random_rows(rng, 1, vocab)[0]
+            k = int(rng.integers(1, vocab + 1))
+            p = float(rng.choice([1.0, rng.uniform(0.05, 1.0)]))
+            in_nucleus = reference_filter(probs, vocab, p) > 0
+            top = np.argsort(-np.where(in_nucleus, probs, 0.0), kind="stable")[:k]
+            cut = np.zeros_like(probs)
+            cut[top] = np.where(in_nucleus[top], probs[top], 0.0)
+            assert (cut / cut.sum()).tobytes() == _filter_one(probs, k, p).tobytes()
 
     def test_degenerate_input_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            filter_top_k_top_p(np.zeros(4), k=2, p=0.9)
+            filter_top_k_top_p(np.zeros((1, 4)), k=2, p=0.9)
+        with pytest.raises(ValueError, match="zero"):
+            filter_top_k_top_p(np.array([[0.5, 0.5], [0.0, 0.0]]), k=1, p=0.9)
+        with pytest.raises(ValueError, match="non-negative"):
+            filter_top_k_top_p(np.array([[1.5, -0.5]]), k=1, p=0.9)
+        with pytest.raises(ValueError, match="vocab"):
+            filter_top_k_top_p(np.array([0.5, 0.5]), k=1, p=0.9)
 
     def test_k_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            filter_top_k_top_p(np.array([1.0, 0.0]), k=3, p=0.9)
+            filter_top_k_top_p(np.array([[1.0, 0.0]]), k=3, p=0.9)
+        with pytest.raises(ValueError):
+            filter_top_k_top_p(np.array([[1.0, 0.0]]), k=0, p=0.9)
 
 
 class TestSampling:
@@ -90,16 +136,31 @@ class TestSampling:
         rng = np.random.default_rng(3)
         filtered = np.array([0.55, 0.3, 0.15, 0.0])
         draws = 100_000
-        counts = np.zeros(4)
-        for _ in range(draws):
-            counts[sample_token(filtered, rng)] += 1
-        np.testing.assert_allclose(counts / draws, filtered, atol=0.01)
+        tokens = sample_tokens(np.tile(filtered, (draws, 1)), rng.random(draws))
+        np.testing.assert_allclose(np.bincount(tokens, minlength=4) / draws, filtered, atol=0.01)
 
     def test_never_samples_outside_support(self):
         rng = np.random.default_rng(4)
         filtered = np.array([0.0, 0.7, 0.0, 0.3, 0.0])
-        for _ in range(2000):
-            assert filtered[sample_token(filtered, rng)] > 0
+        tokens = sample_tokens(np.tile(filtered, (2000, 1)), rng.random(2000))
+        assert np.all(filtered[tokens] > 0)
+
+    def test_matches_reference_draw(self):
+        """Each row draws what the support-only inversion draws at the same
+        uniform, including u = 0 and u = 1 (the clamp to the last nonzero
+        id), with zero-probability ids before, between and after the support."""
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            vocab = int(rng.integers(1, 15))
+            probs = _random_rows(rng, 6, vocab)
+            probs[:, : int(rng.integers(0, vocab))] = 0.0
+            probs[probs.sum(axis=-1) == 0.0, -1] = 1.0
+            filtered = filter_top_k_top_p(probs, k=int(rng.integers(1, vocab + 1)),
+                                          p=float(rng.uniform(0.05, 1.0)))
+            uniforms = rng.random(6)
+            uniforms[:2] = [0.0, 1.0]
+            for row, u, token in zip(filtered, uniforms, sample_tokens(filtered, uniforms)):
+                assert token == reference_draw(row, u)
 
 
 @pytest.fixture(scope="module")
@@ -137,19 +198,48 @@ class TestSampleCandidates:
         assert [c.text for c in a] == [c.text for c in b]
         assert all(c.cluster == 1 for c in a)
 
-    def test_emitted_ids_lie_in_filtered_support(self, generation_setup):
+    @staticmethod
+    def _record_steps(monkeypatch):
+        """Wrap the filter and the draw; each call appends its output."""
+        steps = {"filter": [], "draw": []}
+
+        def recording(name, function):
+            def wrapped(*args, **kwargs):
+                out = function(*args, **kwargs)
+                steps[name].append(out)
+                return out
+            return wrapped
+
+        monkeypatch.setattr(generator, "filter_top_k_top_p",
+                            recording("filter", generator.filter_top_k_top_p))
+        monkeypatch.setattr(generator, "sample_tokens", recording("draw", generator.sample_tokens))
+        return steps
+
+    def test_emitted_ids_lie_in_filtered_support(self, generation_setup, monkeypatch):
         vocab, encoder, decoder, center = generation_setup
         sampler = SamplerConfig(top_k=5, top_p=0.8, num_candidates=3,
                                 max_summary_len=12, seed=1)
-        trace = []
-        candidates = sample_candidates(decoder, center, vocab, sampler, trace=trace)
-        assert len(trace) == sum(len(c.token_ids) for c in candidates)
-        for s, candidate in enumerate(candidates):
-            steps = [(support, chosen) for who, support, chosen in trace if who == s]
-            assert [chosen for _, chosen in steps] == candidate.token_ids
-            for support, chosen in steps:
-                assert chosen in support
-                assert len(support) <= 5
+        steps = self._record_steps(monkeypatch)
+        candidates = sample_candidates(decoder, center, vocab, sampler)
+        assert sum(len(drawn) for drawn in steps["draw"]) == sum(
+            len(c.token_ids) for c in candidates)
+        for t, (filtered, drawn) in enumerate(zip(steps["filter"], steps["draw"])):
+            # the rows of step t are the candidates still live, in order
+            live = [c for c in candidates if len(c.token_ids) > t]
+            assert [c.token_ids[t] for c in live] == drawn.tolist()
+            assert np.all(filtered[np.arange(len(live)), drawn] > 0)
+            assert np.all((filtered > 0).sum(axis=-1) <= 5)
+
+    def test_one_filter_and_one_draw_per_step(self, long_setup, monkeypatch):
+        vocab, decoder, center = long_setup
+        sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=6,
+                                max_summary_len=40, seed=3)
+        steps = self._record_steps(monkeypatch)
+        candidates = sample_candidates(decoder, center, vocab, sampler)
+        decoding_steps = max(len(c.token_ids) for c in candidates)
+        assert len(steps["filter"]) == len(steps["draw"]) == decoding_steps
+        assert [len(drawn) for drawn in steps["draw"]] == [
+            sum(len(c.token_ids) > t for c in candidates) for t in range(decoding_steps)]
 
     def test_stops_at_sep_or_length_cap(self, generation_setup):
         vocab, encoder, decoder, center = generation_setup
@@ -252,4 +342,4 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(num_candidates=0)
         with pytest.raises(ValueError):
-            SamplerConfig(filter_order="sideways")
+            SamplerConfig(max_summary_len=0)

@@ -238,7 +238,10 @@ def _evaluate_with_references(run_copy, line):
 @pytest.mark.parametrize("line", ["[1, 2]", '{"cluster": null, "text": "a"}',
                                   '{"cluster": 1.7, "text": "a"}',
                                   '{"cluster": true, "text": "a"}',
-                                  '{"cluster": "0", "text": "a"}'])
+                                  '{"cluster": "0", "text": "a"}',
+                                  '{"cluster": 1, "text": null}',
+                                  '{"cluster": 1, "text": ["a"]}',
+                                  '{"cluster": 1, "text": "!!"}'])
 def test_malformed_reference_line_exits_3(run_copy, capsys, line):
     code, references = _evaluate_with_references(run_copy, line)
     assert code == 3

@@ -7,6 +7,7 @@ import pytest
 
 from clustersum.tensor import (
     Tensor,
+    _row_mean,
     cross_entropy,
     dropout,
     gather_rows,
@@ -114,6 +115,39 @@ class TestLayerNorm:
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
             layer_norm(Tensor([[1.0, 2.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
+
+    SHAPES = [(1, 64), (24, 64), (3, 7, 33), (512, 768), (5, 1)]
+
+    @staticmethod
+    def _scaled_rows(rng, shape, dtype):
+        rows = rng.normal(size=shape, loc=rng.uniform(-5, 5)) * rng.uniform(0.1, 100)
+        return rows.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_mean_has_the_bytes_of_ndarray_mean(self, dtype):
+        rng = np.random.default_rng(21)
+        for shape in self.SHAPES:
+            x = self._scaled_rows(rng, shape, dtype)
+            expected = x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
+            got = _row_mean(x)
+            assert got.dtype == dtype
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_has_the_bytes_of_ndarray_mean(self, dtype):
+        """The mean and the variance, each a float64 sum over the count,
+        give the bytes of the same formula written with ``ndarray.mean``."""
+        rng = np.random.default_rng(22)
+        for shape in self.SHAPES:
+            x = self._scaled_rows(rng, shape, dtype)
+            gain = rng.normal(size=shape[-1]).astype(dtype)
+            bias = rng.normal(size=shape[-1]).astype(dtype)
+            centered = x - x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dtype)
+            var = (centered * centered).mean(axis=-1, keepdims=True, dtype=np.float64)
+            inv = (1.0 / np.sqrt(var + 1e-12)).astype(dtype)
+            expected = centered * inv * gain + bias
+            out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias), eps=1e-12)
+            assert out.data.tobytes() == expected.tobytes()
 
 
 class TestGelu:
