@@ -5,6 +5,12 @@ Three jobs: masked-token pretraining over a raw corpus, document embedding
 optional label-supervised fine-tuning through a softmax classifier head on
 that embedding.
 
+Masked-token training reads the last block's output at every position.
+Embedding, classification and fine-tuning read the [CLS] rows only, so they
+run a shortened last block (``forward(..., cls_only=True)``): its keys and
+values still come from every position, but its queries, output projection,
+residual norms and feed-forward sublayer run on one row per document.
+
 Every forward takes a batch of documents, right-padded with [PAD] to the
 longest one; padded keys are masked out of attention, so each document's
 hidden states are those it would have alone. Training runs one forward and
@@ -56,6 +62,8 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        if self.num_blocks < 1:
+            raise ValueError(f"need at least one block, got {self.num_blocks}")
         if self.hidden_size % self.num_heads != 0:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"
@@ -194,28 +202,34 @@ class EncoderModel(Model):
         ids,
         train: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor, Tensor]:
-        """Final hidden states ``[b·t, h]`` and [CLS] embeddings ``[b, h]`` of
-        a batch of b token-id sequences, padded to the longest (t).
+        cls_only: bool = False,
+    ) -> Tensor:
+        """Final hidden states ``[b·t, h]`` of a batch of b token-id
+        sequences, padded to the longest (t); with ``cls_only``, only the
+        [CLS] embeddings ``[b, h]``.
 
         Row i·t + j of the hidden states is position j of sequence i; rows
         past a sequence's length are padding, which no real position sees.
+        With ``cls_only`` the last block runs at each sequence's row 0 alone
+        (its keys and values still cover every position), so its rows are
+        those of the full forward up to float rounding.
         """
         x, lengths = self._embed(ids, train, rng)
         b = len(lengths)
-        mask = padding_mask(lengths, x.shape[0] // b, self.dtype)
+        t = x.shape[0] // b
+        mask = padding_mask(lengths, t, self.dtype)
         rate = self.config.dropout if train else 0.0
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             x = block(x, b, mask, dropout_rate=rate, train=train, rng=rng)
-        cls_embeddings = gather_rows(x, np.arange(b) * (x.shape[0] // b))
-        return x, cls_embeddings
+        rows = np.arange(b) * t if cls_only else None
+        return self.blocks[-1](x, b, mask, dropout_rate=rate, train=train, rng=rng, rows=rows)
 
     def embed_documents(self, docs: list[EncodedDocument]) -> np.ndarray:
         """Deterministic document embeddings ``[n, h]`` (no graph, eval mode),
         ``EVAL_BATCH_SIZE`` documents per forward."""
         with no_grad():
             return np.concatenate([
-                self.forward([d.ids for d in chunk])[1].data
+                self.forward([d.ids for d in chunk], cls_only=True).data
                 for chunk in batches(docs, EVAL_BATCH_SIZE)
             ])
 
@@ -253,7 +267,7 @@ def _mlm_batch(
     masked = [mask_for_mlm(doc, rate=rate, rng=rng, vocab=vocab, bert_corruption=bert_corruption)
               for doc in docs]
     ids, positions, originals = zip(*masked)
-    hidden, _ = model.forward(ids, train=train, rng=rng)
+    hidden = model.forward(ids, train=train, rng=rng)
     t = hidden.shape[0] // len(docs)
     rows = np.concatenate([i * t + np.asarray(p) for i, p in enumerate(positions)])
     counts = np.array([len(o) for o in originals])
@@ -347,7 +361,7 @@ def classifier_batch_loss(
 ) -> tuple[Tensor, int]:
     """One batch's classification loss, each document's label loss times
     ``1/batch_size``, summed; plus the number of correct argmax labels."""
-    _, embeddings = model.forward([d.ids for d in docs], train=train, rng=rng)
+    embeddings = model.forward([d.ids for d in docs], train=train, rng=rng, cls_only=True)
     logits = model.classifier(embeddings)
     labels = np.array([d.label for d in docs])
     loss = cross_entropy(logits, labels, weights=np.full(len(docs), 1.0 / batch_size))

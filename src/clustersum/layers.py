@@ -16,7 +16,11 @@ norm, GELU, feed-forward, heads) treats it as plain rows. Only
 self-attention needs the sequence boundaries: it takes the batch size,
 works on ``[b, heads, t, head_dim]`` stacks, and takes an additive mask
 (``MASK_FILL`` on every score a query must not see, such as padded keys)
-that broadcasts to ``[b, t, t]``.
+that broadcasts to ``[b, t, t]``. An encoder block can also ask at r < t
+rows per sequence (the encoder's last block asks at [CLS] only): keys and
+values still cover all t positions, queries are ``[b·r, hidden]`` rows, the
+mask broadcasts to ``[b, r, t]``, and everything after attention runs on
+the r rows.
 
 Every layer and model is a ``Module``, and a parameter's name is its
 attribute path: a trainable ``Tensor`` attribute is named after the
@@ -131,8 +135,10 @@ class MultiHeadAttention(Module):
     """Scaled dot-product self-attention over ``num_heads`` parallel heads.
 
     ``x`` holds ``batch`` sequences of t positions as ``[batch·t, hidden]``
-    rows; queries, keys and values all come from ``x``. ``mask`` is added to
-    the scores and must broadcast to ``[batch, t, t]``. With ``cache`` given,
+    rows; keys and values come from ``x``, and so do the queries unless
+    ``queries`` gives r rows of ``x`` per sequence (``[batch·r, hidden]``),
+    in which case the output has those rows only. ``mask`` is added to the
+    scores and must broadcast to ``[batch, r, t]``. With ``cache`` given,
     ``x`` holds one new position per batch row (``[b, hidden]``): its keys
     and values are appended to the cache and its queries attend over every
     cached position. The cache holds only past positions, so no mask is
@@ -151,10 +157,11 @@ class MultiHeadAttention(Module):
         self.wo = Linear(rng, hidden, hidden, dtype)
 
     def __call__(self, x: Tensor, batch: int = 1, mask: np.ndarray | None = None,
-                 cache: KVCache | None = None) -> Tensor:
+                 cache: KVCache | None = None, queries: Tensor | None = None) -> Tensor:
         if cache is not None:
             return self._step(x, cache)
-        return self.wo(attention(self.wq(x), self.wk(x), self.wv(x), batch, self.num_heads, mask))
+        q = self.wq(x if queries is None else queries)
+        return self.wo(attention(q, self.wk(x), self.wv(x), batch, self.num_heads, mask))
 
     def _step(self, x: Tensor, cache: KVCache) -> Tensor:
         b = x.shape[0]
@@ -197,7 +204,15 @@ def _maybe_dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator
 
 
 class EncoderBlock(Module):
-    """Bidirectional self-attention followed by a feed-forward sublayer."""
+    """Bidirectional self-attention followed by a feed-forward sublayer.
+
+    With ``rows`` (indices into the ``[batch·t, hidden]`` input, the same
+    count r per sequence, sequence by sequence) the block computes only
+    those ``[batch·r, hidden]`` output rows: keys and values still come
+    from every position, but the query projection, the output projection,
+    both residual norms, the feed-forward sublayer and its dropout run on
+    the chosen rows alone.
+    """
 
     def __init__(self, rng: np.random.Generator | None, hidden: int, num_heads: int, ffn_size: int, dtype=np.float32):
         self.attn = MultiHeadAttention(rng, hidden, num_heads, dtype)
@@ -206,9 +221,11 @@ class EncoderBlock(Module):
         self.norm_ffn = LayerNorm(hidden, dtype)
 
     def __call__(self, x: Tensor, batch: int, mask: np.ndarray, dropout_rate: float = 0.0,
-                 train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        a = _maybe_dropout(self.attn(x, batch, mask=mask), dropout_rate, train, rng)
-        x = self.norm_attn(x, a)
+                 train: bool = False, rng: np.random.Generator | None = None,
+                 rows: np.ndarray | None = None) -> Tensor:
+        q = x if rows is None else gather_rows(x, rows)
+        a = _maybe_dropout(self.attn(x, batch, mask=mask, queries=q), dropout_rate, train, rng)
+        x = self.norm_attn(q, a)
         f = _maybe_dropout(self.ffn(x), dropout_rate, train, rng)
         return self.norm_ffn(x, f)
 

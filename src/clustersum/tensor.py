@@ -15,9 +15,11 @@ layer_norm mean and variance and their backward means, the ``cross_entropy``
 exponential sums and loss total, and ``reduce_sum``.
 
 Three fused ops are one node each, ``linear`` (``x @ w + b``), ``attention``
-(multi-head, on ``[b·t, hidden]`` rows, around the numpy core ``attend``)
-and ``add_layer_norm`` (``layer_norm(x + a)``); their backwards replay the
-composed graphs' expressions in the same order, so the bytes are the same.
+(multi-head, around the numpy core ``attend``; keys and values are
+``[b·t, hidden]`` rows and queries ``[b·r, hidden]`` rows, where r may be
+fewer than t positions per sequence) and ``add_layer_norm``
+(``layer_norm(x + a)``); their backwards replay the composed graphs'
+expressions in the same order, so the bytes are the same.
 
 A node's first gradient becomes its ``grad`` without a copy when the op
 that produced it allocated it for that one operand: linear, attention, mul,
@@ -304,17 +306,26 @@ def gather_rows(x: Tensor, indices) -> Tensor:
 def _scatter_add_rows(target: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
     """``np.add.at(target, idx, rows)`` with the same additions in the same
     order: the k-th occurrence of every index is added in one vectorized
-    pass k, and within a pass no index repeats."""
+    pass k, and within a pass no index repeats. Without repeats that is a
+    single pass."""
     if idx.size == 0:
         return
     order = np.argsort(idx, kind="stable")
     sorted_idx = idx[order]
-    first = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
-    rank = np.arange(idx.size) - np.repeat(first, np.diff(np.r_[first, idx.size]))
+    starts_group = np.empty(idx.size, dtype=bool)
+    starts_group[0] = True
+    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=starts_group[1:])
+    if starts_group.all():
+        target[idx] += rows
+        return
+    # rank of each sorted occurrence within its index's run of repeats
+    position = np.arange(idx.size)
+    rank = position - np.maximum.accumulate(np.where(starts_group, position, 0))
     # occurrences grouped by rank, in index order within a rank
     by_rank = order[np.argsort(rank, kind="stable")]
-    ends = np.cumsum(np.bincount(rank))
-    for lo, hi in zip(np.r_[0, ends[:-1]], ends):
+    counts = np.bincount(rank)
+    ends = np.cumsum(counts)
+    for lo, hi in zip(ends - counts, ends):
         sel = by_rank[lo:hi]
         target[idx[sel]] += rows[sel]
 
@@ -415,34 +426,41 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 
 def attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int,
               mask: np.ndarray | None = None) -> Tensor:
-    """Attention over ``heads`` heads of ``batch`` sequences of t positions,
-    given as ``[batch·t, hidden]`` query, key and value rows, as one node;
-    ``mask`` must broadcast to ``[batch, t, t]`` and serves every head."""
+    """Attention over ``heads`` heads of ``batch`` sequences, as one node.
+
+    Keys and values are ``[batch·t, hidden]`` rows, t positions per
+    sequence; queries are ``[batch·r, hidden]`` rows, r per sequence, which
+    may be fewer than t (r = 1 asks at one position per sequence only).
+    ``mask`` must broadcast to ``[batch, r, t]`` and serves every head.
+    """
     _common_dtype(q, k)
     _common_dtype(q, v)
-    if not q.shape == k.shape == v.shape or q.ndim != 2:
-        raise ValueError(f"attention needs equal 2-D operands: {q.shape}, {k.shape}, {v.shape}")
-    rows, hidden = q.shape
-    t = rows // batch
-    split = (batch, t, heads, hidden // heads)
-    qs = np.ascontiguousarray(q.data.reshape(split).transpose(0, 2, 1, 3))
-    ks = np.ascontiguousarray(k.data.reshape(split).transpose(0, 2, 3, 1))
-    vs = np.ascontiguousarray(v.data.reshape(split).transpose(0, 2, 1, 3))
+    if k.shape != v.shape or q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
+        raise ValueError(f"attention needs 2-D operands of one hidden size and equal keys "
+                         f"and values: {q.shape}, {k.shape}, {v.shape}")
+    if q.shape[0] % batch or k.shape[0] % batch:
+        raise ValueError(f"attention rows {q.shape[0]} and {k.shape[0]} are not "
+                         f"{batch} sequences of equal length")
+    hidden = q.shape[1]
+    r, t, hd = q.shape[0] // batch, k.shape[0] // batch, hidden // heads
+    qs = np.ascontiguousarray(q.data.reshape(batch, r, heads, hd).transpose(0, 2, 1, 3))
+    ks = np.ascontiguousarray(k.data.reshape(batch, t, heads, hd).transpose(0, 2, 3, 1))
+    vs = np.ascontiguousarray(v.data.reshape(batch, t, heads, hd).transpose(0, 2, 1, 3))
     if mask is not None:
-        mask = np.broadcast_to(mask, (batch, t, t))[:, None]
+        mask = np.broadcast_to(mask, (batch, r, t))[:, None]
     weights, context = attend(qs, ks, vs, mask)
 
     def merge(heads_grad: np.ndarray, axes) -> np.ndarray:
-        return np.ascontiguousarray(heads_grad.transpose(axes)).reshape(rows, hidden)
+        return np.ascontiguousarray(heads_grad.transpose(axes)).reshape(-1, hidden)
 
     def backward_fn(grad: np.ndarray) -> None:
-        d_context = np.ascontiguousarray(grad.reshape(split).transpose(0, 2, 1, 3))
+        d_context = np.ascontiguousarray(grad.reshape(batch, r, heads, hd).transpose(0, 2, 1, 3))
         d_weights = d_context @ np.swapaxes(vs, -1, -2)
         _accumulate(v, merge(np.swapaxes(weights, -1, -2) @ d_context, (0, 2, 1, 3)), owned=True)
         d_scores = _softmax_grad(weights, d_weights, -1)
         # scaled after the softmax backward, where the composed graph's
         # product node applied it: the other order rounds differently
-        d_scores *= np.asarray(1.0 / math.sqrt(split[3]), dtype=d_scores.dtype)
+        d_scores *= np.asarray(1.0 / math.sqrt(hd), dtype=d_scores.dtype)
         _accumulate(q, merge(d_scores @ np.swapaxes(ks, -1, -2), (0, 2, 1, 3)), owned=True)
         _accumulate(k, merge(np.swapaxes(qs, -1, -2) @ d_scores, (0, 3, 1, 2)), owned=True)
 

@@ -22,6 +22,7 @@ from clustersum.tensor import (
     _common_dtype,
     _record,
     cross_entropy,
+    gather_rows,
     layer_norm,
     no_grad,
     softmax,
@@ -99,21 +100,22 @@ def composed_linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 def composed_attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int,
                        mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head attention of ``[batch·t, hidden]`` rows as the graph of
-    reshapes, transposes, matmuls, scale, mask add and softmax it once was."""
+    """Multi-head attention of ``[batch·r, hidden]`` query rows over
+    ``[batch·t, hidden]`` key and value rows as the graph of reshapes,
+    transposes, matmuls, scale, mask add and softmax it once was."""
     b, nh = batch, heads
-    t, hidden = q.shape[0] // b, q.shape[1]
+    r, t, hidden = q.shape[0] // b, k.shape[0] // b, q.shape[1]
     hd = hidden // nh
-    qs = transpose(q.reshape((b, t, nh, hd)), (0, 2, 1, 3)).reshape((b * nh, t, hd))
+    qs = transpose(q.reshape((b, r, nh, hd)), (0, 2, 1, 3)).reshape((b * nh, r, hd))
     ks = transpose(k.reshape((b, t, nh, hd)), (0, 2, 3, 1)).reshape((b * nh, hd, t))
     vs = transpose(v.reshape((b, t, nh, hd)), (0, 2, 1, 3)).reshape((b * nh, t, hd))
     scores = matmul(qs, ks) * (1.0 / math.sqrt(hd))
     if mask is not None:
         # batch row i's mask serves its heads i·nh .. i·nh + nh - 1
-        scores = scores + Tensor(np.repeat(np.broadcast_to(mask, (b, t, t)), nh, axis=0))
-    context = transpose(matmul(softmax(scores, axis=-1), vs).reshape((b, nh, t, hd)),
+        scores = scores + Tensor(np.repeat(np.broadcast_to(mask, (b, r, t)), nh, axis=0))
+    context = transpose(matmul(softmax(scores, axis=-1), vs).reshape((b, nh, r, hd)),
                         (0, 2, 1, 3))
-    return context.reshape((b * t, hidden))
+    return context.reshape((b * r, hidden))
 
 
 def composed_add_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
@@ -336,12 +338,19 @@ def init_name_mapping(num_blocks: int) -> dict[str, str]:
 
 # -- per-document references for the batched encoder and decoder paths ------
 # Each runs one forward per document (a batch of one, so no padding) and
-# accumulates per-document gradients, as training did before batching.
+# accumulates per-document gradients, as training did before batching. The
+# [CLS] references run the full forward, every position through the last
+# block, and keep row 0.
+
+
+def full_forward_cls(encoder, ids) -> Tensor:
+    """[CLS] row ``[1, h]`` of one document's full forward."""
+    return gather_rows(encoder.forward([ids]), [0])
 
 
 def per_document_embeddings(encoder, docs) -> np.ndarray:
     with no_grad():
-        return np.stack([encoder.forward([d.ids])[1].data[0] for d in docs])
+        return np.stack([full_forward_cls(encoder, d.ids).data[0] for d in docs])
 
 
 def per_document_mlm_loss(model, docs, rate: float, rng: np.random.Generator,
@@ -351,7 +360,7 @@ def per_document_mlm_loss(model, docs, rate: float, rng: np.random.Generator,
     total = 0.0
     for doc in docs:
         masked, positions, originals = mask_for_mlm(doc, rate=rate, rng=rng)
-        hidden, _ = model.forward([masked])
+        hidden = model.forward([masked])
         loss = cross_entropy(model.mlm_logits(hidden, positions), originals, reduction="mean")
         (loss * (1.0 / batch_size)).backward()
         total += loss.item() / batch_size
@@ -362,8 +371,8 @@ def per_document_classifier_loss(model, docs, batch_size: int) -> float:
     """Each document in turn: forward, label loss times 1/batch_size, backward."""
     total = 0.0
     for doc in docs:
-        _, embedding = model.forward([doc.ids])
-        loss = cross_entropy(model.classifier(embedding), [doc.label]) * (1.0 / batch_size)
+        logits = model.classifier(full_forward_cls(model, doc.ids))
+        loss = cross_entropy(logits, [doc.label]) * (1.0 / batch_size)
         loss.backward()
         total += loss.item()
     return total

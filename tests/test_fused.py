@@ -7,9 +7,10 @@ import pytest
 
 import clustersum.layers
 from clustersum.decoder import build_training_examples, init_from_encoder, weighted_ce_loss
-from clustersum.encoder import EncoderModel, ModelConfig, mlm_batch_loss
+from clustersum.encoder import EncoderModel, ModelConfig, classifier_batch_loss, mlm_batch_loss
 from clustersum.layers import EncoderBlock, causal_mask, padding_mask
 from clustersum.tensor import Tensor, add_layer_norm, attention, linear
+from clustersum.tokenizer import EncodedDocument
 
 from corpora import build_docs, graded_topic_texts
 from oracles import (
@@ -66,6 +67,19 @@ class TestMatchesComposedGraph:
                           lambda q, k, v: composed_attention(q, k, v, 2, 4, m),
                           arrays, rng.normal(size=(8, 12)), dtype)
 
+    @pytest.mark.parametrize("mask", ["none", "padded"])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_attention_fewer_query_rows(self, dtype, mask, r):
+        """r query rows per sequence against the 4 key and value positions
+        of each of two sequences, 4 heads of width 3."""
+        rng = np.random.default_rng(47)
+        arrays = [rng.normal(size=(2 * r, 12), scale=2.0),
+                  rng.normal(size=(8, 12), scale=2.0), rng.normal(size=(8, 12), scale=2.0)]
+        m = _masks(dtype)[mask]
+        assert_same_bytes(lambda q, k, v: attention(q, k, v, 2, 4, m),
+                          lambda q, k, v: composed_attention(q, k, v, 2, 4, m),
+                          arrays, rng.normal(size=(2 * r, 12)), dtype)
+
     @pytest.mark.parametrize("x_feeds_more", [False, True])
     def test_add_layer_norm(self, dtype, x_feeds_more):
         """With ``x_feeds_more``, ``x`` also feeds a product whose backward
@@ -120,6 +134,14 @@ class TestTrainingStepMatchesComposedGraph:
         self._compare(monkeypatch, encoder, lambda: mlm_batch_loss(
             encoder, docs[:6], 0.3, np.random.default_rng(7), 6, train=True)[0])
 
+    def test_classifier(self, monkeypatch):
+        """The last block at the [CLS] rows only."""
+        docs, vocab, encoder = self._setup()
+        encoder.add_classifier(2, np.random.default_rng(9))
+        labeled = [EncodedDocument(d.doc_id, d.ids, label=i % 2) for i, d in enumerate(docs[:6])]
+        self._compare(monkeypatch, encoder, lambda: classifier_batch_loss(
+            encoder, labeled, 6, train=True, rng=np.random.default_rng(10))[0])
+
     def test_decoder(self, monkeypatch):
         docs, vocab, encoder = self._setup()
         decoder = init_from_encoder(encoder)
@@ -151,6 +173,18 @@ class TestGradientChecks:
             lambda ts: (attention(*ts, 2, 2, mask) * Tensor(probe, dtype=dtype)).sum(),
             [rng.normal(size=(8, 6), scale=2.0) for _ in range(3)], rng=rng, dtype=dtype,
             num_coords=90,
+        )
+
+    def test_attention_fewer_query_rows(self, dtype):
+        """The query leaf holds 2·2 rows, the key and value leaves 2·4; two
+        padded sequences."""
+        rng = np.random.default_rng(48)
+        mask = _masks(dtype)["padded"]
+        probe = rng.normal(size=(4, 6)) / 10.0
+        assert_gradients_match(
+            lambda ts: (attention(*ts, 2, 2, mask) * Tensor(probe, dtype=dtype)).sum(),
+            [rng.normal(size=(4, 6), scale=2.0), rng.normal(size=(8, 6), scale=2.0),
+             rng.normal(size=(8, 6), scale=2.0)], rng=rng, dtype=dtype, num_coords=72,
         )
 
     @pytest.mark.parametrize("x_feeds_first", [False, True])
@@ -196,6 +230,14 @@ class TestShapeChecks:
         q = Tensor(np.zeros((4, 6)))
         with pytest.raises(ValueError, match="equal"):
             attention(q, q, Tensor(np.zeros((4, 3))), 2, 2)
+        with pytest.raises(ValueError, match="hidden size"):
+            attention(Tensor(np.zeros((2, 4))), q, q, 2, 2)
+
+    @pytest.mark.parametrize("q_rows, kv_rows", [(3, 4), (2, 5)])
+    def test_attention_refuses_rows_batch_does_not_divide(self, q_rows, kv_rows):
+        kv = Tensor(np.zeros((kv_rows, 6)))
+        with pytest.raises(ValueError, match="2 sequences"):
+            attention(Tensor(np.zeros((q_rows, 6))), kv, kv, 2, 2)
 
 
 def test_encoder_block_builds_at_most_12_nodes():
@@ -207,3 +249,14 @@ def test_encoder_block_builds_at_most_12_nodes():
     x = Tensor(rng.normal(size=(6, 8)).astype(np.float32), requires_grad=True)
     out = block(x, 2, padding_mask([3, 2], 3, np.float32), dropout_rate=0.1, train=True, rng=rng)
     assert graph_nodes(out, [x]) <= 12
+
+
+def test_encoder_block_at_rows_adds_only_the_gather():
+    """Asking at one row per sequence adds the query-row gather node."""
+    rng = np.random.default_rng(46)
+    block = EncoderBlock(rng, 8, 2, 16)
+    x = Tensor(rng.normal(size=(6, 8)).astype(np.float32), requires_grad=True)
+    out = block(x, 2, padding_mask([3, 2], 3, np.float32), dropout_rate=0.1, train=True, rng=rng,
+                rows=np.array([0, 3]))
+    assert out.shape == (2, 8)
+    assert graph_nodes(out, [x]) <= 13

@@ -245,18 +245,21 @@ class TestGatherRowsBackward:
 def test_gather_rows_backward_adds_in_add_at_order(dtype):
     """Into a gradient another op already left, the rows' gradient adds up
     exactly as ``np.add.at`` would: same additions, same order, so the same
-    rounding. Magnitudes spread over six decades make the order matter."""
+    rounding. Magnitudes spread over six decades make the order matter.
+    Repeated, unique (a single pass), one and no indices."""
     rng = np.random.default_rng(42)
-    idx = rng.integers(0, 12, size=300)
-    idx[:40] = 5
-    table = Tensor(rng.normal(size=(12, 4)), requires_grad=True, dtype=dtype)
-    existing = rng.normal(size=(12, 4)).astype(dtype)
-    probe = (rng.normal(size=(300, 4)) * 10.0 ** rng.uniform(-3, 3, size=(300, 1))).astype(dtype)
-    table.grad = existing.copy()
-    (gather_rows(table, idx) * Tensor(probe)).sum().backward()
-    expected = existing.copy()
-    np.add.at(expected, idx, probe)
-    assert table.grad.tobytes() == expected.tobytes()
+    repeated = rng.integers(0, 12, size=300)
+    repeated[:40] = 5
+    for idx in (repeated, rng.permutation(12)[:7], np.array([11]), np.zeros(0, dtype=np.intp)):
+        table = Tensor(rng.normal(size=(12, 4)), requires_grad=True, dtype=dtype)
+        existing = rng.normal(size=(12, 4)).astype(dtype)
+        probe = (rng.normal(size=(idx.size, 4))
+                 * 10.0 ** rng.uniform(-3, 3, size=(idx.size, 1))).astype(dtype)
+        table.grad = existing.copy()
+        (gather_rows(table, idx) * Tensor(probe)).sum().backward()
+        expected = existing.copy()
+        np.add.at(expected, idx, probe)
+        assert table.grad.tobytes() == expected.tobytes(), idx
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
