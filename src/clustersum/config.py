@@ -9,6 +9,7 @@ A value no stage could run with is rejected when the configuration is built.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -88,8 +89,10 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be at least 1, got {value}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
-        # the sampling and evaluation settings too, so a bad value fails before any stage
-        self.sampler_config(vocab_size=self.top_k, cls_id=0)
+        # the sampling and evaluation settings too, so a bad value fails before
+        # any stage; a literal start id is checked against the vocabulary once
+        # that exists
+        self.sampler_config(vocab_size=sys.maxsize, cls_id=0)
         self.top_k_values()
 
     @classmethod
@@ -127,13 +130,22 @@ class PipelineConfig:
             raise ConfigError(f"cosine_top_k_values must be positive ints, got {values}")
         return values
 
-    def start_token_id(self, cls_id: int) -> int:
+    def start_token_id(self, vocab_size: int, cls_id: int) -> int:
+        """The decoder's first input id in a vocabulary of ``vocab_size``
+        tokens whose [CLS] id is ``cls_id``."""
         if self.start_token == "cls":
             return cls_id
         try:
-            return int(self.start_token)
-        except ValueError as exc:
-            raise ConfigError(f"start_token must be 'cls' or an id, got {self.start_token!r}") from exc
+            token = int(self.start_token)
+        except ValueError:
+            token = -1  # refused below, with the negative ids
+        if token < 0:
+            raise ConfigError(f"start_token must be 'cls' or a non-negative id, "
+                              f"got {self.start_token!r}")
+        if token >= vocab_size:
+            raise ConfigError(f"start_token {token} is not an id of the "
+                              f"{vocab_size}-token vocabulary")
+        return token
 
     def sampler_config(self, vocab_size: int, cls_id: int) -> SamplerConfig:
         """The summary sampling settings for a vocabulary of ``vocab_size``
@@ -145,7 +157,7 @@ class PipelineConfig:
                 num_candidates=self.num_candidates,
                 max_summary_len=self.max_summary_len,
                 temperature=self.temperature,
-                start_token_id=self.start_token_id(cls_id),
+                start_token_id=self.start_token_id(vocab_size, cls_id),
                 seed=self.seed,
                 retain_top_m=self.retain_top_m,
             )

@@ -11,8 +11,10 @@ documents per forward, right-padded to the longest, each document
 cross-attending to its own embedding row. The causal mask alone keeps
 padding out of every real position's attention, since a position sees only
 earlier ones and all padding follows the real positions. At summary time
-it decodes a batch of sequences that share one conditioning row, one
-position per step, against a ``DecodeCache``.
+it decodes a batch of sequences, one position per step, against a
+``DecodeCache``: the batch may hold the candidates of several clusters, so
+the cache computes each block's cross output once per cluster center and
+keeps, for every live row, the index of the center it decodes from.
 """
 
 from __future__ import annotations
@@ -30,17 +32,21 @@ from .tokenizer import EncodedDocument
 
 
 class DecodeCache:
-    """Inference state of a batch of sequences that share one conditioning
-    row and advance one position per step: each block's self-attention keys
-    and values, and each block's cross-attention output for that row."""
+    """Inference state of a batch of sequences that advance one position per
+    step, each conditioned on one of k memory rows: each block's
+    self-attention keys and values, each block's cross-attention output for
+    the k rows (``[k, hidden]``), and ``memory_rows``, the index into those
+    k of every live sequence's memory row."""
 
-    def __init__(self, cross: list[Tensor]):
+    def __init__(self, cross: list[Tensor], memory_rows: np.ndarray):
         self.cross = cross
+        self.memory_rows = memory_rows
         self.layers = [KVCache() for _ in cross]
         self.length = 0
 
     def keep(self, rows) -> None:
         """Drop every batch row not listed in ``rows``."""
+        self.memory_rows = self.memory_rows[rows]
         for layer in self.layers:
             layer.keep(rows)
 
@@ -55,12 +61,15 @@ class DecoderModel(Model):
         super().__init__(config, rng, dtype)
         self.lm_head = PredictionHead(rng, config.hidden_size, config.vocab_size, dtype)
 
-    def _memory(self, conditioning: Tensor | np.ndarray, rows: int) -> Tensor:
+    def _memory(self, conditioning: Tensor | np.ndarray, rows: int | None) -> Tensor:
+        """``conditioning`` as a ``[rows, hidden]`` tensor (any row count
+        when ``rows`` is None); a single ``[hidden]`` row is one row."""
         memory = conditioning if isinstance(conditioning, Tensor) else Tensor(
             np.asarray(conditioning, dtype=self.dtype)
         )
         if memory.ndim == 1:
             memory = memory.reshape((1, memory.shape[0]))
+        rows = memory.shape[0] if rows is None else rows
         if memory.shape != (rows, self.config.hidden_size):
             raise ValueError(
                 f"conditioning must be {rows} row(s) of width {self.config.hidden_size}, "
@@ -68,11 +77,23 @@ class DecoderModel(Model):
             )
         return memory
 
-    def start_cache(self, conditioning: Tensor | np.ndarray) -> DecodeCache:
-        """Empty decoding state for sequences conditioned on one row."""
-        memory = self._memory(conditioning, 1)
+    def start_cache(self, centers: Tensor | np.ndarray, rows_per_center: int = 1) -> DecodeCache:
+        """Empty decoding state for ``rows_per_center`` sequences conditioned
+        on each of the k rows of ``centers`` (``[k, h]``; a single ``[h]``
+        row is k = 1), center by center: batch row i decodes from center
+        ``i // rows_per_center``.
+
+        Each block's cross output is computed once per center, one center at
+        a time: a one-row product can round differently from the same row
+        inside a taller one, and a center's cross row should not depend on
+        which centers share its batch.
+        """
+        memory = self._memory(centers, None)
+        rows = [Tensor(memory.data[c:c + 1]) for c in range(memory.shape[0])]
         with no_grad():
-            return DecodeCache([block.cross_attn(memory) for block in self.blocks])
+            cross = [Tensor(np.concatenate([block.cross_attn(row).data for row in rows]))
+                     for block in self.blocks]
+        return DecodeCache(cross, np.repeat(np.arange(len(rows)), rows_per_center))
 
     def forward(
         self,
@@ -90,9 +111,10 @@ class DecoderModel(Model):
         positions, ``[sum of lengths, vocab]``, every prefix's rows in turn.
 
         With ``cache`` (from ``start_cache``, which took the conditioning),
-        ``input_ids`` holds the newest token of each of b sequences, all at
-        position ``cache.length``; the logits are [b, vocab] and the cache
-        advances one position. Cached decoding is inference only.
+        ``input_ids`` holds the newest token of each of the cache's b live
+        sequences, all at position ``cache.length``; the logits are
+        [b, vocab] and the cache advances one position. Cached decoding is
+        inference only.
         """
         if cache is not None:
             if conditioning is not None or train or grad_enabled():
@@ -113,10 +135,12 @@ class DecoderModel(Model):
         position = cache.length
         if position >= self.config.max_len:
             raise ValueError(f"cannot decode position {position} with max_len {self.config.max_len}")
+        if len(ids) != len(cache.memory_rows):
+            raise ValueError(f"the cache holds {len(cache.memory_rows)} sequences, got {len(ids)} ids")
         x = self.embed_norm(gather_rows(self.word_embedding, ids),
                             gather_rows(self.position_embedding, np.full(len(ids), position)))
         for block, kv, cross in zip(self.blocks, cache.layers, cache.cross):
-            x = block.step(x, kv, cross)
+            x = block.step(x, kv, cross, cache.memory_rows)
         cache.length += 1
         return self.lm_head(x)
 

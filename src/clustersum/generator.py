@@ -1,25 +1,29 @@
 """Summary decoding from cluster centers.
 
-Each cluster's candidates are sampled as one batch. Every step feeds only
-the newest token of each live candidate through the decoder: each
-self-attention layer keeps the keys and values of all earlier positions in
-a key/value cache, so a step costs one position per candidate rather than
-the whole prefix. A candidate leaves the batch, and its cache rows are
-dropped, when it emits [SEP] or reaches ``max_summary_len`` tokens.
+The candidates of many clusters are sampled as one batch: whole clusters
+are packed into a batch while its key/value cache, at full summary length,
+stays within ``KV_CACHE_BUDGET`` bytes, and every batch takes at least one
+cluster. Every step feeds only the newest token of each live candidate
+through the decoder: each self-attention layer keeps the keys and values of
+all earlier positions in a key/value cache, so a step costs one position per
+candidate rather than the whole prefix. A candidate leaves the batch, and
+its cache rows are dropped, when it emits [SEP] or reaches
+``max_summary_len`` tokens.
 
 Cross-attention depends only on the cluster center (see ``decoder``), so
 each block's cross output is computed once per cluster, when the cache
-starts.
+starts; the cache keeps each live row's cluster index and every step
+gathers the rows' cross outputs by it.
 
 Each step turns the live candidates' logits into one row-wise softmax,
 filters every row at once with combined top-K and nucleus sampling, and
 draws one token per row by inverting the row's CDF in token-id order.
 Candidate s of cluster c draws once per token of its own from an RNG stream
 derived from (seed, c, s), so its tokens do not depend on how many other
-candidates are decoded or when they stop, and clusters and candidates are
-reproducible independently. The candidates are then embedded by the encoder
-as one padded batch and re-ranked by cosine similarity between each
-candidate's embedding and the cluster center.
+candidates or clusters share its batch or when they stop, and clusters and
+candidates are reproducible independently. Each cluster's candidates are
+then embedded by the encoder as one padded batch and re-ranked by cosine
+similarity between each candidate's embedding and the cluster center.
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ from .tensor import no_grad
 from .tokenizer import CLS_ID, Vocabulary, decode, encode
 
 log = logging.getLogger(__name__)
+
+# Key/value-cache bytes one decoding batch may hold at full summary length.
+# At paper width a candidate row takes 4.5 MiB at 128 tokens, so 10
+# candidates per cluster pack 2 clusters per batch; appending a position
+# briefly holds the cache twice.
+KV_CACHE_BUDGET = 128 * 2**20
 
 
 @dataclass
@@ -88,7 +98,9 @@ def filter_top_k_top_p(probs: np.ndarray, k: int, p: float) -> np.ndarray:
     renormalize the row.
 
     Ties in probability resolve toward the lower token id. Both cuts keep a
-    prefix of one ranking, so their order does not matter.
+    prefix of one ranking, so their order does not matter. Only the k largest
+    values are sorted: the cut keeps every id above the last kept value and
+    fills the rest with the lowest ids tied at that value.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or probs.size == 0:
@@ -99,12 +111,14 @@ def filter_top_k_top_p(probs: np.ndarray, k: int, p: float) -> np.ndarray:
         raise ValueError("degenerate all-zero distribution")
     if not 1 <= k <= probs.shape[1]:
         raise ValueError(f"top_k must lie in [1, {probs.shape[1]}], got {k}")
-    ranked = np.argsort(-probs, axis=-1, kind="stable")[:, :k]
-    top = np.take_along_axis(probs, ranked, axis=-1)
+    top = -np.sort(np.partition(-probs, k - 1, axis=-1)[:, :k], axis=-1)
     below_p = (np.cumsum(top, axis=-1) < p).sum(axis=-1)
-    kept = np.zeros(probs.shape, dtype=bool)
-    np.put_along_axis(kept, ranked, np.arange(k) <= below_p[:, None], axis=-1)
-    out = np.where(kept, probs, 0.0)
+    n_keep = np.minimum(below_p + 1, k)
+    last = top[np.arange(len(top)), n_keep - 1][:, None]
+    above = probs > last
+    tied = probs == last
+    ties_kept = (n_keep - above.sum(axis=-1))[:, None]
+    out = np.where(above | (tied & (np.cumsum(tied, axis=-1) <= ties_kept)), probs, 0.0)
     return out / out.sum(axis=-1, keepdims=True)
 
 
@@ -124,33 +138,57 @@ def sample_tokens(filtered: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 def sample_candidates(
     decoder: DecoderModel,
-    center: np.ndarray,
+    centers: np.ndarray,
     vocab: Vocabulary,
     sampler: SamplerConfig,
-    cluster: int = 0,
-) -> list[SummaryCandidate]:
-    """Sample ``num_candidates`` summaries conditioned on a cluster center,
-    decoded together as one batch.
+) -> list[list[SummaryCandidate]]:
+    """Sample ``num_candidates`` summaries conditioned on each cluster
+    center (``centers`` is ``[k, h]``, row c the center of cluster c);
+    returns one candidate list per cluster.
 
-    Every candidate starts from the configured start token and stops at
-    [SEP] or at ``max_summary_len`` generated tokens.
+    The candidates of as many whole clusters as keep the batch's key/value
+    cache within ``KV_CACHE_BUDGET`` at full summary length, and at least
+    one cluster, are decoded together as one batch. Every candidate starts
+    from the configured start token and stops at [SEP] or at
+    ``max_summary_len`` generated tokens.
     """
+    config = decoder.config
+    row_bytes = (config.num_blocks * 2 * config.hidden_size * sampler.max_summary_len
+                 * np.dtype(decoder.dtype).itemsize)
+    per_batch = max(1, KV_CACHE_BUDGET // (sampler.num_candidates * row_bytes))
+    candidates: list[list[SummaryCandidate]] = []
+    for first in range(0, len(centers), per_batch):
+        candidates += _decode_batch(decoder, centers[first:first + per_batch], first, vocab,
+                                    sampler)
+    return candidates
+
+
+def _decode_batch(
+    decoder: DecoderModel,
+    centers: np.ndarray,
+    first: int,
+    vocab: Vocabulary,
+    sampler: SamplerConfig,
+) -> list[list[SummaryCandidate]]:
+    """Decode every candidate of clusters ``first, first + 1, ...`` (one per
+    row of ``centers``) as one batch, cluster by cluster."""
+    n = sampler.num_candidates
     k = min(sampler.top_k, vocab.size)
-    rngs = [np.random.default_rng([sampler.seed, cluster, s])
-            for s in range(sampler.num_candidates)]
+    clusters = range(first, first + len(centers))
+    rngs = [np.random.default_rng([sampler.seed, c, s]) for c in clusters for s in range(n)]
     generated: list[list[int]] = [[] for _ in rngs]
     live = list(range(len(rngs)))
     tokens = [sampler.start_token_id] * len(live)
-    cache = decoder.start_cache(center)
+    cache = decoder.start_cache(centers, n)
     with no_grad():
         for _ in range(sampler.max_summary_len):
             logits = decoder.forward(tokens, cache=cache).data / sampler.temperature
             exps = np.exp(logits.astype(np.float64) - logits.max(axis=-1, keepdims=True))
             filtered = filter_top_k_top_p(exps / exps.sum(axis=-1, keepdims=True), k,
                                           sampler.top_p)
-            drawn = sample_tokens(filtered, np.array([rngs[s].random() for s in live]))
-            for s, token in zip(live, drawn.tolist()):
-                generated[s].append(token)
+            drawn = sample_tokens(filtered, np.array([rngs[i].random() for i in live]))
+            for i, token in zip(live, drawn.tolist()):
+                generated[i].append(token)
             kept = np.flatnonzero(drawn != vocab.sep_id).tolist()
             if not kept:
                 break
@@ -159,33 +197,32 @@ def sample_candidates(
                 live = [live[row] for row in kept]
             tokens = drawn[kept]
     return [
-        SummaryCandidate(cluster=cluster, token_ids=ids, text=decode(ids, vocab))
-        for ids in generated
+        [SummaryCandidate(cluster=c, token_ids=ids, text=decode(ids, vocab))
+         for ids in generated[i * n:(i + 1) * n]]
+        for i, c in enumerate(clusters)
     ]
 
 
 def summarize_cluster(
-    decoder: DecoderModel,
     encoder: EncoderModel,
     vocab: Vocabulary,
     center: np.ndarray,
-    cluster: int,
-    sampler: SamplerConfig,
+    candidates: list[SummaryCandidate],
 ) -> list[SummaryCandidate]:
-    """Generate the configured number of candidates and rank them by cosine
-    similarity between each candidate's encoder embedding and the center.
+    """Rank one cluster's sampled candidates by cosine similarity between
+    each candidate's encoder embedding and the cluster center.
 
     Returns every candidate, best first, ranks starting at 1. An empty
     generation is kept (and logged); its embedding is that of the bare
     [CLS][SEP] frame.
     """
-    candidates = sample_candidates(decoder, center, vocab, sampler, cluster=cluster)
     embedded = encoder.embed_documents(
         [encode(c.text, vocab, encoder.config.max_len) for c in candidates])
     for s, candidate in enumerate(candidates):
         candidate.score = cosine_similarity(embedded[s], center)
         if candidate.is_empty:
-            log.warning("cluster %d candidate %d generated an empty summary", cluster, s)
+            log.warning("cluster %d candidate %d generated an empty summary",
+                        candidate.cluster, s)
     order = sorted(range(len(candidates)), key=lambda i: (-candidates[i].score, i))
     ranked = [candidates[i] for i in order]
     for rank, candidate in enumerate(ranked, start=1):

@@ -256,11 +256,12 @@ class DecoderBlock(Module):
         f = _maybe_dropout(self.ffn(x), dropout_rate, train, rng)
         return self.norm_ffn(x, f)
 
-    def step(self, x: Tensor, cache: KVCache, cross: Tensor) -> Tensor:
+    def step(self, x: Tensor, cache: KVCache, cross: Tensor, memory_rows: np.ndarray) -> Tensor:
         """Inference for one new position per row of ``x`` (``[b, hidden]``),
-        with ``cross`` the ``cross_attn`` output of the rows' shared memory."""
+        with ``cross`` the ``cross_attn`` output of k memory rows and
+        ``memory_rows`` the index, into those k, of each row's memory."""
         x = self.norm_self(x, self.self_attn(x, cache=cache))
-        x = self.norm_cross(x, gather_rows(cross, np.zeros(x.shape[0], dtype=np.intp)))
+        x = self.norm_cross(x, gather_rows(cross, memory_rows))
         return self.norm_ffn(x, self.ffn(x))
 
 

@@ -48,7 +48,7 @@ from .encoder import (
     pretrain_mlm,
     train_val_split,
 )
-from .generator import summarize_cluster
+from .generator import sample_candidates, summarize_cluster
 from .metrics import best_rouge, cosine_center, cosine_top_k
 from .tokenizer import EncodedDocument, Vocabulary, build_vocab, encode, tokenize
 
@@ -271,6 +271,7 @@ def _cluster(ctx: _Context) -> dict:
 
 def _train_decoder(ctx: _Context) -> dict:
     config = ctx.config
+    start_id = config.start_token_id(ctx.vocab.size, ctx.vocab.cls_id)
     rng = np.random.default_rng([config.seed, 4])
     # a local encoder, not ``ctx.encoder``, so it is freed before training
     encoder = EncoderModel.load(ctx.out_dir / ENCODER_FILE)
@@ -282,7 +283,7 @@ def _train_decoder(ctx: _Context) -> dict:
         init_mode = "from_encoder"
     del encoder
     examples = build_training_examples(
-        ctx.docs, ctx.embeddings, ctx.cluster_set, config.start_token_id(ctx.vocab.cls_id),
+        ctx.docs, ctx.embeddings, ctx.cluster_set, start_id,
         unweighted=config.unweighted_ce,
     )
     train_examples, val_examples = train_val_split(examples, config.val_fraction, rng)
@@ -305,10 +306,10 @@ def _train_decoder(ctx: _Context) -> dict:
 def _summarize(ctx: _Context) -> dict:
     cluster_set = ctx.cluster_set
     sampler = ctx.config.sampler_config(ctx.vocab.size, ctx.vocab.cls_id)
+    sampled = sample_candidates(ctx.decoder, cluster_set.centers, ctx.vocab, sampler)
     rows = []
-    for c in range(cluster_set.k):
-        ranked = summarize_cluster(ctx.decoder, ctx.encoder, ctx.vocab,
-                                   cluster_set.centers[c], c, sampler)
+    for c, candidates in enumerate(sampled):
+        ranked = summarize_cluster(ctx.encoder, ctx.vocab, cluster_set.centers[c], candidates)
         for candidate in ranked[: sampler.retain_top_m]:
             rows.append({
                 "cluster": c,

@@ -2,10 +2,11 @@
 
 Everything here recomputes expected values through a route that does not
 touch the library code under test: plain Python loops, numpy reference
-formulas, and central finite differences. The composed graphs are the one
-exception: they build linear, attention and residual layer norm from the
-library's smaller ops, node by node, and the fused ops must match them byte
-for byte.
+formulas, and central finite differences. The composed graphs and the
+per-cluster decode are the exceptions: the graphs build linear, attention
+and residual layer norm from the library's smaller ops, node by node, and
+the fused ops must match them byte for byte; the per-cluster decode is the
+path that one decoding batch across clusters replaced.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from clustersum.tensor import (
     no_grad,
     softmax,
 )
+from clustersum.generator import filter_top_k_top_p, sample_tokens
 from clustersum.tokenizer import mask_for_mlm
 
 
@@ -281,6 +283,40 @@ def reference_candidate_ids(decoder, center, vocab, sampler, cluster: int, candi
             prefix.append(token)
             if token == vocab.sep_id:
                 break
+    return generated
+
+
+def per_cluster_candidate_ids(decoder, center, vocab, sampler, cluster: int) -> list[list[int]]:
+    """Every candidate of one cluster, decoded as a batch of that cluster's
+    candidates alone against a key/value cache of its own.
+
+    This is the per-cluster decode that one batch across clusters replaced:
+    the same (seed, cluster, candidate) RNG streams, row-wise filter and
+    draw, but only one center in the cache and one cluster in the batch.
+    """
+    n = sampler.num_candidates
+    k = min(sampler.top_k, vocab.size)
+    rngs = [np.random.default_rng([sampler.seed, cluster, s]) for s in range(n)]
+    generated: list[list[int]] = [[] for _ in rngs]
+    live = list(range(n))
+    tokens = [sampler.start_token_id] * n
+    cache = decoder.start_cache(center, n)
+    with no_grad():
+        for _ in range(sampler.max_summary_len):
+            logits = decoder.forward(tokens, cache=cache).data / sampler.temperature
+            exps = np.exp(logits.astype(np.float64) - logits.max(axis=-1, keepdims=True))
+            filtered = filter_top_k_top_p(exps / exps.sum(axis=-1, keepdims=True), k,
+                                          sampler.top_p)
+            drawn = sample_tokens(filtered, np.array([rngs[s].random() for s in live]))
+            for s, token in zip(live, drawn.tolist()):
+                generated[s].append(token)
+            kept = np.flatnonzero(drawn != vocab.sep_id).tolist()
+            if not kept:
+                break
+            if len(kept) < len(live):
+                cache.keep(kept)
+                live = [live[row] for row in kept]
+            tokens = drawn[kept]
     return generated
 
 

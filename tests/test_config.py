@@ -13,6 +13,7 @@ from clustersum.config import (
     parse_config_file,
     parse_setting,
 )
+from clustersum.tokenizer import build_vocab
 
 
 class TestSummaryLength:
@@ -83,6 +84,7 @@ class TestSettings:
         ("retain_top_m=0", "retain_top_m"),
         ("max_summary_len=0", "max_summary_len"),
         ("start_token=x", "start_token"),
+        ("start_token=-1", "start_token"),
         ("cosine_top_k_values=0", "cosine_top_k_values"),
     ])
     def test_bad_value_exits_2_before_any_stage(self, tmp_path, capsys, item, message):
@@ -90,6 +92,29 @@ class TestSettings:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_start_token_outside_the_vocabulary_exits_2_before_train_decoder(
+            self, tmp_path, capsys):
+        """An id at or past the vocabulary size passes parsing, since the
+        vocabulary does not exist yet, and is refused before the decoder is
+        built."""
+        texts = [f"w{i % 4} w{(i + 1) % 4} w{(i + 2) % 4}" for i in range(12)]
+        size = build_vocab(texts, 2000, 1).size
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({"id": f"d{i}", "text": t}) + "\n"
+                                  for i, t in enumerate(texts)), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["run-all", "--corpus", str(corpus), "--out", str(out),
+                     "--set", f"start_token={size}", "--set", "max_len=8",
+                     "--set", "mlm_epochs=1", "--set", "decoder_epochs=1",
+                     "--set", "num_candidates=2", "--set", "max_summary_len=4"])
+        assert code == 2
+        assert f"start_token {size} is not an id" in capsys.readouterr().err
+        assert (out / "clusters.jsonl").exists() and not (out / "decoder.ckpt").exists()
+        config = PipelineConfig(start_token=str(size))
+        with pytest.raises(ConfigError, match="start_token"):
+            config.sampler_config(vocab_size=size, cls_id=0)
+        assert config.sampler_config(vocab_size=size + 1, cls_id=0).start_token_id == size
 
     def test_defaults_paper_scale_and_benchmark_settings_parse(self, monkeypatch):
         PipelineConfig()

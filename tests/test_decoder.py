@@ -217,7 +217,7 @@ class TestCachedDecoding:
         center = rng.normal(size=config.hidden_size).astype(dtype)
         ids = rng.integers(0, vocab.size, size=(5, steps))
         rows = list(range(5))
-        cache = decoder.start_cache(center)
+        cache = decoder.start_cache(center, 5)
         worst = 0.0
         with no_grad():
             for t in range(steps):
@@ -233,6 +233,71 @@ class TestCachedDecoding:
                     worst = max(worst, float(np.abs(step[i] - full).max()))
         assert len(rows) == 3 and cache.length == steps
         assert worst <= atol
+
+    @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_batch_across_centers_matches_per_center_caches(self, setup, dtype, atol):
+        """One cache over three centers, two rows each, gives every row the
+        logits of a cache holding its center's rows alone, while rows leave
+        at different steps and one center's rows all leave first."""
+        vocab = setup[0]
+        steps = 30
+        config = ModelConfig.desk_scale(vocab.size, max_len=steps)
+        encoder = EncoderModel(config, np.random.default_rng(11), dtype=dtype)
+        decoder = init_from_encoder(encoder)
+        rng = np.random.default_rng(12)
+        centers = rng.normal(size=(3, config.hidden_size)).astype(dtype)
+        ids = rng.integers(0, vocab.size, size=(6, steps))
+        leave_at = {0: 20, 1: 8, 2: 8, 3: 12, 4: 30, 5: 25}  # center 1's rows leave first
+        rows = list(range(6))
+        cache = decoder.start_cache(centers, 2)
+        alone = [decoder.start_cache(centers[c], 2) for c in range(3)]
+        alone_rows = [[2 * c, 2 * c + 1] for c in range(3)]
+        worst = 0.0
+        with no_grad():
+            for t in range(steps):
+                keep = [i for i, r in enumerate(rows) if leave_at[r] > t]
+                if len(keep) < len(rows):
+                    cache.keep(keep)
+                    rows = [rows[i] for i in keep]
+                    for c in range(3):
+                        kept = [i for i, r in enumerate(alone_rows[c]) if leave_at[r] > t]
+                        alone[c].keep(kept)
+                        alone_rows[c] = [alone_rows[c][i] for i in kept]
+                assert cache.memory_rows.tolist() == [r // 2 for r in rows]
+                step = decoder.forward(ids[rows, t], cache=cache).data
+                for c in range(3):
+                    if alone_rows[c]:
+                        single = decoder.forward(ids[alone_rows[c], t], cache=alone[c]).data
+                        for i, r in enumerate(alone_rows[c]):
+                            worst = max(worst, float(np.abs(step[rows.index(r)] - single[i]).max()))
+        assert rows == [4] and cache.length == steps
+        assert worst <= atol
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hidden, heads", [(64, 4), (768, 12)])
+    def test_start_cache_cross_rows_equal_each_center_alone(self, setup, dtype, hidden, heads):
+        """Row c of every block's cached cross output is, byte for byte, the
+        ``cross_attn`` output of center c computed alone."""
+        vocab = setup[0]
+        config = ModelConfig(hidden, 2, heads, 64, 8, vocab.size)
+        decoder = DecoderModel(config, np.random.default_rng(13), dtype=dtype)
+        centers = np.random.default_rng(14).normal(size=(5, hidden)).astype(dtype)
+        cache = decoder.start_cache(centers, 3)
+        assert cache.memory_rows.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
+        with no_grad():
+            for block, cross in zip(decoder.blocks, cache.cross):
+                assert cross.shape == (5, hidden)
+                for c in range(5):
+                    alone = block.cross_attn(Tensor(centers[c:c + 1])).data
+                    assert cross.data[c:c + 1].tobytes() == alone.tobytes()
+
+    def test_ids_must_match_the_cache_rows(self, setup):
+        vocab, docs, config, encoder = setup
+        decoder = init_from_encoder(encoder)
+        cache = decoder.start_cache(encoder.embed_documents(docs[:2]), 3)
+        with no_grad(), pytest.raises(ValueError, match="6 sequences"):
+            decoder.forward([vocab.cls_id] * 5, cache=cache)
+        assert cache.length == 0
 
     def test_cross_output_equals_cross_attention(self, setup):
         """The cross rows the cache holds are what full attention over the

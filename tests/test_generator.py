@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clustersum import generator
-from clustersum.decoder import init_from_encoder
+from clustersum.decoder import DecoderModel, init_from_encoder
 from clustersum.encoder import EncoderModel, ModelConfig
 from clustersum.generator import (
     SamplerConfig,
@@ -15,11 +15,27 @@ from clustersum.generator import (
 )
 
 from corpora import build_docs, pair_texts
-from oracles import reference_candidate_ids, reference_draw, reference_filter
+from oracles import (
+    per_cluster_candidate_ids,
+    reference_candidate_ids,
+    reference_draw,
+    reference_filter,
+)
 
 
 def _filter_one(probs, k, p):
     return filter_top_k_top_p(np.asarray(probs)[None], k=k, p=p)[0]
+
+
+def _one_cluster(decoder, center, vocab, sampler, cluster=0):
+    """The candidates of cluster ``cluster``, sampled with ``center`` as the
+    center of clusters 0 to ``cluster``."""
+    return sample_candidates(decoder, np.tile(center, (cluster + 1, 1)), vocab, sampler)[cluster]
+
+
+def _summarize(decoder, encoder, vocab, center, cluster, sampler):
+    candidates = _one_cluster(decoder, center, vocab, sampler, cluster)
+    return summarize_cluster(encoder, vocab, center, candidates)
 
 
 def _random_rows(rng, n, vocab):
@@ -96,6 +112,24 @@ class TestFilter:
             out = filter_top_k_top_p(probs, k=k, p=p)
             for row, expected in zip(out, probs):
                 assert row.tobytes() == reference_filter(expected, k, p).tobytes()
+        # rows of a few repeated values, cut at k and at p inside a run of ties
+        for _ in range(60):
+            vocab = int(rng.integers(4, 15))
+            probs = rng.integers(1, 4, size=(2, vocab)).astype(np.float64)
+            probs /= probs.sum(axis=-1, keepdims=True)
+            for row in probs:
+                ranked = -np.sort(-row)
+                mass = np.cumsum(ranked)
+                tied = np.flatnonzero(ranked[1:] == ranked[:-1])  # rank i ties rank i + 1
+                assert tied.size
+                ks = {1, 2, vocab, *(tied + 1).tolist()}
+                ps = {0.5, 0.9, 0.95, 1.0, *mass[tied].tolist(),
+                      *((mass[tied] + mass[tied + 1]) / 2).tolist()}
+                for k in ks:
+                    for p in ps:
+                        if p <= 1.0:
+                            out = filter_top_k_top_p(row[None], k=k, p=p)[0]
+                            assert out.tobytes() == reference_filter(row, k, p).tobytes()
 
     def test_order_of_the_cuts_does_not_matter(self):
         """The nucleus of the whole ranking cut to k tokens is the nucleus
@@ -192,8 +226,8 @@ class TestSampleCandidates:
         vocab, encoder, decoder, center = generation_setup
         sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=4,
                                 max_summary_len=10, seed=0)
-        a = sample_candidates(decoder, center, vocab, sampler, cluster=1)
-        b = sample_candidates(decoder, center, vocab, sampler, cluster=1)
+        a = _one_cluster(decoder, center, vocab, sampler, 1)
+        b = _one_cluster(decoder, center, vocab, sampler, 1)
         assert [c.token_ids for c in a] == [c.token_ids for c in b]
         assert [c.text for c in a] == [c.text for c in b]
         assert all(c.cluster == 1 for c in a)
@@ -220,7 +254,7 @@ class TestSampleCandidates:
         sampler = SamplerConfig(top_k=5, top_p=0.8, num_candidates=3,
                                 max_summary_len=12, seed=1)
         steps = self._record_steps(monkeypatch)
-        candidates = sample_candidates(decoder, center, vocab, sampler)
+        candidates = _one_cluster(decoder, center, vocab, sampler)
         assert sum(len(drawn) for drawn in steps["draw"]) == sum(
             len(c.token_ids) for c in candidates)
         for t, (filtered, drawn) in enumerate(zip(steps["filter"], steps["draw"])):
@@ -235,7 +269,7 @@ class TestSampleCandidates:
         sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=6,
                                 max_summary_len=40, seed=3)
         steps = self._record_steps(monkeypatch)
-        candidates = sample_candidates(decoder, center, vocab, sampler)
+        candidates = _one_cluster(decoder, center, vocab, sampler)
         decoding_steps = max(len(c.token_ids) for c in candidates)
         assert len(steps["filter"]) == len(steps["draw"]) == decoding_steps
         assert [len(drawn) for drawn in steps["draw"]] == [
@@ -245,7 +279,7 @@ class TestSampleCandidates:
         vocab, encoder, decoder, center = generation_setup
         sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=6,
                                 max_summary_len=7, seed=2)
-        for candidate in sample_candidates(decoder, center, vocab, sampler):
+        for candidate in _one_cluster(decoder, center, vocab, sampler):
             ids = candidate.token_ids
             assert 1 <= len(ids) <= 7
             assert vocab.sep_id not in ids[:-1]
@@ -256,7 +290,7 @@ class TestSampleCandidates:
         vocab, decoder, center = long_setup
         sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=6,
                                 max_summary_len=40, seed=seed)
-        candidates = sample_candidates(decoder, center, vocab, sampler, cluster=seed % 3)
+        candidates = _one_cluster(decoder, center, vocab, sampler, seed % 3)
         for s, candidate in enumerate(candidates):
             assert candidate.token_ids == reference_candidate_ids(
                 decoder, center, vocab, sampler, seed % 3, s)
@@ -269,8 +303,8 @@ class TestSampleCandidates:
                               max_summary_len=40, seed=7)
         six = SamplerConfig(top_k=min(50, vocab.size), num_candidates=6,
                             max_summary_len=40, seed=7)
-        small = sample_candidates(decoder, center, vocab, three, cluster=2)
-        large = sample_candidates(decoder, center, vocab, six, cluster=2)
+        small = _one_cluster(decoder, center, vocab, three, 2)
+        large = _one_cluster(decoder, center, vocab, six, 2)
         assert [c.token_ids for c in small] == [c.token_ids for c in large[:3]]
         for batch in (small, large):
             lengths = [len(c.token_ids) for c in batch]
@@ -285,12 +319,91 @@ class TestSampleCandidates:
         max_len = decoder.config.max_len
         sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=3,
                                 max_summary_len=max_len, seed=8)
-        candidates = sample_candidates(decoder, center, vocab, sampler)
+        candidates = _one_cluster(decoder, center, vocab, sampler)
         assert [len(c.token_ids) for c in candidates] == [max_len] * 3
         too_long = SamplerConfig(top_k=min(50, vocab.size), num_candidates=3,
                                  max_summary_len=max_len + 1, seed=8)
         with pytest.raises(ValueError, match="max_len"):
-            sample_candidates(decoder, center, vocab, too_long)
+            _one_cluster(decoder, center, vocab, too_long)
+
+
+@pytest.fixture(scope="module", params=[np.float32, np.float64], ids=["float32", "float64"])
+def clusters_setup(request):
+    """The decoder of ``long_setup`` with five distinct cluster centers (the
+    untrained encoder embeds every document in nearly one direction)."""
+    rng = np.random.default_rng(5)
+    texts = pair_texts(rng, num_docs=20, num_pairs=6, doc_len=8)
+    vocab, _ = build_docs(texts, max_len=48)
+    config = ModelConfig.desk_scale(vocab.size, max_len=48)
+    encoder = EncoderModel(config, np.random.default_rng(6), dtype=request.param)
+    centers = np.random.default_rng(7).normal(size=(5, config.hidden_size))
+    return vocab, init_from_encoder(encoder), centers.astype(request.param)
+
+
+class TestBatchedDecode:
+    """Many clusters' candidates decode as one batch, or as several under
+    the key/value-cache budget, and each cluster gets what it gets alone."""
+
+    @staticmethod
+    def _sampler(vocab, seed):
+        return SamplerConfig(top_k=min(50, vocab.size), num_candidates=3,
+                             max_summary_len=40, seed=seed)
+
+    @staticmethod
+    def _record_batches(monkeypatch):
+        """Wrap ``start_cache``; each call appends (centers, rows per center)."""
+        batches = []
+        original = DecoderModel.start_cache
+
+        def recording(self, centers, rows_per_center=1):
+            batches.append((np.array(centers), rows_per_center))
+            return original(self, centers, rows_per_center)
+
+        monkeypatch.setattr(DecoderModel, "start_cache", recording)
+        return batches
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_cluster_equals_per_cluster_decode(self, clusters_setup, monkeypatch, seed):
+        vocab, decoder, centers = clusters_setup
+        sampler = self._sampler(vocab, seed)
+        batches = self._record_batches(monkeypatch)
+        sampled = sample_candidates(decoder, centers, vocab, sampler)
+        assert len(batches) == 1 and len(batches[0][0]) == len(centers)
+        assert len(sampled) == len(centers)
+        for c, candidates in enumerate(sampled):
+            assert [cand.cluster for cand in candidates] == [c] * 3
+            assert [cand.token_ids for cand in candidates] == per_cluster_candidate_ids(
+                decoder, centers[c], vocab, sampler, c)
+        # the clusters stop at different steps: some stop entirely before the last
+        last_steps = [max(len(cand.token_ids) for cand in candidates) for candidates in sampled]
+        assert len(set(last_steps)) > 1
+        assert min(last_steps) < sampler.max_summary_len
+
+    @pytest.mark.parametrize("clusters_fit, sizes",
+                             [(0, [1, 1, 1, 1, 1]), (1, [1, 1, 1, 1, 1]), (2, [2, 2, 1])])
+    def test_budget_splits_batches_between_clusters(self, clusters_setup, monkeypatch,
+                                                    clusters_fit, sizes):
+        """With a budget that holds ``clusters_fit`` clusters' caches, the
+        batches hold whole clusters, in order, within the budget unless a
+        batch is a single cluster, and the tokens equal the one-batch run."""
+        vocab, decoder, centers = clusters_setup
+        sampler = self._sampler(vocab, 2)
+        one_batch = sample_candidates(decoder, centers, vocab, sampler)
+        config = decoder.config
+        row_bytes = (config.num_blocks * 2 * config.hidden_size * sampler.max_summary_len
+                     * np.dtype(decoder.dtype).itemsize)
+        cluster_bytes = sampler.num_candidates * row_bytes
+        budget = clusters_fit * cluster_bytes + cluster_bytes // 2
+        monkeypatch.setattr(generator, "KV_CACHE_BUDGET", budget)
+        batches = self._record_batches(monkeypatch)
+        split = sample_candidates(decoder, centers, vocab, sampler)
+        assert [[c.token_ids for c in cands] for cands in split] == [
+            [c.token_ids for c in cands] for cands in one_batch]
+        assert [len(batch) for batch, _ in batches] == sizes
+        for batch, rows_per_center in batches:
+            assert rows_per_center == sampler.num_candidates
+            assert len(batch) * cluster_bytes <= budget or len(batch) == 1
+        np.testing.assert_array_equal(np.concatenate([batch for batch, _ in batches]), centers)
 
 
 class TestSummarizeCluster:
@@ -298,7 +411,7 @@ class TestSummarizeCluster:
         vocab, encoder, decoder, center = generation_setup
         sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=6,
                                 max_summary_len=8, seed=3)
-        ranked = summarize_cluster(decoder, encoder, vocab, center, 0, sampler)
+        ranked = _summarize(decoder, encoder, vocab, center, 0, sampler)
         assert len(ranked) == 6
         assert [c.rank for c in ranked] == [1, 2, 3, 4, 5, 6]
         scores = [c.score for c in ranked]
@@ -309,14 +422,14 @@ class TestSummarizeCluster:
         vocab, encoder, decoder, center = generation_setup
         sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=4,
                                 max_summary_len=8, seed=4)
-        ranked = summarize_cluster(decoder, encoder, vocab, center, 1, sampler)
+        ranked = _summarize(decoder, encoder, vocab, center, 1, sampler)
         assert all(ranked[0].score >= c.score for c in ranked[1:])
 
     def test_single_candidate_degenerate(self, generation_setup):
         vocab, encoder, decoder, center = generation_setup
         sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=1,
                                 max_summary_len=8, seed=5)
-        ranked = summarize_cluster(decoder, encoder, vocab, center, 0, sampler)
+        ranked = _summarize(decoder, encoder, vocab, center, 0, sampler)
         assert len(ranked) == 1 and ranked[0].rank == 1
 
     def test_candidates_reproducible_per_stream(self, generation_setup):
@@ -325,8 +438,8 @@ class TestSummarizeCluster:
         vocab, encoder, decoder, center = generation_setup
         sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=5,
                                 max_summary_len=8, seed=6)
-        a = summarize_cluster(decoder, encoder, vocab, center, 2, sampler)
-        b = summarize_cluster(decoder, encoder, vocab, center, 2, sampler)
+        a = _summarize(decoder, encoder, vocab, center, 2, sampler)
+        b = _summarize(decoder, encoder, vocab, center, 2, sampler)
         assert [c.token_ids for c in a] == [c.token_ids for c in b]
         assert [c.score for c in a] == [c.score for c in b]
 
