@@ -72,13 +72,13 @@ def save_checkpoint(
         fh.write(MAGIC + b"\n")
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for name in names:
-            arr = np.ascontiguousarray(tensors[name], dtype="<f4")
-            fh.write(arr.tobytes(order="C"))
+            fh.write(memoryview(np.ascontiguousarray(tensors[name], dtype="<f4")))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint; each payload is read straight into its own fresh
-    float32 array, with no intermediate buffer or copy."""
+    float32 array, with no intermediate buffer or copy. A file with bytes
+    after the last payload is refused."""
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != MAGIC:
@@ -92,6 +92,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             if fh.readinto(arr) != arr.nbytes:
                 raise ValueError(f"truncated checkpoint payload for {entry['name']!r}")
             tensors[entry["name"]] = arr
+        extra = os.fstat(fh.fileno()).st_size - fh.tell()
+        if extra:
+            raise ValueError(f"{path} has {extra} bytes after the last payload")
     return Checkpoint(
         component=header["component"],
         config=header["config"],

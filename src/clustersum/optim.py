@@ -29,13 +29,20 @@ class AdamW:
 
     The optimizer owns its parameters' storage. The constructor copies each
     parameter, one at a time, into ``buffer``, one flat array of the
-    parameters' common dtype in list order, and rebinds ``p.data`` to a view
-    of its slice; the moments live in two more flat arrays, and
+    parameters' common dtype, and rebinds ``p.data`` to a view of its slice;
+    the moments live in two more flat arrays, and
     ``first_moment[i]``/``second_moment[i]`` are views of parameter i's
-    slice. Parameters must share one dtype and be C-contiguous. Write new
+    slice. The large parameters (``BLOCK`` elements or more) come first in
+    ``buffer``, then the small ones as one contiguous run, each group in list
+    order. Parameters must share one dtype and be C-contiguous. Write new
     values into a parameter (``p.data[...] = values``) rather than rebinding
     ``p.data``: ``step`` refuses a parameter whose data is no longer its
     view, since the update would not reach it.
+
+    A step is ``loss.backward()`` then ``step()``, or, as ``fit`` runs it
+    when some parameter is large, ``loss.backward(opt.start_step)`` then
+    ``step()``, which updates the large parameters inside backward: both
+    give the same bytes.
     """
 
     def __init__(
@@ -79,7 +86,10 @@ class AdamW:
         self.step_count = 0
 
         dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
-        bounds = np.cumsum([0] + [p.size for p in self.params]).tolist()
+        large = [i for i, p in enumerate(self.params) if p.size >= BLOCK]
+        self._small = [i for i, p in enumerate(self.params) if p.size < BLOCK]
+        layout = large + self._small
+        bounds = np.cumsum([0] + [self.params[i].size for i in layout]).tolist()
         total = bounds[-1]
         self.buffer = np.empty(total, dtype)
         first, second = np.zeros(total, dtype), np.zeros(total, dtype)
@@ -87,7 +97,9 @@ class AdamW:
         self._views: list[np.ndarray] = []
         self.first_moment: list[np.ndarray] = []
         self.second_moment: list[np.ndarray] = []
-        for p, lo, hi in zip(self.params, bounds, bounds[1:]):
+        starts = dict(zip(layout, bounds))
+        for i, p in enumerate(self.params):
+            lo, hi = starts[i], starts[i] + p.size
             view = self.buffer[lo:hi].reshape(p.shape)
             view[...] = p.data
             p.data = view  # frees the old array: peak memory is one parameter over
@@ -96,14 +108,12 @@ class AdamW:
             self.second_moment.append(second[lo:hi].reshape(p.shape))
         self._scratch = (np.empty(min(BLOCK, total), dtype), np.empty(min(BLOCK, total), dtype))
         # each block: its flat range and the (parameter, local start, local
-        # end) pieces of the parameters it spans
-        self._blocks: list[tuple[int, int, list[tuple[int, int, int]]]] = []
-        for start in range(0, total, BLOCK):
-            end = min(start + BLOCK, total)
-            span = range(bisect.bisect_right(bounds, start) - 1, bisect.bisect_left(bounds, end))
-            pieces = [(i, max(start, bounds[i]) - bounds[i], min(end, bounds[i + 1]) - bounds[i])
-                      for i in span if bounds[i] < bounds[i + 1]]
-            self._blocks.append((start, end, pieces))
+        # end) pieces of the parameters it spans; a large parameter's blocks
+        # lie inside it
+        self._large = {id(self.params[i]): (i, _cut_blocks([i], bounds[k:k + 2]))
+                       for k, i in enumerate(large)}
+        self._small_blocks = _cut_blocks(self._small, bounds[len(large):])
+        self._in_backward = False
 
     def effective_lr(self, step: int | None = None) -> float:
         t = self.step_count if step is None else step
@@ -119,8 +129,44 @@ class AdamW:
         for p in self.params:
             p.grad = None
 
+    def start_step(self, leaves: list[Tensor]) -> Callable[[Tensor], None]:
+        """The ``Tensor.backward`` hook. Before any backward function runs,
+        it checks every parameter as ``step`` does, counting one among the
+        reachable ``leaves`` as having a gradient, so a failed check leaves
+        every parameter as it was. It returns the function that gives each
+        large parameter the ``step`` update as soon as its gradient is final
+        and then drops that gradient; ``step`` does the rest.
+        """
+        self._check(range(len(self.params)), {id(leaf) for leaf in leaves})
+        self._in_backward = True
+        return self._update_large
+
+    def _update_large(self, leaf: Tensor) -> None:
+        entry = self._large.get(id(leaf))
+        if entry is None:
+            return
+        i, blocks = entry
+        self._check([i])
+        self._sweep(blocks, self.step_count + 1)
+        leaf.grad = None
+
+    def _check(self, indices, reached: set[int] | None = None) -> None:
+        for i in indices:
+            p = self.params[i]
+            if p.data is not self._views[i]:
+                raise ValueError(
+                    f"parameter {i} {p.shape} was rebound after the optimizer was built; "
+                    "assign into p.data[...] instead"
+                )
+            if p.grad is None and (reached is None or id(p) not in reached):
+                raise ValueError(f"parameter {i} has no gradient; the loss does not reach it "
+                                 "or backward has not run")
+            if p.grad is not None and p.grad.shape != p.shape:
+                raise ValueError(f"parameter {i} {p.shape} has a gradient of shape {p.grad.shape}")
+
     def step(self) -> None:
-        """Apply one update to every parameter, then clear gradients.
+        """Apply one update to every parameter, then clear gradients; after
+        a backward with ``start_step``, only the small parameters are left.
 
         The update sweeps the flat buffers in blocks of ``BLOCK`` elements,
         so that each block's parameters, moments, gradient and two scratch
@@ -130,32 +176,31 @@ class AdamW:
         operations in the same order as a whole-array update, so the result
         does not depend on the blocking.
         """
-        for i, (p, view) in enumerate(zip(self.params, self._views)):
-            if p.data is not view:
-                raise ValueError(
-                    f"parameter {i} {p.shape} was rebound after the optimizer was built; "
-                    "assign into p.data[...] instead"
-                )
-            if p.grad is None:
-                raise ValueError(f"parameter {i} has no gradient; run backward first")
-            if p.grad.shape != p.shape:
-                raise ValueError(f"parameter {i} {p.shape} has a gradient of shape {p.grad.shape}")
+        self._check(self._small if self._in_backward else range(len(self.params)))
         self.step_count += 1
-        t = self.step_count
+        for i, blocks in self._large.values():
+            if self.params[i].grad is not None:  # not updated inside backward
+                self._sweep(blocks, self.step_count)
+        self._sweep(self._small_blocks, self.step_count)
+        self._in_backward = False
+        self.zero_grad()
+
+    def _sweep(self, blocks, t: int) -> None:
         lr_t = self.effective_lr(t)
         beta1, beta2 = self.betas
         keep1, keep2 = 1.0 - beta1, 1.0 - beta2
         correct1, correct2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
-        grads = [p.grad.reshape(-1) for p in self.params]
+        params = self.params
         first, second = self._moments
-        for start, end, pieces in self._blocks:
+        for start, end, pieces in blocks:
             n = end - start
             a, b = self._scratch[0][:n], self._scratch[1][:n]
             if len(pieces) == 1:
                 i, lo, hi = pieces[0]
-                g = grads[i][lo:hi]
+                g = params[i].grad.reshape(-1)[lo:hi]
             else:
-                g = np.concatenate([grads[i][lo:hi] for i, lo, hi in pieces], out=a)
+                g = np.concatenate([params[i].grad.reshape(-1)[lo:hi] for i, lo, hi in pieces],
+                                   out=a)
             data, m, v = self.buffer[start:end], first[start:end], second[start:end]
             np.multiply(g, keep1, out=b)
             m *= beta1
@@ -174,7 +219,19 @@ class AdamW:
                 update += b
             update *= lr_t
             data -= update
-        self.zero_grad()
+
+
+def _cut_blocks(run: list[int], bounds: list[int]) -> list[tuple[int, int, list]]:
+    """Cut the flat range of parameters ``run``, laid out at ``bounds``, into
+    blocks of ``BLOCK`` elements."""
+    blocks = []
+    for start in range(bounds[0], bounds[-1], BLOCK):
+        end = min(start + BLOCK, bounds[-1])
+        span = range(bisect.bisect_right(bounds, start) - 1, bisect.bisect_left(bounds, end))
+        pieces = [(run[j], max(start, bounds[j]) - bounds[j], min(end, bounds[j + 1]) - bounds[j])
+                  for j in span if bounds[j] < bounds[j + 1]]
+        blocks.append((start, end, pieces))
+    return blocks
 
 
 @dataclass
@@ -207,6 +264,10 @@ def fit(
     returns the loss, the factor that turns ``loss.item()`` into the
     batch's share of the epoch's summed loss, and (correct, counted)
     prediction counts; each loss gets one backward and one optimizer step.
+    When the optimizer has a parameter of ``BLOCK`` elements or more, the
+    backward runs ``optimizer.start_step``, so each large parameter is
+    updated as soon as its gradient is final and no step holds a full set
+    of gradients; ``optimizer.step`` then updates the rest.
     The epoch loss is that sum over ``len(items)``. After the epoch,
     ``validate(epoch)`` returns the validation loss and accuracy (or
     ``None``). With ``keep_best``, the optimizer's parameters end as they
@@ -215,6 +276,7 @@ def fit(
     history: list[EpochStats] = []
     best_loss = float("inf")
     best_params: np.ndarray | None = None
+    hook = optimizer.start_step if optimizer._large else None
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(items))
         epoch_loss = 0.0
@@ -222,7 +284,7 @@ def fit(
         counted = 0
         for start in range(0, len(order), batch_size):
             loss, factor, c, n = batch_loss([items[i] for i in order[start:start + batch_size]])
-            loss.backward()
+            loss.backward(hook)
             optimizer.step()
             epoch_loss += loss.item() * factor
             correct += c

@@ -149,7 +149,7 @@ class Tensor:
 
     # -- autodiff -----------------------------------------------------------
 
-    def backward(self) -> None:
+    def backward(self, hook: Callable[[list["Tensor"]], Callable] | None = None) -> None:
         """Accumulate gradients on every leaf (a tensor without parents, such
         as a parameter) reachable from this scalar.
 
@@ -157,11 +157,19 @@ class Tensor:
         node (one with parents) drops its gradient once it has handed it to
         its parents, so a batch's interior gradients are never all held at
         once.
+
+        With ``hook``, the topological pass also counts the nodes that read
+        each leaf. ``hook(leaves)`` is called with every reachable leaf
+        before the first backward function runs, and the function it returns
+        is called with each leaf as soon as the last node that reads it has
+        run its backward, when the leaf's gradient is final. The optimizer
+        uses this to update a parameter and drop its gradient mid-pass.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.shape}")
         order: list[Tensor] = []
         seen: set[int] = set()
+        readers: dict[int, int] = {}
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
@@ -173,16 +181,29 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
+                if parent.requires_grad:
+                    if hook is not None and not parent._parents:
+                        readers[id(parent)] = readers.get(id(parent), 0) + 1
+                    if id(parent) not in seen:
+                        stack.append((parent, False))
+        final = None if hook is None else hook([n for n in order if not n._parents])
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += np.ones_like(self.data)
+        if final is not None and not self._parents:
+            final(self)
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
                 if node._parents:
                     node.grad = None
+            if final is not None:
+                for parent in node._parents:
+                    left = readers.get(id(parent))
+                    if left is not None:
+                        readers[id(parent)] = left - 1
+                        if left == 1:
+                            final(parent)
 
 
 def _as_tensor(value, dtype) -> Tensor:

@@ -72,6 +72,15 @@ def test_truncated_payload_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, component="encoder", config={},
+                    tensors={"w": np.ones((8, 8), dtype=np.float32)})
+    path.write_bytes(path.read_bytes() + bytes(12))
+    with pytest.raises(ValueError, match="12 bytes after the last payload"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("model_type,num_labels", [
     (EncoderModel, None), (EncoderModel, 3), (DecoderModel, None),
 ])

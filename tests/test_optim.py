@@ -4,9 +4,12 @@ epoch loop on a toy objective."""
 import numpy as np
 import pytest
 
+from clustersum import optim
+from clustersum.encoder import EncoderModel, ModelConfig, mlm_batch_loss
 from clustersum.optim import BLOCK, AdamW, fit
-from clustersum.tensor import Tensor
+from clustersum.tensor import Tensor, cross_entropy, gelu, init_normal, layer_norm, linear
 
+from corpora import build_docs, pair_texts
 from oracles import reference_adamw_update
 
 
@@ -264,3 +267,224 @@ class TestFit:
         (counted,) = fit(self.ITEMS, lambda b: (self._square_loss(p, b), 1, 1, len(b)), opt,
                          epochs=1, batch_size=4, rng=np.random.default_rng(7))
         assert counted.accuracy == pytest.approx(3 / 10)
+
+
+SMALL_BLOCK = 1024
+
+
+class _Desk:
+    """A desk-scale encoder on the MLM objective: with ``BLOCK`` at 1024 its
+    attention and FFN weights are large, its biases, gains and (on this
+    small vocabulary) embeddings small, and no large weight is read twice."""
+
+    def __init__(self, dtype, seed=1):
+        texts = pair_texts(np.random.default_rng(0), num_docs=12, num_pairs=4, doc_len=10)
+        vocab, self.items = build_docs(texts, max_len=12)
+        self.model = EncoderModel(ModelConfig.desk_scale(vocab.size, max_len=12),
+                                  np.random.default_rng(seed), dtype)
+        self.params = self.model.parameters()
+        self.rng = np.random.default_rng(2)
+
+    def batch_loss(self, batch):
+        loss, c, n = mlm_batch_loss(self.model, batch, 0.3, self.rng, 4, train=True)
+        return loss, 4, c, n
+
+
+class _Shared:
+    """A graph where ``w`` feeds two ``linear`` nodes and a layer norm's gain
+    and bias are each read twice; every one of them is large, as are the
+    head's weight and the first bias, and the widths leave a short last
+    block. The head's bias and the ``gate`` are small."""
+
+    WIDTH = SMALL_BLOCK + 6
+
+    def __init__(self, dtype, seed=1):
+        rng = np.random.default_rng(seed)
+        shapes = [(5, self.WIDTH), (self.WIDTH,), (self.WIDTH,), (self.WIDTH,),
+                  (self.WIDTH, 4), (4,), (1,)]
+        self.params = [init_normal(rng, s, 0.5, dtype) for s in shapes]
+        data = np.random.default_rng(seed + 1)
+        self.x, self.x2 = (data.normal(size=(6, 5)).astype(dtype) for _ in range(2))
+        self.items = list(range(6))
+
+    def batch_loss(self, batch):
+        w, b, gain, bias, head, head_bias, gate = self.params
+        x, x2 = Tensor(self.x[batch]), Tensor(self.x2[batch])
+        h = layer_norm(linear(x, w, b) + linear(x2, w), gain, bias)
+        h = layer_norm(gelu(h) * gate, gain, bias)
+        targets = [i % 4 for i in batch]
+        return cross_entropy(linear(h, head, head_bias), targets) / len(batch), len(batch), 0, 0
+
+
+def _fit(model, weight_decay, keep_best, epochs=1):
+    opt = AdamW(model.params, lr=1e-2, weight_decay=weight_decay, warmup_steps=2)
+    validate = (lambda epoch: ([2.0, 1.0, 3.0][epoch - 1], None)) if keep_best else None
+    history = fit(model.items, model.batch_loss, opt, epochs=epochs, batch_size=4,
+                  rng=np.random.default_rng(5), validate=validate, keep_best=keep_best)
+    return opt, history
+
+
+def _state(opt):
+    return ([p.data.tobytes() for p in opt.params], [m.tobytes() for m in opt.first_moment],
+            [v.tobytes() for v in opt.second_moment], opt.step_count)
+
+
+def _plain_backward(monkeypatch):
+    """Make every backward ignore its hook, so ``fit`` runs
+    ``loss.backward(); optimizer.step()`` as before updates moved into
+    backward."""
+    plain = Tensor.backward
+    monkeypatch.setattr(Tensor, "backward", lambda self, hook=None: plain(self))
+
+
+def _count_updates(monkeypatch):
+    """Record every large parameter updated inside backward."""
+    calls = []
+    update = AdamW._update_large
+
+    def counted(self, leaf):
+        if id(leaf) in self._large:
+            calls.append(leaf)
+        update(self, leaf)
+
+    monkeypatch.setattr(AdamW, "_update_large", counted)
+    return calls
+
+
+class TestUpdateInBackward:
+    """``fit`` updates each large parameter inside backward; the bytes equal
+    a plain backward followed by ``step``."""
+
+    @pytest.mark.parametrize("model_type", [_Desk, _Shared])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("keep_best", [False, True])
+    def test_matches_backward_then_step(self, monkeypatch, model_type, dtype, weight_decay,
+                                        keep_best):
+        monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
+        epochs = 3 if keep_best else 1
+        with monkeypatch.context() as m:
+            _plain_backward(m)
+            expected, expected_history = _fit(model_type(dtype), weight_decay, keep_best, epochs)
+        calls = _count_updates(monkeypatch)
+        model = model_type(dtype)
+        large = [p for p in model.params if p.size >= SMALL_BLOCK]
+        assert large and len(large) < len(model.params)
+        opt, history = _fit(model, weight_decay, keep_best, epochs)
+        assert len(calls) == len(large) * opt.step_count
+        assert _state(opt) == _state(expected)
+        assert history == expected_history
+
+    def test_large_parameters_lead_the_buffer(self, monkeypatch):
+        monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
+        model = _Shared(np.float32)
+        opt = AdamW(model.params, lr=1e-2)
+        assert self._layout(opt) == [0, 1, 2, 3, 4, 5, 6]
+        opt = AdamW(model.params[5:] + model.params[:5], lr=1e-2)
+        assert self._layout(opt) == [2, 3, 4, 5, 6, 0, 1]
+
+    @staticmethod
+    def _layout(opt):
+        """Parameter indices in buffer order."""
+        return sorted(range(len(opt.params)), key=lambda i: opt.params[i].data.ctypes.data)
+
+    def test_each_large_gradient_is_dropped_after_its_update(self, monkeypatch):
+        """No two large gradients are ever alive together, each is gone
+        right after its update, and ``step`` finds none."""
+        monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
+        model = _Desk(np.float32)
+        opt = AdamW(model.params, lr=1e-2)
+        large = [p for p in opt.params if p.size >= SMALL_BLOCK]
+        update = opt._update_large
+        updated = []
+
+        def probe(leaf):
+            assert all(p is leaf for p in large if p.grad is not None)
+            update(leaf)
+            if any(p is leaf for p in large):
+                assert leaf.grad is None
+                updated.append(leaf)
+
+        step = opt.step
+
+        def probed_step():
+            assert all(p.grad is None for p in large)
+            assert all(p.grad is not None for p in opt.params if p.size < SMALL_BLOCK)
+            step()
+
+        opt._update_large, opt.step = probe, probed_step
+        fit(model.items, model.batch_loss, opt, epochs=1, batch_size=4,
+            rng=np.random.default_rng(5))
+        assert opt.step_count == 3 and len(updated) == 3 * len(large)
+
+    @pytest.mark.parametrize("which", [0, 5])
+    def test_rebound_parameter_raises_before_any_update(self, monkeypatch, which):
+        monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
+        model = _Shared(np.float32)
+        opt = AdamW(model.params, lr=1e-2)
+        before = opt.buffer.copy()
+        model.params[which].data = model.params[which].data.copy()
+        with pytest.raises(ValueError, match=f"parameter {which} .* was rebound"):
+            fit(model.items, model.batch_loss, opt, epochs=1, batch_size=4,
+                rng=np.random.default_rng(5))
+        assert opt.step_count == 0
+        assert opt.buffer.tobytes() == before.tobytes()
+        assert model.params[which].data.tobytes() == opt._views[which].tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (SMALL_BLOCK,)])
+    def test_unreachable_parameter_raises_before_any_update(self, monkeypatch, shape):
+        monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
+        model = _Shared(np.float32)
+        unused = init_normal(np.random.default_rng(9), shape)
+        opt = AdamW(model.params + [unused], lr=1e-2)
+        before = opt.buffer.copy()
+        with pytest.raises(ValueError, match="parameter 7 has no gradient"):
+            fit(model.items, model.batch_loss, opt, epochs=1, batch_size=4,
+                rng=np.random.default_rng(5))
+        assert opt.step_count == 0
+        assert opt.buffer.tobytes() == before.tobytes()
+
+    def test_an_unreached_parameter_with_a_gradient_is_updated_by_step(self, monkeypatch):
+        """A large parameter the loss does not reach but that already holds
+        a gradient is updated as a plain ``step`` would update it."""
+        monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
+        states = []
+        for hooked in (False, True):
+            model = _Shared(np.float32)
+            held = init_normal(np.random.default_rng(9), (SMALL_BLOCK,))
+            opt = AdamW(model.params + [held], lr=1e-2)
+            held.grad = np.ones(SMALL_BLOCK, dtype=np.float32)
+            model.batch_loss([0, 1, 2])[0].backward(opt.start_step if hooked else None)
+            opt.step()
+            states.append(_state(opt))
+        assert states[0] == states[1]
+        fresh = init_normal(np.random.default_rng(9), (SMALL_BLOCK,))
+        assert held.data.tobytes() != fresh.data.tobytes()
+
+    def test_without_large_parameters_backward_gets_no_hook(self, monkeypatch):
+        model = _Shared(np.float32)
+        opt = AdamW(model.params, lr=1e-2)
+        assert not opt._large
+        hooks = []
+        plain = Tensor.backward
+
+        def spy(self, hook=None):
+            hooks.append(hook)
+            plain(self, hook)
+
+        monkeypatch.setattr(Tensor, "backward", spy)
+        fit(model.items, model.batch_loss, opt, epochs=1, batch_size=4,
+            rng=np.random.default_rng(5))
+        assert hooks == [None, None]
+
+    def test_a_plain_step_still_updates_large_parameters(self, monkeypatch):
+        """Outside ``fit``, ``backward()`` then ``step()`` updates every
+        parameter, large ones included."""
+        monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
+        model = _Shared(np.float32)
+        opt = AdamW(model.params, lr=1e-2)
+        before = [p.data.copy() for p in model.params]
+        model.batch_loss([0, 1, 2])[0].backward()
+        opt.step()
+        assert all(not np.array_equal(p.data, b) for p, b in zip(model.params, before))
+        assert all(p.grad is None for p in model.params)

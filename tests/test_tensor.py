@@ -345,6 +345,89 @@ class TestBackward:
         assert out._backward_fn is None and not out.requires_grad
 
 
+class TestBackwardHook:
+    """``backward(hook)``: the hook gets every reachable leaf first, and
+    each leaf is reported once, right after the last node that reads it."""
+
+    @staticmethod
+    def _params():
+        rng = np.random.default_rng(20)
+        return [init_normal(rng, s, 0.5) for s in [(4, 6), (6,), (6,), (6, 3)]]
+
+    @staticmethod
+    def _loss(params):
+        """``w`` feeds two ``linear`` nodes and ``gain`` two layer norms."""
+        w, gain, bias, head = params
+        rng = np.random.default_rng(21)
+        x, x2 = (Tensor(rng.normal(size=(5, 4)).astype(np.float32)) for _ in range(2))
+        h = layer_norm(linear(x, w) + linear(x2, w), gain, bias)
+        h = layer_norm(gelu(h), gain, bias)
+        return cross_entropy(linear(h, head), [0, 1, 2, 0, 1])
+
+    def test_each_leaf_once_with_its_final_gradient(self):
+        plain = self._params()
+        self._loss(plain).backward()
+        params = self._params()
+        seen, reported = [], []
+
+        def hook(leaves):
+            seen.extend(leaves)
+            assert all(p.grad is None for p in params)
+            return lambda leaf: reported.append((leaf, leaf.grad.copy()))
+
+        self._loss(params).backward(hook)
+        assert sorted(map(id, seen)) == sorted(map(id, params))
+        assert sorted(id(leaf) for leaf, _ in reported) == sorted(map(id, params))
+        for leaf, grad in reported:
+            assert grad.tobytes() == plain[[id(p) for p in params].index(id(leaf))].grad.tobytes()
+
+    def test_a_shared_leaf_is_reported_after_its_last_reader(self):
+        """The first ``linear`` of ``w`` to run its backward has given only
+        half of ``w``'s gradient; the report waits for the second."""
+        params = self._params()
+        w = params[0]
+        loss = self._loss(params)
+        events = []
+        stack, nodes = [loss], []
+        while stack:
+            node = stack.pop()
+            if all(node is not n for n in nodes):
+                nodes.append(node)
+                stack.extend(node._parents)
+        for node in nodes:
+            if any(p is w for p in node._parents):
+                node._backward_fn = self._logged(node._backward_fn, events)
+        loss.backward(lambda leaves: lambda leaf: events.append(leaf))
+        readers = [i for i, e in enumerate(events) if isinstance(e, str)]
+        assert len(readers) == 2
+        assert [i for i, e in enumerate(events) if e is w] == [readers[1] + 1]
+
+    @staticmethod
+    def _logged(fn, events):
+        def run(grad):
+            fn(grad)
+            events.append("reader")
+        return run
+
+    def test_a_leaf_loss_is_reported(self):
+        x = init_normal(np.random.default_rng(22), (1,))
+        calls = []
+        x.backward(lambda leaves: calls.append(list(leaves)) or calls.append)
+        assert calls[0] == [x] and calls[1] is x
+        np.testing.assert_array_equal(x.grad, np.ones(1, dtype=np.float32))
+
+    def test_without_hook_backward_keeps_accumulating(self):
+        """A hook that keeps the gradients leaves them as a plain backward
+        does, and later plain backwards add onto them."""
+        params = self._params()
+        self._loss(params).backward(lambda leaves: lambda leaf: None)
+        once = [p.grad.copy() for p in params]
+        self._loss(params).backward()
+        self._loss(params).backward()
+        for p, g in zip(params, once):
+            np.testing.assert_allclose(p.grad, 3 * g, rtol=1e-5)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_init_normal_without_generator_is_zero_filled(dtype):
     x = init_normal(None, (3, 5), dtype=dtype)
