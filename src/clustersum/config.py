@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .generator import SamplerConfig
+from .tokenizer import SPECIAL_TOKENS
 
 
 class ConfigError(Exception):
@@ -78,6 +79,18 @@ class PipelineConfig:
             raise ConfigError(f"unknown loss normalization {self.loss_normalization!r}")
         if self.num_clusters < 1:
             raise ConfigError(f"num_clusters must be at least 1, got {self.num_clusters}")
+        # [CLS] and [SEP] frame every document
+        if self.max_len < 2:
+            raise ConfigError(f"max_len must be at least 2, got {self.max_len}")
+        if self.vocab_max_size <= len(SPECIAL_TOKENS):
+            raise ConfigError(f"vocab_max_size must exceed the {len(SPECIAL_TOKENS)} special "
+                              f"tokens, got {self.vocab_max_size}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if not 0.0 < self.mask_rate <= 1.0:
+            raise ConfigError(f"mask_rate must lie in (0, 1], got {self.mask_rate}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
         # the last generated token is decoded at position max_summary_len - 1
         if self.max_summary_len > self.max_len:
             raise ConfigError(
@@ -87,6 +100,10 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if f.name.endswith(("_epochs", "_batch_size")) and value < 1:
                 raise ConfigError(f"{f.name} must be at least 1, got {value}")
+            if f.name.endswith("_lr") and value <= 0:
+                raise ConfigError(f"{f.name} must be positive, got {value}")
+            if f.name.endswith("_warmup_steps") and value < 0:
+                raise ConfigError(f"{f.name} must be non-negative, got {value}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
         # the sampling and evaluation settings too, so a bad value fails before

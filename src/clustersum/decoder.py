@@ -63,12 +63,12 @@ class DecoderModel(Model):
 
     def _memory(self, conditioning: Tensor | np.ndarray, rows: int | None) -> Tensor:
         """``conditioning`` as a ``[rows, hidden]`` tensor (any row count
-        when ``rows`` is None); a single ``[hidden]`` row is one row."""
-        memory = conditioning if isinstance(conditioning, Tensor) else Tensor(
-            np.asarray(conditioning, dtype=self.dtype)
-        )
-        if memory.ndim == 1:
-            memory = memory.reshape((1, memory.shape[0]))
+        when ``rows`` is None); a single ``[hidden]`` array is one row."""
+        if isinstance(conditioning, Tensor):
+            memory = conditioning
+        else:
+            array = np.asarray(conditioning, dtype=self.dtype)
+            memory = Tensor(array.reshape(1, -1) if array.ndim == 1 else array)
         rows = memory.shape[0] if rows is None else rows
         if memory.shape != (rows, self.config.hidden_size):
             raise ValueError(

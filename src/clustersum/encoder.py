@@ -36,7 +36,7 @@ from .layers import (
     padding_mask,
 )
 from .optim import AdamW, EpochStats, fit
-from .tensor import Tensor, cross_entropy, gather_rows, init_normal, no_grad, softmax
+from .tensor import Tensor, cross_entropy, gather_rows, init_normal, no_grad, stable_softmax
 from .tensor import dropout as dropout_op
 from .tokenizer import EncodedDocument, mask_for_mlm, pad_batch
 
@@ -243,7 +243,7 @@ class EncoderModel(Model):
             raise ValueError("label_probs requires a fine-tuned classifier head")
         with no_grad():
             logits = self.classifier(Tensor(np.asarray(embeddings, dtype=self.dtype)))
-            return softmax(logits, axis=-1).data
+            return stable_softmax(logits.data, -1)
 
 
 # -- training ----------------------------------------------------------------

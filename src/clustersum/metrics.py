@@ -1,5 +1,5 @@
 """Evaluation: n-gram and subsequence overlap scores against references,
-reference-free cosine surrogates, and cluster purity for synthetic checks.
+and reference-free cosine surrogates.
 
 Overlap scoring tokenizes with the pipeline tokenizer, no stemming or
 stopword removal. With several references per cluster, the reported score
@@ -150,20 +150,3 @@ def cosine_top_k(
         sims = [cosine_similarity(summary_embeddings[c], doc_embeddings[d]) for d in chosen]
         per_cluster.append(float(np.mean(sims)))
     return float(np.mean(per_cluster))
-
-
-def cluster_purity(assignment: Sequence[int], gold_labels: Sequence) -> float:
-    """Fraction of documents covered by their cluster's majority gold label."""
-    assignment = np.asarray(assignment)
-    if assignment.shape[0] != len(gold_labels):
-        raise ValueError("assignment and gold labels must align")
-    n = assignment.shape[0]
-    if n == 0:
-        return 0.0
-    gold = list(gold_labels)
-    covered = 0
-    for c in np.unique(assignment):
-        members = np.flatnonzero(assignment == c)
-        counts = Counter(gold[i] for i in members)
-        covered += counts.most_common(1)[0][1]
-    return covered / n

@@ -39,10 +39,9 @@ class AdamW:
     ``p.data``: ``step`` refuses a parameter whose data is no longer its
     view, since the update would not reach it.
 
-    A step is ``loss.backward()`` then ``step()``, or, as ``fit`` runs it
-    when some parameter is large, ``loss.backward(opt.start_step)`` then
-    ``step()``, which updates the large parameters inside backward: both
-    give the same bytes.
+    A step is ``loss.backward()`` then ``step()``, or, as ``fit`` runs it,
+    ``loss.backward(opt.start_step)`` then ``step()``, which updates the
+    large parameters inside backward: both give the same bytes.
     """
 
     def __init__(
@@ -264,10 +263,10 @@ def fit(
     returns the loss, the factor that turns ``loss.item()`` into the
     batch's share of the epoch's summed loss, and (correct, counted)
     prediction counts; each loss gets one backward and one optimizer step.
-    When the optimizer has a parameter of ``BLOCK`` elements or more, the
-    backward runs ``optimizer.start_step``, so each large parameter is
-    updated as soon as its gradient is final and no step holds a full set
-    of gradients; ``optimizer.step`` then updates the rest.
+    The backward runs ``optimizer.start_step``, so each parameter of
+    ``BLOCK`` elements or more is updated as soon as its gradient is final
+    and no step holds a full set of gradients; ``optimizer.step`` then
+    updates the rest.
     The epoch loss is that sum over ``len(items)``. After the epoch,
     ``validate(epoch)`` returns the validation loss and accuracy (or
     ``None``). With ``keep_best``, the optimizer's parameters end as they
@@ -276,7 +275,6 @@ def fit(
     history: list[EpochStats] = []
     best_loss = float("inf")
     best_params: np.ndarray | None = None
-    hook = optimizer.start_step if optimizer._large else None
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(items))
         epoch_loss = 0.0
@@ -284,7 +282,7 @@ def fit(
         counted = 0
         for start in range(0, len(order), batch_size):
             loss, factor, c, n = batch_loss([items[i] for i in order[start:start + batch_size]])
-            loss.backward(hook)
+            loss.backward(optimizer.start_step)
             optimizer.step()
             epoch_loss += loss.item() * factor
             correct += c

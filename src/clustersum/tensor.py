@@ -11,24 +11,24 @@ operands' storage dtype, forward and backward: matrix products go to BLAS in
 that dtype, and no operation makes a full-size float64 copy. float64 is only
 the accumulator of a few reductions, whose small results are cast back to the
 storage dtype: the softmax denominator and its backward inner sum, the
-layer_norm mean and variance and their backward means, the ``cross_entropy``
-exponential sums and loss total, and ``reduce_sum``.
+layer_norm mean and variance and their backward means, and the
+``cross_entropy`` exponential sums and loss total.
 
 Three fused ops are one node each, ``linear`` (``x @ w + b``), ``attention``
 (multi-head, around the numpy core ``attend``; keys and values are
 ``[b·t, hidden]`` rows and queries ``[b·r, hidden]`` rows, where r may be
 fewer than t positions per sequence) and ``add_layer_norm``
 (``layer_norm(x + a)``); their backwards replay the composed graphs'
-expressions in the same order, so the bytes are the same.
+expressions in the same order, so the bytes are the same. ``stable_softmax``
+is the numpy softmax that ``attend`` uses and that label probabilities are
+read with.
 
 A node's first gradient becomes its ``grad`` without a copy when the op
-that produced it allocated it for that one operand: linear, attention, mul,
-dropout, softmax, layer_norm, gelu and cross_entropy pass ``owned=True`` to
+that produced it allocated it for that one operand: linear, attention,
+dropout, layer_norm, gelu and cross_entropy pass ``owned=True`` to
 ``_accumulate``, and so does ``add_layer_norm`` for its second operand; its
-first operand gets a copy of the same array. ``add``, ``reshape`` and
-``reduce_sum`` hand on the incoming array, a view of it or a broadcast,
-which may reach several operands, so those are copied; later gradients add
-into the first.
+first operand gets a copy of the same array. Later gradients add into the
+first.
 
 A recorded graph belongs to one training context and must not be shared
 across threads; operations on disjoint tensors are otherwise pure.
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -113,39 +113,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other) -> "Tensor":
-        return add(self, _as_tensor(other, self.dtype))
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "Tensor":
-        return mul(self, _as_tensor(other, self.dtype))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return self * -1.0
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-_as_tensor(other, self.dtype))
-
-    def __truediv__(self, scalar: float) -> "Tensor":
-        return self * (1.0 / float(scalar))
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape: Sequence[int]) -> "Tensor":
-        return reshape(self, shape)
 
     # -- autodiff -----------------------------------------------------------
 
@@ -153,7 +123,8 @@ class Tensor:
         """Accumulate gradients on every leaf (a tensor without parents, such
         as a parameter) reachable from this scalar.
 
-        Repeated calls without ``zero_grad`` keep accumulating. An interior
+        Repeated calls keep accumulating until ``grad`` is set back to
+        ``None``. An interior
         node (one with parents) drops its gradient once it has handed it to
         its parents, so a batch's interior gradients are never all held at
         once.
@@ -206,16 +177,6 @@ class Tensor:
                             final(parent)
 
 
-def _as_tensor(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
-
-
-def zeros(shape, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
 def init_normal(rng: np.random.Generator | None, shape, std: float = 0.02, dtype=np.float32) -> Tensor:
     """Trainable parameter tensor with N(0, std) entries drawn from ``rng``.
 
@@ -224,7 +185,7 @@ def init_normal(rng: np.random.Generator | None, shape, std: float = 0.02, dtype
     load or a copy) gets shells of the right shape at no sampling cost.
     """
     if rng is None:
-        return zeros(shape, requires_grad=True, dtype=dtype)
+        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
     return Tensor(rng.normal(0.0, std, size=shape).astype(dtype), requires_grad=True)
 
 
@@ -256,54 +217,7 @@ def _accumulate(t: Tensor, grad: np.ndarray, owned: bool = False) -> None:
         t.grad += grad.astype(t.data.dtype, copy=False)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-# -- elementwise and structural ops ----------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _common_dtype(a, b)
-    out = a.data + b.data
-
-    def backward_fn(grad: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(grad, a.shape))
-        _accumulate(b, _unbroadcast(grad, b.shape))
-
-    return _record(out, (a, b), backward_fn)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _common_dtype(a, b)
-    out = a.data * b.data
-
-    def backward_fn(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(grad * b.data, a.shape), owned=True)
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(grad * a.data, b.shape), owned=True)
-
-    return _record(out, (a, b), backward_fn)
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    out = x.data.reshape(shape)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        _accumulate(x, grad.reshape(x.shape))
-
-    return _record(out, (x,), backward_fn)
+# -- row selection and dropout ----------------------------------------------
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -349,18 +263,6 @@ def _scatter_add_rows(target: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> 
     for lo, hi in zip(ends - counts, ends):
         sel = by_rank[lo:hi]
         target[idx[sel]] += rows[sel]
-
-
-def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = np.asarray(x.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64), dtype=x.dtype)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        g = grad
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.shape))
-
-    return _record(out, (x,), backward_fn)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -413,23 +315,15 @@ def _row_mean(x: np.ndarray) -> np.ndarray:
     return mean.astype(x.dtype, copy=False)
 
 
-def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+def stable_softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax of an array along ``axis``, without a graph: the maximum is
+    subtracted first, so rows sum to 1 and large values do not overflow."""
     exps = np.exp(x - x.max(axis=axis, keepdims=True))
     return exps / _row_sum(exps, axis)
 
 
 def _softmax_grad(out: np.ndarray, grad: np.ndarray, axis: int) -> np.ndarray:
     return out * (grad - _row_sum(out * grad, axis))
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Shift-invariant softmax along ``axis``; rows sum to 1."""
-    out = _softmax(x.data, axis)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        _accumulate(x, _softmax_grad(out, grad, axis), owned=True)
-
-    return _record(out, (x,), backward_fn)
 
 
 def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -441,7 +335,7 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     scores *= np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=q.dtype)
     if mask is not None:
         scores += mask
-    weights = _softmax(scores, -1)
+    weights = stable_softmax(scores, -1)
     return weights, weights @ v
 
 

@@ -101,10 +101,6 @@ class EncodedDocument:
     ids: list[int]
     label: int | None = None
 
-    @property
-    def body(self) -> list[int]:
-        return self.ids[1:-1]
-
 
 def encode(
     text: str,

@@ -2,11 +2,15 @@
 
 Everything here recomputes expected values through a route that does not
 touch the library code under test: plain Python loops, numpy reference
-formulas, and central finite differences. The composed graphs and the
-per-cluster decode are the exceptions: the graphs build linear, attention
-and residual layer norm from the library's smaller ops, node by node, and
-the fused ops must match them byte for byte; the per-cluster decode is the
-path that one decoding batch across clusters replaced.
+formulas, and central finite differences. The general autograd ops, the
+composed graphs and the per-cluster decode are the exceptions. The ops
+(``add``, ``mul``, ``reshape``, ``reduce_sum``, ``matmul``, ``transpose``
+and a graph ``softmax``) record nodes on the library's graph, so tests can
+write losses and shared-operand cases with them; no model runs them. The
+composed graphs build linear, attention and residual layer norm from those
+ops, node by node, and the fused ops must match them byte for byte. The
+per-cluster decode is the path that one decoding batch across clusters
+replaced.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from clustersum.tensor import (
     _accumulate,
     _common_dtype,
     _record,
+    _softmax_grad,
     cross_entropy,
     gather_rows,
     layer_norm,
     no_grad,
-    softmax,
+    stable_softmax,
 )
 from clustersum.generator import filter_top_k_top_p, sample_tokens
 from clustersum.tokenizer import mask_for_mlm
@@ -60,10 +65,92 @@ def naive_nll(logits: np.ndarray, targets) -> float:
     return total
 
 
-# -- composed graphs the fused ops must reproduce byte for byte -------------
-# ``matmul`` and ``transpose`` are general autograd ops that only these
-# graphs and the tests use; the library's linear and attention are single
-# nodes.
+# -- general autograd ops ----------------------------------------------------
+# Tests build losses and composed graphs from these; the library's linear and
+# attention are single nodes. ``add`` and ``mul`` take a Tensor and a Tensor,
+# array or number; a non-Tensor becomes a constant of the first operand's
+# dtype.
+
+
+def _as_tensor(value, dtype) -> Tensor:
+    if isinstance(value, Tensor):
+        return value
+    return Tensor(np.asarray(value, dtype=dtype))
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcast gradient back down to the operand's shape."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+def add(a: Tensor, b) -> Tensor:
+    """Broadcasting sum. Both operands may get the one incoming array (or a
+    view of it), so neither adopts it: ``_accumulate`` copies."""
+    b = _as_tensor(b, a.dtype)
+    _common_dtype(a, b)
+    out = a.data + b.data
+
+    def backward_fn(grad: np.ndarray) -> None:
+        _accumulate(a, _unbroadcast(grad, a.shape))
+        _accumulate(b, _unbroadcast(grad, b.shape))
+
+    return _record(out, (a, b), backward_fn)
+
+
+def mul(a: Tensor, b) -> Tensor:
+    """Broadcasting elementwise product."""
+    b = _as_tensor(b, a.dtype)
+    _common_dtype(a, b)
+    out = a.data * b.data
+
+    def backward_fn(grad: np.ndarray) -> None:
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(grad * b.data, a.shape), owned=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(grad * a.data, b.shape), owned=True)
+
+    return _record(out, (a, b), backward_fn)
+
+
+def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
+    shape = tuple(shape)
+    out = x.data.reshape(shape)
+
+    def backward_fn(grad: np.ndarray) -> None:
+        _accumulate(x, grad.reshape(x.shape))
+
+    return _record(out, (x,), backward_fn)
+
+
+def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """Sum with a float64 accumulator, cast back to the storage dtype."""
+    out = np.asarray(x.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64), dtype=x.dtype)
+
+    def backward_fn(grad: np.ndarray) -> None:
+        g = grad
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(x, np.broadcast_to(g, x.shape))
+
+    return _record(out, (x,), backward_fn)
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Shift-invariant softmax along ``axis``; rows sum to 1."""
+    out = stable_softmax(x.data, axis)
+
+    def backward_fn(grad: np.ndarray) -> None:
+        _accumulate(x, _softmax_grad(out, grad, axis), owned=True)
+
+    return _record(out, (x,), backward_fn)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -95,9 +182,12 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     return _record(out, (x,), backward_fn)
 
 
+# -- composed graphs the fused ops must reproduce byte for byte -------------
+
+
 def composed_linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     out = matmul(x, w)
-    return out if b is None else out + b
+    return out if b is None else add(out, b)
 
 
 def composed_attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int,
@@ -108,21 +198,21 @@ def composed_attention(q: Tensor, k: Tensor, v: Tensor, batch: int, heads: int,
     b, nh = batch, heads
     r, t, hidden = q.shape[0] // b, k.shape[0] // b, q.shape[1]
     hd = hidden // nh
-    qs = transpose(q.reshape((b, r, nh, hd)), (0, 2, 1, 3)).reshape((b * nh, r, hd))
-    ks = transpose(k.reshape((b, t, nh, hd)), (0, 2, 3, 1)).reshape((b * nh, hd, t))
-    vs = transpose(v.reshape((b, t, nh, hd)), (0, 2, 1, 3)).reshape((b * nh, t, hd))
-    scores = matmul(qs, ks) * (1.0 / math.sqrt(hd))
+    qs = reshape(transpose(reshape(q, (b, r, nh, hd)), (0, 2, 1, 3)), (b * nh, r, hd))
+    ks = reshape(transpose(reshape(k, (b, t, nh, hd)), (0, 2, 3, 1)), (b * nh, hd, t))
+    vs = reshape(transpose(reshape(v, (b, t, nh, hd)), (0, 2, 1, 3)), (b * nh, t, hd))
+    scores = mul(matmul(qs, ks), 1.0 / math.sqrt(hd))
     if mask is not None:
         # batch row i's mask serves its heads i·nh .. i·nh + nh - 1
-        scores = scores + Tensor(np.repeat(np.broadcast_to(mask, (b, r, t)), nh, axis=0))
-    context = transpose(matmul(softmax(scores, axis=-1), vs).reshape((b, nh, r, hd)),
+        scores = add(scores, Tensor(np.repeat(np.broadcast_to(mask, (b, r, t)), nh, axis=0)))
+    context = transpose(reshape(matmul(softmax(scores, axis=-1), vs), (b, nh, r, hd)),
                         (0, 2, 1, 3))
-    return context.reshape((b * r, hidden))
+    return reshape(context, (b * r, hidden))
 
 
 def composed_add_layer_norm(x: Tensor, a: Tensor, gain: Tensor, bias: Tensor,
                             eps: float = 1e-12) -> Tensor:
-    return layer_norm(x + a, gain, bias, eps)
+    return layer_norm(add(x, a), gain, bias, eps)
 
 
 def graph_nodes(out: Tensor, inputs: Sequence[Tensor] = ()) -> int:
@@ -398,7 +488,7 @@ def per_document_mlm_loss(model, docs, rate: float, rng: np.random.Generator,
         masked, positions, originals = mask_for_mlm(doc, rate=rate, rng=rng)
         hidden = model.forward([masked])
         loss = cross_entropy(model.mlm_logits(hidden, positions), originals, reduction="mean")
-        (loss * (1.0 / batch_size)).backward()
+        mul(loss, 1.0 / batch_size).backward()
         total += loss.item() / batch_size
     return total
 
@@ -408,7 +498,7 @@ def per_document_classifier_loss(model, docs, batch_size: int) -> float:
     total = 0.0
     for doc in docs:
         logits = model.classifier(full_forward_cls(model, doc.ids))
-        loss = cross_entropy(logits, [doc.label]) * (1.0 / batch_size)
+        loss = mul(cross_entropy(logits, [doc.label]), 1.0 / batch_size)
         loss.backward()
         total += loss.item()
     return total
@@ -421,10 +511,10 @@ def per_document_weighted_loss(decoder, examples, normalize: str) -> Tensor:
     tokens = 0
     for e in examples:
         logits = decoder.forward([e.input_ids], e.embedding)
-        doc_loss = cross_entropy(logits, e.target_ids) * e.weight
-        total = doc_loss if total is None else total + doc_loss
+        doc_loss = mul(cross_entropy(logits, e.target_ids), e.weight)
+        total = doc_loss if total is None else add(total, doc_loss)
         tokens += len(e.target_ids)
-    return total * (1.0 / tokens) if normalize == "tokens" else total
+    return mul(total, 1.0 / tokens) if normalize == "tokens" else total
 
 
 def reference_adamw_update(data: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,

@@ -60,7 +60,7 @@ def _encoder(vocab, dtype) -> EncoderModel:
 def _take_grads(model) -> dict[str, np.ndarray]:
     grads = {n: p.grad for n, p in model.named_parameters().items() if p.grad is not None}
     for p in model.parameters():
-        p.zero_grad()
+        p.grad = None
     return grads
 
 

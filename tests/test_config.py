@@ -74,6 +74,21 @@ class TestSettings:
         ("mlm_batch_size=0", "mlm_batch_size"),
         ("finetune_batch_size=0", "finetune_batch_size"),
         ("decoder_batch_size=0", "decoder_batch_size"),
+        ("mlm_lr=0", "mlm_lr must be positive"),
+        ("finetune_lr=-1e-3", "finetune_lr must be positive"),
+        ("decoder_lr=0", "decoder_lr must be positive"),
+        ("mlm_warmup_steps=-3", "mlm_warmup_steps must be non-negative"),
+        ("finetune_warmup_steps=-1", "finetune_warmup_steps must be non-negative"),
+        ("decoder_warmup_steps=-1", "decoder_warmup_steps must be non-negative"),
+        ("weight_decay=-1", "weight_decay must be non-negative"),
+        ("dropout=1.5", "dropout must lie in [0, 1)"),
+        ("dropout=1", "dropout must lie in [0, 1)"),
+        ("dropout=-0.1", "dropout must lie in [0, 1)"),
+        ("mask_rate=2.0", "mask_rate must lie in (0, 1]"),
+        ("mask_rate=0", "mask_rate must lie in (0, 1]"),
+        ("vocab_max_size=3", "vocab_max_size must exceed"),
+        ("vocab_max_size=5", "vocab_max_size must exceed"),
+        ("max_len=1", "max_len must be at least 2"),
         ("val_fraction=1.5", "val_fraction"),
         ("val_fraction=1", "val_fraction"),
         ("val_fraction=-0.1", "val_fraction"),
@@ -92,6 +107,12 @@ class TestSettings:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_valid_configs_keep_their_hash(self):
+        """The parse-time checks refuse values; they add no field and change
+        no hash of a configuration that passes them."""
+        assert PipelineConfig().config_hash().startswith("a323f19133fad71f")
+        assert PipelineConfig.paper_scale().config_hash().startswith("c67b2d36eb3c3de7")
 
     def test_start_token_outside_the_vocabulary_exits_2_before_train_decoder(
             self, tmp_path, capsys):

@@ -380,7 +380,7 @@ class TestWeightedLoss:
         loss.backward()
         grads_with_zero = {n: p.grad.copy() for n, p in decoder.named_parameters().items()}
         for p in decoder.parameters():
-            p.zero_grad()
+            p.grad = None
         loss_solo = weighted_ce_loss(decoder, [a], normalize="raw", train=False)
         loss_solo.backward()
         for n, p in decoder.named_parameters().items():

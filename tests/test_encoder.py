@@ -13,11 +13,11 @@ from clustersum.encoder import (
     fine_tune_classifier,
     pretrain_mlm,
 )
-from clustersum.tensor import Tensor, cross_entropy, no_grad, softmax
+from clustersum.tensor import Tensor, cross_entropy, no_grad
 from clustersum.tokenizer import CLS_ID, MASK_ID, SEP_ID, EncodedDocument, mask_for_mlm
 
 from corpora import build_docs, graded_topic_texts, pair_texts
-from oracles import full_forward_cls, parameter_hash
+from oracles import full_forward_cls, parameter_hash, softmax
 
 
 @pytest.fixture(scope="module")

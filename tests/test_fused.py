@@ -14,11 +14,14 @@ from clustersum.tokenizer import EncodedDocument
 
 from corpora import build_docs, graded_topic_texts
 from oracles import (
+    add,
     assert_gradients_match,
     composed_add_layer_norm,
     composed_attention,
     composed_linear,
     graph_nodes,
+    mul,
+    reduce_sum,
 )
 
 DTYPES = [np.float32, np.float64]
@@ -29,7 +32,7 @@ def _outputs(op, arrays, probe, dtype):
     returns the output and every leaf's gradient."""
     leaves = [Tensor(np.array(a, dtype=dtype), requires_grad=True) for a in arrays]
     out = op(*leaves)
-    (out * Tensor(probe, dtype=dtype)).sum().backward()
+    reduce_sum(mul(out, probe)).backward()
     return [out.data] + [leaf.grad for leaf in leaves]
 
 
@@ -91,7 +94,7 @@ class TestMatchesComposedGraph:
 
         def with_x(op):
             if x_feeds_more:
-                return lambda x, a, g, b: op(x, a, g, b, 1e-5) + x * 0.5
+                return lambda x, a, g, b: add(op(x, a, g, b, 1e-5), mul(x, 0.5))
             return lambda x, a, g, b: op(x, a, g, b, 1e-5)
 
         assert_same_bytes(with_x(add_layer_norm), with_x(composed_add_layer_norm),
@@ -125,7 +128,7 @@ class TestTrainingStepMatchesComposedGraph:
     def _compare(self, monkeypatch, model, loss_fn):
         fused = _gradients(model, loss_fn)
         for p in model.parameters():
-            p.zero_grad()
+            p.grad = None
         _with_composed_layers(monkeypatch)
         assert _gradients(model, loss_fn) == fused
 
@@ -159,7 +162,7 @@ class TestGradientChecks:
         probe = rng.normal(size=(5, 4)) / 10.0
         arrays = [rng.normal(size=(5, 6)), rng.normal(size=(6, 4)), rng.normal(size=4)][:2 + bias]
         assert_gradients_match(
-            lambda ts: (linear(*ts) * Tensor(probe, dtype=dtype)).sum(),
+            lambda ts: reduce_sum(mul(linear(*ts), probe)),
             arrays, rng=rng, dtype=dtype,
         )
 
@@ -170,7 +173,7 @@ class TestGradientChecks:
         mask = _masks(dtype)["padded_causal" if causal else "padded"]
         probe = rng.normal(size=(8, 6)) / 10.0
         assert_gradients_match(
-            lambda ts: (attention(*ts, 2, 2, mask) * Tensor(probe, dtype=dtype)).sum(),
+            lambda ts: reduce_sum(mul(attention(*ts, 2, 2, mask), probe)),
             [rng.normal(size=(8, 6), scale=2.0) for _ in range(3)], rng=rng, dtype=dtype,
             num_coords=90,
         )
@@ -182,7 +185,7 @@ class TestGradientChecks:
         mask = _masks(dtype)["padded"]
         probe = rng.normal(size=(4, 6)) / 10.0
         assert_gradients_match(
-            lambda ts: (attention(*ts, 2, 2, mask) * Tensor(probe, dtype=dtype)).sum(),
+            lambda ts: reduce_sum(mul(attention(*ts, 2, 2, mask), probe)),
             [rng.normal(size=(4, 6), scale=2.0), rng.normal(size=(8, 6), scale=2.0),
              rng.normal(size=(8, 6), scale=2.0)], rng=rng, dtype=dtype, num_coords=72,
         )
@@ -197,9 +200,9 @@ class TestGradientChecks:
 
         def make_loss(ts):
             x, a, g, b = ts
-            normed = (add_layer_norm(x, a, g, b, 1e-5) * Tensor(probe, dtype=dtype)).sum()
-            direct = (x * Tensor(other, dtype=dtype)).sum()
-            return direct + normed if x_feeds_first else normed + direct
+            normed = reduce_sum(mul(add_layer_norm(x, a, g, b, 1e-5), probe))
+            direct = reduce_sum(mul(x, other))
+            return add(direct, normed) if x_feeds_first else add(normed, direct)
 
         arrays = [rng.normal(size=(5, 8), loc=1.0), rng.normal(size=(5, 8)),
                   rng.normal(size=8, scale=0.5) + 1.0, rng.normal(size=8, scale=0.2)]

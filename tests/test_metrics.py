@@ -1,11 +1,10 @@
-"""Overlap scores against brute-force oracles; cosine surrogates; purity."""
+"""Overlap scores against brute-force oracles; cosine surrogates."""
 
 import numpy as np
 import pytest
 
 from clustersum.metrics import (
     best_rouge,
-    cluster_purity,
     cosine_center,
     cosine_similarity,
     cosine_top_k,
@@ -165,25 +164,3 @@ class TestCosineSurrogates:
         with pytest.raises(ValueError, match="no members"):
             cosine_top_k(np.ones((2, 2)), np.ones((3, 2)), ["a", "b", "c"],
                          np.zeros(3, dtype=int), np.ones((2, 2)), k=1)
-
-
-class TestClusterPurity:
-    def test_perfect_recovery(self):
-        assert cluster_purity([0, 0, 1, 1], ["x", "x", "y", "y"]) == 1.0
-
-    def test_single_cluster_balanced_labels(self):
-        assert cluster_purity([0, 0, 0, 0], ["x", "x", "y", "y"]) == 0.5
-
-    def test_invariant_under_index_permutation(self):
-        labels = ["a", "a", "b", "b", "c", "c"]
-        base = cluster_purity([0, 0, 1, 1, 2, 2], labels)
-        permuted = cluster_purity([2, 2, 0, 0, 1, 1], labels)
-        assert base == permuted == 1.0
-
-    def test_output_in_unit_interval(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            n = int(rng.integers(2, 30))
-            assignment = rng.integers(0, 4, size=n)
-            gold = [str(g) for g in rng.integers(0, 3, size=n)]
-            assert 0.0 <= cluster_purity(assignment, gold) <= 1.0

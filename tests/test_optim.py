@@ -10,7 +10,7 @@ from clustersum.optim import BLOCK, AdamW, fit
 from clustersum.tensor import Tensor, cross_entropy, gelu, init_normal, layer_norm, linear
 
 from corpora import build_docs, pair_texts
-from oracles import reference_adamw_update
+from oracles import add, mul, reduce_sum, reference_adamw_update
 
 
 def _param(values):
@@ -163,8 +163,8 @@ def test_converges_on_quadratic():
     p = _param(np.zeros(8))
     opt = AdamW([p], lr=0.05, warmup_steps=10)
     for _ in range(400):
-        diff = p + Tensor(-target)
-        (diff * diff).sum().backward()
+        diff = add(p, Tensor(-target))
+        reduce_sum(mul(diff, diff)).backward()
         opt.step()
     np.testing.assert_allclose(p.data, target, atol=1e-2)
 
@@ -181,8 +181,8 @@ class TestFit:
 
     @staticmethod
     def _square_loss(p, batch):
-        diff = p + Tensor(-np.asarray(batch, dtype=np.float32))
-        return (diff * diff).sum() / len(batch)
+        diff = add(p, Tensor(-np.asarray(batch, dtype=np.float32)))
+        return mul(reduce_sum(mul(diff, diff)), 1.0 / len(batch))
 
     def _run(self, keep_best, val_losses):
         p, opt = self._setup()
@@ -310,10 +310,11 @@ class _Shared:
     def batch_loss(self, batch):
         w, b, gain, bias, head, head_bias, gate = self.params
         x, x2 = Tensor(self.x[batch]), Tensor(self.x2[batch])
-        h = layer_norm(linear(x, w, b) + linear(x2, w), gain, bias)
-        h = layer_norm(gelu(h) * gate, gain, bias)
+        h = layer_norm(add(linear(x, w, b), linear(x2, w)), gain, bias)
+        h = layer_norm(mul(gelu(h), gate), gain, bias)
         targets = [i % 4 for i in batch]
-        return cross_entropy(linear(h, head, head_bias), targets) / len(batch), len(batch), 0, 0
+        loss = mul(cross_entropy(linear(h, head, head_bias), targets), 1.0 / len(batch))
+        return loss, len(batch), 0, 0
 
 
 def _fit(model, weight_decay, keep_best, epochs=1):
@@ -460,22 +461,6 @@ class TestUpdateInBackward:
         assert states[0] == states[1]
         fresh = init_normal(np.random.default_rng(9), (SMALL_BLOCK,))
         assert held.data.tobytes() != fresh.data.tobytes()
-
-    def test_without_large_parameters_backward_gets_no_hook(self, monkeypatch):
-        model = _Shared(np.float32)
-        opt = AdamW(model.params, lr=1e-2)
-        assert not opt._large
-        hooks = []
-        plain = Tensor.backward
-
-        def spy(self, hook=None):
-            hooks.append(hook)
-            plain(self, hook)
-
-        monkeypatch.setattr(Tensor, "backward", spy)
-        fit(model.items, model.batch_loss, opt, epochs=1, batch_size=4,
-            rng=np.random.default_rng(5))
-        assert hooks == [None, None]
 
     def test_a_plain_step_still_updates_large_parameters(self, monkeypatch):
         """Outside ``fit``, ``backward()`` then ``step()`` updates every
