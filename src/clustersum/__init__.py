@@ -15,7 +15,7 @@ from .config import PipelineConfig, build_config
 from .encoder import EncoderModel, ModelConfig
 from .decoder import DecoderModel, init_from_encoder
 from .clusterer import ClusterSet
-from .generator import SamplerConfig, SummaryCandidate
+from .generator import SummaryCandidate
 from .tokenizer import Vocabulary, build_vocab, encode, decode
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "DecoderModel",
     "init_from_encoder",
     "ClusterSet",
-    "SamplerConfig",
     "SummaryCandidate",
     "Vocabulary",
     "build_vocab",

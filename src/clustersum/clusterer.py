@@ -117,8 +117,8 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 def kmeans(
     embeddings: np.ndarray,
     k: int,
+    rng: np.random.Generator,
     max_iters: int = 100,
-    rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's iterations under the Euclidean metric.
 
@@ -130,8 +130,6 @@ def kmeans(
     n = points.shape[0]
     if n < k:
         raise ValueError(f"cannot form {k} clusters from {n} points")
-    if rng is None:
-        rng = np.random.default_rng(0)
     centers = _kmeans_pp_init(points, k, rng)
     assignment = np.full(n, -1, dtype=np.intp)
     for _ in range(max_iters):
@@ -191,14 +189,13 @@ def cluster_without_labels(
     doc_ids: list[str],
     embeddings: np.ndarray,
     k: int,
-    max_iters: int = 100,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> ClusterSet:
-    """k-means on the documents' [CLS] embeddings [n, h], then weights and
-    weighted centers."""
+    """k-means on the documents' [CLS] embeddings [n, h], seeded from
+    ``rng``, then weights and weighted centers."""
     if k < 1:
         raise ValueError(f"need at least one cluster, got {k}")
-    assignment, centroids = kmeans(embeddings, k, max_iters=max_iters, rng=rng)
+    assignment, centroids = kmeans(embeddings, k, rng)
     weights = np.empty(len(doc_ids), dtype=np.float64)
     for c in range(k):
         idx = np.flatnonzero(assignment == c)

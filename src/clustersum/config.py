@@ -1,5 +1,10 @@
 """Run configuration: presets, key=value config files, CLI overrides.
 
+``PipelineConfig`` is the one place a run setting is declared and given a
+default. The trainers, the sampler and the stage bodies take the whole
+configuration and read the fields they need; no other module restates a
+setting or its default.
+
 Precedence is CLI > file > preset defaults. The canonical rendering of a
 configuration hashes to a run fingerprint; artifacts record it so a later
 phase refuses to mix with artifacts built under a different configuration.
@@ -9,11 +14,9 @@ A value no stage could run with is rejected when the configuration is built.
 from __future__ import annotations
 
 import hashlib
-import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .generator import SamplerConfig
 from .tokenizer import SPECIAL_TOKENS
 
 
@@ -59,7 +62,9 @@ class PipelineConfig:
     weight_decay: float = 0.01
     val_fraction: float = 0.1
     seed: int = 0
-    # summary sampling
+    # summary sampling: each step keeps the top_k most probable next tokens
+    # (at most the vocabulary) and, among those, the shortest prefix whose
+    # mass reaches top_p
     top_k: int = 50
     top_p: float = 0.95
     num_candidates: int = 10
@@ -106,10 +111,24 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be non-negative, got {value}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
-        # the sampling and evaluation settings too, so a bad value fails before
-        # any stage; a literal start id is checked against the vocabulary once
-        # that exists
-        self.sampler_config(vocab_size=sys.maxsize, cls_id=0)
+        # every RNG stream is seeded with [seed, ...], which numpy refuses if negative
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for name in ("top_k", "num_candidates", "max_summary_len", "retain_top_m"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 < self.top_p <= 1.0:
+            raise ConfigError(f"top_p must lie in (0, 1], got {self.top_p}")
+        if self.temperature <= 0:
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        # a literal start id is checked against the vocabulary once that exists
+        try:
+            literal = self.start_token == "cls" or int(self.start_token) >= 0
+        except ValueError:
+            literal = False
+        if not literal:
+            raise ConfigError(f"start_token must be 'cls' or a non-negative id, "
+                              f"got {self.start_token!r}")
         self.top_k_values()
 
     @classmethod
@@ -152,34 +171,11 @@ class PipelineConfig:
         tokens whose [CLS] id is ``cls_id``."""
         if self.start_token == "cls":
             return cls_id
-        try:
-            token = int(self.start_token)
-        except ValueError:
-            token = -1  # refused below, with the negative ids
-        if token < 0:
-            raise ConfigError(f"start_token must be 'cls' or a non-negative id, "
-                              f"got {self.start_token!r}")
+        token = int(self.start_token)  # a non-negative int, checked at construction
         if token >= vocab_size:
             raise ConfigError(f"start_token {token} is not an id of the "
                               f"{vocab_size}-token vocabulary")
         return token
-
-    def sampler_config(self, vocab_size: int, cls_id: int) -> SamplerConfig:
-        """The summary sampling settings for a vocabulary of ``vocab_size``
-        tokens whose [CLS] id is ``cls_id``."""
-        try:
-            return SamplerConfig(
-                top_k=min(self.top_k, vocab_size),
-                top_p=self.top_p,
-                num_candidates=self.num_candidates,
-                max_summary_len=self.max_summary_len,
-                temperature=self.temperature,
-                start_token_id=self.start_token_id(vocab_size, cls_id),
-                seed=self.seed,
-                retain_top_m=self.retain_top_m,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def canonical_string(self) -> str:
         lines = []

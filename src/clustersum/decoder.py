@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clusterer import ClusterSet
+from .config import PipelineConfig
 from .encoder import EVAL_BATCH_SIZE, EncoderModel, Model, ModelConfig, batches
 from .layers import DecoderBlock, KVCache, PredictionHead, causal_mask
 from .optim import AdamW, EpochStats, fit
@@ -239,7 +240,7 @@ def build_training_examples(
 def weighted_ce_loss(
     decoder: DecoderModel,
     batch: list[TrainingExample],
-    normalize: str = "raw",
+    normalize: str,
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
@@ -267,15 +268,14 @@ def weighted_ce_loss(
 def evaluate_decoder(
     decoder: DecoderModel,
     examples: list[TrainingExample],
-    normalize: str = "tokens",
+    config: PipelineConfig,
 ) -> float:
-    """``weighted_ce_loss`` over every example, ``EVAL_BATCH_SIZE`` per forward."""
-    if normalize not in ("raw", "tokens"):
-        raise ValueError(f"unknown normalization {normalize!r}")
+    """``weighted_ce_loss`` over every example under
+    ``config.loss_normalization``, ``EVAL_BATCH_SIZE`` per forward."""
     with no_grad():
         total = sum(weighted_ce_loss(decoder, chunk, normalize="raw").item()
                     for chunk in batches(examples, EVAL_BATCH_SIZE))
-    if normalize == "tokens":
+    if config.loss_normalization == "tokens":
         total /= sum(len(e.target_ids) for e in examples)
     return total
 
@@ -283,29 +283,27 @@ def evaluate_decoder(
 def train_decoder(
     decoder: DecoderModel,
     examples: list[TrainingExample],
-    epochs: int,
+    config: PipelineConfig,
     rng: np.random.Generator,
-    lr: float = 1e-3,
-    weight_decay: float = 0.01,
-    warmup_steps: int = 100,
-    batch_size: int = 8,
-    normalize: str = "tokens",
     val_examples: list[TrainingExample] | None = None,
 ) -> tuple[DecoderModel, list[EpochStats]]:
-    """Teacher-forced next-token training against frozen embeddings."""
+    """Teacher-forced next-token training against frozen embeddings, under
+    the ``decoder_*``, ``weight_decay`` and ``loss_normalization`` settings
+    of ``config``."""
     if not examples:
         raise ValueError("cannot train a decoder without examples")
-    optimizer = AdamW(
-        decoder.parameters(), lr=lr, weight_decay=weight_decay, warmup_steps=warmup_steps
-    )
+    optimizer = AdamW(decoder.parameters(), lr=config.decoder_lr,
+                      weight_decay=config.weight_decay, warmup_steps=config.decoder_warmup_steps)
+    normalize = config.loss_normalization
 
     def batch_loss(batch):
         loss = weighted_ce_loss(decoder, batch, normalize=normalize, train=True, rng=rng)
         return loss, len(batch) if normalize == "tokens" else 1, 0, 0
 
     def validate(epoch):
-        return evaluate_decoder(decoder, val_examples, normalize=normalize), None
+        return evaluate_decoder(decoder, val_examples, config), None
 
-    history = fit(examples, batch_loss, optimizer, epochs, batch_size, rng,
+    history = fit(examples, batch_loss, optimizer, config.decoder_epochs,
+                  config.decoder_batch_size, rng,
                   validate=validate if val_examples else None, name="decoder")
     return decoder, history

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
+from .config import PipelineConfig
 from .layers import (
     EncoderBlock,
     LayerNorm,
@@ -51,15 +52,16 @@ def batches(items: list, size: int) -> list[list]:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Shared shape configuration for the encoder and decoder."""
+    """Shared shape configuration for the encoder and decoder; the run's
+    ``max_len`` and ``dropout`` come from its ``PipelineConfig``."""
 
-    hidden_size: int = 64
-    num_blocks: int = 2
-    num_heads: int = 4
-    ffn_size: int = 256
-    max_len: int = 64
-    vocab_size: int = 0
-    dropout: float = 0.1
+    hidden_size: int
+    num_blocks: int
+    num_heads: int
+    ffn_size: int
+    max_len: int
+    vocab_size: int
+    dropout: float
 
     def __post_init__(self):
         if self.num_blocks < 1:
@@ -72,11 +74,11 @@ class ModelConfig:
             raise ValueError("vocab_size must be set before building a model")
 
     @classmethod
-    def desk_scale(cls, vocab_size: int, max_len: int = 64, dropout: float = 0.1) -> "ModelConfig":
+    def desk_scale(cls, vocab_size: int, max_len: int, dropout: float) -> "ModelConfig":
         return cls(64, 2, 4, 256, max_len, vocab_size, dropout)
 
     @classmethod
-    def paper_scale(cls, vocab_size: int, max_len: int = 512, dropout: float = 0.1) -> "ModelConfig":
+    def paper_scale(cls, vocab_size: int, max_len: int, dropout: float) -> "ModelConfig":
         return cls(768, 6, 12, 3072, max_len, vocab_size, dropout)
 
 
@@ -255,8 +257,7 @@ def _mlm_batch(
     rate: float,
     rng: np.random.Generator,
     train: bool,
-    bert_corruption: bool = False,
-    vocab=None,
+    bert_corruption: bool,
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Masked-position logits and original ids of one padded batch, with
     each document's masked-position count.
@@ -264,7 +265,7 @@ def _mlm_batch(
     Each document's mask is drawn from ``rng`` in batch order, all of them
     before the forward, whose dropout then draws from the same ``rng``.
     """
-    masked = [mask_for_mlm(doc, rate=rate, rng=rng, vocab=vocab, bert_corruption=bert_corruption)
+    masked = [mask_for_mlm(doc, rate, rng, bert_corruption, model.config.vocab_size)
               for doc in docs]
     ids, positions, originals = zip(*masked)
     hidden = model.forward(ids, train=train, rng=rng)
@@ -280,14 +281,12 @@ def mlm_batch_loss(
     rate: float,
     rng: np.random.Generator,
     batch_size: int,
+    bert_corruption: bool,
     train: bool = False,
-    bert_corruption: bool = False,
-    vocab=None,
 ) -> tuple[Tensor, int, int]:
     """One batch's training loss, each document's masked-position mean loss
     times ``1/batch_size``, summed; plus (correct, total) prediction counts."""
-    logits, originals, counts = _mlm_batch(model, docs, rate, rng, train,
-                                           bert_corruption=bert_corruption, vocab=vocab)
+    logits, originals, counts = _mlm_batch(model, docs, rate, rng, train, bert_corruption)
     loss = cross_entropy(logits, originals, weights=np.repeat(1.0 / (counts * batch_size), counts))
     correct = int((logits.data.argmax(axis=1) == originals).sum())
     return loss, correct, originals.size
@@ -297,16 +296,18 @@ def evaluate_mlm(
     model: EncoderModel,
     docs: list[EncodedDocument],
     rng: np.random.Generator,
-    mask_rate: float = 0.15,
+    config: PipelineConfig,
 ) -> tuple[float, float]:
     """Masked-token loss (mean over every masked position) and accuracy
-    under eval-mode forwards."""
+    under eval-mode forwards, at ``config.mask_rate``. Every selected token
+    becomes [MASK], whatever ``config.bert_corruption`` says."""
     total_loss = 0.0
     correct = 0
     total = 0
     with no_grad():
         for chunk in batches(docs, EVAL_BATCH_SIZE):
-            logits, originals, _ = _mlm_batch(model, chunk, mask_rate, rng, train=False)
+            logits, originals, _ = _mlm_batch(model, chunk, config.mask_rate, rng, train=False,
+                                              bert_corruption=False)
             total_loss += cross_entropy(logits, originals).item()
             correct += int((logits.data.argmax(axis=1) == originals).sum())
             total += originals.size
@@ -315,39 +316,34 @@ def evaluate_mlm(
 
 def pretrain_mlm(
     corpus: list[EncodedDocument],
-    config: ModelConfig,
-    epochs: int,
+    model_config: ModelConfig,
+    config: PipelineConfig,
     rng: np.random.Generator,
-    lr: float = 1e-3,
-    weight_decay: float = 0.01,
-    warmup_steps: int = 100,
-    batch_size: int = 8,
-    mask_rate: float = 0.15,
-    bert_corruption: bool = False,
-    vocab=None,
     val_docs: list[EncodedDocument] | None = None,
 ) -> tuple[EncoderModel, list[EpochStats]]:
-    """Train an encoder to recover masked tokens; returns per-epoch stats.
+    """Train an encoder of shape ``model_config`` to recover masked tokens
+    under the ``mlm_*``, ``mask_rate``, ``bert_corruption`` and
+    ``weight_decay`` settings of ``config``; returns per-epoch stats.
 
     The loss is the mean negative log-probability of the original token at
     each masked position; unmasked positions contribute nothing.
     """
     if not corpus:
         raise ValueError("cannot pretrain on an empty corpus")
-    model = EncoderModel(config, rng)
-    optimizer = AdamW(
-        model.parameters(), lr=lr, weight_decay=weight_decay, warmup_steps=warmup_steps
-    )
+    model = EncoderModel(model_config, rng)
+    optimizer = AdamW(model.parameters(), lr=config.mlm_lr, weight_decay=config.weight_decay,
+                      warmup_steps=config.mlm_warmup_steps)
+    batch_size = config.mlm_batch_size
 
     def batch_loss(batch):
-        loss, correct, total = mlm_batch_loss(model, batch, mask_rate, rng, batch_size, train=True,
-                                              bert_corruption=bert_corruption, vocab=vocab)
+        loss, correct, total = mlm_batch_loss(model, batch, config.mask_rate, rng, batch_size,
+                                              config.bert_corruption, train=True)
         return loss, batch_size, correct, total
 
     def validate(epoch):
-        return evaluate_mlm(model, val_docs, np.random.default_rng([7, epoch]), mask_rate)
+        return evaluate_mlm(model, val_docs, np.random.default_rng([7, epoch]), config)
 
-    history = fit(corpus, batch_loss, optimizer, epochs, batch_size, rng,
+    history = fit(corpus, batch_loss, optimizer, config.mlm_epochs, batch_size, rng,
                   validate=validate if val_docs else None, name="mlm")
     return model, history
 
@@ -394,30 +390,29 @@ def fine_tune_classifier(
     model: EncoderModel,
     docs: list[EncodedDocument],
     num_labels: int,
-    epochs: int,
+    config: PipelineConfig,
     rng: np.random.Generator,
-    lr: float = 1e-3,
-    weight_decay: float = 0.01,
-    warmup_steps: int = 20,
-    batch_size: int = 8,
-    val_fraction: float = 0.1,
 ) -> tuple[EncoderModel, list[EpochStats]]:
     """Fit the label classifier on [CLS] embeddings jointly with the encoder,
-    under a warmup-then-linear-decay learning rate; the best validation
-    snapshot is kept."""
+    under the ``finetune_*``, ``weight_decay`` and ``val_fraction`` settings
+    of ``config`` and a warmup-then-linear-decay learning rate; the best
+    validation snapshot is kept."""
     for doc in docs:
         if doc.label is None:
             raise ValueError(f"document {doc.doc_id!r} has no label")
     if model.classifier is None:
         model.add_classifier(num_labels, rng)
-    train_docs, val_docs = train_val_split(docs, val_fraction, rng)
+    train_docs, val_docs = train_val_split(docs, config.val_fraction, rng)
     # the masked-token head is off the classification path and gets no grads
     trainable = [p for n, p in model.named_parameters().items()
                  if not n.startswith("mlm_head.")]
+    epochs, batch_size = config.finetune_epochs, config.finetune_batch_size
+    warmup_steps = config.finetune_warmup_steps
     steps_per_epoch = -(-len(train_docs) // batch_size)
     optimizer = AdamW(
-        trainable, lr=lr, weight_decay=weight_decay, warmup_steps=warmup_steps,
-        schedule="linear_decay", total_steps=max(epochs * steps_per_epoch, warmup_steps + 1),
+        trainable, lr=config.finetune_lr, weight_decay=config.weight_decay,
+        warmup_steps=warmup_steps, schedule="linear_decay",
+        total_steps=max(epochs * steps_per_epoch, warmup_steps + 1),
     )
 
     def batch_loss(batch):

@@ -1,5 +1,9 @@
 """Summary decoding from cluster centers.
 
+The sampler reads its settings (``top_k``, ``top_p``, ``num_candidates``,
+``max_summary_len``, ``temperature``, ``start_token`` and ``seed``) from the
+run's ``PipelineConfig``; ``top_k`` is clamped to the vocabulary here.
+
 The candidates of many clusters are sampled as one batch: whole clusters
 are packed into a batch while its key/value cache, at full summary length,
 stays within ``KV_CACHE_BUDGET`` bytes, and every batch takes at least one
@@ -33,11 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .decoder import DecoderModel
 from .encoder import EncoderModel
 from .metrics import cosine_similarity
 from .tensor import no_grad
-from .tokenizer import CLS_ID, Vocabulary, decode, encode
+from .tokenizer import Vocabulary, decode, encode
 
 log = logging.getLogger(__name__)
 
@@ -46,37 +51,6 @@ log = logging.getLogger(__name__)
 # candidates per cluster pack 2 clusters per batch; appending a position
 # briefly holds the cache twice.
 KV_CACHE_BUDGET = 128 * 2**20
-
-
-@dataclass
-class SamplerConfig:
-    """Summary sampling settings. Each decoding step keeps the top_k most
-    probable next tokens and, among those, the shortest prefix whose mass
-    reaches top_p; both cuts keep a prefix of one ranking, so their order
-    does not matter."""
-
-    top_k: int = 50
-    top_p: float = 0.95
-    num_candidates: int = 10
-    max_summary_len: int = 32
-    temperature: float = 1.0
-    start_token_id: int = CLS_ID
-    seed: int = 0
-    retain_top_m: int = 1
-
-    def __post_init__(self):
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be at least 1, got {self.top_k}")
-        if not 0.0 < self.top_p <= 1.0:
-            raise ValueError(f"top_p must lie in (0, 1], got {self.top_p}")
-        if self.num_candidates < 1:
-            raise ValueError(f"num_candidates must be at least 1, got {self.num_candidates}")
-        if self.max_summary_len < 1:
-            raise ValueError(f"max_summary_len must be at least 1, got {self.max_summary_len}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.retain_top_m < 1:
-            raise ValueError(f"retain_top_m must be at least 1, got {self.retain_top_m}")
 
 
 @dataclass
@@ -140,11 +114,11 @@ def sample_candidates(
     decoder: DecoderModel,
     centers: np.ndarray,
     vocab: Vocabulary,
-    sampler: SamplerConfig,
+    config: PipelineConfig,
 ) -> list[list[SummaryCandidate]]:
-    """Sample ``num_candidates`` summaries conditioned on each cluster
-    center (``centers`` is ``[k, h]``, row c the center of cluster c);
-    returns one candidate list per cluster.
+    """Sample ``config.num_candidates`` summaries conditioned on each
+    cluster center (``centers`` is ``[k, h]``, row c the center of cluster
+    c); returns one candidate list per cluster.
 
     The candidates of as many whole clusters as keep the batch's key/value
     cache within ``KV_CACHE_BUDGET`` at full summary length, and at least
@@ -152,14 +126,14 @@ def sample_candidates(
     from the configured start token and stops at [SEP] or at
     ``max_summary_len`` generated tokens.
     """
-    config = decoder.config
-    row_bytes = (config.num_blocks * 2 * config.hidden_size * sampler.max_summary_len
+    shape = decoder.config
+    row_bytes = (shape.num_blocks * 2 * shape.hidden_size * config.max_summary_len
                  * np.dtype(decoder.dtype).itemsize)
-    per_batch = max(1, KV_CACHE_BUDGET // (sampler.num_candidates * row_bytes))
+    per_batch = max(1, KV_CACHE_BUDGET // (config.num_candidates * row_bytes))
     candidates: list[list[SummaryCandidate]] = []
     for first in range(0, len(centers), per_batch):
         candidates += _decode_batch(decoder, centers[first:first + per_batch], first, vocab,
-                                    sampler)
+                                    config)
     return candidates
 
 
@@ -168,24 +142,24 @@ def _decode_batch(
     centers: np.ndarray,
     first: int,
     vocab: Vocabulary,
-    sampler: SamplerConfig,
+    config: PipelineConfig,
 ) -> list[list[SummaryCandidate]]:
     """Decode every candidate of clusters ``first, first + 1, ...`` (one per
     row of ``centers``) as one batch, cluster by cluster."""
-    n = sampler.num_candidates
-    k = min(sampler.top_k, vocab.size)
+    n = config.num_candidates
+    k = min(config.top_k, vocab.size)
     clusters = range(first, first + len(centers))
-    rngs = [np.random.default_rng([sampler.seed, c, s]) for c in clusters for s in range(n)]
+    rngs = [np.random.default_rng([config.seed, c, s]) for c in clusters for s in range(n)]
     generated: list[list[int]] = [[] for _ in rngs]
     live = list(range(len(rngs)))
-    tokens = [sampler.start_token_id] * len(live)
+    tokens = [config.start_token_id(vocab.size, vocab.cls_id)] * len(live)
     cache = decoder.start_cache(centers, n)
     with no_grad():
-        for _ in range(sampler.max_summary_len):
-            logits = decoder.forward(tokens, cache=cache).data / sampler.temperature
+        for _ in range(config.max_summary_len):
+            logits = decoder.forward(tokens, cache=cache).data / config.temperature
             exps = np.exp(logits.astype(np.float64) - logits.max(axis=-1, keepdims=True))
             filtered = filter_top_k_top_p(exps / exps.sum(axis=-1, keepdims=True), k,
-                                          sampler.top_p)
+                                          config.top_p)
             drawn = sample_tokens(filtered, np.array([rngs[i].random() for i in live]))
             for i, token in zip(live, drawn.tolist()):
                 generated[i].append(token)

@@ -81,15 +81,14 @@ class Linear(Projection):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, dtype=np.float32, eps: float = LAYER_NORM_EPS):
+    def __init__(self, dim: int, dtype=np.float32):
         self.gain = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
         self.bias = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
         if residual is None:
-            return layer_norm(x, self.gain, self.bias, self.eps)
-        return add_layer_norm(x, residual, self.gain, self.bias, self.eps)
+            return layer_norm(x, self.gain, self.bias, LAYER_NORM_EPS)
+        return add_layer_norm(x, residual, self.gain, self.bias, LAYER_NORM_EPS)
 
 
 def causal_mask(t: int, dtype) -> np.ndarray:

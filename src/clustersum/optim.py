@@ -14,6 +14,10 @@ from .tensor import Tensor
 
 log = logging.getLogger(__name__)
 
+# Adam's moment decay rates and the denominator's stabilizing term.
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+
 # Elements per step block: at float32, the block's parameters, moments,
 # gradient and scratch (6 x 256 KiB) stay in a core's L2 cache.
 BLOCK = 1 << 16
@@ -48,10 +52,8 @@ class AdamW:
         self,
         params: Sequence[Tensor],
         lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        warmup_steps: int = 0,
+        weight_decay: float,
+        warmup_steps: int,
         schedule: str = "constant",
         total_steps: int | None = None,
     ):
@@ -76,8 +78,6 @@ class AdamW:
             if not p.data.flags.c_contiguous:
                 raise ValueError(f"parameter {i} {p.shape} is not C-contiguous")
         self.learning_rate = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.warmup_steps = warmup_steps
         self.schedule = schedule
@@ -186,7 +186,7 @@ class AdamW:
 
     def _sweep(self, blocks, t: int) -> None:
         lr_t = self.effective_lr(t)
-        beta1, beta2 = self.betas
+        beta1, beta2 = BETAS
         keep1, keep2 = 1.0 - beta1, 1.0 - beta2
         correct1, correct2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
         params = self.params
@@ -211,7 +211,7 @@ class AdamW:
             update = np.divide(m, correct1, out=a)
             np.divide(v, correct2, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += EPS
             update /= b
             if self.weight_decay > 0.0:
                 np.multiply(data, self.weight_decay, out=b)

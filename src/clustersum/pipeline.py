@@ -218,13 +218,7 @@ def _pretrain(ctx: _Context) -> dict:
         details = {"trained": False, "reason": "no_pretraining ablation"}
     else:
         train_docs, val_docs = train_val_split(ctx.docs, config.val_fraction, rng)
-        encoder, history = pretrain_mlm(
-            train_docs, model_config, epochs=config.mlm_epochs, rng=rng,
-            lr=config.mlm_lr, weight_decay=config.weight_decay,
-            warmup_steps=config.mlm_warmup_steps, batch_size=config.mlm_batch_size,
-            mask_rate=config.mask_rate, bert_corruption=config.bert_corruption,
-            vocab=ctx.vocab, val_docs=val_docs,
-        )
+        encoder, history = pretrain_mlm(train_docs, model_config, config, rng, val_docs)
         details = {
             "trained": True,
             "epochs": config.mlm_epochs,
@@ -238,13 +232,8 @@ def _pretrain(ctx: _Context) -> dict:
 def _finetune(ctx: _Context) -> dict:
     config, names = ctx.config, ctx.label_names
     docs = _encode_corpus(ctx.records, ctx.vocab, config.max_len, names)
-    encoder, history = fine_tune_classifier(
-        ctx.encoder, docs, num_labels=len(names), epochs=config.finetune_epochs,
-        rng=np.random.default_rng([config.seed, 2]),
-        lr=config.finetune_lr, weight_decay=config.weight_decay,
-        warmup_steps=config.finetune_warmup_steps, batch_size=config.finetune_batch_size,
-        val_fraction=config.val_fraction,
-    )
+    encoder, history = fine_tune_classifier(ctx.encoder, docs, len(names), config,
+                                            np.random.default_rng([config.seed, 2]))
     encoder.save(ctx.out_dir / ENCODER_FILE)
     return {"num_labels": len(names), "final_val_accuracy": history[-1].val_accuracy}
 
@@ -256,9 +245,8 @@ def _cluster(ctx: _Context) -> dict:
         probs = ctx.encoder.label_probs(embeddings)
         cluster_set = cluster_with_labels(doc_ids, embeddings, probs)
     else:
-        rng = np.random.default_rng([ctx.config.seed, 3])
         cluster_set = cluster_without_labels(doc_ids, embeddings, ctx.config.num_clusters,
-                                             rng=rng)
+                                             np.random.default_rng([ctx.config.seed, 3]))
     with atomic_write(ctx.out_dir / EMBEDDINGS_FILE) as fh:
         np.save(fh, embeddings)
     cluster_set.save(ctx.out_dir / CLUSTERS_FILE)
@@ -287,12 +275,7 @@ def _train_decoder(ctx: _Context) -> dict:
         unweighted=config.unweighted_ce,
     )
     train_examples, val_examples = train_val_split(examples, config.val_fraction, rng)
-    decoder, history = train_decoder(
-        decoder, train_examples, epochs=config.decoder_epochs, rng=rng,
-        lr=config.decoder_lr, weight_decay=config.weight_decay,
-        warmup_steps=config.decoder_warmup_steps, batch_size=config.decoder_batch_size,
-        normalize=config.loss_normalization, val_examples=val_examples,
-    )
+    decoder, history = train_decoder(decoder, train_examples, config, rng, val_examples)
     decoder.save(ctx.out_dir / DECODER_FILE)
     return {
         "init": init_mode,
@@ -304,23 +287,22 @@ def _train_decoder(ctx: _Context) -> dict:
 
 
 def _summarize(ctx: _Context) -> dict:
-    cluster_set = ctx.cluster_set
-    sampler = ctx.config.sampler_config(ctx.vocab.size, ctx.vocab.cls_id)
-    sampled = sample_candidates(ctx.decoder, cluster_set.centers, ctx.vocab, sampler)
+    config, cluster_set = ctx.config, ctx.cluster_set
+    sampled = sample_candidates(ctx.decoder, cluster_set.centers, ctx.vocab, config)
     rows = []
     for c, candidates in enumerate(sampled):
         ranked = summarize_cluster(ctx.encoder, ctx.vocab, cluster_set.centers[c], candidates)
-        for candidate in ranked[: sampler.retain_top_m]:
+        for candidate in ranked[: config.retain_top_m]:
             rows.append({
                 "cluster": c,
                 "rank": candidate.rank,
                 "score": candidate.score,
                 "text": candidate.text,
                 "token_count": len(candidate.token_ids),
-                "seed": ctx.config.seed,
+                "seed": config.seed,
             })
     write_jsonl(ctx.out_dir / SUMMARIES_FILE, rows)
-    return {"clusters": cluster_set.k, "retained_per_cluster": sampler.retain_top_m}
+    return {"clusters": cluster_set.k, "retained_per_cluster": config.retain_top_m}
 
 
 def load_references(path: str | Path) -> dict[int, list[list[str]]]:

@@ -31,16 +31,17 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class Vocabulary:
-    """Immutable token/id mapping with fixed special-token ids."""
+    """Immutable token/id mapping; the special tokens have the fixed ids of
+    ``SPECIAL_TOKENS``."""
 
     token_to_id: dict[str, int]
     id_to_token: list[str]
 
-    pad_id: int = PAD_ID
-    unk_id: int = UNK_ID
-    cls_id: int = CLS_ID
-    sep_id: int = SEP_ID
-    mask_id: int = MASK_ID
+    pad_id = PAD_ID
+    unk_id = UNK_ID
+    cls_id = CLS_ID
+    sep_id = SEP_ID
+    mask_id = MASK_ID
 
     @property
     def size(self) -> int:
@@ -130,33 +131,28 @@ def pad_batch(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
     return ids, lengths
 
 
-def decode(ids: Sequence[int], vocab: Vocabulary, skip_special: bool = True) -> str:
-    tokens = [
-        vocab.token_for(i)
-        for i in ids
-        if not (skip_special and vocab.is_special(i))
-    ]
-    return " ".join(tokens)
+def decode(ids: Sequence[int], vocab: Vocabulary) -> str:
+    """The ids' tokens, special tokens left out, joined by spaces."""
+    return " ".join(vocab.token_for(i) for i in ids if not vocab.is_special(i))
 
 
 def mask_for_mlm(
     doc: EncodedDocument,
-    rate: float = 0.15,
-    rng: np.random.Generator | None = None,
-    vocab: Vocabulary | None = None,
-    bert_corruption: bool = False,
+    rate: float,
+    rng: np.random.Generator,
+    bert_corruption: bool,
+    vocab_size: int,
 ) -> tuple[list[int], list[int], list[int]]:
     """Mask a random subset of body positions for masked-token prediction.
 
     Selects ``round(rate * body_length)`` positions, at least one, uniformly
-    among non-special body positions. By default every selected token is
-    replaced with [MASK]; with ``bert_corruption`` the replacement is
-    80% [MASK] / 10% random token / 10% unchanged (requires ``vocab``).
+    among non-special body positions. Without ``bert_corruption`` every
+    selected token is replaced with [MASK]; with it the replacement is
+    80% [MASK] / 10% random non-special id below ``vocab_size`` / 10%
+    unchanged.
 
     Returns ``(masked_ids, positions, original_ids)`` with positions sorted.
     """
-    if rng is None:
-        raise ValueError("mask_for_mlm needs an explicit rng for reproducibility")
     body_len = len(doc.ids) - 2
     if body_len < 1:
         raise ValueError(f"document {doc.doc_id!r} has no body tokens to mask")
@@ -166,13 +162,11 @@ def mask_for_mlm(
     originals = [doc.ids[p] for p in positions]
     for p in positions:
         if bert_corruption:
-            if vocab is None:
-                raise ValueError("bert_corruption needs the vocabulary for random replacements")
             roll = rng.random()
             if roll < 0.8:
                 masked[p] = MASK_ID
-            elif roll < 0.9 and vocab.size > len(SPECIAL_TOKENS):
-                masked[p] = int(rng.integers(len(SPECIAL_TOKENS), vocab.size))
+            elif roll < 0.9 and vocab_size > len(SPECIAL_TOKENS):
+                masked[p] = int(rng.integers(len(SPECIAL_TOKENS), vocab_size))
             # else: keep the original token
         else:
             masked[p] = MASK_ID

@@ -350,24 +350,25 @@ def assert_gradients_match(
     return len(pairs)
 
 
-def reference_candidate_ids(decoder, center, vocab, sampler, cluster: int, candidate: int) -> list[int]:
+def reference_candidate_ids(decoder, center, vocab, config, cluster: int,
+                            candidate: int) -> list[int]:
     """One candidate decoded alone, re-running the full prefix every step.
 
-    This is the straightforward loop the batched, cached sampler must
+    This is the straightforward loop the batched, cached config must
     reproduce token for token: the same (seed, cluster, candidate) RNG
     stream, but a 1-D filter and draw of its own, no key/value cache and no
     batch.
     """
-    rng = np.random.default_rng([sampler.seed, cluster, candidate])
-    k = min(sampler.top_k, vocab.size)
-    prefix = [sampler.start_token_id]
+    rng = np.random.default_rng([config.seed, cluster, candidate])
+    k = min(config.top_k, vocab.size)
+    prefix = [config.start_token_id(vocab.size, vocab.cls_id)]
     generated: list[int] = []
     with no_grad():
-        while len(generated) < sampler.max_summary_len:
+        while len(generated) < config.max_summary_len:
             logits = decoder.forward([prefix], center, train=False)
-            last = (logits.data[-1] / sampler.temperature).astype(np.float64)
+            last = (logits.data[-1] / config.temperature).astype(np.float64)
             exps = np.exp(last - last.max())
-            token = reference_draw(reference_filter(exps / exps.sum(), k, sampler.top_p),
+            token = reference_draw(reference_filter(exps / exps.sum(), k, config.top_p),
                                    rng.random())
             generated.append(token)
             prefix.append(token)
@@ -376,7 +377,7 @@ def reference_candidate_ids(decoder, center, vocab, sampler, cluster: int, candi
     return generated
 
 
-def per_cluster_candidate_ids(decoder, center, vocab, sampler, cluster: int) -> list[list[int]]:
+def per_cluster_candidate_ids(decoder, center, vocab, config, cluster: int) -> list[list[int]]:
     """Every candidate of one cluster, decoded as a batch of that cluster's
     candidates alone against a key/value cache of its own.
 
@@ -384,19 +385,19 @@ def per_cluster_candidate_ids(decoder, center, vocab, sampler, cluster: int) -> 
     the same (seed, cluster, candidate) RNG streams, row-wise filter and
     draw, but only one center in the cache and one cluster in the batch.
     """
-    n = sampler.num_candidates
-    k = min(sampler.top_k, vocab.size)
-    rngs = [np.random.default_rng([sampler.seed, cluster, s]) for s in range(n)]
+    n = config.num_candidates
+    k = min(config.top_k, vocab.size)
+    rngs = [np.random.default_rng([config.seed, cluster, s]) for s in range(n)]
     generated: list[list[int]] = [[] for _ in rngs]
     live = list(range(n))
-    tokens = [sampler.start_token_id] * n
+    tokens = [config.start_token_id(vocab.size, vocab.cls_id)] * n
     cache = decoder.start_cache(center, n)
     with no_grad():
-        for _ in range(sampler.max_summary_len):
-            logits = decoder.forward(tokens, cache=cache).data / sampler.temperature
+        for _ in range(config.max_summary_len):
+            logits = decoder.forward(tokens, cache=cache).data / config.temperature
             exps = np.exp(logits.astype(np.float64) - logits.max(axis=-1, keepdims=True))
             filtered = filter_top_k_top_p(exps / exps.sum(axis=-1, keepdims=True), k,
-                                          sampler.top_p)
+                                          config.top_p)
             drawn = sample_tokens(filtered, np.array([rngs[s].random() for s in live]))
             for s, token in zip(live, drawn.tolist()):
                 generated[s].append(token)
@@ -485,7 +486,8 @@ def per_document_mlm_loss(model, docs, rate: float, rng: np.random.Generator,
     loss times 1/batch_size, backward. Returns the summed loss."""
     total = 0.0
     for doc in docs:
-        masked, positions, originals = mask_for_mlm(doc, rate=rate, rng=rng)
+        masked, positions, originals = mask_for_mlm(doc, rate, rng, False,
+                                                    model.config.vocab_size)
         hidden = model.forward([masked])
         loss = cross_entropy(model.mlm_logits(hidden, positions), originals, reduction="mean")
         mul(loss, 1.0 / batch_size).backward()

@@ -1,10 +1,19 @@
-"""The autograd module keeps only what the package runs: every public name
+"""Guards on the package's shape, read from its source.
+
+The autograd module keeps only what the package runs: every public name
 in ``tensor.py`` is imported by another module of the package, and
 ``Tensor`` has no arithmetic operators or helper methods that only tests
-would call. Ops the tests need live in ``tests/oracles.py``."""
+would call. Ops the tests need live in ``tests/oracles.py``.
+
+Every run setting has one home, ``PipelineConfig``: no other module gives
+a parameter or dataclass field named after a setting a default of its own.
+"""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from clustersum.config import PipelineConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "clustersum"
 
@@ -58,3 +67,58 @@ def test_tensor_defines_no_arithmetic_or_test_only_methods():
     tree = _parse(PACKAGE / "tensor.py")
     (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Tensor"]
     assert sorted(_bound_names(cls.body) & FORBIDDEN_MEMBERS) == []
+
+
+def _setting_names() -> set[str]:
+    """Every ``PipelineConfig`` field name, and each name without its
+    ``mlm_``/``finetune_``/``decoder_`` prefix (``mlm_lr`` is also ``lr``)."""
+    names = {f.name for f in fields(PipelineConfig)}
+    for name in list(names):
+        for prefix in ("mlm_", "finetune_", "decoder_"):
+            if name.startswith(prefix):
+                names.add(name[len(prefix):])
+    return names
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _defaults(tree: ast.Module):
+    """(qualified name, name) of every parameter and dataclass field that
+    has a default."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):]
+                with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                                 if d is not None]
+                for arg in with_default:
+                    yield f"{scope}{child.name}", arg.arg
+                yield from visit(child, f"{scope}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    for item in child.body:
+                        if (isinstance(item, ast.AnnAssign) and item.value is not None
+                                and isinstance(item.target, ast.Name)):
+                            yield f"{scope}{child.name}", item.target.id
+                yield from visit(child, f"{scope}{child.name}.")
+    yield from visit(tree, "")
+
+
+def test_no_module_but_config_gives_a_setting_a_default():
+    settings = _setting_names()
+    assert {"lr", "batch_size", "top_k", "seed"} <= settings
+    shadowed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        shadowed += [f"{path.stem}.{owner}({name}=...)"
+                     for owner, name in _defaults(_parse(path)) if name in settings]
+    assert shadowed == []

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from clustersum.config import PipelineConfig
 from clustersum.decoder import (
     build_training_examples,
     evaluate_decoder,
@@ -78,7 +79,7 @@ def test_mlm_loss_and_gradients(corpus, dtype, atol, docs, batch_size):
     model = _encoder(vocab, dtype)
     batch = all_docs[docs]
     loss, _, _ = mlm_batch_loss(model, batch, 0.3, np.random.default_rng(3), batch_size,
-                                train=True)
+                                bert_corruption=False, train=True)
     loss.backward()
     grads = _take_grads(model)
     expected = per_document_mlm_loss(model, batch, 0.3, np.random.default_rng(3), batch_size)
@@ -132,7 +133,7 @@ def test_no_parameter_is_dead(corpus, dtype):
     vocab, docs = corpus
     encoder = _encoder(vocab, dtype)
     loss, _, _ = mlm_batch_loss(encoder, docs, 0.3, np.random.default_rng(3), len(docs),
-                                train=True)
+                                bert_corruption=False, train=True)
     loss.backward()
     decoder = init_from_encoder(encoder)
     examples = build_training_examples(docs, encoder.embed_documents(docs), None, vocab.cls_id)
@@ -148,10 +149,11 @@ def test_no_two_parameter_gradients_share_memory(corpus):
     must end up with one parameter only, or AdamW would apply one
     parameter's gradient to another. Dropout is on, so its path is in too."""
     vocab, docs = corpus
-    encoder = EncoderModel(ModelConfig.desk_scale(vocab.size, max_len=16),
+    encoder = EncoderModel(ModelConfig.desk_scale(vocab.size, max_len=16, dropout=0.1),
                            np.random.default_rng(41))
     rng = np.random.default_rng(42)
-    loss, _, _ = mlm_batch_loss(encoder, docs, 0.3, rng, len(docs), train=True)
+    loss, _, _ = mlm_batch_loss(encoder, docs, 0.3, rng, len(docs), bert_corruption=False,
+                                train=True)
     loss.backward()
     decoder = init_from_encoder(encoder)
     examples = build_training_examples(docs, encoder.embed_documents(docs), None, vocab.cls_id)
@@ -189,7 +191,8 @@ def test_evaluators_equal_per_document_across_chunks(corpus):
         expected_classifier = per_document_classifier_loss(model, docs, batch_size=len(docs))
         expected_decoder = per_document_weighted_loss(decoder, examples, "tokens").item()
     assert evaluate_classifier(model, docs)[0] == pytest.approx(expected_classifier, abs=1e-12)
-    assert evaluate_decoder(decoder, examples) == pytest.approx(expected_decoder, abs=1e-12)
+    decoder_loss = evaluate_decoder(decoder, examples, PipelineConfig(loss_normalization="tokens"))
+    assert decoder_loss == pytest.approx(expected_decoder, abs=1e-12)
 
 
 @pytest.fixture(scope="module")

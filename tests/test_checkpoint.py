@@ -85,7 +85,7 @@ def test_trailing_bytes_rejected(tmp_path):
     (EncoderModel, None), (EncoderModel, 3), (DecoderModel, None),
 ])
 def test_model_save_load_save_is_byte_identical(tmp_path, model_type, num_labels):
-    config = ModelConfig.desk_scale(vocab_size=20, max_len=8)
+    config = ModelConfig.desk_scale(vocab_size=20, max_len=8, dropout=0.1)
     model = model_type(config, np.random.default_rng(0))
     if num_labels is not None:
         model.add_classifier(num_labels, np.random.default_rng(1))
@@ -98,7 +98,7 @@ def test_model_save_load_save_is_byte_identical(tmp_path, model_type, num_labels
 
 
 def _desk_model(model_type=EncoderModel, num_labels=None):
-    model = model_type(ModelConfig.desk_scale(vocab_size=20, max_len=8), np.random.default_rng(0))
+    model = model_type(ModelConfig.desk_scale(vocab_size=20, max_len=8, dropout=0.1), np.random.default_rng(0))
     if num_labels is not None:
         model.add_classifier(num_labels, np.random.default_rng(1))
     return model
@@ -181,7 +181,7 @@ def test_init_from_encoder_draws_nothing(init_normal_generators):
 
 
 def test_float64_model_save_refused(tmp_path):
-    model = EncoderModel(ModelConfig.desk_scale(vocab_size=20, max_len=8),
+    model = EncoderModel(ModelConfig.desk_scale(vocab_size=20, max_len=8, dropout=0.1),
                          np.random.default_rng(0), dtype=np.float64)
     with pytest.raises(ValueError, match="float64"):
         model.save(tmp_path / "m.ckpt")

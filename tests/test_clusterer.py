@@ -14,6 +14,7 @@ from clustersum.clusterer import (
     membership_weights,
     weighted_centers,
 )
+from clustersum.config import PipelineConfig
 from clustersum.encoder import ModelConfig
 
 from corpora import build_docs, graded_topic_texts
@@ -46,7 +47,7 @@ class TestKmeans:
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="2 clusters"):
-            kmeans(np.zeros((1, 4)), 2)
+            kmeans(np.zeros((1, 4)), 2, np.random.default_rng(0))
 
     def test_deterministic_for_fixed_seed(self):
         rng_points = np.random.default_rng(3)
@@ -156,9 +157,9 @@ def clustered_setup():
     texts, labels = graded_topic_texts(rng, docs_per_topic=20, words_per_topic=15,
                                        doc_len=8)
     vocab, docs = build_docs(texts, max_len=16, labels=labels)
-    config = ModelConfig.desk_scale(vocab.size, max_len=16)
-    encoder, _ = pretrain_mlm(docs, config, epochs=8, rng=np.random.default_rng(11),
-                              lr=1e-3, warmup_steps=30, batch_size=8)
+    config = ModelConfig.desk_scale(vocab.size, max_len=16, dropout=0.1)
+    settings = PipelineConfig(mlm_epochs=8, mlm_lr=1e-3, mlm_warmup_steps=30, mlm_batch_size=8)
+    encoder, _ = pretrain_mlm(docs, config, settings, np.random.default_rng(11))
     return vocab, docs, labels, encoder
 
 
@@ -205,9 +206,8 @@ class TestClusterWithLabels:
 
         vocab, docs, labels, encoder = clustered_setup
         enc = copy.deepcopy(encoder)
-        enc, history = fine_tune_classifier(enc, docs, num_labels=2, epochs=8,
-                                            rng=np.random.default_rng(15),
-                                            lr=3e-3, warmup_steps=5)
+        settings = PipelineConfig(finetune_epochs=8, finetune_lr=3e-3, finetune_warmup_steps=5)
+        enc, history = fine_tune_classifier(enc, docs, 2, settings, np.random.default_rng(15))
         assert history[-1].val_accuracy is not None
         ids, embeddings = _ids_and_embeddings(docs, enc)
         cs = cluster_with_labels(ids, embeddings, enc.label_probs(embeddings))

@@ -96,11 +96,13 @@ class TestSettings:
         ("temperature=0", "temperature"),
         ("top_k=0", "top_k"),
         ("top_p=0", "top_p"),
+        ("top_p=1.5", "top_p must lie in (0, 1]"),
         ("retain_top_m=0", "retain_top_m"),
         ("max_summary_len=0", "max_summary_len"),
         ("start_token=x", "start_token"),
         ("start_token=-1", "start_token"),
         ("cosine_top_k_values=0", "cosine_top_k_values"),
+        ("seed=-1", "seed must be non-negative"),
     ])
     def test_bad_value_exits_2_before_any_stage(self, tmp_path, capsys, item, message):
         code, out = self._build_vocab(tmp_path, item)
@@ -134,8 +136,8 @@ class TestSettings:
         assert (out / "clusters.jsonl").exists() and not (out / "decoder.ckpt").exists()
         config = PipelineConfig(start_token=str(size))
         with pytest.raises(ConfigError, match="start_token"):
-            config.sampler_config(vocab_size=size, cls_id=0)
-        assert config.sampler_config(vocab_size=size + 1, cls_id=0).start_token_id == size
+            config.start_token_id(vocab_size=size, cls_id=0)
+        assert config.start_token_id(vocab_size=size + 1, cls_id=0) == size
 
     def test_defaults_paper_scale_and_benchmark_settings_parse(self, monkeypatch):
         PipelineConfig()

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from clustersum.config import PipelineConfig
 from clustersum.decoder import (
     DecoderModel,
     build_training_examples,
@@ -25,7 +26,7 @@ def setup():
     rng = np.random.default_rng(0)
     texts = pair_texts(rng, num_docs=24, num_pairs=8, doc_len=8)
     vocab, docs = build_docs(texts, max_len=16)
-    config = ModelConfig.desk_scale(vocab.size, max_len=16)
+    config = ModelConfig.desk_scale(vocab.size, max_len=16, dropout=0.1)
     encoder = EncoderModel(config, np.random.default_rng(1))
     return vocab, docs, config, encoder
 
@@ -75,8 +76,9 @@ class TestInitFromEncoder:
         before = parameter_hash(encoder)
         decoder = init_from_encoder(encoder)
         examples = _examples(vocab, docs, encoder)
-        train_decoder(decoder, examples, epochs=1, rng=np.random.default_rng(2),
-                      lr=1e-3, warmup_steps=5, batch_size=8)
+        settings = PipelineConfig(decoder_epochs=1, decoder_lr=1e-3, decoder_warmup_steps=5,
+                                  decoder_batch_size=8)
+        train_decoder(decoder, examples, settings, np.random.default_rng(2))
         assert parameter_hash(encoder) == before
 
     def test_random_init_ablation_shares_nothing(self, setup):
@@ -210,7 +212,7 @@ class TestCachedDecoding:
     def test_logits_match_full_prefix(self, setup, dtype, atol):
         vocab = setup[0]
         steps = 44
-        config = ModelConfig.desk_scale(vocab.size, max_len=steps)
+        config = ModelConfig.desk_scale(vocab.size, max_len=steps, dropout=0.1)
         encoder = EncoderModel(config, np.random.default_rng(8), dtype=dtype)
         decoder = init_from_encoder(encoder)
         rng = np.random.default_rng(9)
@@ -241,7 +243,7 @@ class TestCachedDecoding:
         at different steps and one center's rows all leave first."""
         vocab = setup[0]
         steps = 30
-        config = ModelConfig.desk_scale(vocab.size, max_len=steps)
+        config = ModelConfig.desk_scale(vocab.size, max_len=steps, dropout=0.1)
         encoder = EncoderModel(config, np.random.default_rng(11), dtype=dtype)
         decoder = init_from_encoder(encoder)
         rng = np.random.default_rng(12)
@@ -279,7 +281,7 @@ class TestCachedDecoding:
         """Row c of every block's cached cross output is, byte for byte, the
         ``cross_attn`` output of center c computed alone."""
         vocab = setup[0]
-        config = ModelConfig(hidden, 2, heads, 64, 8, vocab.size)
+        config = ModelConfig(hidden, 2, heads, 64, 8, vocab.size, 0.1)
         decoder = DecoderModel(config, np.random.default_rng(13), dtype=dtype)
         centers = np.random.default_rng(14).normal(size=(5, hidden)).astype(dtype)
         cache = decoder.start_cache(centers, 3)
@@ -410,9 +412,9 @@ class TestTraining:
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
         examples = _examples(vocab, docs, encoder)
-        decoder, history = train_decoder(decoder, examples, epochs=5,
-                                         rng=np.random.default_rng(7),
-                                         lr=1e-3, warmup_steps=10, batch_size=8)
+        settings = PipelineConfig(decoder_epochs=5, decoder_lr=1e-3, decoder_warmup_steps=10,
+                                  decoder_batch_size=8)
+        decoder, history = train_decoder(decoder, examples, settings, np.random.default_rng(7))
         losses = [h.loss for h in history]
         assert all(np.isfinite(l) for l in losses)
         assert losses[-1] < losses[0]

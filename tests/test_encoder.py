@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import clustersum.layers
+from clustersum.config import PipelineConfig
 from clustersum.encoder import (
     EncoderModel,
     ModelConfig,
@@ -25,7 +26,7 @@ def small_setup():
     rng = np.random.default_rng(0)
     texts = pair_texts(rng, num_docs=30, num_pairs=10, doc_len=10)
     vocab, docs = build_docs(texts, max_len=16)
-    config = ModelConfig.desk_scale(vocab.size, max_len=16)
+    config = ModelConfig.desk_scale(vocab.size, max_len=16, dropout=0.1)
     model = EncoderModel(config, np.random.default_rng(1))
     return vocab, docs, config, model
 
@@ -46,7 +47,7 @@ class TestForward:
     def test_config_needs_a_block(self):
         """``cls_only`` shortens the last block, so there must be one."""
         with pytest.raises(ValueError, match="block"):
-            ModelConfig(num_blocks=0, vocab_size=10)
+            ModelConfig(64, 0, 4, 256, 64, 10, 0.1)
 
     def test_position_embeddings_active(self, small_setup):
         """Swapping two body tokens changes the document embedding."""
@@ -90,7 +91,7 @@ class TestMlmTraining:
     def test_initial_loss_near_log_vocab(self, small_setup):
         vocab, docs, config, model = small_setup
         fresh = EncoderModel(config, np.random.default_rng(7))
-        loss, _ = evaluate_mlm(fresh, docs, np.random.default_rng(2))
+        loss, _ = evaluate_mlm(fresh, docs, np.random.default_rng(2), PipelineConfig())
         expected = math.log(vocab.size)
         assert abs(loss - expected) < 0.2 * expected
 
@@ -98,7 +99,8 @@ class TestMlmTraining:
         """Junk target values at unmasked positions cannot reach the loss."""
         vocab, docs, config, model = small_setup
         doc = docs[0]
-        masked, positions, originals = mask_for_mlm(doc, rng=np.random.default_rng(3))
+        masked, positions, originals = mask_for_mlm(doc, 0.15, np.random.default_rng(3),
+                                                    False, vocab.size)
         with no_grad():
             hidden = model.forward([masked])
             restricted = cross_entropy(model.mlm_logits(hidden, positions), originals,
@@ -119,16 +121,15 @@ class TestMlmTraining:
 
     def test_short_training_reduces_loss(self, small_setup):
         vocab, docs, config, _ = small_setup
-        model, history = pretrain_mlm(docs, config, epochs=6,
-                                      rng=np.random.default_rng(11),
-                                      lr=1e-3, warmup_steps=20, batch_size=8)
+        settings = PipelineConfig(mlm_epochs=6, mlm_lr=1e-3, mlm_warmup_steps=20, mlm_batch_size=8)
+        model, history = pretrain_mlm(docs, config, settings, np.random.default_rng(11))
         assert history[-1].loss < history[0].loss
         assert all(np.isfinite(h.loss) for h in history)
 
     def test_empty_corpus_rejected(self, small_setup):
         vocab, docs, config, model = small_setup
         with pytest.raises(ValueError, match="empty"):
-            pretrain_mlm([], config, epochs=1, rng=np.random.default_rng(0))
+            pretrain_mlm([], config, PipelineConfig(mlm_epochs=1), np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +138,7 @@ def labeled():
     texts, labels = graded_topic_texts(rng, docs_per_topic=25, words_per_topic=15,
                                        doc_len=8)
     vocab, docs = build_docs(texts, max_len=16, labels=labels)
-    config = ModelConfig.desk_scale(vocab.size, max_len=16)
+    config = ModelConfig.desk_scale(vocab.size, max_len=16, dropout=0.1)
     return vocab, docs, config
 
 
@@ -194,8 +195,8 @@ class TestClassifier:
         model = EncoderModel(config, np.random.default_rng(1))
         stripped = [type(d)(doc_id=d.doc_id, ids=d.ids, label=None) for d in docs]
         with pytest.raises(ValueError, match="label"):
-            fine_tune_classifier(model, stripped, num_labels=2, epochs=1,
-                                 rng=np.random.default_rng(3))
+            fine_tune_classifier(model, stripped, 2, PipelineConfig(finetune_epochs=1),
+                                 np.random.default_rng(3))
 
     def test_disjoint_vocab_linearly_separable(self, labeled):
         """Every fifth document of a topic holds as many foreign words as its
@@ -205,10 +206,10 @@ class TestClassifier:
         untied = [d for i, d in enumerate(docs) if i % 25 % 5 != 4]
         for seed in range(5):
             model = EncoderModel(config, np.random.default_rng(1))
-            model, history = fine_tune_classifier(
-                model, untied, num_labels=2, epochs=8, rng=np.random.default_rng(seed),
-                lr=3e-3, warmup_steps=10,
-            )
+            settings = PipelineConfig(finetune_epochs=8, finetune_lr=3e-3,
+                                      finetune_warmup_steps=10)
+            model, history = fine_tune_classifier(model, untied, 2, settings,
+                                                  np.random.default_rng(seed))
             assert history[-1].val_accuracy == 1.0, seed
 
 
@@ -231,9 +232,9 @@ class TestClsOnly:
         3072) over two blocks."""
         vocab_size = 40
         if widths == "desk":
-            config = ModelConfig.desk_scale(vocab_size, max_len=16)
+            config = ModelConfig.desk_scale(vocab_size, max_len=16, dropout=0.1)
         else:
-            config = ModelConfig(768, 2, 12, 3072, 16, vocab_size)
+            config = ModelConfig(768, 2, 12, 3072, 16, vocab_size, 0.1)
         model = EncoderModel(config, np.random.default_rng(13), dtype=dtype)
         ids = _mixed_length_ids(vocab_size)
         t = max(len(i) for i in ids)

@@ -122,7 +122,7 @@ class TestTrainingStepMatchesComposedGraph:
     def _setup(self):
         texts, _ = graded_topic_texts(np.random.default_rng(5), docs_per_topic=4, doc_len=9)
         vocab, docs = build_docs(texts)
-        config = ModelConfig.desk_scale(vocab.size, dropout=0.1)
+        config = ModelConfig.desk_scale(vocab.size, max_len=64, dropout=0.1)
         return docs, vocab, EncoderModel(config, np.random.default_rng(6))
 
     def _compare(self, monkeypatch, model, loss_fn):
@@ -135,7 +135,8 @@ class TestTrainingStepMatchesComposedGraph:
     def test_mlm(self, monkeypatch):
         docs, vocab, encoder = self._setup()
         self._compare(monkeypatch, encoder, lambda: mlm_batch_loss(
-            encoder, docs[:6], 0.3, np.random.default_rng(7), 6, train=True)[0])
+            encoder, docs[:6], 0.3, np.random.default_rng(7), 6, bert_corruption=False,
+            train=True)[0])
 
     def test_classifier(self, monkeypatch):
         """The last block at the [CLS] rows only."""

@@ -1,13 +1,15 @@
 """Sampling filter, seeded generation, and candidate ranking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from clustersum import generator
+from clustersum.config import PipelineConfig
 from clustersum.decoder import DecoderModel, init_from_encoder
 from clustersum.encoder import EncoderModel, ModelConfig
 from clustersum.generator import (
-    SamplerConfig,
     filter_top_k_top_p,
     sample_candidates,
     sample_tokens,
@@ -27,14 +29,14 @@ def _filter_one(probs, k, p):
     return filter_top_k_top_p(np.asarray(probs)[None], k=k, p=p)[0]
 
 
-def _one_cluster(decoder, center, vocab, sampler, cluster=0):
+def _one_cluster(decoder, center, vocab, config, cluster=0):
     """The candidates of cluster ``cluster``, sampled with ``center`` as the
     center of clusters 0 to ``cluster``."""
-    return sample_candidates(decoder, np.tile(center, (cluster + 1, 1)), vocab, sampler)[cluster]
+    return sample_candidates(decoder, np.tile(center, (cluster + 1, 1)), vocab, config)[cluster]
 
 
-def _summarize(decoder, encoder, vocab, center, cluster, sampler):
-    candidates = _one_cluster(decoder, center, vocab, sampler, cluster)
+def _summarize(decoder, encoder, vocab, center, cluster, config):
+    candidates = _one_cluster(decoder, center, vocab, config, cluster)
     return summarize_cluster(encoder, vocab, center, candidates)
 
 
@@ -202,7 +204,7 @@ def generation_setup():
     rng = np.random.default_rng(5)
     texts = pair_texts(rng, num_docs=20, num_pairs=6, doc_len=8)
     vocab, docs = build_docs(texts, max_len=16)
-    config = ModelConfig.desk_scale(vocab.size, max_len=16)
+    config = ModelConfig.desk_scale(vocab.size, max_len=16, dropout=0.1)
     encoder = EncoderModel(config, np.random.default_rng(6))
     decoder = init_from_encoder(encoder)
     center = encoder.embed_documents(docs[:1])[0]
@@ -215,7 +217,7 @@ def long_setup(request):
     rng = np.random.default_rng(5)
     texts = pair_texts(rng, num_docs=20, num_pairs=6, doc_len=8)
     vocab, docs = build_docs(texts, max_len=48)
-    config = ModelConfig.desk_scale(vocab.size, max_len=48)
+    config = ModelConfig.desk_scale(vocab.size, max_len=48, dropout=0.1)
     encoder = EncoderModel(config, np.random.default_rng(6), dtype=request.param)
     decoder = init_from_encoder(encoder)
     return vocab, decoder, encoder.embed_documents(docs[:1])[0]
@@ -224,10 +226,9 @@ def long_setup(request):
 class TestSampleCandidates:
     def test_seeded_determinism(self, generation_setup):
         vocab, encoder, decoder, center = generation_setup
-        sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=4,
-                                max_summary_len=10, seed=0)
-        a = _one_cluster(decoder, center, vocab, sampler, 1)
-        b = _one_cluster(decoder, center, vocab, sampler, 1)
+        config = PipelineConfig(num_candidates=4, max_summary_len=10, seed=0)
+        a = _one_cluster(decoder, center, vocab, config, 1)
+        b = _one_cluster(decoder, center, vocab, config, 1)
         assert [c.token_ids for c in a] == [c.token_ids for c in b]
         assert [c.text for c in a] == [c.text for c in b]
         assert all(c.cluster == 1 for c in a)
@@ -251,10 +252,9 @@ class TestSampleCandidates:
 
     def test_emitted_ids_lie_in_filtered_support(self, generation_setup, monkeypatch):
         vocab, encoder, decoder, center = generation_setup
-        sampler = SamplerConfig(top_k=5, top_p=0.8, num_candidates=3,
-                                max_summary_len=12, seed=1)
+        config = PipelineConfig(top_k=5, top_p=0.8, num_candidates=3, max_summary_len=12, seed=1)
         steps = self._record_steps(monkeypatch)
-        candidates = _one_cluster(decoder, center, vocab, sampler)
+        candidates = _one_cluster(decoder, center, vocab, config)
         assert sum(len(drawn) for drawn in steps["draw"]) == sum(
             len(c.token_ids) for c in candidates)
         for t, (filtered, drawn) in enumerate(zip(steps["filter"], steps["draw"])):
@@ -266,10 +266,9 @@ class TestSampleCandidates:
 
     def test_one_filter_and_one_draw_per_step(self, long_setup, monkeypatch):
         vocab, decoder, center = long_setup
-        sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=6,
-                                max_summary_len=40, seed=3)
+        config = PipelineConfig(num_candidates=6, max_summary_len=40, seed=3)
         steps = self._record_steps(monkeypatch)
-        candidates = _one_cluster(decoder, center, vocab, sampler)
+        candidates = _one_cluster(decoder, center, vocab, config)
         decoding_steps = max(len(c.token_ids) for c in candidates)
         assert len(steps["filter"]) == len(steps["draw"]) == decoding_steps
         assert [len(drawn) for drawn in steps["draw"]] == [
@@ -277,9 +276,8 @@ class TestSampleCandidates:
 
     def test_stops_at_sep_or_length_cap(self, generation_setup):
         vocab, encoder, decoder, center = generation_setup
-        sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=6,
-                                max_summary_len=7, seed=2)
-        for candidate in _one_cluster(decoder, center, vocab, sampler):
+        config = PipelineConfig(num_candidates=6, max_summary_len=7, seed=2)
+        for candidate in _one_cluster(decoder, center, vocab, config):
             ids = candidate.token_ids
             assert 1 <= len(ids) <= 7
             assert vocab.sep_id not in ids[:-1]
@@ -288,21 +286,30 @@ class TestSampleCandidates:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_tokens_match_full_prefix_reference(self, long_setup, seed):
         vocab, decoder, center = long_setup
-        sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=6,
-                                max_summary_len=40, seed=seed)
-        candidates = _one_cluster(decoder, center, vocab, sampler, seed % 3)
+        config = PipelineConfig(num_candidates=6, max_summary_len=40, seed=seed)
+        candidates = _one_cluster(decoder, center, vocab, config, seed % 3)
         for s, candidate in enumerate(candidates):
             assert candidate.token_ids == reference_candidate_ids(
-                decoder, center, vocab, sampler, seed % 3, s)
+                decoder, center, vocab, config, seed % 3, s)
+
+    def test_literal_start_token_is_the_first_input(self, long_setup):
+        """With a literal ``start_token`` every candidate starts from that
+        id, as the full-prefix reference does, and not from [CLS]."""
+        vocab, decoder, center = long_setup
+        config = PipelineConfig(num_candidates=3, max_summary_len=40, seed=4, start_token="7")
+        candidates = _one_cluster(decoder, center, vocab, config)
+        from_cls = _one_cluster(decoder, center, vocab, replace(config, start_token="cls"))
+        assert [c.token_ids for c in candidates] != [c.token_ids for c in from_cls]
+        for s, candidate in enumerate(candidates):
+            assert candidate.token_ids == reference_candidate_ids(
+                decoder, center, vocab, config, 0, s)
 
     def test_candidate_independent_of_batch(self, long_setup):
         """Candidate s is the same whether 3 or 6 are decoded, while its
         neighbours leave the batch at different steps."""
         vocab, decoder, center = long_setup
-        three = SamplerConfig(top_k=min(50, vocab.size), num_candidates=3,
-                              max_summary_len=40, seed=7)
-        six = SamplerConfig(top_k=min(50, vocab.size), num_candidates=6,
-                            max_summary_len=40, seed=7)
+        three = PipelineConfig(num_candidates=3, max_summary_len=40, seed=7)
+        six = PipelineConfig(num_candidates=6, max_summary_len=40, seed=7)
         small = _one_cluster(decoder, center, vocab, three, 2)
         large = _one_cluster(decoder, center, vocab, six, 2)
         assert [c.token_ids for c in small] == [c.token_ids for c in large[:3]]
@@ -317,12 +324,10 @@ class TestSampleCandidates:
         decoder = init_from_encoder(encoder)
         decoder.lm_head.proj.bias.data[vocab.sep_id] = -1e4  # [SEP] never drawn
         max_len = decoder.config.max_len
-        sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=3,
-                                max_summary_len=max_len, seed=8)
-        candidates = _one_cluster(decoder, center, vocab, sampler)
+        config = PipelineConfig(num_candidates=3, max_summary_len=max_len, seed=8)
+        candidates = _one_cluster(decoder, center, vocab, config)
         assert [len(c.token_ids) for c in candidates] == [max_len] * 3
-        too_long = SamplerConfig(top_k=min(50, vocab.size), num_candidates=3,
-                                 max_summary_len=max_len + 1, seed=8)
+        too_long = PipelineConfig(num_candidates=3, max_summary_len=max_len + 1, seed=8)
         with pytest.raises(ValueError, match="max_len"):
             _one_cluster(decoder, center, vocab, too_long)
 
@@ -334,7 +339,7 @@ def clusters_setup(request):
     rng = np.random.default_rng(5)
     texts = pair_texts(rng, num_docs=20, num_pairs=6, doc_len=8)
     vocab, _ = build_docs(texts, max_len=48)
-    config = ModelConfig.desk_scale(vocab.size, max_len=48)
+    config = ModelConfig.desk_scale(vocab.size, max_len=48, dropout=0.1)
     encoder = EncoderModel(config, np.random.default_rng(6), dtype=request.param)
     centers = np.random.default_rng(7).normal(size=(5, config.hidden_size))
     return vocab, init_from_encoder(encoder), centers.astype(request.param)
@@ -345,9 +350,8 @@ class TestBatchedDecode:
     the key/value-cache budget, and each cluster gets what it gets alone."""
 
     @staticmethod
-    def _sampler(vocab, seed):
-        return SamplerConfig(top_k=min(50, vocab.size), num_candidates=3,
-                             max_summary_len=40, seed=seed)
+    def _config(vocab, seed):
+        return PipelineConfig(num_candidates=3, max_summary_len=40, seed=seed)
 
     @staticmethod
     def _record_batches(monkeypatch):
@@ -365,19 +369,19 @@ class TestBatchedDecode:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_each_cluster_equals_per_cluster_decode(self, clusters_setup, monkeypatch, seed):
         vocab, decoder, centers = clusters_setup
-        sampler = self._sampler(vocab, seed)
+        config = self._config(vocab, seed)
         batches = self._record_batches(monkeypatch)
-        sampled = sample_candidates(decoder, centers, vocab, sampler)
+        sampled = sample_candidates(decoder, centers, vocab, config)
         assert len(batches) == 1 and len(batches[0][0]) == len(centers)
         assert len(sampled) == len(centers)
         for c, candidates in enumerate(sampled):
             assert [cand.cluster for cand in candidates] == [c] * 3
             assert [cand.token_ids for cand in candidates] == per_cluster_candidate_ids(
-                decoder, centers[c], vocab, sampler, c)
+                decoder, centers[c], vocab, config, c)
         # the clusters stop at different steps: some stop entirely before the last
         last_steps = [max(len(cand.token_ids) for cand in candidates) for candidates in sampled]
         assert len(set(last_steps)) > 1
-        assert min(last_steps) < sampler.max_summary_len
+        assert min(last_steps) < config.max_summary_len
 
     @pytest.mark.parametrize("clusters_fit, sizes",
                              [(0, [1, 1, 1, 1, 1]), (1, [1, 1, 1, 1, 1]), (2, [2, 2, 1])])
@@ -387,21 +391,21 @@ class TestBatchedDecode:
         batches hold whole clusters, in order, within the budget unless a
         batch is a single cluster, and the tokens equal the one-batch run."""
         vocab, decoder, centers = clusters_setup
-        sampler = self._sampler(vocab, 2)
-        one_batch = sample_candidates(decoder, centers, vocab, sampler)
-        config = decoder.config
-        row_bytes = (config.num_blocks * 2 * config.hidden_size * sampler.max_summary_len
+        config = self._config(vocab, 2)
+        one_batch = sample_candidates(decoder, centers, vocab, config)
+        shape = decoder.config
+        row_bytes = (shape.num_blocks * 2 * shape.hidden_size * config.max_summary_len
                      * np.dtype(decoder.dtype).itemsize)
-        cluster_bytes = sampler.num_candidates * row_bytes
+        cluster_bytes = config.num_candidates * row_bytes
         budget = clusters_fit * cluster_bytes + cluster_bytes // 2
         monkeypatch.setattr(generator, "KV_CACHE_BUDGET", budget)
         batches = self._record_batches(monkeypatch)
-        split = sample_candidates(decoder, centers, vocab, sampler)
+        split = sample_candidates(decoder, centers, vocab, config)
         assert [[c.token_ids for c in cands] for cands in split] == [
             [c.token_ids for c in cands] for cands in one_batch]
         assert [len(batch) for batch, _ in batches] == sizes
         for batch, rows_per_center in batches:
-            assert rows_per_center == sampler.num_candidates
+            assert rows_per_center == config.num_candidates
             assert len(batch) * cluster_bytes <= budget or len(batch) == 1
         np.testing.assert_array_equal(np.concatenate([batch for batch, _ in batches]), centers)
 
@@ -409,9 +413,8 @@ class TestBatchedDecode:
 class TestSummarizeCluster:
     def test_ranked_list_contract(self, generation_setup):
         vocab, encoder, decoder, center = generation_setup
-        sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=6,
-                                max_summary_len=8, seed=3)
-        ranked = _summarize(decoder, encoder, vocab, center, 0, sampler)
+        config = PipelineConfig(num_candidates=6, max_summary_len=8, seed=3)
+        ranked = _summarize(decoder, encoder, vocab, center, 0, config)
         assert len(ranked) == 6
         assert [c.rank for c in ranked] == [1, 2, 3, 4, 5, 6]
         scores = [c.score for c in ranked]
@@ -420,39 +423,23 @@ class TestSummarizeCluster:
 
     def test_rank_one_dominates(self, generation_setup):
         vocab, encoder, decoder, center = generation_setup
-        sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=4,
-                                max_summary_len=8, seed=4)
-        ranked = _summarize(decoder, encoder, vocab, center, 1, sampler)
+        config = PipelineConfig(num_candidates=4, max_summary_len=8, seed=4)
+        ranked = _summarize(decoder, encoder, vocab, center, 1, config)
         assert all(ranked[0].score >= c.score for c in ranked[1:])
 
     def test_single_candidate_degenerate(self, generation_setup):
         vocab, encoder, decoder, center = generation_setup
-        sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=1,
-                                max_summary_len=8, seed=5)
-        ranked = _summarize(decoder, encoder, vocab, center, 0, sampler)
+        config = PipelineConfig(num_candidates=1, max_summary_len=8, seed=5)
+        ranked = _summarize(decoder, encoder, vocab, center, 0, config)
         assert len(ranked) == 1 and ranked[0].rank == 1
 
     def test_candidates_reproducible_per_stream(self, generation_setup):
         """Candidate s of cluster c draws from the (seed, c, s) stream, so a
         rerun reproduces every candidate."""
         vocab, encoder, decoder, center = generation_setup
-        sampler = SamplerConfig(top_k=min(50, vocab.size), num_candidates=5,
-                                max_summary_len=8, seed=6)
-        a = _summarize(decoder, encoder, vocab, center, 2, sampler)
-        b = _summarize(decoder, encoder, vocab, center, 2, sampler)
+        config = PipelineConfig(num_candidates=5, max_summary_len=8, seed=6)
+        a = _summarize(decoder, encoder, vocab, center, 2, config)
+        b = _summarize(decoder, encoder, vocab, center, 2, config)
         assert [c.token_ids for c in a] == [c.token_ids for c in b]
         assert [c.score for c in a] == [c.score for c in b]
 
-
-class TestSamplerConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(top_k=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(top_p=0.0)
-        with pytest.raises(ValueError):
-            SamplerConfig(top_p=1.5)
-        with pytest.raises(ValueError):
-            SamplerConfig(num_candidates=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(max_summary_len=0)

@@ -6,7 +6,7 @@ import pytest
 
 from clustersum import optim
 from clustersum.encoder import EncoderModel, ModelConfig, mlm_batch_loss
-from clustersum.optim import BLOCK, AdamW, fit
+from clustersum.optim import BETAS, BLOCK, EPS, AdamW, fit
 from clustersum.tensor import Tensor, cross_entropy, gelu, init_normal, layer_norm, linear
 
 from corpora import build_docs, pair_texts
@@ -24,41 +24,41 @@ class TestFirstStep:
         p = _param([1.0, -2.0, 0.5])
         p.grad = np.ones(3, dtype=np.float32)
         before = p.data.copy()
-        AdamW([p], lr=0.1).step()
+        AdamW([p], lr=0.1, weight_decay=0.0, warmup_steps=0).step()
         np.testing.assert_allclose(p.data, before - 0.1, atol=1e-6)
 
     def test_zero_gradient_no_decay_leaves_params(self):
         p = _param([3.0, -1.0])
         p.grad = np.zeros(2, dtype=np.float32)
         before = p.data.copy()
-        AdamW([p], lr=0.5).step()
+        AdamW([p], lr=0.5, weight_decay=0.0, warmup_steps=0).step()
         np.testing.assert_array_equal(p.data, before)
 
     def test_decoupled_decay_shrinks_params(self):
         p = _param([2.0])
         p.grad = np.zeros(1, dtype=np.float32)
-        AdamW([p], lr=0.1, weight_decay=0.01).step()
+        AdamW([p], lr=0.1, warmup_steps=0, weight_decay=0.01).step()
         assert p.data[0] == pytest.approx(2.0 - 0.1 * 0.01 * 2.0, rel=1e-6)
 
 
 class TestWarmup:
     def test_half_way_through_warmup(self):
-        opt = AdamW([_param([0.0])], lr=1.0, warmup_steps=100)
+        opt = AdamW([_param([0.0])], lr=1.0, weight_decay=0.0, warmup_steps=100)
         assert opt.effective_lr(step=50) == pytest.approx(0.5)
 
     def test_warmup_complete(self):
-        opt = AdamW([_param([0.0])], lr=2.0, warmup_steps=100)
+        opt = AdamW([_param([0.0])], lr=2.0, weight_decay=0.0, warmup_steps=100)
         assert opt.effective_lr(step=100) == pytest.approx(2.0)
         assert opt.effective_lr(step=500) == pytest.approx(2.0)
 
     def test_never_negative(self):
-        opt = AdamW([_param([0.0])], lr=1.0, warmup_steps=10,
+        opt = AdamW([_param([0.0])], lr=1.0, weight_decay=0.0, warmup_steps=10,
                     schedule="linear_decay", total_steps=20)
         for step in range(0, 40):
             assert opt.effective_lr(step=step) >= 0.0
 
     def test_linear_decay_reaches_zero(self):
-        opt = AdamW([_param([0.0])], lr=1.0, warmup_steps=10,
+        opt = AdamW([_param([0.0])], lr=1.0, weight_decay=0.0, warmup_steps=10,
                     schedule="linear_decay", total_steps=20)
         assert opt.effective_lr(step=15) == pytest.approx(0.5)
         assert opt.effective_lr(step=20) == pytest.approx(0.0)
@@ -68,24 +68,24 @@ class TestContracts:
     def test_missing_gradient_is_an_error(self):
         p = _param([1.0])
         with pytest.raises(ValueError, match="no gradient"):
-            AdamW([p], lr=0.1).step()
+            AdamW([p], lr=0.1, weight_decay=0.0, warmup_steps=0).step()
 
     def test_gradients_cleared_after_step(self):
         p = _param([1.0])
         p.grad = np.ones(1, dtype=np.float32)
-        opt = AdamW([p], lr=0.1)
+        opt = AdamW([p], lr=0.1, weight_decay=0.0, warmup_steps=0)
         opt.step()
         assert p.grad is None
 
     def test_moment_shapes_match_params(self):
         p1, p2 = _param(np.zeros((3, 4))), _param(np.zeros(7))
-        opt = AdamW([p1, p2], lr=0.1)
+        opt = AdamW([p1, p2], lr=0.1, weight_decay=0.0, warmup_steps=0)
         assert opt.first_moment[0].shape == (3, 4)
         assert opt.second_moment[1].shape == (7,)
 
     def test_rebound_parameter_makes_step_raise(self):
         p1, p2 = _param(np.zeros(3)), _param(np.zeros((2, 2)))
-        opt = AdamW([p1, p2], lr=0.1)
+        opt = AdamW([p1, p2], lr=0.1, weight_decay=0.0, warmup_steps=0)
         p2.data = p2.data.copy()
         p1.grad, p2.grad = np.ones(3, dtype=np.float32), np.ones((2, 2), dtype=np.float32)
         with pytest.raises(ValueError, match=r"parameter 1 \(2, 2\) was rebound"):
@@ -95,33 +95,34 @@ class TestContracts:
 
     def test_parameters_become_views_of_one_buffer(self):
         p1, p2 = _param([1.0, 2.0]), _param([[3.0], [4.0]])
-        opt = AdamW([p1, p2], lr=0.1)
+        opt = AdamW([p1, p2], lr=0.1, weight_decay=0.0, warmup_steps=0)
         assert p1.data.base is opt.buffer and p2.data.base is opt.buffer
         assert opt.buffer.tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_rejects_mixed_dtypes(self):
         p64 = Tensor(np.zeros(2), requires_grad=True, dtype=np.float64)
         with pytest.raises(ValueError, match="mix dtypes"):
-            AdamW([_param([0.0]), p64], lr=0.1)
+            AdamW([_param([0.0]), p64], lr=0.1, weight_decay=0.0, warmup_steps=0)
 
     def test_rejects_non_contiguous_parameter(self):
         p = _param(np.zeros((3, 4)))
         p.data = p.data.T
         with pytest.raises(ValueError, match=r"parameter 1 \(4, 3\) is not C-contiguous"):
-            AdamW([_param([0.0]), p], lr=0.1)
+            AdamW([_param([0.0]), p], lr=0.1, weight_decay=0.0, warmup_steps=0)
 
     def test_rejects_a_parameter_listed_twice(self):
         p = _param([0.0])
         with pytest.raises(ValueError, match="more than once"):
-            AdamW([p, p], lr=0.1)
+            AdamW([p, p], lr=0.1, weight_decay=0.0, warmup_steps=0)
 
     def test_rejects_bad_hyperparameters(self):
         with pytest.raises(ValueError):
-            AdamW([_param([0.0])], lr=0.0)
+            AdamW([_param([0.0])], lr=0.0, weight_decay=0.0, warmup_steps=0)
         with pytest.raises(ValueError):
-            AdamW([_param([0.0])], lr=0.1, weight_decay=-1.0)
+            AdamW([_param([0.0])], lr=0.1, warmup_steps=0, weight_decay=-1.0)
         with pytest.raises(ValueError):
-            AdamW([_param([0.0])], lr=0.1, schedule="linear_decay")
+            AdamW([_param([0.0])], lr=0.1, weight_decay=0.0, warmup_steps=0,
+                  schedule="linear_decay")
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -148,7 +149,7 @@ def test_step_matches_reference_formula_bit_for_bit(dtype, weight_decay):
         opt.step()
         for data, g, m_i, v_i in zip(shadow, grads, m, v):
             reference_adamw_update(data, g, m_i, v_i, step, opt.effective_lr(step),
-                                   opt.betas, opt.eps, weight_decay)
+                                   BETAS, EPS, weight_decay)
         for p, data, m_i, v_i, om, ov in zip(params, shadow, m, v,
                                               opt.first_moment, opt.second_moment):
             assert p.data.dtype == dtype
@@ -161,7 +162,7 @@ def test_converges_on_quadratic():
     rng = np.random.default_rng(0)
     target = rng.normal(size=8).astype(np.float32)
     p = _param(np.zeros(8))
-    opt = AdamW([p], lr=0.05, warmup_steps=10)
+    opt = AdamW([p], lr=0.05, weight_decay=0.0, warmup_steps=10)
     for _ in range(400):
         diff = add(p, Tensor(-target))
         reduce_sum(mul(diff, diff)).backward()
@@ -177,7 +178,7 @@ class TestFit:
 
     def _setup(self):
         p = _param([0.0])
-        return p, AdamW([p], lr=0.3)
+        return p, AdamW([p], lr=0.3, weight_decay=0.0, warmup_steps=0)
 
     @staticmethod
     def _square_loss(p, batch):
@@ -211,7 +212,7 @@ class TestFit:
         """The best epoch is copied back in place: the parameter stays a
         view of the optimizer's buffer and the next step still reaches it."""
         p = _param([0.0])
-        opt = AdamW([p], lr=0.3)
+        opt = AdamW([p], lr=0.3, weight_decay=0.0, warmup_steps=0)
         after_epoch = []
 
         def validate(epoch):
@@ -280,13 +281,14 @@ class _Desk:
     def __init__(self, dtype, seed=1):
         texts = pair_texts(np.random.default_rng(0), num_docs=12, num_pairs=4, doc_len=10)
         vocab, self.items = build_docs(texts, max_len=12)
-        self.model = EncoderModel(ModelConfig.desk_scale(vocab.size, max_len=12),
+        self.model = EncoderModel(ModelConfig.desk_scale(vocab.size, max_len=12, dropout=0.1),
                                   np.random.default_rng(seed), dtype)
         self.params = self.model.parameters()
         self.rng = np.random.default_rng(2)
 
     def batch_loss(self, batch):
-        loss, c, n = mlm_batch_loss(self.model, batch, 0.3, self.rng, 4, train=True)
+        loss, c, n = mlm_batch_loss(self.model, batch, 0.3, self.rng, 4, bert_corruption=False,
+                                    train=True)
         return loss, 4, c, n
 
 
@@ -379,9 +381,9 @@ class TestUpdateInBackward:
     def test_large_parameters_lead_the_buffer(self, monkeypatch):
         monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
         model = _Shared(np.float32)
-        opt = AdamW(model.params, lr=1e-2)
+        opt = AdamW(model.params, lr=1e-2, weight_decay=0.0, warmup_steps=0)
         assert self._layout(opt) == [0, 1, 2, 3, 4, 5, 6]
-        opt = AdamW(model.params[5:] + model.params[:5], lr=1e-2)
+        opt = AdamW(model.params[5:] + model.params[:5], lr=1e-2, weight_decay=0.0, warmup_steps=0)
         assert self._layout(opt) == [2, 3, 4, 5, 6, 0, 1]
 
     @staticmethod
@@ -394,7 +396,7 @@ class TestUpdateInBackward:
         right after its update, and ``step`` finds none."""
         monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
         model = _Desk(np.float32)
-        opt = AdamW(model.params, lr=1e-2)
+        opt = AdamW(model.params, lr=1e-2, weight_decay=0.0, warmup_steps=0)
         large = [p for p in opt.params if p.size >= SMALL_BLOCK]
         update = opt._update_large
         updated = []
@@ -422,7 +424,7 @@ class TestUpdateInBackward:
     def test_rebound_parameter_raises_before_any_update(self, monkeypatch, which):
         monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
         model = _Shared(np.float32)
-        opt = AdamW(model.params, lr=1e-2)
+        opt = AdamW(model.params, lr=1e-2, weight_decay=0.0, warmup_steps=0)
         before = opt.buffer.copy()
         model.params[which].data = model.params[which].data.copy()
         with pytest.raises(ValueError, match=f"parameter {which} .* was rebound"):
@@ -437,7 +439,7 @@ class TestUpdateInBackward:
         monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
         model = _Shared(np.float32)
         unused = init_normal(np.random.default_rng(9), shape)
-        opt = AdamW(model.params + [unused], lr=1e-2)
+        opt = AdamW(model.params + [unused], lr=1e-2, weight_decay=0.0, warmup_steps=0)
         before = opt.buffer.copy()
         with pytest.raises(ValueError, match="parameter 7 has no gradient"):
             fit(model.items, model.batch_loss, opt, epochs=1, batch_size=4,
@@ -453,7 +455,7 @@ class TestUpdateInBackward:
         for hooked in (False, True):
             model = _Shared(np.float32)
             held = init_normal(np.random.default_rng(9), (SMALL_BLOCK,))
-            opt = AdamW(model.params + [held], lr=1e-2)
+            opt = AdamW(model.params + [held], lr=1e-2, weight_decay=0.0, warmup_steps=0)
             held.grad = np.ones(SMALL_BLOCK, dtype=np.float32)
             model.batch_loss([0, 1, 2])[0].backward(opt.start_step if hooked else None)
             opt.step()
@@ -467,7 +469,7 @@ class TestUpdateInBackward:
         parameter, large ones included."""
         monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
         model = _Shared(np.float32)
-        opt = AdamW(model.params, lr=1e-2)
+        opt = AdamW(model.params, lr=1e-2, weight_decay=0.0, warmup_steps=0)
         before = [p.data.copy() for p in model.params]
         model.batch_loss([0, 1, 2])[0].backward()
         opt.step()

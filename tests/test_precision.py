@@ -34,7 +34,7 @@ def corpus():
 
 
 def _encoder(vocab, dtype, rng=None) -> EncoderModel:
-    config = ModelConfig.desk_scale(vocab.size, max_len=16)
+    config = ModelConfig.desk_scale(vocab.size, max_len=16, dropout=0.1)
     return EncoderModel(config, rng, dtype=dtype)
 
 
@@ -46,7 +46,7 @@ def _mlm_curve(model: EncoderModel, docs) -> np.ndarray:
     for step in range(MLM_STEPS):
         batch = [docs[(step * BATCH_SIZE + i) % len(docs)] for i in range(BATCH_SIZE)]
         loss, _, _ = mlm_batch_loss(model, batch, 0.15, np.random.default_rng([5, step]),
-                                    BATCH_SIZE, train=True)
+                                    BATCH_SIZE, bert_corruption=False, train=True)
         loss.backward()
         optimizer.step()
         losses.append(loss.item())
@@ -100,7 +100,7 @@ def test_encoder_step_stays_float32(corpus):
     vocab, docs = corpus
     model = _encoder(vocab, np.float32, np.random.default_rng(62))
     loss, _, _ = mlm_batch_loss(model, docs[:BATCH_SIZE], 0.3, np.random.default_rng(63),
-                                BATCH_SIZE, train=True)
+                                BATCH_SIZE, bert_corruption=False, train=True)
     _assert_float32_step(model, loss)
 
 
