@@ -10,11 +10,13 @@ its cluster membership weight. Training and evaluation run one batch of
 documents per forward, right-padded to the longest, each document
 cross-attending to its own embedding row. The causal mask alone keeps
 padding out of every real position's attention, since a position sees only
-earlier ones and all padding follows the real positions. At summary time
-it decodes a batch of sequences, one position per step, against a
-``DecodeCache``: the batch may hold the candidates of several clusters, so
-the cache computes each block's cross output once per cluster center and
-keeps, for every live row, the index of the center it decodes from.
+earlier ones and all padding follows the real positions. Training passes
+its generator to ``forward``, which then drops out; evaluation passes none.
+At summary time ``step`` decodes a batch of sequences, one position per
+call and under ``no_grad``, against a ``DecodeCache``: the batch may hold
+the candidates of several clusters, so the cache computes each block's
+cross output once per cluster center and keeps, for every live row, the
+index of the center it decodes from.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .config import PipelineConfig
 from .encoder import EVAL_BATCH_SIZE, EncoderModel, Model, ModelConfig, batches
 from .layers import DecoderBlock, KVCache, PredictionHead, causal_mask
 from .optim import AdamW, EpochStats, fit
-from .tensor import Tensor, cross_entropy, gather_rows, grad_enabled, no_grad
+from .tensor import Tensor, cross_entropy, gather_rows, no_grad
 from .tokenizer import EncodedDocument
 
 
@@ -58,92 +60,79 @@ class DecoderModel(Model):
     component = "decoder"
     block_type = DecoderBlock
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None, dtype=np.float32):
-        super().__init__(config, rng, dtype)
-        self.lm_head = PredictionHead(rng, config.hidden_size, config.vocab_size, dtype)
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
+        super().__init__(config, rng)
+        self.lm_head = PredictionHead(rng, config.hidden_size, config.vocab_size)
 
-    def _memory(self, conditioning: Tensor | np.ndarray, rows: int | None) -> Tensor:
-        """``conditioning`` as a ``[rows, hidden]`` tensor (any row count
-        when ``rows`` is None); a single ``[hidden]`` array is one row."""
-        if isinstance(conditioning, Tensor):
-            memory = conditioning
-        else:
-            array = np.asarray(conditioning, dtype=self.dtype)
-            memory = Tensor(array.reshape(1, -1) if array.ndim == 1 else array)
-        rows = memory.shape[0] if rows is None else rows
+    def _memory(self, conditioning: np.ndarray, rows: int | None) -> np.ndarray:
+        """``conditioning``, ``[rows, hidden]`` (any row count when ``rows``
+        is None), in this model's dtype."""
+        memory = np.asarray(conditioning, dtype=self.dtype)
+        rows = len(memory) if rows is None else rows
         if memory.shape != (rows, self.config.hidden_size):
-            raise ValueError(
-                f"conditioning must be {rows} row(s) of width {self.config.hidden_size}, "
-                f"got {memory.shape}"
-            )
+            raise ValueError(f"conditioning must be {rows} row(s) of width "
+                             f"{self.config.hidden_size}, got {memory.shape}")
         return memory
 
-    def start_cache(self, centers: Tensor | np.ndarray, rows_per_center: int = 1) -> DecodeCache:
+    def forward(
+        self,
+        input_ids,
+        conditioning: np.ndarray,
+        rng: np.random.Generator | None = None,
+    ) -> Tensor:
+        """Next-token logits for a batch of b prefixes, each conditioned on
+        its own row of ``conditioning`` (``[b, h]``). Dropout is drawn from
+        ``rng`` when one is given (training) and skipped without it.
+
+        The prefixes are padded to the longest; the logits hold only real
+        positions, ``[sum of lengths, vocab]``, every prefix's rows in turn.
+        """
+        x, lengths, drop = self._embed(input_ids, rng)
+        b = len(lengths)
+        t = x.shape[0] // b
+        memory = Tensor(self._memory(conditioning, b))
+        mask = causal_mask(t, self.dtype)
+        for block in self.blocks:
+            x = block(x, memory, b, mask, drop)
+        real = np.flatnonzero(np.arange(t) < lengths[:, None])
+        return self.lm_head(gather_rows(x, real))
+
+    def start_cache(self, centers: np.ndarray, rows_per_center: int) -> DecodeCache:
         """Empty decoding state for ``rows_per_center`` sequences conditioned
-        on each of the k rows of ``centers`` (``[k, h]``; a single ``[h]``
-        row is k = 1), center by center: batch row i decodes from center
-        ``i // rows_per_center``.
+        on each of the k rows of ``centers`` (``[k, h]``), center by center:
+        batch row i decodes from center ``i // rows_per_center``.
 
         Each block's cross output is computed once per center, one center at
         a time: a one-row product can round differently from the same row
         inside a taller one, and a center's cross row should not depend on
         which centers share its batch.
         """
-        memory = self._memory(centers, None)
-        rows = [Tensor(memory.data[c:c + 1]) for c in range(memory.shape[0])]
+        centers = self._memory(centers, None)
         with no_grad():
-            cross = [Tensor(np.concatenate([block.cross_attn(row).data for row in rows]))
+            cross = [Tensor(np.concatenate([block.cross_attn(Tensor(row[None])).data
+                                            for row in centers]))
                      for block in self.blocks]
-        return DecodeCache(cross, np.repeat(np.arange(len(rows)), rows_per_center))
+        return DecodeCache(cross, np.repeat(np.arange(len(centers)), rows_per_center))
 
-    def forward(
-        self,
-        input_ids,
-        conditioning: Tensor | np.ndarray | None = None,
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-        cache: DecodeCache | None = None,
-    ) -> Tensor:
-        """Next-token logits for a batch of b prefixes, each conditioned on
-        its own row of ``conditioning`` (``[b, h]``; a single ``[h]`` row for
-        one prefix).
-
-        The prefixes are padded to the longest; the logits hold only real
-        positions, ``[sum of lengths, vocab]``, every prefix's rows in turn.
-
-        With ``cache`` (from ``start_cache``, which took the conditioning),
-        ``input_ids`` holds the newest token of each of the cache's b live
-        sequences, all at position ``cache.length``; the logits are
-        [b, vocab] and the cache advances one position. Cached decoding is
-        inference only.
-        """
-        if cache is not None:
-            if conditioning is not None or train or grad_enabled():
-                raise ValueError("cached decoding takes no conditioning and runs under no_grad")
-            return self._step(np.asarray(input_ids, dtype=np.intp), cache)
-        x, lengths = self._embed(input_ids, train, rng)
-        b = len(lengths)
-        t = x.shape[0] // b
-        memory = self._memory(conditioning, b)
-        mask = causal_mask(t, self.dtype)
-        rate = self.config.dropout if train else 0.0
-        for block in self.blocks:
-            x = block(x, memory, b, mask, dropout_rate=rate, train=train, rng=rng)
-        real = np.flatnonzero(np.arange(t) < lengths[:, None])
-        return self.lm_head(gather_rows(x, real))
-
-    def _step(self, ids: np.ndarray, cache: DecodeCache) -> Tensor:
+    def step(self, ids, cache: DecodeCache) -> Tensor:
+        """Next-token logits ``[b, vocab]`` for the newest token of each of
+        the cache's b live sequences, all at position ``cache.length``; the
+        cache advances one position. Inference only: runs under
+        ``no_grad``."""
+        ids = np.asarray(ids, dtype=np.intp)
         position = cache.length
         if position >= self.config.max_len:
             raise ValueError(f"cannot decode position {position} with max_len {self.config.max_len}")
         if len(ids) != len(cache.memory_rows):
             raise ValueError(f"the cache holds {len(cache.memory_rows)} sequences, got {len(ids)} ids")
-        x = self.embed_norm(gather_rows(self.word_embedding, ids),
-                            gather_rows(self.position_embedding, np.full(len(ids), position)))
-        for block, kv, cross in zip(self.blocks, cache.layers, cache.cross):
-            x = block.step(x, kv, cross, cache.memory_rows)
+        with no_grad():
+            x = self.embed_norm(gather_rows(self.word_embedding, ids),
+                                gather_rows(self.position_embedding, np.full(len(ids), position)))
+            for block, kv, cross in zip(self.blocks, cache.layers, cache.cross):
+                x = block.step(x, kv, cross, cache.memory_rows)
+            logits = self.lm_head(x)
         cache.length += 1
-        return self.lm_head(x)
+        return logits
 
 
 # Decoder name fragment -> encoder name fragment it is initialized from.
@@ -173,9 +162,9 @@ def init_from_encoder(encoder: EncoderModel) -> DecoderModel:
     encoder's attention norm. All copies are independent, so decoder
     training leaves the encoder untouched. The decoder is built
     without a generator, so nothing is drawn only to be overwritten; every
-    one of its parameters has an encoder source.
+    one of its parameters has an encoder source, whose dtype it takes.
     """
-    decoder = DecoderModel(encoder.config, None, dtype=encoder.dtype)
+    decoder = DecoderModel(encoder.config, None)
     enc_params = encoder.named_parameters()
     for dec_name, dst in decoder.named_parameters().items():
         enc_name = encoder_source_name(dec_name)
@@ -241,11 +230,11 @@ def weighted_ce_loss(
     decoder: DecoderModel,
     batch: list[TrainingExample],
     normalize: str,
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Membership-weighted sum of per-document token NLL sums, from one
-    padded forward over the batch.
+    padded forward over the batch, with dropout from ``rng`` when one is
+    given.
 
     ``normalize="tokens"`` divides by the total token count of the batch,
     which keeps the learning-rate scale independent of document length;
@@ -257,7 +246,7 @@ def weighted_ce_loss(
     if not batch:
         raise ValueError("weighted_ce_loss needs at least one example")
     logits = decoder.forward([e.input_ids for e in batch],
-                             np.stack([e.embedding for e in batch]), train=train, rng=rng)
+                             np.stack([e.embedding for e in batch]), rng)
     targets = np.concatenate([e.target_ids for e in batch])
     weights = np.repeat([e.weight for e in batch], [len(e.target_ids) for e in batch])
     if normalize == "tokens":
@@ -297,7 +286,7 @@ def train_decoder(
     normalize = config.loss_normalization
 
     def batch_loss(batch):
-        loss = weighted_ce_loss(decoder, batch, normalize=normalize, train=True, rng=rng)
+        loss = weighted_ce_loss(decoder, batch, normalize=normalize, rng=rng)
         return loss, len(batch) if normalize == "tokens" else 1, 0, 0
 
     def validate(epoch):

@@ -11,6 +11,9 @@ run a shortened last block (``forward(..., cls_only=True)``): its keys and
 values still come from every position, but its queries, output projection,
 residual norms and feed-forward sublayer run on one row per document.
 
+A forward drops out exactly when it is given a generator: training passes
+its generator, while embedding, evaluation and classification pass none.
+
 Every forward takes a batch of documents, right-padded with [PAD] to the
 longest one; padded keys are masked out of attention, so each document's
 hidden states are those it would have alone. Training runs one forward and
@@ -33,12 +36,11 @@ from .layers import (
     Module,
     PredictionHead,
     Projection,
-    INIT_STD,
+    dropout_from,
     padding_mask,
 )
 from .optim import AdamW, EpochStats, fit
 from .tensor import Tensor, cross_entropy, gather_rows, init_normal, no_grad, stable_softmax
-from .tensor import dropout as dropout_op
 from .tokenizer import EncodedDocument, mask_for_mlm, pad_batch
 
 # Documents per forward when embedding or evaluating without gradients.
@@ -90,34 +92,37 @@ class Model(Module):
     component: str
     block_type: type
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None, dtype=np.float32):
-        """Draw every weight matrix from ``rng``; with ``rng=None`` they are
-        zero shells, for a model whose parameters are set right after."""
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
+        """Draw every weight matrix from ``rng``, in float32; with ``rng=None``
+        they are zero shells, for a model whose parameters are set after."""
         self.config = config
-        self.dtype = dtype
-        self.word_embedding = init_normal(rng, (config.vocab_size, config.hidden_size), INIT_STD, dtype)
-        self.position_embedding = init_normal(rng, (config.max_len, config.hidden_size), INIT_STD, dtype)
-        self.embed_norm = LayerNorm(config.hidden_size, dtype)
+        self.word_embedding = init_normal(rng, (config.vocab_size, config.hidden_size))
+        self.position_embedding = init_normal(rng, (config.max_len, config.hidden_size))
+        self.embed_norm = LayerNorm(config.hidden_size)
         self.blocks = [
-            self.block_type(rng, config.hidden_size, config.num_heads, config.ffn_size, dtype)
+            self.block_type(rng, config.hidden_size, config.num_heads, config.ffn_size)
             for _ in range(config.num_blocks)
         ]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.word_embedding.dtype
 
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
 
-    def _embed(self, sequences, train: bool, rng: np.random.Generator | None):
+    def _embed(self, sequences, rng: np.random.Generator | None):
         """Embedding-layer output ``[b·t, h]`` of b token-id sequences padded
-        to the longest (t), with each sequence's length."""
+        to the longest (t), after dropout; each sequence's length; and the
+        forward's dropout, at ``config.dropout`` from ``rng``."""
         ids, lengths = pad_batch(sequences)
         b, t = ids.shape
         if t > self.config.max_len:
             raise ValueError(f"sequence length {t} exceeds max_len {self.config.max_len}")
         x = self.embed_norm(gather_rows(self.word_embedding, ids.reshape(-1)),
                             gather_rows(self.position_embedding, np.tile(np.arange(t), b)))
-        if train and self.config.dropout:
-            x = dropout_op(x, self.config.dropout, rng)
-        return x, lengths
+        drop = dropout_from(rng, self.config.dropout)
+        return drop(x), lengths, drop
 
     def _checkpoint_extra(self) -> dict:
         """Header metadata, beyond the config, that ``load`` needs to rebuild
@@ -130,8 +135,8 @@ class Model(Module):
     def save(self, path) -> None:
         """Write the model as a float32 checkpoint; any other dtype is refused,
         since the checkpoint would silently round it."""
-        if np.dtype(self.dtype) != np.float32:
-            raise ValueError(f"checkpoints store float32; this model is {np.dtype(self.dtype)}")
+        if self.dtype != np.float32:
+            raise ValueError(f"checkpoints store float32; this model is {self.dtype}")
         save_checkpoint(
             path,
             component=self.component,
@@ -142,27 +147,34 @@ class Model(Module):
 
     @classmethod
     def load(cls, path) -> "Model":
-        """Rebuild a saved model as float32.
-
-        The model is built without a generator (zero shells, nothing drawn)
-        and every parameter is then replaced by its checkpoint tensor. The
-        checkpoint must hold exactly the model's parameter names, each at
-        the model's shape, so no shell can survive the load.
-        """
+        """Rebuild a saved model, in float32 as every checkpoint is."""
         ckpt = load_checkpoint(path)
         if ckpt.component != cls.component:
             raise ValueError(f"{path} holds a {ckpt.component!r} checkpoint, expected {cls.component!r}")
-        model = cls(ModelConfig(**ckpt.config), None)
-        model._apply_checkpoint_extra(ckpt.extra)
+        return cls._filled(ModelConfig(**ckpt.config), ckpt.extra, ckpt.tensors)
+
+    def astype(self, dtype) -> "Model":
+        """A copy of this model, classifier head included, with every
+        parameter cast to ``dtype``; this model is left as it is."""
+        return self._filled(self.config, self._checkpoint_extra(),
+                            {n: p.data.astype(dtype) for n, p in self.named_parameters().items()})
+
+    @classmethod
+    def _filled(cls, config: ModelConfig, extra: dict, arrays: dict[str, np.ndarray]) -> "Model":
+        """A shell built without a generator (nothing drawn), every parameter
+        then replaced by its named array; names and shapes must match
+        exactly, so no shell survives."""
+        model = cls(config, None)
+        model._apply_checkpoint_extra(extra)
         params = model.named_parameters()
-        if set(params) != set(ckpt.tensors):
-            missing = set(params) ^ set(ckpt.tensors)
-            raise ValueError(f"checkpoint tensor names do not match the model: {sorted(missing)}")
+        if set(params) != set(arrays):
+            raise ValueError(f"tensor names do not match the model: "
+                             f"{sorted(set(params) ^ set(arrays))}")
         for name, p in params.items():
-            loaded = ckpt.tensors[name]
-            if loaded.shape != p.shape:
-                raise ValueError(f"shape mismatch for {name}: {loaded.shape} vs {p.shape}")
-            p.data = loaded.astype(model.dtype, copy=False)
+            array = arrays[name]
+            if array.shape != p.shape:
+                raise ValueError(f"shape mismatch for {name}: {array.shape} vs {p.shape}")
+            p.data = array
         return model
 
 
@@ -172,9 +184,9 @@ class EncoderModel(Model):
     component = "encoder"
     block_type = EncoderBlock
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None, dtype=np.float32):
-        super().__init__(config, rng, dtype)
-        self.mlm_head = PredictionHead(rng, config.hidden_size, config.vocab_size, dtype)
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
+        super().__init__(config, rng)
+        self.mlm_head = PredictionHead(rng, config.hidden_size, config.vocab_size)
         self.classifier: Projection | None = None
 
     # -- structure ----------------------------------------------------------
@@ -188,7 +200,7 @@ class EncoderModel(Model):
     def add_classifier(self, num_labels: int, rng: np.random.Generator | None) -> None:
         if num_labels < 1:
             raise ValueError(f"need at least one label, got {num_labels}")
-        self.classifier = Projection(rng, self.config.hidden_size, num_labels, self.dtype)
+        self.classifier = Projection(rng, self.config.hidden_size, num_labels)
 
     def _checkpoint_extra(self) -> dict:
         return {} if self.classifier is None else {"num_labels": self.num_labels}
@@ -202,13 +214,13 @@ class EncoderModel(Model):
     def forward(
         self,
         ids,
-        train: bool = False,
         rng: np.random.Generator | None = None,
         cls_only: bool = False,
     ) -> Tensor:
         """Final hidden states ``[b·t, h]`` of a batch of b token-id
         sequences, padded to the longest (t); with ``cls_only``, only the
-        [CLS] embeddings ``[b, h]``.
+        [CLS] embeddings ``[b, h]``. Dropout is drawn from ``rng`` when one
+        is given (training) and skipped without it.
 
         Row i·t + j of the hidden states is position j of sequence i; rows
         past a sequence's length are padding, which no real position sees.
@@ -216,18 +228,17 @@ class EncoderModel(Model):
         (its keys and values still cover every position), so its rows are
         those of the full forward up to float rounding.
         """
-        x, lengths = self._embed(ids, train, rng)
+        x, lengths, drop = self._embed(ids, rng)
         b = len(lengths)
         t = x.shape[0] // b
         mask = padding_mask(lengths, t, self.dtype)
-        rate = self.config.dropout if train else 0.0
         for block in self.blocks[:-1]:
-            x = block(x, b, mask, dropout_rate=rate, train=train, rng=rng)
+            x = block(x, b, mask, drop)
         rows = np.arange(b) * t if cls_only else None
-        return self.blocks[-1](x, b, mask, dropout_rate=rate, train=train, rng=rng, rows=rows)
+        return self.blocks[-1](x, b, mask, drop, rows=rows)
 
     def embed_documents(self, docs: list[EncodedDocument]) -> np.ndarray:
-        """Deterministic document embeddings ``[n, h]`` (no graph, eval mode),
+        """Deterministic document embeddings ``[n, h]`` (no graph, no dropout),
         ``EVAL_BATCH_SIZE`` documents per forward."""
         with no_grad():
             return np.concatenate([
@@ -256,19 +267,20 @@ def _mlm_batch(
     docs: list[EncodedDocument],
     rate: float,
     rng: np.random.Generator,
-    train: bool,
+    dropout_rng: np.random.Generator | None,
     bert_corruption: bool,
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Masked-position logits and original ids of one padded batch, with
     each document's masked-position count.
 
     Each document's mask is drawn from ``rng`` in batch order, all of them
-    before the forward, whose dropout then draws from the same ``rng``.
+    before the forward, whose dropout then draws from ``dropout_rng`` (in
+    training, the same ``rng``; no dropout without one).
     """
     masked = [mask_for_mlm(doc, rate, rng, bert_corruption, model.config.vocab_size)
               for doc in docs]
     ids, positions, originals = zip(*masked)
-    hidden = model.forward(ids, train=train, rng=rng)
+    hidden = model.forward(ids, dropout_rng)
     t = hidden.shape[0] // len(docs)
     rows = np.concatenate([i * t + np.asarray(p) for i, p in enumerate(positions)])
     counts = np.array([len(o) for o in originals])
@@ -282,11 +294,11 @@ def mlm_batch_loss(
     rng: np.random.Generator,
     batch_size: int,
     bert_corruption: bool,
-    train: bool = False,
 ) -> tuple[Tensor, int, int]:
     """One batch's training loss, each document's masked-position mean loss
-    times ``1/batch_size``, summed; plus (correct, total) prediction counts."""
-    logits, originals, counts = _mlm_batch(model, docs, rate, rng, train, bert_corruption)
+    times ``1/batch_size``, summed; plus (correct, total) prediction counts.
+    Masks and dropout are both drawn from ``rng``."""
+    logits, originals, counts = _mlm_batch(model, docs, rate, rng, rng, bert_corruption)
     loss = cross_entropy(logits, originals, weights=np.repeat(1.0 / (counts * batch_size), counts))
     correct = int((logits.data.argmax(axis=1) == originals).sum())
     return loss, correct, originals.size
@@ -299,14 +311,14 @@ def evaluate_mlm(
     config: PipelineConfig,
 ) -> tuple[float, float]:
     """Masked-token loss (mean over every masked position) and accuracy
-    under eval-mode forwards, at ``config.mask_rate``. Every selected token
-    becomes [MASK], whatever ``config.bert_corruption`` says."""
+    under forwards without dropout, at ``config.mask_rate``. Every selected
+    token becomes [MASK], whatever ``config.bert_corruption`` says."""
     total_loss = 0.0
     correct = 0
     total = 0
     with no_grad():
         for chunk in batches(docs, EVAL_BATCH_SIZE):
-            logits, originals, _ = _mlm_batch(model, chunk, config.mask_rate, rng, train=False,
+            logits, originals, _ = _mlm_batch(model, chunk, config.mask_rate, rng, None,
                                               bert_corruption=False)
             total_loss += cross_entropy(logits, originals).item()
             correct += int((logits.data.argmax(axis=1) == originals).sum())
@@ -337,7 +349,7 @@ def pretrain_mlm(
 
     def batch_loss(batch):
         loss, correct, total = mlm_batch_loss(model, batch, config.mask_rate, rng, batch_size,
-                                              config.bert_corruption, train=True)
+                                              config.bert_corruption)
         return loss, batch_size, correct, total
 
     def validate(epoch):
@@ -352,12 +364,11 @@ def classifier_batch_loss(
     model: EncoderModel,
     docs: list[EncodedDocument],
     batch_size: int,
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, int]:
     """One batch's classification loss, each document's label loss times
     ``1/batch_size``, summed; plus the number of correct argmax labels."""
-    embeddings = model.forward([d.ids for d in docs], train=train, rng=rng, cls_only=True)
+    embeddings = model.forward([d.ids for d in docs], rng, cls_only=True)
     logits = model.classifier(embeddings)
     labels = np.array([d.label for d in docs])
     loss = cross_entropy(logits, labels, weights=np.full(len(docs), 1.0 / batch_size))
@@ -416,7 +427,7 @@ def fine_tune_classifier(
     )
 
     def batch_loss(batch):
-        loss, correct = classifier_batch_loss(model, batch, batch_size, train=True, rng=rng)
+        loss, correct = classifier_batch_loss(model, batch, batch_size, rng)
         return loss, batch_size, correct, len(batch)
 
     def validate(epoch):

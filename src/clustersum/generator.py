@@ -8,9 +8,10 @@ The candidates of many clusters are sampled as one batch: whole clusters
 are packed into a batch while its key/value cache, at full summary length,
 stays within ``KV_CACHE_BUDGET`` bytes, and every batch takes at least one
 cluster. Every step feeds only the newest token of each live candidate
-through the decoder: each self-attention layer keeps the keys and values of
-all earlier positions in a key/value cache, so a step costs one position per
-candidate rather than the whole prefix. A candidate leaves the batch, and
+through ``DecoderModel.step``, which runs without a graph: each
+self-attention layer keeps the keys and values of all earlier positions in
+a key/value cache, so a step costs one position per candidate rather than
+the whole prefix. A candidate leaves the batch, and
 its cache rows are dropped, when it emits [SEP] or reaches
 ``max_summary_len`` tokens.
 
@@ -41,7 +42,6 @@ from .config import PipelineConfig
 from .decoder import DecoderModel
 from .encoder import EncoderModel
 from .metrics import cosine_similarity
-from .tensor import no_grad
 from .tokenizer import Vocabulary, decode, encode
 
 log = logging.getLogger(__name__)
@@ -154,22 +154,20 @@ def _decode_batch(
     live = list(range(len(rngs)))
     tokens = [config.start_token_id(vocab.size, vocab.cls_id)] * len(live)
     cache = decoder.start_cache(centers, n)
-    with no_grad():
-        for _ in range(config.max_summary_len):
-            logits = decoder.forward(tokens, cache=cache).data / config.temperature
-            exps = np.exp(logits.astype(np.float64) - logits.max(axis=-1, keepdims=True))
-            filtered = filter_top_k_top_p(exps / exps.sum(axis=-1, keepdims=True), k,
-                                          config.top_p)
-            drawn = sample_tokens(filtered, np.array([rngs[i].random() for i in live]))
-            for i, token in zip(live, drawn.tolist()):
-                generated[i].append(token)
-            kept = np.flatnonzero(drawn != vocab.sep_id).tolist()
-            if not kept:
-                break
-            if len(kept) < len(live):
-                cache.keep(kept)
-                live = [live[row] for row in kept]
-            tokens = drawn[kept]
+    for _ in range(config.max_summary_len):
+        logits = decoder.step(tokens, cache).data / config.temperature
+        exps = np.exp(logits.astype(np.float64) - logits.max(axis=-1, keepdims=True))
+        filtered = filter_top_k_top_p(exps / exps.sum(axis=-1, keepdims=True), k, config.top_p)
+        drawn = sample_tokens(filtered, np.array([rngs[i].random() for i in live]))
+        for i, token in zip(live, drawn.tolist()):
+            generated[i].append(token)
+        kept = np.flatnonzero(drawn != vocab.sep_id).tolist()
+        if not kept:
+            break
+        if len(kept) < len(live):
+            cache.keep(kept)
+            live = [live[row] for row in kept]
+        tokens = drawn[kept]
     return [
         [SummaryCandidate(cluster=c, token_ids=ids, text=decode(ids, vocab))
          for ids in generated[i * n:(i + 1) * n]]

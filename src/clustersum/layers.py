@@ -7,7 +7,13 @@ into equal heads and scales scores by 1/sqrt(head_dim); everything between
 the query/key/value projections and the output projection is one graph node
 (``tensor.attention``). Self-attention can also run incrementally, one new
 position per batch row, against a ``KVCache`` of the keys and values of
-every earlier position, through the same numpy core (``tensor.attend``).
+every earlier position, through the same numpy core (``tensor.attend``);
+that path is a method of its own, ``step``, on the attention and on the
+decoder block.
+
+A block takes the forward's dropout as a function (``dropout_from``),
+which draws from the forward's generator or, without one, returns its
+input. Layers are built in float32; float64 is a cast (``Model.astype``).
 
 Batch layout: a batch of b sequences, right-padded to a common length t,
 travels between layers as a 2-D ``[b·t, hidden]`` tensor whose row i·t + j
@@ -31,12 +37,13 @@ item i of the list ``blocks`` nests under ``block{i}.`` (so
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .tensor import (Tensor, add_layer_norm, attend, attention, dropout, gather_rows, gelu,
                      init_normal, layer_norm, linear)
 
-INIT_STD = 0.02
 LAYER_NORM_EPS = 1e-12
 MASK_FILL = -1e9
 
@@ -64,26 +71,26 @@ class Module:
 class Projection(Module):
     """Bias-free linear map ``x @ weight``."""
 
-    def __init__(self, rng: np.random.Generator | None, in_dim: int, out_dim: int, dtype=np.float32):
-        self.weight = init_normal(rng, (in_dim, out_dim), INIT_STD, dtype)
+    def __init__(self, rng: np.random.Generator | None, in_dim: int, out_dim: int):
+        self.weight = init_normal(rng, (in_dim, out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight)
 
 
 class Linear(Projection):
-    def __init__(self, rng: np.random.Generator | None, in_dim: int, out_dim: int, dtype=np.float32):
-        super().__init__(rng, in_dim, out_dim, dtype)
-        self.bias = Tensor(np.zeros(out_dim, dtype=dtype), requires_grad=True)
+    def __init__(self, rng: np.random.Generator | None, in_dim: int, out_dim: int):
+        super().__init__(rng, in_dim, out_dim)
+        self.bias = Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, dtype=np.float32):
-        self.gain = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
+    def __init__(self, dim: int):
+        self.gain = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
+        self.bias = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
         if residual is None:
@@ -137,32 +144,31 @@ class MultiHeadAttention(Module):
     rows; keys and values come from ``x``, and so do the queries unless
     ``queries`` gives r rows of ``x`` per sequence (``[batch·r, hidden]``),
     in which case the output has those rows only. ``mask`` is added to the
-    scores and must broadcast to ``[batch, r, t]``. With ``cache`` given,
-    ``x`` holds one new position per batch row (``[b, hidden]``): its keys
-    and values are appended to the cache and its queries attend over every
-    cached position. The cache holds only past positions, so no mask is
-    needed.
+    scores and must broadcast to ``[batch, r, t]``. ``step`` is the cached
+    form.
     """
 
-    def __init__(self, rng: np.random.Generator | None, hidden: int, num_heads: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, hidden: int, num_heads: int):
         if hidden % num_heads != 0:
             raise ValueError(f"hidden size {hidden} not divisible by {num_heads} heads")
         self.hidden = hidden
         self.num_heads = num_heads
         self.head_dim = hidden // num_heads
-        self.wq = Linear(rng, hidden, hidden, dtype)
-        self.wk = Linear(rng, hidden, hidden, dtype)
-        self.wv = Linear(rng, hidden, hidden, dtype)
-        self.wo = Linear(rng, hidden, hidden, dtype)
+        self.wq = Linear(rng, hidden, hidden)
+        self.wk = Linear(rng, hidden, hidden)
+        self.wv = Linear(rng, hidden, hidden)
+        self.wo = Linear(rng, hidden, hidden)
 
     def __call__(self, x: Tensor, batch: int = 1, mask: np.ndarray | None = None,
-                 cache: KVCache | None = None, queries: Tensor | None = None) -> Tensor:
-        if cache is not None:
-            return self._step(x, cache)
+                 queries: Tensor | None = None) -> Tensor:
         q = self.wq(x if queries is None else queries)
         return self.wo(attention(q, self.wk(x), self.wv(x), batch, self.num_heads, mask))
 
-    def _step(self, x: Tensor, cache: KVCache) -> Tensor:
+    def step(self, x: Tensor, cache: KVCache) -> Tensor:
+        """One new position per batch row (``x`` is ``[b, hidden]``): its
+        keys and values are appended to ``cache`` and its queries attend
+        over every cached position. The cache holds only past positions, so
+        no mask is needed."""
         b = x.shape[0]
         nh, hd = self.num_heads, self.head_dim
         q = self.wq(x).data.reshape((b, nh, 1, hd))
@@ -177,29 +183,32 @@ class CrossAttention(Module):
     is exactly 1.0 whatever the query, so every position of the sequence gets
     the same row, ``wo(wv(memory))``; no query or key projection can matter."""
 
-    def __init__(self, rng: np.random.Generator | None, hidden: int, dtype=np.float32):
-        self.wv = Linear(rng, hidden, hidden, dtype)
-        self.wo = Linear(rng, hidden, hidden, dtype)
+    def __init__(self, rng: np.random.Generator | None, hidden: int):
+        self.wv = Linear(rng, hidden, hidden)
+        self.wo = Linear(rng, hidden, hidden)
 
     def __call__(self, memory: Tensor) -> Tensor:
         return self.wo(self.wv(memory))
 
 
 class FeedForward(Module):
-    def __init__(self, rng: np.random.Generator | None, hidden: int, ffn_size: int, dtype=np.float32):
-        self.lin1 = Linear(rng, hidden, ffn_size, dtype)
-        self.lin2 = Linear(rng, ffn_size, hidden, dtype)
+    def __init__(self, rng: np.random.Generator | None, hidden: int, ffn_size: int):
+        self.lin1 = Linear(rng, hidden, ffn_size)
+        self.lin2 = Linear(rng, ffn_size, hidden)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(gelu(self.lin1(x)))
 
 
-def _maybe_dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None) -> Tensor:
-    if not train or rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("training forward passes need an rng for dropout")
-    return dropout(x, rate, rng)
+Dropout = Callable[[Tensor], Tensor]
+
+
+def dropout_from(rng: np.random.Generator | None, rate: float) -> Dropout:
+    """The dropout a forward applies to its embeddings and after each
+    sublayer: inverted dropout at ``rate``, drawn from ``rng`` in call
+    order. With no generator it returns its input, so a forward draws
+    dropout exactly when it is given one."""
+    return (lambda x: x) if rng is None else (lambda x: dropout(x, rate, rng))
 
 
 class EncoderBlock(Module):
@@ -213,53 +222,46 @@ class EncoderBlock(Module):
     the chosen rows alone.
     """
 
-    def __init__(self, rng: np.random.Generator | None, hidden: int, num_heads: int, ffn_size: int, dtype=np.float32):
-        self.attn = MultiHeadAttention(rng, hidden, num_heads, dtype)
-        self.norm_attn = LayerNorm(hidden, dtype)
-        self.ffn = FeedForward(rng, hidden, ffn_size, dtype)
-        self.norm_ffn = LayerNorm(hidden, dtype)
+    def __init__(self, rng: np.random.Generator | None, hidden: int, num_heads: int, ffn_size: int):
+        self.attn = MultiHeadAttention(rng, hidden, num_heads)
+        self.norm_attn = LayerNorm(hidden)
+        self.ffn = FeedForward(rng, hidden, ffn_size)
+        self.norm_ffn = LayerNorm(hidden)
 
-    def __call__(self, x: Tensor, batch: int, mask: np.ndarray, dropout_rate: float = 0.0,
-                 train: bool = False, rng: np.random.Generator | None = None,
+    def __call__(self, x: Tensor, batch: int, mask: np.ndarray, drop: Dropout,
                  rows: np.ndarray | None = None) -> Tensor:
         q = x if rows is None else gather_rows(x, rows)
-        a = _maybe_dropout(self.attn(x, batch, mask=mask, queries=q), dropout_rate, train, rng)
-        x = self.norm_attn(q, a)
-        f = _maybe_dropout(self.ffn(x), dropout_rate, train, rng)
-        return self.norm_ffn(x, f)
+        x = self.norm_attn(q, drop(self.attn(x, batch, mask=mask, queries=q)))
+        return self.norm_ffn(x, drop(self.ffn(x)))
 
 
 class DecoderBlock(Module):
     """Causal self-attention, cross-attention on one memory row per
     sequence, feed-forward."""
 
-    def __init__(self, rng: np.random.Generator | None, hidden: int, num_heads: int, ffn_size: int, dtype=np.float32):
-        self.self_attn = MultiHeadAttention(rng, hidden, num_heads, dtype)
-        self.norm_self = LayerNorm(hidden, dtype)
-        self.cross_attn = CrossAttention(rng, hidden, dtype)
-        self.norm_cross = LayerNorm(hidden, dtype)
-        self.ffn = FeedForward(rng, hidden, ffn_size, dtype)
-        self.norm_ffn = LayerNorm(hidden, dtype)
+    def __init__(self, rng: np.random.Generator | None, hidden: int, num_heads: int, ffn_size: int):
+        self.self_attn = MultiHeadAttention(rng, hidden, num_heads)
+        self.norm_self = LayerNorm(hidden)
+        self.cross_attn = CrossAttention(rng, hidden)
+        self.norm_cross = LayerNorm(hidden)
+        self.ffn = FeedForward(rng, hidden, ffn_size)
+        self.norm_ffn = LayerNorm(hidden)
 
     def __call__(self, x: Tensor, memory: Tensor, batch: int, mask: np.ndarray,
-                 dropout_rate: float = 0.0, train: bool = False,
-                 rng: np.random.Generator | None = None) -> Tensor:
+                 drop: Dropout) -> Tensor:
         """``memory`` is ``[batch, hidden]``; ``mask`` is the self-attention
         mask, at least causal."""
-        a = _maybe_dropout(self.self_attn(x, batch, mask=mask), dropout_rate, train, rng)
-        x = self.norm_self(x, a)
+        x = self.norm_self(x, drop(self.self_attn(x, batch, mask=mask)))
         # one row per position, so dropout masks each position apart
         c = gather_rows(self.cross_attn(memory), np.repeat(np.arange(batch), x.shape[0] // batch))
-        c = _maybe_dropout(c, dropout_rate, train, rng)
-        x = self.norm_cross(x, c)
-        f = _maybe_dropout(self.ffn(x), dropout_rate, train, rng)
-        return self.norm_ffn(x, f)
+        x = self.norm_cross(x, drop(c))
+        return self.norm_ffn(x, drop(self.ffn(x)))
 
     def step(self, x: Tensor, cache: KVCache, cross: Tensor, memory_rows: np.ndarray) -> Tensor:
         """Inference for one new position per row of ``x`` (``[b, hidden]``),
         with ``cross`` the ``cross_attn`` output of k memory rows and
         ``memory_rows`` the index, into those k, of each row's memory."""
-        x = self.norm_self(x, self.self_attn(x, cache=cache))
+        x = self.norm_self(x, self.self_attn.step(x, cache))
         x = self.norm_cross(x, gather_rows(cross, memory_rows))
         return self.norm_ffn(x, self.ffn(x))
 
@@ -267,10 +269,10 @@ class DecoderBlock(Module):
 class PredictionHead(Module):
     """Token-prediction head: dense, GELU, layer norm, vocab projection."""
 
-    def __init__(self, rng: np.random.Generator | None, hidden: int, vocab_size: int, dtype=np.float32):
-        self.dense = Linear(rng, hidden, hidden, dtype)
-        self.norm = LayerNorm(hidden, dtype)
-        self.proj = Linear(rng, hidden, vocab_size, dtype)
+    def __init__(self, rng: np.random.Generator | None, hidden: int, vocab_size: int):
+        self.dense = Linear(rng, hidden, hidden)
+        self.norm = LayerNorm(hidden)
+        self.proj = Linear(rng, hidden, vocab_size)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.proj(self.norm(gelu(self.dense(x))))

@@ -142,13 +142,6 @@ def corpus_hash(records: list[CorpusRecord]) -> str:
 # -- stage inputs -------------------------------------------------------------
 
 
-def _encode_corpus(records: list[CorpusRecord], vocab: Vocabulary, max_len: int,
-                   label_names: list[str] | None = None) -> list[EncodedDocument]:
-    label_index = {name: i for i, name in enumerate(label_names or [])}
-    return [encode(r.text, vocab, max_len, doc_id=r.id, label=label_index.get(r.label))
-            for r in records]
-
-
 def _write_text(path: Path, text: str) -> None:
     with atomic_write(path) as fh:
         fh.write(text.encode("utf-8"))
@@ -174,7 +167,12 @@ class _Context:
 
     @cached_property
     def docs(self) -> list[EncodedDocument]:
-        return _encode_corpus(self.records, self.vocab, self.config.max_len)
+        """The corpus, encoded once; in labels mode each document carries
+        its label's index."""
+        names = self.label_names if self.config.uses_labels else []
+        index = {name: i for i, name in enumerate(names)}
+        return [encode(r.text, self.vocab, self.config.max_len, doc_id=r.id,
+                       label=index.get(r.label)) for r in self.records]
 
     @cached_property
     def encoder(self) -> EncoderModel:
@@ -231,8 +229,7 @@ def _pretrain(ctx: _Context) -> dict:
 
 def _finetune(ctx: _Context) -> dict:
     config, names = ctx.config, ctx.label_names
-    docs = _encode_corpus(ctx.records, ctx.vocab, config.max_len, names)
-    encoder, history = fine_tune_classifier(ctx.encoder, docs, len(names), config,
+    encoder, history = fine_tune_classifier(ctx.encoder, ctx.docs, len(names), config,
                                             np.random.default_rng([config.seed, 2]))
     encoder.save(ctx.out_dir / ENCODER_FILE)
     return {"num_labels": len(names), "final_val_accuracy": history[-1].val_accuracy}
@@ -431,9 +428,10 @@ def run_stage(name: str, config: PipelineConfig, records: list[CorpusRecord],
     """Run stage ``name`` into ``out_dir`` and return the details it records.
 
     Nothing is created before the checks pass: the stage applies to the
-    configuration, every record is labeled in labels mode, the manifest (if
-    any) was written for this configuration, corpus and seed, and the stage
-    before this one has run.
+    configuration, every record is labeled in labels mode, k-means mode asks
+    for no more clusters than there are records, the manifest (if any) was
+    written for this configuration, corpus and seed, and the stage before
+    this one has run.
     """
     out_dir = Path(out_dir)
     stages = _stages_for(config)
@@ -443,6 +441,9 @@ def run_stage(name: str, config: PipelineConfig, records: list[CorpusRecord],
                           f"{names}; finetune runs only in labels clustering mode")
     if config.uses_labels and any(r.label is None for r in records):
         raise CorpusError("labels clustering mode requires a label on every record")
+    if not config.uses_labels and config.num_clusters > len(records):
+        raise ConfigError(f"num_clusters {config.num_clusters} exceeds the corpus's "
+                          f"{len(records)} records")
     expected = {
         "config_hash": config.config_hash(),
         "corpus_hash": corpus_hash(records),

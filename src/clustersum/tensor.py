@@ -5,10 +5,11 @@ plus a small set of differentiable operations. Each operation records itself
 on a graph; ``Tensor.backward`` replays the graph in reverse topological
 order and accumulates gradients on every participating node.
 
-Storage is float32 by default; float64 is supported end to end so gradient
-checks can run a high-precision shadow. Every operation computes in its
-operands' storage dtype, forward and backward: matrix products go to BLAS in
-that dtype, and no operation makes a full-size float64 copy. float64 is only
+Storage is float32 by default, and every model is built in float32. float64
+is supported end to end so gradient checks can run a high-precision shadow,
+which ``Model.astype`` casts from a float32 model. Every operation computes
+in its operands' storage dtype, forward and backward: matrix products go to
+BLAS in that dtype, and no operation makes a full-size float64 copy. float64 is only
 the accumulator of a few reductions, whose small results are cast back to the
 storage dtype: the softmax denominator and its backward inner sum, the
 layer_norm mean and variance and their backward means, and the
@@ -62,10 +63,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -177,16 +174,18 @@ class Tensor:
                             final(parent)
 
 
-def init_normal(rng: np.random.Generator | None, shape, std: float = 0.02, dtype=np.float32) -> Tensor:
-    """Trainable parameter tensor with N(0, std) entries drawn from ``rng``.
+def init_normal(rng: np.random.Generator | None, shape) -> Tensor:
+    """Trainable float32 parameter tensor with N(0, 0.02) entries (BERT's
+    initializer range) drawn from ``rng``.
 
     With ``rng=None`` the tensor is zero-filled and nothing is drawn: a
     model built only to have its parameters overwritten (by a checkpoint
-    load or a copy) gets shells of the right shape at no sampling cost.
+    load, a cast or a copy) gets shells of the right shape at no sampling
+    cost.
     """
     if rng is None:
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-    return Tensor(rng.normal(0.0, std, size=shape).astype(dtype), requires_grad=True)
+        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+    return Tensor(rng.normal(0.0, 0.02, size=shape).astype(np.float32), requires_grad=True)
 
 
 def _common_dtype(a: Tensor, b: Tensor):
@@ -449,7 +448,7 @@ def gelu(x: Tensor) -> Tensor:
     return _record(out, (x,), backward_fn)
 
 
-def cross_entropy(logits: Tensor, targets, reduction: str = "sum", weights=None) -> Tensor:
+def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     """Negative log softmax probability of each target id.
 
     ``logits`` is [n, vocab], one row per predicted position (for a batch,
@@ -457,11 +456,8 @@ def cross_entropy(logits: Tensor, targets, reduction: str = "sum", weights=None)
     sequence. With ``weights`` (length n), each row's loss is multiplied by
     its weight first, so one call can carry per-document means, membership
     weights or token normalization, and a weight of 0 silences a row. The
-    per-row losses are summed by default or averaged over the n rows with
-    ``reduction="mean"``.
+    per-row losses are summed; a mean is the sum with weights of 1/n.
     """
-    if reduction not in ("sum", "mean"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     if logits.ndim != 2:
         raise ValueError(f"cross_entropy expects [n, vocab] logits, got {logits.shape}")
     ids = np.asarray(targets, dtype=np.intp)
@@ -480,8 +476,7 @@ def cross_entropy(logits: Tensor, targets, reduction: str = "sum", weights=None)
     nll = shift[:, 0] + np.log(sums) - logits.data[rows, ids]
     if weights is not None:
         nll = nll * weights
-    total = nll.sum() if reduction == "sum" else nll.mean()
-    out = np.asarray(total, dtype=logits.dtype)
+    out = np.asarray(nll.sum(), dtype=logits.dtype)
 
     def backward_fn(grad: np.ndarray) -> None:
         if not logits.requires_grad:
@@ -491,8 +486,6 @@ def cross_entropy(logits: Tensor, targets, reduction: str = "sum", weights=None)
         probs[rows, ids] -= 1.0
         if weights is not None:
             probs *= weights.astype(probs.dtype)[:, None]
-        if reduction == "mean":
-            probs /= ids.shape[0]
         probs *= grad.item()
         _accumulate(logits, probs, owned=True)
 

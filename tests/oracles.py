@@ -365,7 +365,7 @@ def reference_candidate_ids(decoder, center, vocab, config, cluster: int,
     generated: list[int] = []
     with no_grad():
         while len(generated) < config.max_summary_len:
-            logits = decoder.forward([prefix], center, train=False)
+            logits = decoder.forward([prefix], np.reshape(center, (1, -1)))
             last = (logits.data[-1] / config.temperature).astype(np.float64)
             exps = np.exp(last - last.max())
             token = reference_draw(reference_filter(exps / exps.sum(), k, config.top_p),
@@ -391,23 +391,22 @@ def per_cluster_candidate_ids(decoder, center, vocab, config, cluster: int) -> l
     generated: list[list[int]] = [[] for _ in rngs]
     live = list(range(n))
     tokens = [config.start_token_id(vocab.size, vocab.cls_id)] * n
-    cache = decoder.start_cache(center, n)
-    with no_grad():
-        for _ in range(config.max_summary_len):
-            logits = decoder.forward(tokens, cache=cache).data / config.temperature
-            exps = np.exp(logits.astype(np.float64) - logits.max(axis=-1, keepdims=True))
-            filtered = filter_top_k_top_p(exps / exps.sum(axis=-1, keepdims=True), k,
-                                          config.top_p)
-            drawn = sample_tokens(filtered, np.array([rngs[s].random() for s in live]))
-            for s, token in zip(live, drawn.tolist()):
-                generated[s].append(token)
-            kept = np.flatnonzero(drawn != vocab.sep_id).tolist()
-            if not kept:
-                break
-            if len(kept) < len(live):
-                cache.keep(kept)
-                live = [live[row] for row in kept]
-            tokens = drawn[kept]
+    cache = decoder.start_cache(np.reshape(center, (1, -1)), n)
+    for _ in range(config.max_summary_len):
+        logits = decoder.step(tokens, cache).data / config.temperature
+        exps = np.exp(logits.astype(np.float64) - logits.max(axis=-1, keepdims=True))
+        filtered = filter_top_k_top_p(exps / exps.sum(axis=-1, keepdims=True), k,
+                                      config.top_p)
+        drawn = sample_tokens(filtered, np.array([rngs[s].random() for s in live]))
+        for s, token in zip(live, drawn.tolist()):
+            generated[s].append(token)
+        kept = np.flatnonzero(drawn != vocab.sep_id).tolist()
+        if not kept:
+            break
+        if len(kept) < len(live):
+            cache.keep(kept)
+            live = [live[row] for row in kept]
+        tokens = drawn[kept]
     return generated
 
 
@@ -489,7 +488,8 @@ def per_document_mlm_loss(model, docs, rate: float, rng: np.random.Generator,
         masked, positions, originals = mask_for_mlm(doc, rate, rng, False,
                                                     model.config.vocab_size)
         hidden = model.forward([masked])
-        loss = cross_entropy(model.mlm_logits(hidden, positions), originals, reduction="mean")
+        loss = cross_entropy(model.mlm_logits(hidden, positions), originals,
+                             weights=np.full(len(originals), 1.0 / len(originals)))
         mul(loss, 1.0 / batch_size).backward()
         total += loss.item() / batch_size
     return total
@@ -512,7 +512,7 @@ def per_document_weighted_loss(decoder, examples, normalize: str) -> Tensor:
     total = None
     tokens = 0
     for e in examples:
-        logits = decoder.forward([e.input_ids], e.embedding)
+        logits = decoder.forward([e.input_ids], e.embedding[None])
         doc_loss = mul(cross_entropy(logits, e.target_ids), e.weight)
         total = doc_loss if total is None else add(total, doc_loss)
         tokens += len(e.target_ids)

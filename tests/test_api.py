@@ -7,6 +7,10 @@ would call. Ops the tests need live in ``tests/oracles.py``.
 
 Every run setting has one home, ``PipelineConfig``: no other module gives
 a parameter or dataclass field named after a setting a default of its own.
+
+Each model job has one signature, with no flag that selects it: a forward
+drops out exactly when it is given a generator, cached decoding is
+``step``, and a float64 model is a ``Model.astype`` cast of a float32 one.
 """
 
 import ast
@@ -122,3 +126,26 @@ def test_no_module_but_config_gives_a_setting_a_default():
         shadowed += [f"{path.stem}.{owner}({name}=...)"
                      for owner, name in _defaults(_parse(path)) if name in settings]
     assert shadowed == []
+
+
+MODEL_MODULES = ("layers.py", "encoder.py", "decoder.py")
+
+
+def _job_flags(tree: ast.Module):
+    """(function, parameter) of every parameter that selects a model job:
+    ``dtype`` on a constructor, ``train`` or ``dropout_rate`` anywhere, and
+    ``cache`` on a ``forward`` or ``__call__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                if ((arg.arg == "dtype" and node.name == "__init__")
+                        or arg.arg in ("train", "dropout_rate")
+                        or (arg.arg == "cache" and node.name in ("forward", "__call__"))):
+                    yield f"{node.name}({arg.arg})"
+
+
+def test_no_model_function_takes_a_job_flag():
+    flags = [f"{name}:{flag}" for name in MODEL_MODULES
+             for flag in _job_flags(_parse(PACKAGE / name))]
+    assert flags == []

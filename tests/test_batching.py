@@ -53,9 +53,14 @@ def corpus():
     return build_docs(texts, max_len=16, labels=[i % 3 for i in range(len(texts))])
 
 
-def _encoder(vocab, dtype) -> EncoderModel:
-    config = ModelConfig.desk_scale(vocab.size, max_len=16, dropout=0.0)
-    return EncoderModel(config, np.random.default_rng(41), dtype=dtype)
+def _encoder(vocab, dtype, classifier_seed=None) -> EncoderModel:
+    """A dropout-free encoder in ``dtype``, with a 3-label classifier head
+    drawn from ``classifier_seed`` if one is given."""
+    model = EncoderModel(ModelConfig.desk_scale(vocab.size, max_len=16, dropout=0.0),
+                         np.random.default_rng(41))
+    if classifier_seed is not None:
+        model.add_classifier(3, np.random.default_rng(classifier_seed))
+    return model.astype(dtype)
 
 
 def _take_grads(model) -> dict[str, np.ndarray]:
@@ -79,7 +84,7 @@ def test_mlm_loss_and_gradients(corpus, dtype, atol, docs, batch_size):
     model = _encoder(vocab, dtype)
     batch = all_docs[docs]
     loss, _, _ = mlm_batch_loss(model, batch, 0.3, np.random.default_rng(3), batch_size,
-                                bert_corruption=False, train=True)
+                                bert_corruption=False)
     loss.backward()
     grads = _take_grads(model)
     expected = per_document_mlm_loss(model, batch, 0.3, np.random.default_rng(3), batch_size)
@@ -90,10 +95,9 @@ def test_mlm_loss_and_gradients(corpus, dtype, atol, docs, batch_size):
 @pytest.mark.parametrize("docs, batch_size", BATCHES)
 def test_classifier_loss_and_gradients(corpus, dtype, atol, docs, batch_size):
     vocab, all_docs = corpus
-    model = _encoder(vocab, dtype)
-    model.add_classifier(3, np.random.default_rng(42))
+    model = _encoder(vocab, dtype, classifier_seed=42)
     batch = all_docs[docs]
-    loss, _ = classifier_batch_loss(model, batch, batch_size, train=True)
+    loss, _ = classifier_batch_loss(model, batch, batch_size)
     loss.backward()
     grads = _take_grads(model)
     expected = per_document_classifier_loss(model, batch, batch_size)
@@ -111,7 +115,7 @@ def test_weighted_decoder_loss_and_gradients(corpus, dtype, atol, docs):
     for example, weight in zip(examples, [1.0, 0.5, 0.0, 0.8, 0.3, 1.0, 0.25, 0.9]):
         example.weight = weight
     batch = examples[docs]
-    loss = weighted_ce_loss(decoder, batch, normalize="tokens", train=True)
+    loss = weighted_ce_loss(decoder, batch, normalize="tokens")
     loss.backward()
     grads = _take_grads(decoder)
     expected = per_document_weighted_loss(decoder, batch, "tokens")
@@ -133,11 +137,11 @@ def test_no_parameter_is_dead(corpus, dtype):
     vocab, docs = corpus
     encoder = _encoder(vocab, dtype)
     loss, _, _ = mlm_batch_loss(encoder, docs, 0.3, np.random.default_rng(3), len(docs),
-                                bert_corruption=False, train=True)
+                                bert_corruption=False)
     loss.backward()
     decoder = init_from_encoder(encoder)
     examples = build_training_examples(docs, encoder.embed_documents(docs), None, vocab.cls_id)
-    weighted_ce_loss(decoder, examples, normalize="tokens", train=True).backward()
+    weighted_ce_loss(decoder, examples, normalize="tokens").backward()
     for model in (encoder, decoder):
         for name, p in model.named_parameters().items():
             if not name.endswith(".wk.bias"):
@@ -152,14 +156,13 @@ def test_no_two_parameter_gradients_share_memory(corpus):
     encoder = EncoderModel(ModelConfig.desk_scale(vocab.size, max_len=16, dropout=0.1),
                            np.random.default_rng(41))
     rng = np.random.default_rng(42)
-    loss, _, _ = mlm_batch_loss(encoder, docs, 0.3, rng, len(docs), bert_corruption=False,
-                                train=True)
+    loss, _, _ = mlm_batch_loss(encoder, docs, 0.3, rng, len(docs), bert_corruption=False)
     loss.backward()
     decoder = init_from_encoder(encoder)
     examples = build_training_examples(docs, encoder.embed_documents(docs), None, vocab.cls_id)
     for example, weight in zip(examples, [1.0, 0.5, 0.0, 0.8, 0.3, 1.0, 0.25, 0.9]):
         example.weight = weight
-    weighted_ce_loss(decoder, examples, normalize="tokens", train=True, rng=rng).backward()
+    weighted_ce_loss(decoder, examples, normalize="tokens", rng=rng).backward()
     grads = [(f"{model.component}.{name}", p.grad) for model in (encoder, decoder)
              for name, p in model.named_parameters().items()]
     assert all(g is not None for _, g in grads)
@@ -181,8 +184,7 @@ def test_evaluators_equal_per_document_across_chunks(corpus):
     vocab, docs = corpus
     docs = docs * 5
     assert EVAL_BATCH_SIZE < len(docs) < 2 * EVAL_BATCH_SIZE
-    model = _encoder(vocab, np.float64)
-    model.add_classifier(3, np.random.default_rng(44))
+    model = _encoder(vocab, np.float64, classifier_seed=44)
     examples = build_training_examples(docs, model.embed_documents(docs), None, vocab.cls_id)
     for i, example in enumerate(examples):
         example.weight = 1.0 / (1 + i % 4)

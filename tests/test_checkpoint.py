@@ -180,9 +180,33 @@ def test_init_from_encoder_draws_nothing(init_normal_generators):
     assert init_normal_generators and all(rng is None for rng in init_normal_generators)
 
 
+@pytest.mark.parametrize("model_type,num_labels", [
+    (EncoderModel, None), (EncoderModel, 3), (DecoderModel, None),
+])
+def test_astype_round_trip_keeps_every_byte(init_normal_generators, model_type, num_labels):
+    """float32 -> float64 -> float32 gives the model back byte for byte,
+    classifier head included; the casts are copies built without drawing,
+    and the source model is left as it was."""
+    model = _desk_model(model_type, num_labels)
+    before = parameter_hash(model)
+    init_normal_generators.clear()
+    wide = model.astype(np.float64)
+    assert init_normal_generators and all(rng is None for rng in init_normal_generators)
+    assert type(wide) is model_type and wide.dtype == np.float64
+    assert {p.dtype for p in wide.parameters()} == {np.dtype(np.float64)}
+    assert wide.named_parameters().keys() == model.named_parameters().keys()
+    if num_labels is not None:
+        assert wide.num_labels == num_labels
+    narrow = wide.astype(np.float32)
+    assert narrow.dtype == np.float32 and parameter_hash(narrow) == before
+    wide.word_embedding.data += 1.0
+    narrow.word_embedding.data += 1.0
+    assert parameter_hash(model) == before
+
+
 def test_float64_model_save_refused(tmp_path):
     model = EncoderModel(ModelConfig.desk_scale(vocab_size=20, max_len=8, dropout=0.1),
-                         np.random.default_rng(0), dtype=np.float64)
+                         np.random.default_rng(0)).astype(np.float64)
     with pytest.raises(ValueError, match="float64"):
         model.save(tmp_path / "m.ckpt")
     assert list(tmp_path.iterdir()) == []

@@ -40,8 +40,11 @@ class TestSummaryLength:
 
 class TestSettings:
     def _build_vocab(self, tmp_path, *settings):
+        """build-vocab on a corpus of two records, as many as the default
+        ``num_clusters`` asks for."""
         corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text(json.dumps({"id": "a", "text": "one two"}) + "\n", encoding="utf-8")
+        corpus.write_text("".join(json.dumps({"id": i, "text": "one two"}) + "\n"
+                                  for i in ("a", "b")), encoding="utf-8")
         out = tmp_path / "out"
         args = ["build-vocab", "--corpus", str(corpus), "--out", str(out)]
         for item in settings:

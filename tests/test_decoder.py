@@ -131,7 +131,7 @@ class TestCrossAttention:
         vocab, docs, config, encoder = setup
         h = config.hidden_size
         rng = np.random.default_rng(3)
-        decoder = DecoderModel(config, np.random.default_rng(4), dtype=dtype)
+        decoder = DecoderModel(config, np.random.default_rng(4)).astype(dtype)
         for block in decoder.blocks:
             cross = block.cross_attn
             for linear in (cross.wv, cross.wo):
@@ -167,7 +167,7 @@ class TestDecoderForward:
     def test_logits_shape(self, setup):
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
-        center = encoder.embed_documents(docs[:1])[0]
+        center = encoder.embed_documents(docs[:1])
         with no_grad():
             logits = decoder.forward([docs[0].ids], center)
         assert logits.shape == (len(docs[0].ids), vocab.size)
@@ -176,7 +176,7 @@ class TestDecoderForward:
         """Changing the token at position j leaves logits before j bit-identical."""
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
-        center = encoder.embed_documents(docs[:1])[0]
+        center = encoder.embed_documents(docs[:1])
         ids = list(docs[0].ids)
         j = 5
         changed = list(ids)
@@ -190,7 +190,7 @@ class TestDecoderForward:
     def test_conditioning_reaches_every_position(self, setup):
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
-        center = encoder.embed_documents(docs[:1])[0]
+        center = encoder.embed_documents(docs[:1])
         with no_grad():
             a = decoder.forward([docs[0].ids], center).data
             b = decoder.forward([docs[0].ids], center + 0.5).data
@@ -199,7 +199,7 @@ class TestDecoderForward:
     def test_length_overflow_rejected(self, setup):
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
-        center = encoder.embed_documents(docs[:1])[0]
+        center = encoder.embed_documents(docs[:1])
         with pytest.raises(ValueError, match="max_len"):
             decoder.forward([np.zeros(config.max_len + 1, dtype=np.intp)], center)
 
@@ -213,10 +213,10 @@ class TestCachedDecoding:
         vocab = setup[0]
         steps = 44
         config = ModelConfig.desk_scale(vocab.size, max_len=steps, dropout=0.1)
-        encoder = EncoderModel(config, np.random.default_rng(8), dtype=dtype)
+        encoder = EncoderModel(config, np.random.default_rng(8)).astype(dtype)
         decoder = init_from_encoder(encoder)
         rng = np.random.default_rng(9)
-        center = rng.normal(size=config.hidden_size).astype(dtype)
+        center = rng.normal(size=(1, config.hidden_size)).astype(dtype)
         ids = rng.integers(0, vocab.size, size=(5, steps))
         rows = list(range(5))
         cache = decoder.start_cache(center, 5)
@@ -228,7 +228,7 @@ class TestCachedDecoding:
                     keep = [i for i in range(len(rows)) if i != 1]
                     cache.keep(keep)
                     rows = [rows[i] for i in keep]
-                step = decoder.forward(ids[rows, t], cache=cache).data
+                step = decoder.step(ids[rows, t], cache).data
                 assert step.shape == (len(rows), vocab.size)
                 for i, r in enumerate(rows):
                     full = decoder.forward([ids[r, :t + 1]], center).data[-1]
@@ -244,7 +244,7 @@ class TestCachedDecoding:
         vocab = setup[0]
         steps = 30
         config = ModelConfig.desk_scale(vocab.size, max_len=steps, dropout=0.1)
-        encoder = EncoderModel(config, np.random.default_rng(11), dtype=dtype)
+        encoder = EncoderModel(config, np.random.default_rng(11)).astype(dtype)
         decoder = init_from_encoder(encoder)
         rng = np.random.default_rng(12)
         centers = rng.normal(size=(3, config.hidden_size)).astype(dtype)
@@ -252,7 +252,7 @@ class TestCachedDecoding:
         leave_at = {0: 20, 1: 8, 2: 8, 3: 12, 4: 30, 5: 25}  # center 1's rows leave first
         rows = list(range(6))
         cache = decoder.start_cache(centers, 2)
-        alone = [decoder.start_cache(centers[c], 2) for c in range(3)]
+        alone = [decoder.start_cache(centers[c:c + 1], 2) for c in range(3)]
         alone_rows = [[2 * c, 2 * c + 1] for c in range(3)]
         worst = 0.0
         with no_grad():
@@ -266,10 +266,10 @@ class TestCachedDecoding:
                         alone[c].keep(kept)
                         alone_rows[c] = [alone_rows[c][i] for i in kept]
                 assert cache.memory_rows.tolist() == [r // 2 for r in rows]
-                step = decoder.forward(ids[rows, t], cache=cache).data
+                step = decoder.step(ids[rows, t], cache).data
                 for c in range(3):
                     if alone_rows[c]:
-                        single = decoder.forward(ids[alone_rows[c], t], cache=alone[c]).data
+                        single = decoder.step(ids[alone_rows[c], t], alone[c]).data
                         for i, r in enumerate(alone_rows[c]):
                             worst = max(worst, float(np.abs(step[rows.index(r)] - single[i]).max()))
         assert rows == [4] and cache.length == steps
@@ -282,7 +282,7 @@ class TestCachedDecoding:
         ``cross_attn`` output of center c computed alone."""
         vocab = setup[0]
         config = ModelConfig(hidden, 2, heads, 64, 8, vocab.size, 0.1)
-        decoder = DecoderModel(config, np.random.default_rng(13), dtype=dtype)
+        decoder = DecoderModel(config, np.random.default_rng(13)).astype(dtype)
         centers = np.random.default_rng(14).normal(size=(5, hidden)).astype(dtype)
         cache = decoder.start_cache(centers, 3)
         assert cache.memory_rows.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
@@ -297,8 +297,8 @@ class TestCachedDecoding:
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
         cache = decoder.start_cache(encoder.embed_documents(docs[:2]), 3)
-        with no_grad(), pytest.raises(ValueError, match="6 sequences"):
-            decoder.forward([vocab.cls_id] * 5, cache=cache)
+        with pytest.raises(ValueError, match="6 sequences"):
+            decoder.step([vocab.cls_id] * 5, cache)
         assert cache.length == 0
 
     def test_cross_output_equals_cross_attention(self, setup):
@@ -307,12 +307,12 @@ class TestCachedDecoding:
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
         rng = np.random.default_rng(10)
-        memory = rng.normal(size=config.hidden_size).astype(np.float32)
+        memory = rng.normal(size=(1, config.hidden_size)).astype(np.float32)
         queries = rng.normal(size=(6, config.hidden_size)).astype(np.float32)
-        cache = decoder.start_cache(memory)
+        cache = decoder.start_cache(memory, 1)
         assert len(cache.cross) == len(decoder.blocks)
         for enc_block, block, short in zip(encoder.blocks, decoder.blocks, cache.cross):
-            full = full_cross_attention(queries, memory[None], _cross_projections(enc_block, block.cross_attn),
+            full = full_cross_attention(queries, memory, _cross_projections(enc_block, block.cross_attn),
                                         config.num_heads)
             assert short.shape == (1, config.hidden_size)
             np.testing.assert_allclose(full, np.broadcast_to(short.data, full.shape), atol=1e-6)
@@ -320,23 +320,11 @@ class TestCachedDecoding:
     def test_position_past_max_len_rejected(self, setup):
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
-        cache = decoder.start_cache(encoder.embed_documents(docs[:1])[0])
-        with no_grad():
-            for _ in range(config.max_len):
-                decoder.forward([vocab.cls_id], cache=cache)
-            with pytest.raises(ValueError, match="max_len"):
-                decoder.forward([vocab.cls_id], cache=cache)
-
-    def test_training_or_conditioning_with_cache_rejected(self, setup):
-        vocab, docs, config, encoder = setup
-        decoder = init_from_encoder(encoder)
-        center = encoder.embed_documents(docs[:1])[0]
-        cache = decoder.start_cache(center)
-        with pytest.raises(ValueError, match="no_grad"):
-            decoder.forward([vocab.cls_id], cache=cache)
-        with no_grad(), pytest.raises(ValueError, match="conditioning"):
-            decoder.forward([vocab.cls_id], center, cache=cache)
-        assert cache.length == 0
+        cache = decoder.start_cache(encoder.embed_documents(docs[:1]), 1)
+        for _ in range(config.max_len):
+            decoder.step([vocab.cls_id], cache)
+        with pytest.raises(ValueError, match="max_len"):
+            decoder.step([vocab.cls_id], cache)
 
 
 class TestWeightedLoss:
@@ -378,12 +366,12 @@ class TestWeightedLoss:
         decoder = init_from_encoder(encoder)
         a, b = _examples(vocab, docs[:2], encoder)
         b.weight = 0.0
-        loss = weighted_ce_loss(decoder, [a, b], normalize="raw", train=False)
+        loss = weighted_ce_loss(decoder, [a, b], normalize="raw")
         loss.backward()
         grads_with_zero = {n: p.grad.copy() for n, p in decoder.named_parameters().items()}
         for p in decoder.parameters():
             p.grad = None
-        loss_solo = weighted_ce_loss(decoder, [a], normalize="raw", train=False)
+        loss_solo = weighted_ce_loss(decoder, [a], normalize="raw")
         loss_solo.backward()
         for n, p in decoder.named_parameters().items():
             np.testing.assert_allclose(grads_with_zero[n], p.grad, atol=1e-6)
@@ -422,7 +410,7 @@ class TestTraining:
     def test_checkpoint_round_trip(self, setup, tmp_path):
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
-        center = encoder.embed_documents(docs[:1])[0]
+        center = encoder.embed_documents(docs[:1])
         path = tmp_path / "decoder.ckpt"
         decoder.save(path)
         loaded = DecoderModel.load(path)

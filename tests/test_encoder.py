@@ -1,12 +1,14 @@
 """Encoder forward contracts, masked-token training, classifier head."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import clustersum.layers
 from clustersum.config import PipelineConfig
+from clustersum.decoder import init_from_encoder
 from clustersum.encoder import (
     EncoderModel,
     ModelConfig,
@@ -71,8 +73,8 @@ class TestForward:
     def test_train_mode_with_fixed_seed_reproducible(self, small_setup):
         vocab, docs, config, model = small_setup
         with no_grad():
-            h1 = model.forward([docs[0].ids], train=True, rng=np.random.default_rng(42))
-            h2 = model.forward([docs[0].ids], train=True, rng=np.random.default_rng(42))
+            h1 = model.forward([docs[0].ids], rng=np.random.default_rng(42))
+            h2 = model.forward([docs[0].ids], rng=np.random.default_rng(42))
         np.testing.assert_array_equal(h1.data, h2.data)
 
     def test_bidirectional_attention(self, small_setup):
@@ -85,6 +87,29 @@ class TestForward:
             h1 = model.forward([ids])
             h2 = model.forward([changed])
         assert not np.allclose(h1.data[1], h2.data[1])
+
+
+@pytest.mark.parametrize("component", ["encoder", "decoder"])
+def test_dropout_is_drawn_exactly_when_a_generator_is_given(small_setup, component):
+    """A forward given a generator at dropout 0 draws nothing from it and
+    returns the bytes of the forward without one; at dropout 0.1 it drops
+    out, and the forward without a generator still does not."""
+    vocab, docs, config, _ = small_setup
+    ids = [d.ids for d in docs[:3]]
+
+    def forward(rate, rng):
+        encoder = EncoderModel(replace(config, dropout=rate), np.random.default_rng(1))
+        if component == "encoder":
+            return encoder.forward(ids, rng=rng).data
+        conditioning = encoder.embed_documents(docs[:3])
+        return init_from_encoder(encoder).forward(ids, conditioning, rng=rng).data
+
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert forward(0.0, rng).tobytes() == forward(0.0, None).tobytes()
+    assert rng.bit_generator.state == state
+    assert forward(0.1, None).tobytes() == forward(0.0, None).tobytes()
+    assert forward(0.1, np.random.default_rng(5)).tobytes() != forward(0.1, None).tobytes()
 
 
 class TestMlmTraining:
@@ -103,8 +128,9 @@ class TestMlmTraining:
                                                     False, vocab.size)
         with no_grad():
             hidden = model.forward([masked])
+            mean = np.full(len(positions), 1.0 / len(positions))
             restricted = cross_entropy(model.mlm_logits(hidden, positions), originals,
-                                       reduction="mean")
+                                       weights=mean)
             full_targets = np.array(doc.ids)
             full_targets_junk = full_targets.copy()
             for i in range(len(full_targets_junk)):
@@ -114,8 +140,8 @@ class TestMlmTraining:
             from clustersum.tensor import gather_rows
 
             at_masked = gather_rows(all_logits, positions)
-            a = cross_entropy(at_masked, full_targets[positions], reduction="mean").item()
-            b = cross_entropy(at_masked, full_targets_junk[positions], reduction="mean").item()
+            a = cross_entropy(at_masked, full_targets[positions], weights=mean).item()
+            b = cross_entropy(at_masked, full_targets_junk[positions], weights=mean).item()
         assert restricted.item() == pytest.approx(a, rel=1e-6)
         assert a == b
 
@@ -222,8 +248,8 @@ def _mixed_length_ids(vocab_size: int) -> list[np.ndarray]:
 
 class TestClsOnly:
     """``forward(..., cls_only=True)`` runs the last block at the [CLS] rows
-    only; in eval mode they are the full forward's [CLS] rows up to float
-    rounding."""
+    only; without dropout they are the full forward's [CLS] rows up to
+    float rounding."""
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     @pytest.mark.parametrize("widths", ["desk", "paper"])
@@ -235,7 +261,7 @@ class TestClsOnly:
             config = ModelConfig.desk_scale(vocab_size, max_len=16, dropout=0.1)
         else:
             config = ModelConfig(768, 2, 12, 3072, 16, vocab_size, 0.1)
-        model = EncoderModel(config, np.random.default_rng(13), dtype=dtype)
+        model = EncoderModel(config, np.random.default_rng(13)).astype(dtype)
         ids = _mixed_length_ids(vocab_size)
         t = max(len(i) for i in ids)
         with no_grad():

@@ -8,7 +8,7 @@ import pytest
 import clustersum.layers
 from clustersum.decoder import build_training_examples, init_from_encoder, weighted_ce_loss
 from clustersum.encoder import EncoderModel, ModelConfig, classifier_batch_loss, mlm_batch_loss
-from clustersum.layers import EncoderBlock, causal_mask, padding_mask
+from clustersum.layers import EncoderBlock, causal_mask, dropout_from, padding_mask
 from clustersum.tensor import Tensor, add_layer_norm, attention, linear
 from clustersum.tokenizer import EncodedDocument
 
@@ -135,8 +135,7 @@ class TestTrainingStepMatchesComposedGraph:
     def test_mlm(self, monkeypatch):
         docs, vocab, encoder = self._setup()
         self._compare(monkeypatch, encoder, lambda: mlm_batch_loss(
-            encoder, docs[:6], 0.3, np.random.default_rng(7), 6, bert_corruption=False,
-            train=True)[0])
+            encoder, docs[:6], 0.3, np.random.default_rng(7), 6, bert_corruption=False)[0])
 
     def test_classifier(self, monkeypatch):
         """The last block at the [CLS] rows only."""
@@ -144,7 +143,7 @@ class TestTrainingStepMatchesComposedGraph:
         encoder.add_classifier(2, np.random.default_rng(9))
         labeled = [EncodedDocument(d.doc_id, d.ids, label=i % 2) for i, d in enumerate(docs[:6])]
         self._compare(monkeypatch, encoder, lambda: classifier_batch_loss(
-            encoder, labeled, 6, train=True, rng=np.random.default_rng(10))[0])
+            encoder, labeled, 6, rng=np.random.default_rng(10))[0])
 
     def test_decoder(self, monkeypatch):
         docs, vocab, encoder = self._setup()
@@ -152,7 +151,7 @@ class TestTrainingStepMatchesComposedGraph:
         examples = build_training_examples(docs[:6], encoder.embed_documents(docs[:6]), None,
                                            vocab.cls_id)
         self._compare(monkeypatch, decoder, lambda: weighted_ce_loss(
-            decoder, examples, normalize="tokens", train=True, rng=np.random.default_rng(8)))
+            decoder, examples, normalize="tokens", rng=np.random.default_rng(8)))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -245,13 +244,13 @@ class TestShapeChecks:
 
 
 def test_encoder_block_builds_at_most_12_nodes():
-    """Train mode, dropout on: three projections, attention, output
+    """Dropout on: three projections, attention, output
     projection, dropout, residual norm, two FFN linears around GELU,
     dropout, residual norm. The composed graph built 36."""
     rng = np.random.default_rng(46)
     block = EncoderBlock(rng, 8, 2, 16)
     x = Tensor(rng.normal(size=(6, 8)).astype(np.float32), requires_grad=True)
-    out = block(x, 2, padding_mask([3, 2], 3, np.float32), dropout_rate=0.1, train=True, rng=rng)
+    out = block(x, 2, padding_mask([3, 2], 3, np.float32), dropout_from(rng, 0.1))
     assert graph_nodes(out, [x]) <= 12
 
 
@@ -260,7 +259,7 @@ def test_encoder_block_at_rows_adds_only_the_gather():
     rng = np.random.default_rng(46)
     block = EncoderBlock(rng, 8, 2, 16)
     x = Tensor(rng.normal(size=(6, 8)).astype(np.float32), requires_grad=True)
-    out = block(x, 2, padding_mask([3, 2], 3, np.float32), dropout_rate=0.1, train=True, rng=rng,
+    out = block(x, 2, padding_mask([3, 2], 3, np.float32), dropout_from(rng, 0.1),
                 rows=np.array([0, 3]))
     assert out.shape == (2, 8)
     assert graph_nodes(out, [x]) <= 13

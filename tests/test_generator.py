@@ -218,7 +218,7 @@ def long_setup(request):
     texts = pair_texts(rng, num_docs=20, num_pairs=6, doc_len=8)
     vocab, docs = build_docs(texts, max_len=48)
     config = ModelConfig.desk_scale(vocab.size, max_len=48, dropout=0.1)
-    encoder = EncoderModel(config, np.random.default_rng(6), dtype=request.param)
+    encoder = EncoderModel(config, np.random.default_rng(6)).astype(request.param)
     decoder = init_from_encoder(encoder)
     return vocab, decoder, encoder.embed_documents(docs[:1])[0]
 
@@ -340,7 +340,7 @@ def clusters_setup(request):
     texts = pair_texts(rng, num_docs=20, num_pairs=6, doc_len=8)
     vocab, _ = build_docs(texts, max_len=48)
     config = ModelConfig.desk_scale(vocab.size, max_len=48, dropout=0.1)
-    encoder = EncoderModel(config, np.random.default_rng(6), dtype=request.param)
+    encoder = EncoderModel(config, np.random.default_rng(6)).astype(request.param)
     centers = np.random.default_rng(7).normal(size=(5, config.hidden_size))
     return vocab, init_from_encoder(encoder), centers.astype(request.param)
 
@@ -359,7 +359,7 @@ class TestBatchedDecode:
         batches = []
         original = DecoderModel.start_cache
 
-        def recording(self, centers, rows_per_center=1):
+        def recording(self, centers, rows_per_center):
             batches.append((np.array(centers), rows_per_center))
             return original(self, centers, rows_per_center)
 

@@ -282,13 +282,12 @@ class _Desk:
         texts = pair_texts(np.random.default_rng(0), num_docs=12, num_pairs=4, doc_len=10)
         vocab, self.items = build_docs(texts, max_len=12)
         self.model = EncoderModel(ModelConfig.desk_scale(vocab.size, max_len=12, dropout=0.1),
-                                  np.random.default_rng(seed), dtype)
+                                  np.random.default_rng(seed)).astype(dtype)
         self.params = self.model.parameters()
         self.rng = np.random.default_rng(2)
 
     def batch_loss(self, batch):
-        loss, c, n = mlm_batch_loss(self.model, batch, 0.3, self.rng, 4, bert_corruption=False,
-                                    train=True)
+        loss, c, n = mlm_batch_loss(self.model, batch, 0.3, self.rng, 4, bert_corruption=False)
         return loss, 4, c, n
 
 
@@ -304,7 +303,8 @@ class _Shared:
         rng = np.random.default_rng(seed)
         shapes = [(5, self.WIDTH), (self.WIDTH,), (self.WIDTH,), (self.WIDTH,),
                   (self.WIDTH, 4), (4,), (1,)]
-        self.params = [init_normal(rng, s, 0.5, dtype) for s in shapes]
+        self.params = [Tensor(rng.normal(0.0, 0.5, size=s).astype(dtype), requires_grad=True)
+                       for s in shapes]
         data = np.random.default_rng(seed + 1)
         self.x, self.x2 = (data.normal(size=(6, 5)).astype(dtype) for _ in range(2))
         self.items = list(range(6))

@@ -322,6 +322,17 @@ class TestExitCodes:
             assert f"stage {previous!r} has not run" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_more_clusters_than_records_exits_2_before_any_stage(
+            self, corpus, labeled_corpus, tmp_path, capsys):
+        """k-means cannot form 9 clusters from 8 records, so no stage runs;
+        labels mode takes its clusters from the labels instead."""
+        out = tmp_path / "out"
+        assert self._run("run-all", corpus, out, "--set", "num_clusters=9") == 2
+        assert "num_clusters 9 exceeds the corpus's 8 records" in capsys.readouterr().err
+        assert not out.exists()
+        assert self._run("build-vocab", labeled_corpus, out, "--clustering", "labels",
+                         "--set", "num_clusters=9") == 0
+
     def test_finetune_in_kmeans_mode_exits_2_and_writes_nothing(self, corpus, tmp_path, capsys):
         empty = tmp_path / "empty"
         assert self._run("finetune", corpus, empty) == 2

@@ -33,9 +33,8 @@ def corpus():
     return build_docs(texts, max_len=16)
 
 
-def _encoder(vocab, dtype, rng=None) -> EncoderModel:
-    config = ModelConfig.desk_scale(vocab.size, max_len=16, dropout=0.1)
-    return EncoderModel(config, rng, dtype=dtype)
+def _encoder(vocab, rng) -> EncoderModel:
+    return EncoderModel(ModelConfig.desk_scale(vocab.size, max_len=16, dropout=0.1), rng)
 
 
 def _mlm_curve(model: EncoderModel, docs) -> np.ndarray:
@@ -46,7 +45,7 @@ def _mlm_curve(model: EncoderModel, docs) -> np.ndarray:
     for step in range(MLM_STEPS):
         batch = [docs[(step * BATCH_SIZE + i) % len(docs)] for i in range(BATCH_SIZE)]
         loss, _, _ = mlm_batch_loss(model, batch, 0.15, np.random.default_rng([5, step]),
-                                    BATCH_SIZE, bert_corruption=False, train=True)
+                                    BATCH_SIZE, bert_corruption=False)
         loss.backward()
         optimizer.step()
         losses.append(loss.item())
@@ -55,10 +54,8 @@ def _mlm_curve(model: EncoderModel, docs) -> np.ndarray:
 
 def test_float32_mlm_loss_curve_follows_float64_shadow(corpus):
     vocab, docs = corpus
-    model = _encoder(vocab, np.float32, np.random.default_rng(61))
-    shadow = _encoder(vocab, np.float64)
-    for name, p in shadow.named_parameters().items():
-        p.data = model.named_parameters()[name].data.astype(np.float64)
+    model = _encoder(vocab, np.random.default_rng(61))
+    shadow = model.astype(np.float64)
     curve32, curve64 = _mlm_curve(model, docs), _mlm_curve(shadow, docs)
     assert curve64[-8:].mean() < curve64[:4].mean() - 0.05
     np.testing.assert_allclose(curve32, curve64, rtol=0, atol=LOSS_CURVE_ATOL)
@@ -98,17 +95,17 @@ def _assert_float32_step(model, loss) -> None:
 
 def test_encoder_step_stays_float32(corpus):
     vocab, docs = corpus
-    model = _encoder(vocab, np.float32, np.random.default_rng(62))
+    model = _encoder(vocab, np.random.default_rng(62))
     loss, _, _ = mlm_batch_loss(model, docs[:BATCH_SIZE], 0.3, np.random.default_rng(63),
-                                BATCH_SIZE, bert_corruption=False, train=True)
+                                BATCH_SIZE, bert_corruption=False)
     _assert_float32_step(model, loss)
 
 
 def test_decoder_step_stays_float32(corpus):
     vocab, docs = corpus
-    encoder = _encoder(vocab, np.float32, np.random.default_rng(64))
+    encoder = _encoder(vocab, np.random.default_rng(64))
     examples = build_training_examples(docs[:BATCH_SIZE], encoder.embed_documents(docs[:BATCH_SIZE]),
                                        None, vocab.cls_id)
     decoder = init_from_encoder(encoder)
-    loss = weighted_ce_loss(decoder, examples, "tokens", train=True, rng=np.random.default_rng(65))
+    loss = weighted_ce_loss(decoder, examples, "tokens", rng=np.random.default_rng(65))
     _assert_float32_step(decoder, loss)
