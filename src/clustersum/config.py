@@ -46,7 +46,6 @@ class PipelineConfig:
     mlm_lr: float = 1e-3
     mlm_warmup_steps: int = 100
     mask_rate: float = 0.15
-    bert_corruption: bool = False
     # classifier fine-tuning
     finetune_epochs: int = 10
     finetune_batch_size: int = 8
@@ -57,7 +56,6 @@ class PipelineConfig:
     decoder_batch_size: int = 4
     decoder_lr: float = 2e-3
     decoder_warmup_steps: int = 50
-    loss_normalization: str = "tokens"   # tokens | raw
     # shared training knobs
     weight_decay: float = 0.01
     val_fraction: float = 0.1
@@ -70,23 +68,19 @@ class PipelineConfig:
     num_candidates: int = 10
     max_summary_len: int = 32
     temperature: float = 1.0
-    start_token: str = "cls"        # "cls" or a literal token id
     retain_top_m: int = 1
-    # evaluation
-    cosine_top_k_values: str = "1,5,10"
 
     def __post_init__(self):
         if self.preset not in ("desk", "paper"):
             raise ConfigError(f"unknown preset {self.preset!r} (expected desk or paper)")
         if self.clustering not in ("kmeans", "labels"):
             raise ConfigError(f"unknown clustering mode {self.clustering!r}")
-        if self.loss_normalization not in ("tokens", "raw"):
-            raise ConfigError(f"unknown loss normalization {self.loss_normalization!r}")
         if self.num_clusters < 1:
             raise ConfigError(f"num_clusters must be at least 1, got {self.num_clusters}")
-        # [CLS] and [SEP] frame every document
-        if self.max_len < 2:
-            raise ConfigError(f"max_len must be at least 2, got {self.max_len}")
+        # [CLS] and [SEP] frame every document, and pretraining masks at
+        # least one body token between them
+        if self.max_len < 3:
+            raise ConfigError(f"max_len must be at least 3, got {self.max_len}")
         if self.vocab_max_size <= len(SPECIAL_TOKENS):
             raise ConfigError(f"vocab_max_size must exceed the {len(SPECIAL_TOKENS)} special "
                               f"tokens, got {self.vocab_max_size}")
@@ -121,15 +115,6 @@ class PipelineConfig:
             raise ConfigError(f"top_p must lie in (0, 1], got {self.top_p}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        # a literal start id is checked against the vocabulary once that exists
-        try:
-            literal = self.start_token == "cls" or int(self.start_token) >= 0
-        except ValueError:
-            literal = False
-        if not literal:
-            raise ConfigError(f"start_token must be 'cls' or a non-negative id, "
-                              f"got {self.start_token!r}")
-        self.top_k_values()
 
     @classmethod
     def paper_scale(cls) -> "PipelineConfig":
@@ -156,26 +141,6 @@ class PipelineConfig:
     @property
     def uses_labels(self) -> bool:
         return self.clustering == "labels"
-
-    def top_k_values(self) -> list[int]:
-        try:
-            values = [int(v) for v in self.cosine_top_k_values.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad cosine_top_k_values {self.cosine_top_k_values!r}") from exc
-        if not values or any(v < 1 for v in values):
-            raise ConfigError(f"cosine_top_k_values must be positive ints, got {values}")
-        return values
-
-    def start_token_id(self, vocab_size: int, cls_id: int) -> int:
-        """The decoder's first input id in a vocabulary of ``vocab_size``
-        tokens whose [CLS] id is ``cls_id``."""
-        if self.start_token == "cls":
-            return cls_id
-        token = int(self.start_token)  # a non-negative int, checked at construction
-        if token >= vocab_size:
-            raise ConfigError(f"start_token {token} is not an id of the "
-                              f"{vocab_size}-token vocabulary")
-        return token
 
     def canonical_string(self) -> str:
         lines = []

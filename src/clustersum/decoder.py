@@ -31,7 +31,7 @@ from .encoder import EVAL_BATCH_SIZE, EncoderModel, Model, ModelConfig, batches
 from .layers import DecoderBlock, KVCache, PredictionHead, causal_mask
 from .optim import AdamW, EpochStats, fit
 from .tensor import Tensor, cross_entropy, gather_rows, no_grad
-from .tokenizer import EncodedDocument
+from .tokenizer import CLS_ID, EncodedDocument
 
 
 class DecodeCache:
@@ -205,11 +205,10 @@ def build_training_examples(
     docs: list[EncodedDocument],
     embeddings: np.ndarray,
     cluster_set: ClusterSet | None,
-    start_id: int,
     unweighted: bool = False,
 ) -> list[TrainingExample]:
     """Shift each document into a next-token pair conditioned on its own
-    embedding: input ``[start, x1..xn]``, target ``[x1..xn, SEP]``.
+    embedding: input ``[CLS, x1..xn]``, target ``[x1..xn, SEP]``.
 
     Weights come from the cluster set; ``unweighted`` forces all weights 1.
     """
@@ -218,7 +217,7 @@ def build_training_examples(
     examples = []
     for i, doc in enumerate(docs):
         target = np.asarray(doc.ids[1:], dtype=np.intp)
-        inputs = np.concatenate(([start_id], target[:-1]))
+        inputs = np.concatenate(([CLS_ID], target[:-1]))
         weight = 1.0
         if not unweighted and cluster_set is not None:
             weight = float(weight_by_id[doc.doc_id])
@@ -229,44 +228,33 @@ def build_training_examples(
 def weighted_ce_loss(
     decoder: DecoderModel,
     batch: list[TrainingExample],
-    normalize: str,
+    divisor: int,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Membership-weighted sum of per-document token NLL sums, from one
-    padded forward over the batch, with dropout from ``rng`` when one is
-    given.
+    """Membership-weighted sum of per-document token NLL sums, divided by
+    ``divisor``, from one padded forward over the batch, with dropout from
+    ``rng`` when one is given.
 
-    ``normalize="tokens"`` divides by the total token count of the batch,
-    which keeps the learning-rate scale independent of document length;
-    ``"raw"`` is the plain weighted sum. Each target token's row weight is
-    its document's weight times that normalization.
+    Each target token's row weight is its document's weight over
+    ``divisor``. Training divides by the batch's token count, which keeps
+    the learning-rate scale independent of document length.
     """
-    if normalize not in ("raw", "tokens"):
-        raise ValueError(f"unknown normalization {normalize!r}")
     if not batch:
         raise ValueError("weighted_ce_loss needs at least one example")
     logits = decoder.forward([e.input_ids for e in batch],
                              np.stack([e.embedding for e in batch]), rng)
     targets = np.concatenate([e.target_ids for e in batch])
-    weights = np.repeat([e.weight for e in batch], [len(e.target_ids) for e in batch])
-    if normalize == "tokens":
-        weights = weights / targets.size
+    weights = np.repeat([e.weight for e in batch], [len(e.target_ids) for e in batch]) / divisor
     return cross_entropy(logits, targets, weights=weights)
 
 
-def evaluate_decoder(
-    decoder: DecoderModel,
-    examples: list[TrainingExample],
-    config: PipelineConfig,
-) -> float:
-    """``weighted_ce_loss`` over every example under
-    ``config.loss_normalization``, ``EVAL_BATCH_SIZE`` per forward."""
+def evaluate_decoder(decoder: DecoderModel, examples: list[TrainingExample]) -> float:
+    """The membership-weighted NLL of every example over their total token
+    count, ``EVAL_BATCH_SIZE`` examples per forward."""
     with no_grad():
-        total = sum(weighted_ce_loss(decoder, chunk, normalize="raw").item()
+        total = sum(weighted_ce_loss(decoder, chunk, 1).item()
                     for chunk in batches(examples, EVAL_BATCH_SIZE))
-    if config.loss_normalization == "tokens":
-        total /= sum(len(e.target_ids) for e in examples)
-    return total
+    return total / sum(len(e.target_ids) for e in examples)
 
 
 def train_decoder(
@@ -277,20 +265,19 @@ def train_decoder(
     val_examples: list[TrainingExample] | None = None,
 ) -> tuple[DecoderModel, list[EpochStats]]:
     """Teacher-forced next-token training against frozen embeddings, under
-    the ``decoder_*``, ``weight_decay`` and ``loss_normalization`` settings
-    of ``config``."""
+    the ``decoder_*`` and ``weight_decay`` settings of ``config``; each
+    batch's loss is its weighted NLL over its token count."""
     if not examples:
         raise ValueError("cannot train a decoder without examples")
     optimizer = AdamW(decoder.parameters(), lr=config.decoder_lr,
                       weight_decay=config.weight_decay, warmup_steps=config.decoder_warmup_steps)
-    normalize = config.loss_normalization
 
     def batch_loss(batch):
-        loss = weighted_ce_loss(decoder, batch, normalize=normalize, rng=rng)
-        return loss, len(batch) if normalize == "tokens" else 1, 0, 0
+        loss = weighted_ce_loss(decoder, batch, sum(len(e.target_ids) for e in batch), rng)
+        return loss, len(batch), 0, 0
 
     def validate(epoch):
-        return evaluate_decoder(decoder, val_examples, config), None
+        return evaluate_decoder(decoder, val_examples), None
 
     history = fit(examples, batch_loss, optimizer, config.decoder_epochs,
                   config.decoder_batch_size, rng,

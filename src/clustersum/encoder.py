@@ -198,9 +198,11 @@ class EncoderModel(Model):
         return self.classifier.weight.shape[1]
 
     def add_classifier(self, num_labels: int, rng: np.random.Generator | None) -> None:
+        """A new classifier head in this model's dtype, drawn from ``rng``."""
         if num_labels < 1:
             raise ValueError(f"need at least one label, got {num_labels}")
         self.classifier = Projection(rng, self.config.hidden_size, num_labels)
+        self.classifier.weight.data = self.classifier.weight.data.astype(self.dtype, copy=False)
 
     def _checkpoint_extra(self) -> dict:
         return {} if self.classifier is None else {"num_labels": self.num_labels}
@@ -268,7 +270,6 @@ def _mlm_batch(
     rate: float,
     rng: np.random.Generator,
     dropout_rng: np.random.Generator | None,
-    bert_corruption: bool,
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Masked-position logits and original ids of one padded batch, with
     each document's masked-position count.
@@ -277,9 +278,7 @@ def _mlm_batch(
     before the forward, whose dropout then draws from ``dropout_rng`` (in
     training, the same ``rng``; no dropout without one).
     """
-    masked = [mask_for_mlm(doc, rate, rng, bert_corruption, model.config.vocab_size)
-              for doc in docs]
-    ids, positions, originals = zip(*masked)
+    ids, positions, originals = zip(*(mask_for_mlm(doc, rate, rng) for doc in docs))
     hidden = model.forward(ids, dropout_rng)
     t = hidden.shape[0] // len(docs)
     rows = np.concatenate([i * t + np.asarray(p) for i, p in enumerate(positions)])
@@ -293,12 +292,11 @@ def mlm_batch_loss(
     rate: float,
     rng: np.random.Generator,
     batch_size: int,
-    bert_corruption: bool,
 ) -> tuple[Tensor, int, int]:
     """One batch's training loss, each document's masked-position mean loss
     times ``1/batch_size``, summed; plus (correct, total) prediction counts.
     Masks and dropout are both drawn from ``rng``."""
-    logits, originals, counts = _mlm_batch(model, docs, rate, rng, rng, bert_corruption)
+    logits, originals, counts = _mlm_batch(model, docs, rate, rng, rng)
     loss = cross_entropy(logits, originals, weights=np.repeat(1.0 / (counts * batch_size), counts))
     correct = int((logits.data.argmax(axis=1) == originals).sum())
     return loss, correct, originals.size
@@ -311,15 +309,13 @@ def evaluate_mlm(
     config: PipelineConfig,
 ) -> tuple[float, float]:
     """Masked-token loss (mean over every masked position) and accuracy
-    under forwards without dropout, at ``config.mask_rate``. Every selected
-    token becomes [MASK], whatever ``config.bert_corruption`` says."""
+    under forwards without dropout, at ``config.mask_rate``."""
     total_loss = 0.0
     correct = 0
     total = 0
     with no_grad():
         for chunk in batches(docs, EVAL_BATCH_SIZE):
-            logits, originals, _ = _mlm_batch(model, chunk, config.mask_rate, rng, None,
-                                              bert_corruption=False)
+            logits, originals, _ = _mlm_batch(model, chunk, config.mask_rate, rng, None)
             total_loss += cross_entropy(logits, originals).item()
             correct += int((logits.data.argmax(axis=1) == originals).sum())
             total += originals.size
@@ -334,8 +330,8 @@ def pretrain_mlm(
     val_docs: list[EncodedDocument] | None = None,
 ) -> tuple[EncoderModel, list[EpochStats]]:
     """Train an encoder of shape ``model_config`` to recover masked tokens
-    under the ``mlm_*``, ``mask_rate``, ``bert_corruption`` and
-    ``weight_decay`` settings of ``config``; returns per-epoch stats.
+    under the ``mlm_*``, ``mask_rate`` and ``weight_decay`` settings of
+    ``config``; returns per-epoch stats.
 
     The loss is the mean negative log-probability of the original token at
     each masked position; unmasked positions contribute nothing.
@@ -348,8 +344,7 @@ def pretrain_mlm(
     batch_size = config.mlm_batch_size
 
     def batch_loss(batch):
-        loss, correct, total = mlm_batch_loss(model, batch, config.mask_rate, rng, batch_size,
-                                              config.bert_corruption)
+        loss, correct, total = mlm_batch_loss(model, batch, config.mask_rate, rng, batch_size)
         return loss, batch_size, correct, total
 
     def validate(epoch):

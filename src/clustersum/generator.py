@@ -1,8 +1,9 @@
 """Summary decoding from cluster centers.
 
 The sampler reads its settings (``top_k``, ``top_p``, ``num_candidates``,
-``max_summary_len``, ``temperature``, ``start_token`` and ``seed``) from the
-run's ``PipelineConfig``; ``top_k`` is clamped to the vocabulary here.
+``max_summary_len``, ``temperature`` and ``seed``) from the run's
+``PipelineConfig``; ``top_k`` is clamped to the vocabulary here. Every
+candidate starts from [CLS], as every training input does.
 
 The candidates of many clusters are sampled as one batch: whole clusters
 are packed into a batch while its key/value cache, at full summary length,
@@ -123,8 +124,8 @@ def sample_candidates(
     The candidates of as many whole clusters as keep the batch's key/value
     cache within ``KV_CACHE_BUDGET`` at full summary length, and at least
     one cluster, are decoded together as one batch. Every candidate starts
-    from the configured start token and stops at [SEP] or at
-    ``max_summary_len`` generated tokens.
+    from [CLS] and stops at [SEP] or at ``max_summary_len`` generated
+    tokens.
     """
     shape = decoder.config
     row_bytes = (shape.num_blocks * 2 * shape.hidden_size * config.max_summary_len
@@ -152,7 +153,7 @@ def _decode_batch(
     rngs = [np.random.default_rng([config.seed, c, s]) for c in clusters for s in range(n)]
     generated: list[list[int]] = [[] for _ in rngs]
     live = list(range(len(rngs)))
-    tokens = [config.start_token_id(vocab.size, vocab.cls_id)] * len(live)
+    tokens = [vocab.cls_id] * len(live)
     cache = decoder.start_cache(centers, n)
     for _ in range(config.max_summary_len):
         logits = decoder.step(tokens, cache).data / config.temperature

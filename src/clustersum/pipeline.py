@@ -65,6 +65,9 @@ METRICS_JSON = "metrics.json"
 METRICS_TXT = "metrics.txt"
 MANIFEST_FILE = "manifest.json"
 
+# The k of each cosine_top_k score in metrics.json.
+COSINE_TOP_K = (1, 5, 10)
+
 
 class CorpusError(Exception):
     """Malformed or inconsistent corpus input."""
@@ -256,7 +259,6 @@ def _cluster(ctx: _Context) -> dict:
 
 def _train_decoder(ctx: _Context) -> dict:
     config = ctx.config
-    start_id = config.start_token_id(ctx.vocab.size, ctx.vocab.cls_id)
     rng = np.random.default_rng([config.seed, 4])
     # a local encoder, not ``ctx.encoder``, so it is freed before training
     encoder = EncoderModel.load(ctx.out_dir / ENCODER_FILE)
@@ -267,10 +269,8 @@ def _train_decoder(ctx: _Context) -> dict:
         decoder = init_from_encoder(encoder)
         init_mode = "from_encoder"
     del encoder
-    examples = build_training_examples(
-        ctx.docs, ctx.embeddings, ctx.cluster_set, start_id,
-        unweighted=config.unweighted_ce,
-    )
+    examples = build_training_examples(ctx.docs, ctx.embeddings, ctx.cluster_set,
+                                       unweighted=config.unweighted_ce)
     train_examples, val_examples = train_val_split(examples, config.val_fraction, rng)
     decoder, history = train_decoder(decoder, train_examples, config, rng, val_examples)
     decoder.save(ctx.out_dir / DECODER_FILE)
@@ -344,7 +344,7 @@ def _evaluate(ctx: _Context) -> dict:
         "cosine_top_k": {},
     }
     # ClusterSet.doc_ids is in corpus order, the order of the stored embeddings
-    for k in config.top_k_values():
+    for k in COSINE_TOP_K:
         report["cosine_top_k"][str(k)] = cosine_top_k(
             summary_embeddings, ctx.embeddings, cluster_set.doc_ids,
             cluster_set.assignment, cluster_set.centers, k,

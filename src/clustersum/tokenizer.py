@@ -140,16 +140,12 @@ def mask_for_mlm(
     doc: EncodedDocument,
     rate: float,
     rng: np.random.Generator,
-    bert_corruption: bool,
-    vocab_size: int,
 ) -> tuple[list[int], list[int], list[int]]:
     """Mask a random subset of body positions for masked-token prediction.
 
     Selects ``round(rate * body_length)`` positions, at least one, uniformly
-    among non-special body positions. Without ``bert_corruption`` every
-    selected token is replaced with [MASK]; with it the replacement is
-    80% [MASK] / 10% random non-special id below ``vocab_size`` / 10%
-    unchanged.
+    among non-special body positions, and replaces each selected token with
+    [MASK].
 
     Returns ``(masked_ids, positions, original_ids)`` with positions sorted.
     """
@@ -161,13 +157,5 @@ def mask_for_mlm(
     masked = list(doc.ids)
     originals = [doc.ids[p] for p in positions]
     for p in positions:
-        if bert_corruption:
-            roll = rng.random()
-            if roll < 0.8:
-                masked[p] = MASK_ID
-            elif roll < 0.9 and vocab_size > len(SPECIAL_TOKENS):
-                masked[p] = int(rng.integers(len(SPECIAL_TOKENS), vocab_size))
-            # else: keep the original token
-        else:
-            masked[p] = MASK_ID
+        masked[p] = MASK_ID
     return masked, positions, originals

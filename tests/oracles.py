@@ -361,7 +361,7 @@ def reference_candidate_ids(decoder, center, vocab, config, cluster: int,
     """
     rng = np.random.default_rng([config.seed, cluster, candidate])
     k = min(config.top_k, vocab.size)
-    prefix = [config.start_token_id(vocab.size, vocab.cls_id)]
+    prefix = [vocab.cls_id]
     generated: list[int] = []
     with no_grad():
         while len(generated) < config.max_summary_len:
@@ -390,7 +390,7 @@ def per_cluster_candidate_ids(decoder, center, vocab, config, cluster: int) -> l
     rngs = [np.random.default_rng([config.seed, cluster, s]) for s in range(n)]
     generated: list[list[int]] = [[] for _ in rngs]
     live = list(range(n))
-    tokens = [config.start_token_id(vocab.size, vocab.cls_id)] * n
+    tokens = [vocab.cls_id] * n
     cache = decoder.start_cache(np.reshape(center, (1, -1)), n)
     for _ in range(config.max_summary_len):
         logits = decoder.step(tokens, cache).data / config.temperature
@@ -485,8 +485,7 @@ def per_document_mlm_loss(model, docs, rate: float, rng: np.random.Generator,
     loss times 1/batch_size, backward. Returns the summed loss."""
     total = 0.0
     for doc in docs:
-        masked, positions, originals = mask_for_mlm(doc, rate, rng, False,
-                                                    model.config.vocab_size)
+        masked, positions, originals = mask_for_mlm(doc, rate, rng)
         hidden = model.forward([masked])
         loss = cross_entropy(model.mlm_logits(hidden, positions), originals,
                              weights=np.full(len(originals), 1.0 / len(originals)))
@@ -506,9 +505,9 @@ def per_document_classifier_loss(model, docs, batch_size: int) -> float:
     return total
 
 
-def per_document_weighted_loss(decoder, examples, normalize: str) -> Tensor:
+def per_document_weighted_loss(decoder, examples) -> Tensor:
     """Membership-weighted sum of per-document token NLL sums, one forward
-    per document, optionally divided by the batch's token count."""
+    per document, divided by the batch's token count."""
     total = None
     tokens = 0
     for e in examples:
@@ -516,7 +515,7 @@ def per_document_weighted_loss(decoder, examples, normalize: str) -> Tensor:
         doc_loss = mul(cross_entropy(logits, e.target_ids), e.weight)
         total = doc_loss if total is None else add(total, doc_loss)
         tokens += len(e.target_ids)
-    return mul(total, 1.0 / tokens) if normalize == "tokens" else total
+    return mul(total, 1.0 / tokens)
 
 
 def reference_adamw_update(data: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,

@@ -6,7 +6,8 @@ in ``tensor.py`` is imported by another module of the package, and
 would call. Ops the tests need live in ``tests/oracles.py``.
 
 Every run setting has one home, ``PipelineConfig``: no other module gives
-a parameter or dataclass field named after a setting a default of its own.
+a parameter or dataclass field named after a setting a default of its own,
+and every field is read by the package beyond the config's own checks.
 
 Each model job has one signature, with no flag that selects it: a forward
 drops out exactly when it is given a generator, cached decoding is
@@ -149,3 +150,26 @@ def test_no_model_function_takes_a_job_flag():
     flags = [f"{name}:{flag}" for name in MODEL_MODULES
              for flag in _job_flags(_parse(PACKAGE / name))]
     assert flags == []
+
+
+def _attributes_read(tree: ast.Module, skip: set[str]):
+    """Every attribute name read in ``tree``, outside the bodies of the
+    functions named in ``skip``."""
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and child.name in skip:
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                yield child.attr
+            yield from visit(child)
+    yield from visit(tree)
+
+
+def test_every_setting_is_read_by_the_package():
+    """A field that no stage reads is a setting with one value in use; the
+    config's own checks and hash do not count as a use."""
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        skip = {"__post_init__", "canonical_string"} if path.name == "config.py" else set()
+        read.update(_attributes_read(_parse(path), skip))
+    assert sorted({f.name for f in fields(PipelineConfig)} - read) == []

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clustersum.config import PipelineConfig
 from clustersum.decoder import (
     build_training_examples,
     evaluate_decoder,
@@ -57,10 +56,10 @@ def _encoder(vocab, dtype, classifier_seed=None) -> EncoderModel:
     """A dropout-free encoder in ``dtype``, with a 3-label classifier head
     drawn from ``classifier_seed`` if one is given."""
     model = EncoderModel(ModelConfig.desk_scale(vocab.size, max_len=16, dropout=0.0),
-                         np.random.default_rng(41))
+                         np.random.default_rng(41)).astype(dtype)
     if classifier_seed is not None:
         model.add_classifier(3, np.random.default_rng(classifier_seed))
-    return model.astype(dtype)
+    return model
 
 
 def _take_grads(model) -> dict[str, np.ndarray]:
@@ -83,8 +82,7 @@ def test_mlm_loss_and_gradients(corpus, dtype, atol, docs, batch_size):
     vocab, all_docs = corpus
     model = _encoder(vocab, dtype)
     batch = all_docs[docs]
-    loss, _, _ = mlm_batch_loss(model, batch, 0.3, np.random.default_rng(3), batch_size,
-                                bert_corruption=False)
+    loss, _, _ = mlm_batch_loss(model, batch, 0.3, np.random.default_rng(3), batch_size)
     loss.backward()
     grads = _take_grads(model)
     expected = per_document_mlm_loss(model, batch, 0.3, np.random.default_rng(3), batch_size)
@@ -111,14 +109,14 @@ def test_weighted_decoder_loss_and_gradients(corpus, dtype, atol, docs):
     encoder = _encoder(vocab, dtype)
     decoder = init_from_encoder(encoder)
     embeddings = encoder.embed_documents(all_docs)
-    examples = build_training_examples(all_docs, embeddings, None, vocab.cls_id)
+    examples = build_training_examples(all_docs, embeddings, None)
     for example, weight in zip(examples, [1.0, 0.5, 0.0, 0.8, 0.3, 1.0, 0.25, 0.9]):
         example.weight = weight
     batch = examples[docs]
-    loss = weighted_ce_loss(decoder, batch, normalize="tokens")
+    loss = weighted_ce_loss(decoder, batch, sum(len(e.target_ids) for e in batch))
     loss.backward()
     grads = _take_grads(decoder)
-    expected = per_document_weighted_loss(decoder, batch, "tokens")
+    expected = per_document_weighted_loss(decoder, batch)
     expected.backward()
     _assert_equal(loss.item(), grads, expected.item(), _take_grads(decoder), atol)
 
@@ -136,12 +134,11 @@ def test_no_parameter_is_dead(corpus, dtype):
     stored in every checkpoint."""
     vocab, docs = corpus
     encoder = _encoder(vocab, dtype)
-    loss, _, _ = mlm_batch_loss(encoder, docs, 0.3, np.random.default_rng(3), len(docs),
-                                bert_corruption=False)
+    loss, _, _ = mlm_batch_loss(encoder, docs, 0.3, np.random.default_rng(3), len(docs))
     loss.backward()
     decoder = init_from_encoder(encoder)
-    examples = build_training_examples(docs, encoder.embed_documents(docs), None, vocab.cls_id)
-    weighted_ce_loss(decoder, examples, normalize="tokens").backward()
+    examples = build_training_examples(docs, encoder.embed_documents(docs), None)
+    weighted_ce_loss(decoder, examples, sum(len(e.target_ids) for e in examples)).backward()
     for model in (encoder, decoder):
         for name, p in model.named_parameters().items():
             if not name.endswith(".wk.bias"):
@@ -156,13 +153,13 @@ def test_no_two_parameter_gradients_share_memory(corpus):
     encoder = EncoderModel(ModelConfig.desk_scale(vocab.size, max_len=16, dropout=0.1),
                            np.random.default_rng(41))
     rng = np.random.default_rng(42)
-    loss, _, _ = mlm_batch_loss(encoder, docs, 0.3, rng, len(docs), bert_corruption=False)
+    loss, _, _ = mlm_batch_loss(encoder, docs, 0.3, rng, len(docs))
     loss.backward()
     decoder = init_from_encoder(encoder)
-    examples = build_training_examples(docs, encoder.embed_documents(docs), None, vocab.cls_id)
+    examples = build_training_examples(docs, encoder.embed_documents(docs), None)
     for example, weight in zip(examples, [1.0, 0.5, 0.0, 0.8, 0.3, 1.0, 0.25, 0.9]):
         example.weight = weight
-    weighted_ce_loss(decoder, examples, normalize="tokens", rng=rng).backward()
+    weighted_ce_loss(decoder, examples, sum(len(e.target_ids) for e in examples), rng).backward()
     grads = [(f"{model.component}.{name}", p.grad) for model in (encoder, decoder)
              for name, p in model.named_parameters().items()]
     assert all(g is not None for _, g in grads)
@@ -185,15 +182,15 @@ def test_evaluators_equal_per_document_across_chunks(corpus):
     docs = docs * 5
     assert EVAL_BATCH_SIZE < len(docs) < 2 * EVAL_BATCH_SIZE
     model = _encoder(vocab, np.float64, classifier_seed=44)
-    examples = build_training_examples(docs, model.embed_documents(docs), None, vocab.cls_id)
+    examples = build_training_examples(docs, model.embed_documents(docs), None)
     for i, example in enumerate(examples):
         example.weight = 1.0 / (1 + i % 4)
     decoder = init_from_encoder(model)
     with no_grad():
         expected_classifier = per_document_classifier_loss(model, docs, batch_size=len(docs))
-        expected_decoder = per_document_weighted_loss(decoder, examples, "tokens").item()
+        expected_decoder = per_document_weighted_loss(decoder, examples).item()
     assert evaluate_classifier(model, docs)[0] == pytest.approx(expected_classifier, abs=1e-12)
-    decoder_loss = evaluate_decoder(decoder, examples, PipelineConfig(loss_normalization="tokens"))
+    decoder_loss = evaluate_decoder(decoder, examples)
     assert decoder_loss == pytest.approx(expected_decoder, abs=1e-12)
 
 

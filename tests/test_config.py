@@ -13,7 +13,6 @@ from clustersum.config import (
     parse_config_file,
     parse_setting,
 )
-from clustersum.tokenizer import build_vocab
 
 
 class TestSummaryLength:
@@ -61,6 +60,10 @@ class TestSettings:
         ("mlm_epochs=abc", "bad integer"),
         ("no_such_key=1", "unknown configuration key"),
         ("no_labels=true", "unknown configuration key"),
+        ("loss_normalization=tokens", "unknown configuration key"),
+        ("start_token=cls", "unknown configuration key"),
+        ("bert_corruption=false", "unknown configuration key"),
+        ("cosine_top_k_values=1,5,10", "unknown configuration key"),
         ("seed", "KEY=VALUE"),
     ])
     def test_bad_setting_exits_2(self, tmp_path, capsys, item, message):
@@ -91,7 +94,8 @@ class TestSettings:
         ("mask_rate=0", "mask_rate must lie in (0, 1]"),
         ("vocab_max_size=3", "vocab_max_size must exceed"),
         ("vocab_max_size=5", "vocab_max_size must exceed"),
-        ("max_len=1", "max_len must be at least 2"),
+        ("max_len=1", "max_len must be at least 3"),
+        ("max_len=2", "max_len must be at least 3"),
         ("val_fraction=1.5", "val_fraction"),
         ("val_fraction=1", "val_fraction"),
         ("val_fraction=-0.1", "val_fraction"),
@@ -102,9 +106,6 @@ class TestSettings:
         ("top_p=1.5", "top_p must lie in (0, 1]"),
         ("retain_top_m=0", "retain_top_m"),
         ("max_summary_len=0", "max_summary_len"),
-        ("start_token=x", "start_token"),
-        ("start_token=-1", "start_token"),
-        ("cosine_top_k_values=0", "cosine_top_k_values"),
         ("seed=-1", "seed must be non-negative"),
     ])
     def test_bad_value_exits_2_before_any_stage(self, tmp_path, capsys, item, message):
@@ -116,31 +117,8 @@ class TestSettings:
     def test_valid_configs_keep_their_hash(self):
         """The parse-time checks refuse values; they add no field and change
         no hash of a configuration that passes them."""
-        assert PipelineConfig().config_hash().startswith("a323f19133fad71f")
-        assert PipelineConfig.paper_scale().config_hash().startswith("c67b2d36eb3c3de7")
-
-    def test_start_token_outside_the_vocabulary_exits_2_before_train_decoder(
-            self, tmp_path, capsys):
-        """An id at or past the vocabulary size passes parsing, since the
-        vocabulary does not exist yet, and is refused before the decoder is
-        built."""
-        texts = [f"w{i % 4} w{(i + 1) % 4} w{(i + 2) % 4}" for i in range(12)]
-        size = build_vocab(texts, 2000, 1).size
-        corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text("".join(json.dumps({"id": f"d{i}", "text": t}) + "\n"
-                                  for i, t in enumerate(texts)), encoding="utf-8")
-        out = tmp_path / "out"
-        code = main(["run-all", "--corpus", str(corpus), "--out", str(out),
-                     "--set", f"start_token={size}", "--set", "max_len=8",
-                     "--set", "mlm_epochs=1", "--set", "decoder_epochs=1",
-                     "--set", "num_candidates=2", "--set", "max_summary_len=4"])
-        assert code == 2
-        assert f"start_token {size} is not an id" in capsys.readouterr().err
-        assert (out / "clusters.jsonl").exists() and not (out / "decoder.ckpt").exists()
-        config = PipelineConfig(start_token=str(size))
-        with pytest.raises(ConfigError, match="start_token"):
-            config.start_token_id(vocab_size=size, cls_id=0)
-        assert config.start_token_id(vocab_size=size + 1, cls_id=0) == size
+        assert PipelineConfig().config_hash().startswith("f8d866f312acd418")
+        assert PipelineConfig.paper_scale().config_hash().startswith("4d42aeab09e88715")
 
     def test_defaults_paper_scale_and_benchmark_settings_parse(self, monkeypatch):
         PipelineConfig()

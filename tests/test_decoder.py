@@ -33,7 +33,7 @@ def setup():
 
 def _examples(vocab, docs, encoder, weights=None):
     embeddings = encoder.embed_documents(docs)
-    examples = build_training_examples(docs, embeddings, None, vocab.cls_id)
+    examples = build_training_examples(docs, embeddings, None)
     if weights is not None:
         for e, w in zip(examples, weights):
             e.weight = w
@@ -333,32 +333,33 @@ class TestWeightedLoss:
         decoder = init_from_encoder(encoder)
         a, b = _examples(vocab, docs[:2], encoder)
         with no_grad():
-            loss_a = weighted_ce_loss(decoder, [a], normalize="raw").item()
-            loss_b = weighted_ce_loss(decoder, [b], normalize="raw").item()
+            loss_a = weighted_ce_loss(decoder, [a], 1).item()
+            loss_b = weighted_ce_loss(decoder, [b], 1).item()
             b.weight = 0.5
-            combined = weighted_ce_loss(decoder, [a, b], normalize="raw").item()
+            combined = weighted_ce_loss(decoder, [a, b], 1).item()
         assert combined == pytest.approx(loss_a + 0.5 * loss_b, rel=1e-5)
 
     def test_batch_linearity_in_raw_mode(self, setup):
+        """Raw weighted sums (a divisor of 1) add across chunks, as
+        ``evaluate_decoder`` relies on."""
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
         examples = _examples(vocab, docs[:6], encoder)
         with no_grad():
-            whole = weighted_ce_loss(decoder, examples, normalize="raw").item()
-            parts = (weighted_ce_loss(decoder, examples[:3], normalize="raw").item()
-                     + weighted_ce_loss(decoder, examples[3:], normalize="raw").item())
+            whole = weighted_ce_loss(decoder, examples, 1).item()
+            parts = (weighted_ce_loss(decoder, examples[:3], 1).item()
+                     + weighted_ce_loss(decoder, examples[3:], 1).item())
         assert whole == pytest.approx(parts, rel=1e-5)
 
     def test_unit_weights_equal_unweighted(self, setup):
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
         embeddings = encoder.embed_documents(docs[:4])
-        weighted = build_training_examples(docs[:4], embeddings, None, vocab.cls_id)
-        unweighted = build_training_examples(docs[:4], embeddings, None, vocab.cls_id,
-                                             unweighted=True)
+        weighted = build_training_examples(docs[:4], embeddings, None)
+        unweighted = build_training_examples(docs[:4], embeddings, None, unweighted=True)
         with no_grad():
-            a = weighted_ce_loss(decoder, weighted, normalize="raw").item()
-            b = weighted_ce_loss(decoder, unweighted, normalize="raw").item()
+            a = weighted_ce_loss(decoder, weighted, 1).item()
+            b = weighted_ce_loss(decoder, unweighted, 1).item()
         assert a == pytest.approx(b, rel=1e-7)
 
     def test_zero_weight_contributes_no_gradient(self, setup):
@@ -366,18 +367,18 @@ class TestWeightedLoss:
         decoder = init_from_encoder(encoder)
         a, b = _examples(vocab, docs[:2], encoder)
         b.weight = 0.0
-        loss = weighted_ce_loss(decoder, [a, b], normalize="raw")
+        loss = weighted_ce_loss(decoder, [a, b], 1)
         loss.backward()
         grads_with_zero = {n: p.grad.copy() for n, p in decoder.named_parameters().items()}
         for p in decoder.parameters():
             p.grad = None
-        loss_solo = weighted_ce_loss(decoder, [a], normalize="raw")
+        loss_solo = weighted_ce_loss(decoder, [a], 1)
         loss_solo.backward()
         for n, p in decoder.named_parameters().items():
             np.testing.assert_allclose(grads_with_zero[n], p.grad, atol=1e-6)
 
     def test_teacher_forcing_layout(self, setup):
-        """Input is [start] + target[:-1]; target is the body plus [SEP]."""
+        """Input is [CLS] + target[:-1]; target is the body plus [SEP]."""
         vocab, docs, config, encoder = setup
         example = _examples(vocab, docs[:1], encoder)[0]
         doc = docs[0]

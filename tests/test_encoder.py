@@ -12,6 +12,7 @@ from clustersum.decoder import init_from_encoder
 from clustersum.encoder import (
     EncoderModel,
     ModelConfig,
+    classifier_batch_loss,
     evaluate_mlm,
     fine_tune_classifier,
     pretrain_mlm,
@@ -124,8 +125,7 @@ class TestMlmTraining:
         """Junk target values at unmasked positions cannot reach the loss."""
         vocab, docs, config, model = small_setup
         doc = docs[0]
-        masked, positions, originals = mask_for_mlm(doc, 0.15, np.random.default_rng(3),
-                                                    False, vocab.size)
+        masked, positions, originals = mask_for_mlm(doc, 0.15, np.random.default_rng(3))
         with no_grad():
             hidden = model.forward([masked])
             mean = np.full(len(positions), 1.0 / len(positions))
@@ -183,6 +183,14 @@ class TestClassifier:
         model = EncoderModel(config, np.random.default_rng(1))
         model.add_classifier(1, np.random.default_rng(2))
         np.testing.assert_allclose(model.label_probs(model.embed_documents(docs[:1])), [[1.0]])
+
+    def test_head_added_after_a_cast_takes_the_model_dtype(self, labeled):
+        vocab, docs, config = labeled
+        model = EncoderModel(config, np.random.default_rng(1)).astype(np.float64)
+        model.add_classifier(3, np.random.default_rng(2))
+        assert model.classifier.weight.dtype == np.float64
+        loss, _ = classifier_batch_loss(model, docs[:4], 4)
+        assert loss.dtype == np.float64
 
     def test_missing_head_is_contract_error(self, labeled):
         vocab, docs, config = labeled

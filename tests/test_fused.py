@@ -135,7 +135,7 @@ class TestTrainingStepMatchesComposedGraph:
     def test_mlm(self, monkeypatch):
         docs, vocab, encoder = self._setup()
         self._compare(monkeypatch, encoder, lambda: mlm_batch_loss(
-            encoder, docs[:6], 0.3, np.random.default_rng(7), 6, bert_corruption=False)[0])
+            encoder, docs[:6], 0.3, np.random.default_rng(7), 6)[0])
 
     def test_classifier(self, monkeypatch):
         """The last block at the [CLS] rows only."""
@@ -148,10 +148,9 @@ class TestTrainingStepMatchesComposedGraph:
     def test_decoder(self, monkeypatch):
         docs, vocab, encoder = self._setup()
         decoder = init_from_encoder(encoder)
-        examples = build_training_examples(docs[:6], encoder.embed_documents(docs[:6]), None,
-                                           vocab.cls_id)
+        examples = build_training_examples(docs[:6], encoder.embed_documents(docs[:6]), None)
         self._compare(monkeypatch, decoder, lambda: weighted_ce_loss(
-            decoder, examples, normalize="tokens", rng=np.random.default_rng(8)))
+            decoder, examples, sum(len(e.target_ids) for e in examples), np.random.default_rng(8)))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -1,7 +1,5 @@
 """Sampling filter, seeded generation, and candidate ranking."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -291,18 +289,6 @@ class TestSampleCandidates:
         for s, candidate in enumerate(candidates):
             assert candidate.token_ids == reference_candidate_ids(
                 decoder, center, vocab, config, seed % 3, s)
-
-    def test_literal_start_token_is_the_first_input(self, long_setup):
-        """With a literal ``start_token`` every candidate starts from that
-        id, as the full-prefix reference does, and not from [CLS]."""
-        vocab, decoder, center = long_setup
-        config = PipelineConfig(num_candidates=3, max_summary_len=40, seed=4, start_token="7")
-        candidates = _one_cluster(decoder, center, vocab, config)
-        from_cls = _one_cluster(decoder, center, vocab, replace(config, start_token="cls"))
-        assert [c.token_ids for c in candidates] != [c.token_ids for c in from_cls]
-        for s, candidate in enumerate(candidates):
-            assert candidate.token_ids == reference_candidate_ids(
-                decoder, center, vocab, config, 0, s)
 
     def test_candidate_independent_of_batch(self, long_setup):
         """Candidate s is the same whether 3 or 6 are decoded, while its

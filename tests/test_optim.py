@@ -287,7 +287,7 @@ class _Desk:
         self.rng = np.random.default_rng(2)
 
     def batch_loss(self, batch):
-        loss, c, n = mlm_batch_loss(self.model, batch, 0.3, self.rng, 4, bert_corruption=False)
+        loss, c, n = mlm_batch_loss(self.model, batch, 0.3, self.rng, 4)
         return loss, 4, c, n
 
 

@@ -155,7 +155,7 @@ def test_evaluate_scores_equal_those_over_the_encoded_corpus(run_copy):
         [encode(top[c], vocab, config.max_len) for c in range(cluster_set.k)])
     docs = [encode(r.text, vocab, config.max_len, doc_id=r.id) for r in records]
     report = json.loads((out_dir / pipeline.METRICS_JSON).read_text(encoding="utf-8"))
-    for k in config.top_k_values():
+    for k in pipeline.COSINE_TOP_K:
         assert report["cosine_top_k"][str(k)] == cosine_top_k(
             summaries, encoder.embed_documents(docs), [d.doc_id for d in docs],
             cluster_set.assignment, cluster_set.centers, k)
@@ -344,6 +344,38 @@ class TestExitCodes:
         before = _digests(out)
         assert self._run("finetune", corpus, out) == 2
         assert _digests(out) == before
+
+
+@pytest.mark.parametrize("flag,stage,key,value", [
+    ("--no-pretraining", "pretrain", "trained", False),
+    ("--no-decoder-init", "train-decoder", "init", "random"),
+    ("--unweighted-ce", "train-decoder", "unweighted_ce", True),
+])
+def test_each_ablation_runs_and_the_manifest_records_it(tmp_path, flag, stage, key, value):
+    texts = pair_texts(np.random.default_rng(16), num_docs=8, num_pairs=2, doc_len=4)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"id": f"d{i}", "text": t}) + "\n"
+                              for i, t in enumerate(texts)), encoding="utf-8")
+    out = tmp_path / "out"
+    settings = []
+    for item in ("max_len=8", "mlm_epochs=1", "decoder_epochs=1", "num_candidates=2",
+                 "max_summary_len=4"):
+        settings += ["--set", item]
+    assert main(["run-all", "--corpus", str(corpus), "--out", str(out), flag, *settings]) == 0
+    assert _stages(out)[stage][key] == value
+    assert (out / pipeline.METRICS_JSON).exists()
+
+
+def test_vocab_min_count_drops_words_seen_fewer_times(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "a", "text": "alpha beta beta gamma"}) + "\n"
+                      + json.dumps({"id": "b", "text": "beta gamma delta"}) + "\n",
+                      encoding="utf-8")
+    for min_count, words in ((1, ["beta", "gamma", "alpha", "delta"]), (2, ["beta", "gamma"])):
+        out = tmp_path / f"min{min_count}"
+        assert main(["build-vocab", "--corpus", str(corpus), "--out", str(out),
+                     "--set", f"vocab_min_count={min_count}"]) == 0
+        assert Vocabulary.load(out / pipeline.VOCAB_FILE).id_to_token[5:] == words
 
 
 @pytest.mark.parametrize("clustering", ["kmeans", "labels"])

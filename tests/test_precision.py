@@ -45,7 +45,7 @@ def _mlm_curve(model: EncoderModel, docs) -> np.ndarray:
     for step in range(MLM_STEPS):
         batch = [docs[(step * BATCH_SIZE + i) % len(docs)] for i in range(BATCH_SIZE)]
         loss, _, _ = mlm_batch_loss(model, batch, 0.15, np.random.default_rng([5, step]),
-                                    BATCH_SIZE, bert_corruption=False)
+                                    BATCH_SIZE)
         loss.backward()
         optimizer.step()
         losses.append(loss.item())
@@ -97,7 +97,7 @@ def test_encoder_step_stays_float32(corpus):
     vocab, docs = corpus
     model = _encoder(vocab, np.random.default_rng(62))
     loss, _, _ = mlm_batch_loss(model, docs[:BATCH_SIZE], 0.3, np.random.default_rng(63),
-                                BATCH_SIZE, bert_corruption=False)
+                                BATCH_SIZE)
     _assert_float32_step(model, loss)
 
 
@@ -105,7 +105,8 @@ def test_decoder_step_stays_float32(corpus):
     vocab, docs = corpus
     encoder = _encoder(vocab, np.random.default_rng(64))
     examples = build_training_examples(docs[:BATCH_SIZE], encoder.embed_documents(docs[:BATCH_SIZE]),
-                                       None, vocab.cls_id)
+                                       None)
     decoder = init_from_encoder(encoder)
-    loss = weighted_ce_loss(decoder, examples, "tokens", rng=np.random.default_rng(65))
+    loss = weighted_ce_loss(decoder, examples, sum(len(e.target_ids) for e in examples),
+                            np.random.default_rng(65))
     _assert_float32_step(decoder, loss)

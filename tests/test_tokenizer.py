@@ -100,26 +100,24 @@ class TestMaskForMlm:
 
     def test_count_rounding(self, vocab):
         doc = self._doc(20, vocab)
-        _, positions, _ = mask_for_mlm(doc, 0.15, np.random.default_rng(1), False, vocab.size)
+        _, positions, _ = mask_for_mlm(doc, 0.15, np.random.default_rng(1))
         assert len(positions) == 3
 
     def test_minimum_one_mask(self, vocab):
         doc = self._doc(3, vocab)
-        _, positions, _ = mask_for_mlm(doc, 0.15, np.random.default_rng(2), False, vocab.size)
+        _, positions, _ = mask_for_mlm(doc, 0.15, np.random.default_rng(2))
         assert len(positions) == 1
 
     def test_specials_never_masked(self, vocab):
         doc = self._doc(10, vocab)
         for seed in range(50):
-            masked, positions, _ = mask_for_mlm(doc, 0.15, np.random.default_rng(seed),
-                                                False, vocab.size)
+            masked, positions, _ = mask_for_mlm(doc, 0.15, np.random.default_rng(seed))
             assert masked[0] == CLS_ID and masked[-1] == SEP_ID
             assert all(1 <= p <= 10 for p in positions)
 
     def test_differs_exactly_at_reported_positions(self, vocab):
         doc = self._doc(12, vocab)
-        masked, positions, originals = mask_for_mlm(doc, 0.15, np.random.default_rng(3),
-                                                    False, vocab.size)
+        masked, positions, originals = mask_for_mlm(doc, 0.15, np.random.default_rng(3))
         for i, (a, b) in enumerate(zip(doc.ids, masked)):
             if i in positions:
                 assert b == MASK_ID and a == originals[positions.index(i)]
@@ -133,7 +131,7 @@ class TestMaskForMlm:
         hits = np.zeros(21)
         draws = 10_000
         for _ in range(draws):
-            _, positions, _ = mask_for_mlm(doc, 0.15, rng, False, vocab.size)
+            _, positions, _ = mask_for_mlm(doc, 0.15, rng)
             for p in positions:
                 hits[p] += 1
         freq = hits[1:] / draws
@@ -142,22 +140,7 @@ class TestMaskForMlm:
     def test_empty_body_rejected(self, vocab):
         doc = encode("", vocab, 8)
         with pytest.raises(ValueError, match="no body"):
-            mask_for_mlm(doc, 0.15, np.random.default_rng(5), False, vocab.size)
-
-    def test_bert_corruption_mode(self, vocab):
-        doc = self._doc(20, vocab)
-        rng = np.random.default_rng(6)
-        saw_mask = saw_random = saw_unchanged = False
-        for _ in range(300):
-            masked, positions, originals = mask_for_mlm(doc, 0.15, rng, True, vocab.size)
-            for p, orig in zip(positions, originals):
-                if masked[p] == MASK_ID:
-                    saw_mask = True
-                elif masked[p] == orig:
-                    saw_unchanged = True
-                else:
-                    saw_random = True
-        assert saw_mask and saw_random and saw_unchanged
+            mask_for_mlm(doc, 0.15, np.random.default_rng(5))
 
 
 class TestPersistence:
