@@ -2,11 +2,13 @@
 run artifact goes through.
 
 Layout: an ASCII magic line, a JSON header line (format version, component
-tag, model config, extra metadata, tensor names and shapes in payload
-order), then the raw tensor payloads concatenated as little-endian float32,
-row-major. Tensor order is the sorted name order, so files are byte-stable
-for identical models. float32 is the only on-disk format: the header records
-no dtype, and ``Model.save`` refuses any other rather than round it.
+tag, model config, tensor names and shapes in payload order), then the raw
+tensor payloads concatenated as little-endian float32, row-major. The
+header records nothing that a tensor's shape already says: a model rebuilds
+an optional head, such as the encoder's classifier, from its tensors.
+Tensor order is the sorted name order, so files are byte-stable for
+identical models. float32 is the only on-disk format: the header records no
+dtype, and ``Model.save`` refuses any other rather than round it.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"CLUSTERSUM-CKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -28,7 +30,6 @@ class Checkpoint:
     component: str
     config: dict
     tensors: dict[str, np.ndarray]
-    extra: dict = field(default_factory=dict)
 
 
 @contextmanager
@@ -53,19 +54,13 @@ def write_jsonl(path: str | Path, records: list[dict]) -> None:
         fh.write(lines.encode("utf-8"))
 
 
-def save_checkpoint(
-    path: str | Path,
-    component: str,
-    config: dict,
-    tensors: dict[str, np.ndarray],
-    extra: dict | None = None,
-) -> None:
+def save_checkpoint(path: str | Path, component: str, config: dict,
+                    tensors: dict[str, np.ndarray]) -> None:
     names = sorted(tensors)
     header = {
         "version": FORMAT_VERSION,
         "component": component,
         "config": config,
-        "extra": extra or {},
         "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names],
     }
     with atomic_write(path) as fh:
@@ -95,9 +90,4 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         extra = os.fstat(fh.fileno()).st_size - fh.tell()
         if extra:
             raise ValueError(f"{path} has {extra} bytes after the last payload")
-    return Checkpoint(
-        component=header["component"],
-        config=header["config"],
-        tensors=tensors,
-        extra=header.get("extra", {}),
-    )
+    return Checkpoint(component=header["component"], config=header["config"], tensors=tensors)

@@ -24,9 +24,9 @@ CLUSTER_FORMAT_VERSION = 2
 
 @dataclass
 class ClusterSet:
-    """K hard clusters: assignments, membership weights, center embeddings."""
+    """Hard clusters: assignments, membership weights and one center
+    embedding per cluster; ``k`` is the number of centers."""
 
-    k: int
     doc_ids: list[str]
     assignment: np.ndarray          # [n] cluster index per document
     weights: np.ndarray             # [n] membership weight in (0, 1]
@@ -39,12 +39,14 @@ class ClusterSet:
         n = len(self.doc_ids)
         if not (self.assignment.shape == (n,) and self.weights.shape == (n,)):
             raise ValueError("assignment/weights must have one entry per document")
-        if self.centers.shape[0] != self.k:
-            raise ValueError(f"expected {self.k} centers, got {self.centers.shape[0]}")
         if np.any(self.assignment < 0) or np.any(self.assignment >= self.k):
             raise ValueError("assignment indices out of range")
         if np.any(self.weights <= 0) or np.any(self.weights > 1):
             raise ValueError("membership weights must lie in (0, 1]")
+
+    @property
+    def k(self) -> int:
+        return len(self.centers)
 
     def members(self, cluster: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == cluster)
@@ -81,13 +83,8 @@ class ClusterSet:
                     centers[rec["cluster"]] = rec["vector"]
         if k is None:
             raise ValueError(f"{path} has no cluster header record")
-        return cls(
-            k=k,
-            doc_ids=doc_ids,
-            assignment=np.array(assignment),
-            weights=np.array(weights),
-            centers=np.array([centers[c] for c in range(k)]),
-        )
+        return cls(doc_ids, np.array(assignment), np.array(weights),
+                   np.array([centers[c] for c in range(k)]))
 
 
 def _pairwise_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -201,13 +198,7 @@ def cluster_without_labels(
         idx = np.flatnonzero(assignment == c)
         weights[idx] = membership_weights(embeddings[idx], centroids[c])
     centers = weighted_centers(embeddings, assignment, weights, k)
-    return ClusterSet(
-        k=k,
-        doc_ids=list(doc_ids),
-        assignment=assignment,
-        weights=weights,
-        centers=centers,
-    )
+    return ClusterSet(list(doc_ids), assignment, weights, centers)
 
 
 def cluster_with_labels(
@@ -227,10 +218,4 @@ def cluster_with_labels(
         if not np.any(assignment == c):
             raise ValueError(f"no document was assigned label {c}; cannot form its cluster")
     centers = weighted_centers(embeddings, assignment, weights, k)
-    return ClusterSet(
-        k=k,
-        doc_ids=list(doc_ids),
-        assignment=assignment,
-        weights=weights,
-        centers=centers,
-    )
+    return ClusterSet(list(doc_ids), assignment, weights, centers)

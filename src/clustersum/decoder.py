@@ -184,7 +184,6 @@ def init_from_encoder(encoder: EncoderModel) -> DecoderModel:
 class TrainingExample:
     """One teacher-forcing pair with its frozen conditioning embedding."""
 
-    doc_id: str
     input_ids: np.ndarray
     target_ids: np.ndarray
     embedding: np.ndarray
@@ -205,12 +204,12 @@ def build_training_examples(
     docs: list[EncodedDocument],
     embeddings: np.ndarray,
     cluster_set: ClusterSet | None,
-    unweighted: bool = False,
 ) -> list[TrainingExample]:
     """Shift each document into a next-token pair conditioned on its own
     embedding: input ``[CLS, x1..xn]``, target ``[x1..xn, SEP]``.
 
-    Weights come from the cluster set; ``unweighted`` forces all weights 1.
+    Each example's weight is its document's membership weight in
+    ``cluster_set``; with no cluster set, every weight is 1.
     """
     if cluster_set is not None:
         weight_by_id = dict(zip(cluster_set.doc_ids, cluster_set.weights))
@@ -218,10 +217,8 @@ def build_training_examples(
     for i, doc in enumerate(docs):
         target = np.asarray(doc.ids[1:], dtype=np.intp)
         inputs = np.concatenate(([CLS_ID], target[:-1]))
-        weight = 1.0
-        if not unweighted and cluster_set is not None:
-            weight = float(weight_by_id[doc.doc_id])
-        examples.append(TrainingExample(doc.doc_id, inputs, target, embeddings[i], weight))
+        weight = 1.0 if cluster_set is None else float(weight_by_id[doc.doc_id])
+        examples.append(TrainingExample(inputs, target, embeddings[i], weight))
     return examples
 
 
@@ -249,8 +246,9 @@ def weighted_ce_loss(
 
 
 def evaluate_decoder(decoder: DecoderModel, examples: list[TrainingExample]) -> float:
-    """The membership-weighted NLL of every example over their total token
-    count, ``EVAL_BATCH_SIZE`` examples per forward."""
+    """The weighted NLL of every example over their total token count,
+    ``EVAL_BATCH_SIZE`` examples per forward. Validation passes unit-weight
+    examples, so the decoder is scored by its per-token NLL."""
     with no_grad():
         total = sum(weighted_ce_loss(decoder, chunk, 1).item()
                     for chunk in batches(examples, EVAL_BATCH_SIZE))

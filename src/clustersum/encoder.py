@@ -124,14 +124,6 @@ class Model(Module):
         drop = dropout_from(rng, self.config.dropout)
         return drop(x), lengths, drop
 
-    def _checkpoint_extra(self) -> dict:
-        """Header metadata, beyond the config, that ``load`` needs to rebuild
-        this model's parameter shapes."""
-        return {}
-
-    def _apply_checkpoint_extra(self, extra: dict) -> None:
-        """Rebuild what ``_checkpoint_extra`` recorded."""
-
     def save(self, path) -> None:
         """Write the model as a float32 checkpoint; any other dtype is refused,
         since the checkpoint would silently round it."""
@@ -142,7 +134,6 @@ class Model(Module):
             component=self.component,
             config=asdict(self.config),
             tensors={n: p.data for n, p in self.named_parameters().items()},
-            extra=self._checkpoint_extra(),
         )
 
     @classmethod
@@ -151,21 +142,24 @@ class Model(Module):
         ckpt = load_checkpoint(path)
         if ckpt.component != cls.component:
             raise ValueError(f"{path} holds a {ckpt.component!r} checkpoint, expected {cls.component!r}")
-        return cls._filled(ModelConfig(**ckpt.config), ckpt.extra, ckpt.tensors)
+        return cls._filled(ModelConfig(**ckpt.config), ckpt.tensors)
 
     def astype(self, dtype) -> "Model":
         """A copy of this model, classifier head included, with every
         parameter cast to ``dtype``; this model is left as it is."""
-        return self._filled(self.config, self._checkpoint_extra(),
+        return self._filled(self.config,
                             {n: p.data.astype(dtype) for n, p in self.named_parameters().items()})
 
     @classmethod
-    def _filled(cls, config: ModelConfig, extra: dict, arrays: dict[str, np.ndarray]) -> "Model":
-        """A shell built without a generator (nothing drawn), every parameter
-        then replaced by its named array; names and shapes must match
-        exactly, so no shell survives."""
+    def _filled(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "Model":
+        """A shell built without a generator (nothing drawn), with a
+        classifier head when the model takes one and ``classifier.weight`` is
+        among the arrays (its width is that tensor's second dimension), every
+        parameter then replaced by its named array; names and shapes must
+        match exactly, so no shell survives."""
         model = cls(config, None)
-        model._apply_checkpoint_extra(extra)
+        if "classifier.weight" in arrays and hasattr(model, "add_classifier"):
+            model.add_classifier(arrays["classifier.weight"].shape[1], None)
         params = model.named_parameters()
         if set(params) != set(arrays):
             raise ValueError(f"tensor names do not match the model: "
@@ -203,13 +197,6 @@ class EncoderModel(Model):
             raise ValueError(f"need at least one label, got {num_labels}")
         self.classifier = Projection(rng, self.config.hidden_size, num_labels)
         self.classifier.weight.data = self.classifier.weight.data.astype(self.dtype, copy=False)
-
-    def _checkpoint_extra(self) -> dict:
-        return {} if self.classifier is None else {"num_labels": self.num_labels}
-
-    def _apply_checkpoint_extra(self, extra: dict) -> None:
-        if "num_labels" in extra:
-            self.add_classifier(int(extra["num_labels"]), None)
 
     # -- forward ------------------------------------------------------------
 

@@ -43,7 +43,7 @@ from .config import PipelineConfig
 from .decoder import DecoderModel
 from .encoder import EncoderModel
 from .metrics import cosine_similarity
-from .tokenizer import Vocabulary, decode, encode
+from .tokenizer import CLS_ID, SEP_ID, Vocabulary, decode, encode
 
 log = logging.getLogger(__name__)
 
@@ -153,7 +153,7 @@ def _decode_batch(
     rngs = [np.random.default_rng([config.seed, c, s]) for c in clusters for s in range(n)]
     generated: list[list[int]] = [[] for _ in rngs]
     live = list(range(len(rngs)))
-    tokens = [vocab.cls_id] * len(live)
+    tokens = [CLS_ID] * len(live)
     cache = decoder.start_cache(centers, n)
     for _ in range(config.max_summary_len):
         logits = decoder.step(tokens, cache).data / config.temperature
@@ -162,7 +162,7 @@ def _decode_batch(
         drawn = sample_tokens(filtered, np.array([rngs[i].random() for i in live]))
         for i, token in zip(live, drawn.tolist()):
             generated[i].append(token)
-        kept = np.flatnonzero(drawn != vocab.sep_id).tolist()
+        kept = np.flatnonzero(drawn != SEP_ID).tolist()
         if not kept:
             break
         if len(kept) < len(live):

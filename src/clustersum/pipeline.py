@@ -2,10 +2,11 @@
 
 ``STAGES`` is the method's chain of steps, in order, and ``run_stage`` the
 one code path that runs any of them. The runner refuses an output directory
-whose ``manifest.json`` names another configuration hash, corpus hash or
-seed, and requires the stage before this one among the stages that apply to
-the configuration (``finetune`` applies only in labels mode). It then runs
-the stage body and records the details the body returns in the manifest.
+whose ``manifest.json`` names another configuration hash, corpus hash, seed
+or set of versions (package, checkpoint and cluster formats), and requires
+the stage before this one among the stages that apply to the configuration
+(``finetune`` applies only in labels mode). It then runs the stage body and
+records the details the body returns in the manifest.
 
 A stage body gets a ``_Context`` that loads each artifact of the output
 directory on first use, writes its own artifacts and returns its manifest
@@ -18,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -225,6 +226,8 @@ def _pretrain(ctx: _Context) -> dict:
             "epochs": config.mlm_epochs,
             "final_loss": history[-1].loss,
             "final_accuracy": history[-1].accuracy,
+            "final_val_loss": history[-1].val_loss,
+            "final_val_accuracy": history[-1].val_accuracy,
         }
     encoder.save(ctx.out_dir / ENCODER_FILE)
     return details
@@ -232,10 +235,17 @@ def _pretrain(ctx: _Context) -> dict:
 
 def _finetune(ctx: _Context) -> dict:
     config, names = ctx.config, ctx.label_names
+    if ctx.encoder.classifier is not None:
+        raise ArtifactError(f"the encoder in {ctx.out_dir} is already fine-tuned; "
+                            "run pretrain again before finetune")
     encoder, history = fine_tune_classifier(ctx.encoder, ctx.docs, len(names), config,
                                             np.random.default_rng([config.seed, 2]))
     encoder.save(ctx.out_dir / ENCODER_FILE)
-    return {"num_labels": len(names), "final_val_accuracy": history[-1].val_accuracy}
+    # the epoch that fit's keep_best restored: the first lowest validation loss
+    kept = min((s for s in history if s.val_loss is not None), key=lambda s: s.val_loss,
+               default=history[-1])
+    return {"num_labels": len(names), "kept_epoch": kept.epoch,
+            "kept_val_loss": kept.val_loss, "kept_val_accuracy": kept.val_accuracy}
 
 
 def _cluster(ctx: _Context) -> dict:
@@ -269,9 +279,11 @@ def _train_decoder(ctx: _Context) -> dict:
         decoder = init_from_encoder(encoder)
         init_mode = "from_encoder"
     del encoder
-    examples = build_training_examples(ctx.docs, ctx.embeddings, ctx.cluster_set,
-                                       unweighted=config.unweighted_ce)
+    examples = build_training_examples(ctx.docs, ctx.embeddings,
+                                       None if config.unweighted_ce else ctx.cluster_set)
     train_examples, val_examples = train_val_split(examples, config.val_fraction, rng)
+    # validation scores the per-token NLL: every validation document weighs 1
+    val_examples = [replace(e, weight=1.0) for e in val_examples]
     decoder, history = train_decoder(decoder, train_examples, config, rng, val_examples)
     decoder.save(ctx.out_dir / DECODER_FILE)
     return {
@@ -430,8 +442,9 @@ def run_stage(name: str, config: PipelineConfig, records: list[CorpusRecord],
     Nothing is created before the checks pass: the stage applies to the
     configuration, every record is labeled in labels mode, k-means mode asks
     for no more clusters than there are records, the manifest (if any) was
-    written for this configuration, corpus and seed, and the stage before
-    this one has run.
+    written for this configuration, corpus and seed and under these versions
+    of the package and its file formats, and the stage before this one has
+    run.
     """
     out_dir = Path(out_dir)
     stages = _stages_for(config)
@@ -448,6 +461,11 @@ def run_stage(name: str, config: PipelineConfig, records: list[CorpusRecord],
         "config_hash": config.config_hash(),
         "corpus_hash": corpus_hash(records),
         "seed": config.seed,
+        "versions": {
+            "package": __version__,
+            "checkpoint_format": CHECKPOINT_VERSION,
+            "cluster_format": CLUSTER_FORMAT_VERSION,
+        },
     }
     manifest_path = out_dir / MANIFEST_FILE
     if manifest_path.exists():
@@ -459,15 +477,7 @@ def run_stage(name: str, config: PipelineConfig, records: list[CorpusRecord],
                     f"({manifest.get(key)!r} vs {value!r}); use a fresh output directory"
                 )
     else:
-        manifest = {
-            **expected,
-            "versions": {
-                "package": __version__,
-                "checkpoint_format": CHECKPOINT_VERSION,
-                "cluster_format": CLUSTER_FORMAT_VERSION,
-            },
-            "stages": {},
-        }
+        manifest = {**expected, "stages": {}}
     position = names.index(name)
     if position and names[position - 1] not in manifest["stages"]:
         raise ArtifactError(

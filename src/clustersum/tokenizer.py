@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,30 +31,19 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class Vocabulary:
-    """Immutable token/id mapping; the special tokens have the fixed ids of
-    ``SPECIAL_TOKENS``."""
+    """Immutable token/id mapping, stored as ``id_to_token``, whose first
+    entries are ``SPECIAL_TOKENS`` at the fixed ids ``PAD_ID``...``MASK_ID``;
+    ``token_to_id`` is its inverse, built on construction."""
 
-    token_to_id: dict[str, int]
     id_to_token: list[str]
+    token_to_id: dict[str, int] = field(init=False)
 
-    pad_id = PAD_ID
-    unk_id = UNK_ID
-    cls_id = CLS_ID
-    sep_id = SEP_ID
-    mask_id = MASK_ID
+    def __post_init__(self):
+        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
 
     @property
     def size(self) -> int:
         return len(self.id_to_token)
-
-    def id_for(self, token: str) -> int:
-        return self.token_to_id.get(token, self.unk_id)
-
-    def token_for(self, token_id: int) -> str:
-        return self.id_to_token[token_id]
-
-    def is_special(self, token_id: int) -> bool:
-        return token_id < len(SPECIAL_TOKENS)
 
     def save(self, path: str | Path) -> None:
         """One token per line; the line number is the id, specials first.
@@ -67,7 +56,7 @@ class Vocabulary:
         tokens = Path(path).read_text(encoding="utf-8").splitlines()
         if tuple(tokens[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
             raise ValueError(f"vocabulary file {path} does not start with the special tokens")
-        return cls(token_to_id={t: i for i, t in enumerate(tokens)}, id_to_token=tokens)
+        return cls(tokens)
 
 
 def build_vocab(corpus: Iterable[str], max_size: int, min_count: int = 1) -> Vocabulary:
@@ -87,11 +76,7 @@ def build_vocab(corpus: Iterable[str], max_size: int, min_count: int = 1) -> Voc
         key=lambda t: (-counts[t], t),
     )
     kept = ranked[: max_size - len(SPECIAL_TOKENS)]
-    id_to_token = list(SPECIAL_TOKENS) + kept
-    return Vocabulary(
-        token_to_id={t: i for i, t in enumerate(id_to_token)},
-        id_to_token=id_to_token,
-    )
+    return Vocabulary(list(SPECIAL_TOKENS) + kept)
 
 
 @dataclass
@@ -113,8 +98,8 @@ def encode(
     """Tokenize, map unknowns to [UNK], truncate, and frame with specials."""
     if max_len < 2:
         raise ValueError(f"max_len must be at least 2, got {max_len}")
-    body = [vocab.id_for(t) for t in tokenize(text)][: max_len - 2]
-    return EncodedDocument(doc_id=doc_id, ids=[vocab.cls_id] + body + [vocab.sep_id], label=label)
+    body = [vocab.token_to_id.get(t, UNK_ID) for t in tokenize(text)][: max_len - 2]
+    return EncodedDocument(doc_id=doc_id, ids=[CLS_ID] + body + [SEP_ID], label=label)
 
 
 def pad_batch(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +118,7 @@ def pad_batch(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
 
 def decode(ids: Sequence[int], vocab: Vocabulary) -> str:
     """The ids' tokens, special tokens left out, joined by spaces."""
-    return " ".join(vocab.token_for(i) for i in ids if not vocab.is_special(i))
+    return " ".join(vocab.id_to_token[i] for i in ids if i >= len(SPECIAL_TOKENS))
 
 
 def mask_for_mlm(

@@ -34,7 +34,7 @@ from clustersum.tensor import (
     stable_softmax,
 )
 from clustersum.generator import filter_top_k_top_p, sample_tokens
-from clustersum.tokenizer import mask_for_mlm
+from clustersum.tokenizer import CLS_ID, SEP_ID, mask_for_mlm
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -361,7 +361,7 @@ def reference_candidate_ids(decoder, center, vocab, config, cluster: int,
     """
     rng = np.random.default_rng([config.seed, cluster, candidate])
     k = min(config.top_k, vocab.size)
-    prefix = [vocab.cls_id]
+    prefix = [CLS_ID]
     generated: list[int] = []
     with no_grad():
         while len(generated) < config.max_summary_len:
@@ -372,7 +372,7 @@ def reference_candidate_ids(decoder, center, vocab, config, cluster: int,
                                    rng.random())
             generated.append(token)
             prefix.append(token)
-            if token == vocab.sep_id:
+            if token == SEP_ID:
                 break
     return generated
 
@@ -390,7 +390,7 @@ def per_cluster_candidate_ids(decoder, center, vocab, config, cluster: int) -> l
     rngs = [np.random.default_rng([config.seed, cluster, s]) for s in range(n)]
     generated: list[list[int]] = [[] for _ in rngs]
     live = list(range(n))
-    tokens = [vocab.cls_id] * n
+    tokens = [CLS_ID] * n
     cache = decoder.start_cache(np.reshape(center, (1, -1)), n)
     for _ in range(config.max_summary_len):
         logits = decoder.step(tokens, cache).data / config.temperature
@@ -400,7 +400,7 @@ def per_cluster_candidate_ids(decoder, center, vocab, config, cluster: int) -> l
         drawn = sample_tokens(filtered, np.array([rngs[s].random() for s in live]))
         for s, token in zip(live, drawn.tolist()):
             generated[s].append(token)
-        kept = np.flatnonzero(drawn != vocab.sep_id).tolist()
+        kept = np.flatnonzero(drawn != SEP_ID).tolist()
         if not kept:
             break
         if len(kept) < len(live):

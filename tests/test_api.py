@@ -8,6 +8,8 @@ would call. Ops the tests need live in ``tests/oracles.py``.
 Every run setting has one home, ``PipelineConfig``: no other module gives
 a parameter or dataclass field named after a setting a default of its own,
 and every field is read by the package beyond the config's own checks.
+Every other dataclass field is read by the package too, beyond the
+dataclass's own checks.
 
 Each model job has one signature, with no flag that selects it: a forward
 drops out exactly when it is given a generator, cached decoding is
@@ -173,3 +175,30 @@ def test_every_setting_is_read_by_the_package():
         skip = {"__post_init__", "canonical_string"} if path.name == "config.py" else set()
         read.update(_attributes_read(_parse(path), skip))
     assert sorted({f.name for f in fields(PipelineConfig)} - read) == []
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class, field) of every annotated field of every dataclass in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    """A field that no module reads, outside the ``__post_init__`` checks, is
+    state that is stored and never used.
+
+    Like the settings guard it matches attribute names only, so a field
+    whose name is also read on another object passes it: a ``doc_id`` field
+    on a class nothing reads it from would hide behind
+    ``EncodedDocument.doc_id``.
+    """
+    declared, read = [], set()
+    for path in PACKAGE.glob("*.py"):
+        tree = _parse(path)
+        declared += _dataclass_fields(tree)
+        read.update(_attributes_read(tree, {"__post_init__"}))
+    assert ("EpochStats", "epoch") in declared
+    assert sorted(f"{owner}.{name}" for owner, name in declared if name not in read) == []

@@ -1,5 +1,6 @@
 """Binary checkpoint container format."""
 
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -21,12 +22,10 @@ def test_round_trip(tmp_path):
         "a.bias": rng.normal(size=3).astype(np.float32),
     }
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, component="encoder", config={"hidden_size": 6},
-                    tensors=tensors, extra={"num_labels": 2})
+    save_checkpoint(path, component="encoder", config={"hidden_size": 6}, tensors=tensors)
     ckpt = load_checkpoint(path)
     assert ckpt.component == "encoder"
     assert ckpt.config == {"hidden_size": 6}
-    assert ckpt.extra == {"num_labels": 2}
     assert set(ckpt.tensors) == set(tensors)
     for name, arr in tensors.items():
         np.testing.assert_array_equal(ckpt.tensors[name], arr)
@@ -44,6 +43,18 @@ def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"not a checkpoint\n{}\n")
     with pytest.raises(ValueError, match="magic"):
+        load_checkpoint(path)
+
+
+def test_header_of_another_format_version_refused(tmp_path):
+    """A version-1 header (it carried an ``extra`` block) is refused."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, component="encoder", config={}, tensors={"w": np.zeros(2, np.float32)})
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    assert json.loads(header)["version"] == 2 and "extra" not in json.loads(header)
+    path.write_bytes(magic + b"\n" + header.replace(b'"version": 2', b'"version": 1') + b"\n"
+                     + payload)
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
         load_checkpoint(path)
 
 
@@ -116,6 +127,10 @@ def _narrow_query(tensors):
     tensors["block0.attn.wq.weight"] = np.ones((64, 32), dtype=np.float32)
 
 
+def _add_classifier(tensors):
+    tensors["classifier.weight"] = np.ones((64, 3), dtype=np.float32)
+
+
 def _old_cross_layout(tensors):
     """Cross-attention once held query and key projections, which could not
     change its output; a checkpoint written then still holds them."""
@@ -133,6 +148,8 @@ def _old_cross_layout(tensors):
                  id="_narrow_query-shape mismatch for block0.attn.wq.weight"),
     pytest.param(DecoderModel, _old_cross_layout, "block0.cross_attn.wq.weight",
                  id="DecoderModel-_old_cross_layout"),
+    pytest.param(DecoderModel, _add_classifier, "classifier.weight",
+                 id="DecoderModel-_add_classifier"),
 ])
 def test_load_rejects_mismatched_tensors(tmp_path, model_type, edit, match):
     """``Model.load`` builds zero shells; its name and shape checks are what

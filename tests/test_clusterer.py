@@ -277,5 +277,5 @@ class TestPersistence:
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError, match="weights"):
-            ClusterSet(k=1, doc_ids=["a"], assignment=np.array([0]),
+            ClusterSet(doc_ids=["a"], assignment=np.array([0]),
                        weights=np.array([0.0]), centers=np.zeros((1, 2)))

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from clustersum.clusterer import ClusterSet
 from clustersum.config import PipelineConfig
 from clustersum.decoder import (
     DecoderModel,
@@ -16,6 +17,7 @@ from clustersum.decoder import (
 )
 from clustersum.encoder import EncoderModel, ModelConfig
 from clustersum.tensor import Tensor, no_grad
+from clustersum.tokenizer import CLS_ID, SEP_ID
 
 from corpora import build_docs, pair_texts
 from oracles import full_cross_attention, init_name_mapping, parameter_hash
@@ -298,7 +300,7 @@ class TestCachedDecoding:
         decoder = init_from_encoder(encoder)
         cache = decoder.start_cache(encoder.embed_documents(docs[:2]), 3)
         with pytest.raises(ValueError, match="6 sequences"):
-            decoder.step([vocab.cls_id] * 5, cache)
+            decoder.step([CLS_ID] * 5, cache)
         assert cache.length == 0
 
     def test_cross_output_equals_cross_attention(self, setup):
@@ -322,9 +324,9 @@ class TestCachedDecoding:
         decoder = init_from_encoder(encoder)
         cache = decoder.start_cache(encoder.embed_documents(docs[:1]), 1)
         for _ in range(config.max_len):
-            decoder.step([vocab.cls_id], cache)
+            decoder.step([CLS_ID], cache)
         with pytest.raises(ValueError, match="max_len"):
-            decoder.step([vocab.cls_id], cache)
+            decoder.step([CLS_ID], cache)
 
 
 class TestWeightedLoss:
@@ -355,8 +357,9 @@ class TestWeightedLoss:
         vocab, docs, config, encoder = setup
         decoder = init_from_encoder(encoder)
         embeddings = encoder.embed_documents(docs[:4])
-        weighted = build_training_examples(docs[:4], embeddings, None)
-        unweighted = build_training_examples(docs[:4], embeddings, None, unweighted=True)
+        unit = ClusterSet([d.doc_id for d in docs[:4]], np.zeros(4), np.ones(4), embeddings[:1])
+        weighted = build_training_examples(docs[:4], embeddings, unit)
+        unweighted = build_training_examples(docs[:4], embeddings, None)
         with no_grad():
             a = weighted_ce_loss(decoder, weighted, 1).item()
             b = weighted_ce_loss(decoder, unweighted, 1).item()
@@ -383,9 +386,9 @@ class TestWeightedLoss:
         example = _examples(vocab, docs[:1], encoder)[0]
         doc = docs[0]
         np.testing.assert_array_equal(example.target_ids, doc.ids[1:])
-        assert example.input_ids[0] == vocab.cls_id
+        assert example.input_ids[0] == CLS_ID
         np.testing.assert_array_equal(example.input_ids[1:], example.target_ids[:-1])
-        assert example.target_ids[-1] == vocab.sep_id
+        assert example.target_ids[-1] == SEP_ID
 
     def test_config_mismatch_rejected(self, setup):
         vocab, docs, config, encoder = setup

@@ -13,6 +13,7 @@ from clustersum.generator import (
     sample_tokens,
     summarize_cluster,
 )
+from clustersum.tokenizer import SEP_ID
 
 from corpora import build_docs, pair_texts
 from oracles import (
@@ -278,8 +279,8 @@ class TestSampleCandidates:
         for candidate in _one_cluster(decoder, center, vocab, config):
             ids = candidate.token_ids
             assert 1 <= len(ids) <= 7
-            assert vocab.sep_id not in ids[:-1]
-            assert ids[-1] == vocab.sep_id or len(ids) == 7
+            assert SEP_ID not in ids[:-1]
+            assert ids[-1] == SEP_ID or len(ids) == 7
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_tokens_match_full_prefix_reference(self, long_setup, seed):
@@ -308,7 +309,7 @@ class TestSampleCandidates:
         max_len decodes its last token at position max_len - 1."""
         vocab, encoder, _, center = generation_setup
         decoder = init_from_encoder(encoder)
-        decoder.lm_head.proj.bias.data[vocab.sep_id] = -1e4  # [SEP] never drawn
+        decoder.lm_head.proj.bias.data[SEP_ID] = -1e4  # [SEP] never drawn
         max_len = decoder.config.max_len
         config = PipelineConfig(num_candidates=3, max_summary_len=max_len, seed=8)
         candidates = _one_cluster(decoder, center, vocab, config)

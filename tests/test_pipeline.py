@@ -7,15 +7,18 @@ import hashlib
 import json
 import shutil
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import clustersum.encoder
 from clustersum import checkpoint, pipeline
 from clustersum.cli import _build_parser, main
 from clustersum.clusterer import ClusterSet
 from clustersum.config import PipelineConfig
-from clustersum.encoder import EncoderModel
+from clustersum.decoder import DecoderModel, build_training_examples, evaluate_decoder
+from clustersum.encoder import EncoderModel, train_val_split
 from clustersum.metrics import cosine_top_k
 from clustersum.pipeline import CorpusRecord
 from clustersum.tokenizer import Vocabulary, encode
@@ -138,6 +141,53 @@ def test_encoder_is_freed_before_the_decoder_trains(run_copy, monkeypatch):
     monkeypatch.setattr(pipeline, "train_decoder", train_decoder)
     pipeline.run_stage("train-decoder", config, records, out_dir)
     assert encoders[1:] == ["trained"]
+
+
+def test_decoder_val_loss_is_the_unit_weight_nll(tmp_path):
+    """The run is weighted, yet validation gives every held-out document
+    weight 1, so the manifest records the decoder's per-token NLL."""
+    texts, _ = graded_topic_texts(np.random.default_rng(18), docs_per_topic=5,
+                                  words_per_topic=6, doc_len=5)
+    records = [CorpusRecord(f"d{i}", text) for i, text in enumerate(texts)]
+    config = PipelineConfig(max_len=8, max_summary_len=4, mlm_epochs=1, decoder_epochs=1,
+                            val_fraction=0.3)
+    assert not config.unweighted_ce
+    for stage in ("build-vocab", "pretrain", "cluster", "train-decoder"):
+        pipeline.run_stage(stage, config, records, tmp_path)
+    vocab = Vocabulary.load(tmp_path / pipeline.VOCAB_FILE)
+    docs = [encode(r.text, vocab, config.max_len, doc_id=r.id) for r in records]
+    examples = build_training_examples(docs, np.load(tmp_path / pipeline.EMBEDDINGS_FILE),
+                                       ClusterSet.load(tmp_path / pipeline.CLUSTERS_FILE))
+    _, val = train_val_split(examples, config.val_fraction,
+                             np.random.default_rng([config.seed, 4]))
+    assert min(e.weight for e in val) < 1.0, "every held-out document weighs 1 anyway"
+    decoder = DecoderModel.load(tmp_path / pipeline.DECODER_FILE)
+    unit = evaluate_decoder(decoder, [replace(e, weight=1.0) for e in val])
+    assert _stages(tmp_path)["train-decoder"]["final_val_loss"] == pytest.approx(unit, rel=1e-12)
+    assert evaluate_decoder(decoder, val) < unit
+
+
+def test_pretrain_records_its_last_validation(trained_run):
+    details = _stages(trained_run[2])["pretrain"]
+    assert details["final_val_loss"] > 0.0
+    assert 0.0 <= details["final_val_accuracy"] <= 1.0
+
+
+def test_finetune_records_the_epoch_it_keeps(tmp_path, monkeypatch):
+    """fit keeps the epoch of lowest validation loss, here the second of
+    three, and the manifest describes that epoch, not the last."""
+    scores = iter([(0.5, 0.25), (0.25, 0.75), (0.375, 0.5)])
+    monkeypatch.setattr(clustersum.encoder, "evaluate_classifier",
+                        lambda model, docs: next(scores))
+    texts = pair_texts(np.random.default_rng(17), num_docs=8, num_pairs=2, doc_len=4)
+    records = [CorpusRecord(f"d{i}", t, f"l{i % 2}") for i, t in enumerate(texts)]
+    config = PipelineConfig(clustering="labels", max_len=8, max_summary_len=4, mlm_epochs=1,
+                            finetune_epochs=3, val_fraction=0.25)
+    for stage in ("build-vocab", "pretrain", "finetune"):
+        pipeline.run_stage(stage, config, records, tmp_path)
+    details = _stages(tmp_path)["finetune"]
+    assert (details["kept_epoch"], details["kept_val_loss"],
+            details["kept_val_accuracy"]) == (2, 0.25, 0.75)
 
 
 def test_evaluate_scores_equal_those_over_the_encoded_corpus(run_copy):
@@ -283,6 +333,32 @@ class TestExitCodes:
         assert "was produced under a different" in capsys.readouterr().err
         assert self._run("pretrain", corpus, out, "--seed", "2") == 4
         assert "pretrain" not in _stages(out)
+
+    def test_manifest_of_another_checkpoint_format_exits_4(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self._run("build-vocab", corpus, out) == 0
+        manifest_path = out / pipeline.MANIFEST_FILE
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["versions"]["checkpoint_format"] = 1
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        before = _digests(out)
+        assert self._run("pretrain", corpus, out) == 4
+        assert "different versions" in capsys.readouterr().err
+        assert _digests(out) == before
+
+    def test_finetune_again_exits_4_and_keeps_the_encoder(self, labeled_corpus, tmp_path,
+                                                         capsys):
+        """finetune reads and rewrites encoder.ckpt: a second run would train
+        the first run's result further."""
+        out = tmp_path / "out"
+        for stage in ("build-vocab", "pretrain", "finetune"):
+            assert self._run(stage, labeled_corpus, out, "--clustering", "labels") == 0
+        before = _digests(out)
+        assert self._run("finetune", labeled_corpus, out, "--clustering", "labels") == 4
+        assert "run pretrain again" in capsys.readouterr().err
+        assert _digests(out) == before
+        for stage in ("pretrain", "finetune"):
+            assert self._run(stage, labeled_corpus, out, "--clustering", "labels") == 0
 
     def test_malformed_corpus_line_exits_3(self, corpus, tmp_path, capsys):
         corpus.write_text(corpus.read_text(encoding="utf-8") + "{not json\n", encoding="utf-8")

@@ -6,6 +6,7 @@ import pytest
 from clustersum.tokenizer import (
     CLS_ID,
     MASK_ID,
+    PAD_ID,
     SEP_ID,
     UNK_ID,
     SPECIAL_TOKENS,
@@ -21,7 +22,7 @@ from clustersum.tokenizer import (
 class TestBuildVocab:
     def test_frequency_then_lexicographic_order(self):
         vocab = build_vocab(["a a b"], max_size=20)
-        assert vocab.id_for("a") < vocab.id_for("b")
+        assert vocab.token_to_id["a"] < vocab.token_to_id["b"]
 
     def test_min_count_excludes_rare_tokens(self):
         vocab = build_vocab(["a a b"], max_size=20, min_count=2)
@@ -37,7 +38,7 @@ class TestBuildVocab:
 
     def test_tie_break_is_lexicographic(self):
         vocab = build_vocab(["zeta alpha zeta alpha"], max_size=20)
-        assert vocab.id_for("alpha") < vocab.id_for("zeta")
+        assert vocab.token_to_id["alpha"] < vocab.token_to_id["zeta"]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -46,10 +47,9 @@ class TestBuildVocab:
     def test_specials_occupy_fixed_low_ids(self):
         vocab = build_vocab(["hello world"], max_size=20)
         assert vocab.id_to_token[:5] == list(SPECIAL_TOKENS)
-        assert vocab.pad_id == 0 and vocab.unk_id == 1 and vocab.cls_id == 2
-        assert vocab.sep_id == 3 and vocab.mask_id == 4
-        # id 1 always exists (the configurable generation start token)
-        assert vocab.token_for(1) == "[UNK]"
+        assert PAD_ID == 0 and UNK_ID == 1 and CLS_ID == 2
+        assert SEP_ID == 3 and MASK_ID == 4
+        assert vocab.id_to_token[UNK_ID] == "[UNK]"
 
     def test_max_size_must_leave_room(self):
         with pytest.raises(ValueError):
@@ -81,7 +81,7 @@ class TestEncode:
     def test_unknown_tokens_map_to_unk(self):
         vocab = build_vocab(["known tokens only"], max_size=20)
         doc = encode("known stranger", vocab, 16)
-        assert doc.ids == [CLS_ID, vocab.id_for("known"), UNK_ID, SEP_ID]
+        assert doc.ids == [CLS_ID, vocab.token_to_id["known"], UNK_ID, SEP_ID]
 
     def test_lowercasing(self):
         vocab = build_vocab(["Mixed CASE text"], max_size=20)
