@@ -69,8 +69,10 @@ class ClusterSet:
         centers: dict[int, list[float]] = {}
         k = None
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, start=1):
                 rec = json.loads(line)
+                if "type" not in rec:
+                    raise ValueError(f"{path} line {number} has no record type")
                 if rec["type"] == "header":
                     if rec["version"] != CLUSTER_FORMAT_VERSION:
                         raise ValueError(f"unsupported cluster file version {rec['version']}")
@@ -83,6 +85,9 @@ class ClusterSet:
                     centers[rec["cluster"]] = rec["vector"]
         if k is None:
             raise ValueError(f"{path} has no cluster header record")
+        for c in range(k):
+            if c not in centers:
+                raise ValueError(f"{path} has no center record for cluster {c}")
         return cls(doc_ids, np.array(assignment), np.array(weights),
                    np.array([centers[c] for c in range(k)]))
 

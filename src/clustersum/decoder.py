@@ -15,8 +15,8 @@ its generator to ``forward``, which then drops out; evaluation passes none.
 At summary time ``step`` decodes a batch of sequences, one position per
 call and under ``no_grad``, against a ``DecodeCache``: the batch may hold
 the candidates of several clusters, so the cache computes each block's
-cross output once per cluster center and keeps, for every live row, the
-index of the center it decodes from.
+cross output once per cluster center and holds it repeated to every row
+that decodes from that center.
 """
 
 from __future__ import annotations
@@ -35,23 +35,14 @@ from .tokenizer import CLS_ID, EncodedDocument
 
 
 class DecodeCache:
-    """Inference state of a batch of sequences that advance one position per
-    step, each conditioned on one of k memory rows: each block's
-    self-attention keys and values, each block's cross-attention output for
-    the k rows (``[k, hidden]``), and ``memory_rows``, the index into those
-    k of every live sequence's memory row."""
+    """Inference state of a batch of b sequences that advance one position
+    per step: each block's self-attention keys and values, and each block's
+    cross-attention output for every sequence (``[b, hidden]``)."""
 
-    def __init__(self, cross: list[Tensor], memory_rows: np.ndarray):
+    def __init__(self, cross: list[Tensor]):
         self.cross = cross
-        self.memory_rows = memory_rows
         self.layers = [KVCache() for _ in cross]
         self.length = 0
-
-    def keep(self, rows) -> None:
-        """Drop every batch row not listed in ``rows``."""
-        self.memory_rows = self.memory_rows[rows]
-        for layer in self.layers:
-            layer.keep(rows)
 
 
 class DecoderModel(Model):
@@ -105,31 +96,33 @@ class DecoderModel(Model):
         Each block's cross output is computed once per center, one center at
         a time: a one-row product can round differently from the same row
         inside a taller one, and a center's cross row should not depend on
-        which centers share its batch.
+        which centers share its batch. It is stored repeated to one row per
+        sequence, so a step adds it as it is.
         """
         centers = self._memory(centers, None)
         with no_grad():
-            cross = [Tensor(np.concatenate([block.cross_attn(Tensor(row[None])).data
-                                            for row in centers]))
+            cross = [Tensor(np.repeat(np.concatenate([block.cross_attn(Tensor(row[None])).data
+                                                      for row in centers]),
+                                      rows_per_center, axis=0))
                      for block in self.blocks]
-        return DecodeCache(cross, np.repeat(np.arange(len(centers)), rows_per_center))
+        return DecodeCache(cross)
 
     def step(self, ids, cache: DecodeCache) -> Tensor:
         """Next-token logits ``[b, vocab]`` for the newest token of each of
-        the cache's b live sequences, all at position ``cache.length``; the
-        cache advances one position. Inference only: runs under
-        ``no_grad``."""
+        the cache's b sequences, all at position ``cache.length``; the cache
+        advances one position. Inference only: runs under ``no_grad``."""
         ids = np.asarray(ids, dtype=np.intp)
         position = cache.length
         if position >= self.config.max_len:
             raise ValueError(f"cannot decode position {position} with max_len {self.config.max_len}")
-        if len(ids) != len(cache.memory_rows):
-            raise ValueError(f"the cache holds {len(cache.memory_rows)} sequences, got {len(ids)} ids")
+        rows = cache.cross[0].shape[0]
+        if len(ids) != rows:
+            raise ValueError(f"the cache holds {rows} sequences, got {len(ids)} ids")
         with no_grad():
             x = self.embed_norm(gather_rows(self.word_embedding, ids),
                                 gather_rows(self.position_embedding, np.full(len(ids), position)))
             for block, kv, cross in zip(self.blocks, cache.layers, cache.cross):
-                x = block.step(x, kv, cross, cache.memory_rows)
+                x = block.step(x, kv, cross)
             logits = self.lm_head(x)
         cache.length += 1
         return logits

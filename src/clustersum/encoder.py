@@ -185,12 +185,6 @@ class EncoderModel(Model):
 
     # -- structure ----------------------------------------------------------
 
-    @property
-    def num_labels(self) -> int:
-        if self.classifier is None:
-            raise ValueError("encoder has no classifier head")
-        return self.classifier.weight.shape[1]
-
     def add_classifier(self, num_labels: int, rng: np.random.Generator | None) -> None:
         """A new classifier head in this model's dtype, drawn from ``rng``."""
         if num_labels < 1:
@@ -393,8 +387,7 @@ def fine_tune_classifier(
     for doc in docs:
         if doc.label is None:
             raise ValueError(f"document {doc.doc_id!r} has no label")
-    if model.classifier is None:
-        model.add_classifier(num_labels, rng)
+    model.add_classifier(num_labels, rng)
     train_docs, val_docs = train_val_split(docs, config.val_fraction, rng)
     # the masked-token head is off the classification path and gets no grads
     trainable = [p for n, p in model.named_parameters().items()
@@ -404,8 +397,7 @@ def fine_tune_classifier(
     steps_per_epoch = -(-len(train_docs) // batch_size)
     optimizer = AdamW(
         trainable, lr=config.finetune_lr, weight_decay=config.weight_decay,
-        warmup_steps=warmup_steps, schedule="linear_decay",
-        total_steps=max(epochs * steps_per_epoch, warmup_steps + 1),
+        warmup_steps=warmup_steps, total_steps=max(epochs * steps_per_epoch, warmup_steps + 1),
     )
 
     def batch_loss(batch):

@@ -130,12 +130,6 @@ class KVCache:
             self.values = np.concatenate((self.values, values), axis=2)
         return self.keys, self.values
 
-    def keep(self, rows) -> None:
-        """Drop every batch row not listed in ``rows``."""
-        if self.keys is not None:
-            self.keys = self.keys[rows]
-            self.values = self.values[rows]
-
 
 class MultiHeadAttention(Module):
     """Scaled dot-product self-attention over ``num_heads`` parallel heads.
@@ -257,12 +251,11 @@ class DecoderBlock(Module):
         x = self.norm_cross(x, drop(c))
         return self.norm_ffn(x, drop(self.ffn(x)))
 
-    def step(self, x: Tensor, cache: KVCache, cross: Tensor, memory_rows: np.ndarray) -> Tensor:
+    def step(self, x: Tensor, cache: KVCache, cross: Tensor) -> Tensor:
         """Inference for one new position per row of ``x`` (``[b, hidden]``),
-        with ``cross`` the ``cross_attn`` output of k memory rows and
-        ``memory_rows`` the index, into those k, of each row's memory."""
+        with ``cross`` (``[b, hidden]``) each row's ``cross_attn`` output."""
         x = self.norm_self(x, self.self_attn.step(x, cache))
-        x = self.norm_cross(x, gather_rows(cross, memory_rows))
+        x = self.norm_cross(x, cross)
         return self.norm_ffn(x, self.ffn(x))
 
 

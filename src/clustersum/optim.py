@@ -3,7 +3,6 @@ warmup, and ``fit``, the one epoch loop every training objective runs."""
 
 from __future__ import annotations
 
-import bisect
 import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,8 +27,8 @@ class AdamW:
 
     The effective learning rate ramps linearly during warmup,
     ``(step / warmup_steps) * learning_rate``, and afterwards stays constant
-    or decreases linearly to zero at ``total_steps`` when
-    ``schedule="linear_decay"``.
+    or, when ``total_steps`` is given, decreases linearly to zero at
+    ``total_steps``.
 
     The optimizer owns its parameters' storage. The constructor copies each
     parameter, one at a time, into ``buffer``, one flat array of the
@@ -54,7 +53,6 @@ class AdamW:
         lr: float,
         weight_decay: float,
         warmup_steps: int,
-        schedule: str = "constant",
         total_steps: int | None = None,
     ):
         if lr <= 0:
@@ -63,11 +61,8 @@ class AdamW:
             raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
         if warmup_steps < 0:
             raise ValueError(f"warmup_steps must be non-negative, got {warmup_steps}")
-        if schedule not in ("constant", "linear_decay"):
-            raise ValueError(f"unknown schedule {schedule!r}")
-        if schedule == "linear_decay":
-            if total_steps is None or total_steps <= warmup_steps:
-                raise ValueError("linear_decay needs total_steps greater than warmup_steps")
+        if total_steps is not None and total_steps <= warmup_steps:
+            raise ValueError("linear decay needs total_steps greater than warmup_steps")
         self.params = list(params)
         dtypes = {p.dtype for p in self.params}
         if len(dtypes) > 1:
@@ -80,7 +75,6 @@ class AdamW:
         self.learning_rate = lr
         self.weight_decay = weight_decay
         self.warmup_steps = warmup_steps
-        self.schedule = schedule
         self.total_steps = total_steps
         self.step_count = 0
 
@@ -106,12 +100,11 @@ class AdamW:
             self.first_moment.append(first[lo:hi].reshape(p.shape))
             self.second_moment.append(second[lo:hi].reshape(p.shape))
         self._scratch = (np.empty(min(BLOCK, total), dtype), np.empty(min(BLOCK, total), dtype))
-        # each block: its flat range and the (parameter, local start, local
-        # end) pieces of the parameters it spans; a large parameter's blocks
-        # lie inside it
-        self._large = {id(self.params[i]): (i, _cut_blocks([i], bounds[k:k + 2]))
-                       for k, i in enumerate(large)}
-        self._small_blocks = _cut_blocks(self._small, bounds[len(large):])
+        # each large parameter's flat range, and one array that gathers the
+        # small parameters' gradients, which lie after them, once per step
+        self._large = {id(self.params[i]): (i, starts[i], starts[i] + self.params[i].size)
+                       for i in large}
+        self._small_grad = np.empty(total - bounds[len(large)], dtype)
         self._in_backward = False
 
     def effective_lr(self, step: int | None = None) -> float:
@@ -119,7 +112,7 @@ class AdamW:
         factor = 1.0
         if self.warmup_steps > 0 and t < self.warmup_steps:
             factor = t / self.warmup_steps
-        elif self.schedule == "linear_decay":
+        elif self.total_steps is not None:
             span = self.total_steps - self.warmup_steps
             factor = max(0.0, (self.total_steps - t) / span)
         return self.learning_rate * factor
@@ -144,9 +137,9 @@ class AdamW:
         entry = self._large.get(id(leaf))
         if entry is None:
             return
-        i, blocks = entry
+        i, lo, hi = entry
         self._check([i])
-        self._sweep(blocks, self.step_count + 1)
+        self._sweep(lo, hi, leaf.grad.reshape(-1), self.step_count + 1)
         leaf.grad = None
 
     def _check(self, indices, reached: set[int] | None = None) -> None:
@@ -170,36 +163,38 @@ class AdamW:
         The update sweeps the flat buffers in blocks of ``BLOCK`` elements,
         so that each block's parameters, moments, gradient and two scratch
         arrays stay in cache through all of its elementwise operations. A
-        block's gradient is a view when the block lies in one parameter and
-        is otherwise gathered into scratch. Every element sees the same
-        operations in the same order as a whole-array update, so the result
-        does not depend on the blocking.
+        large parameter's gradient is read in place; the small parameters'
+        gradients are first gathered into one array. Every element sees the
+        same operations in the same order as a whole-array update, so the
+        result does not depend on the blocking.
         """
         self._check(self._small if self._in_backward else range(len(self.params)))
         self.step_count += 1
-        for i, blocks in self._large.values():
-            if self.params[i].grad is not None:  # not updated inside backward
-                self._sweep(blocks, self.step_count)
-        self._sweep(self._small_blocks, self.step_count)
+        for i, lo, hi in self._large.values():
+            grad = self.params[i].grad
+            if grad is not None:  # not updated inside backward
+                self._sweep(lo, hi, grad.reshape(-1), self.step_count)
+        if self._small:
+            np.concatenate([self.params[i].grad.reshape(-1) for i in self._small],
+                           out=self._small_grad)
+            self._sweep(self.buffer.size - self._small_grad.size, self.buffer.size,
+                        self._small_grad, self.step_count)
         self._in_backward = False
         self.zero_grad()
 
-    def _sweep(self, blocks, t: int) -> None:
+    def _sweep(self, lo: int, hi: int, grad: np.ndarray, t: int) -> None:
+        """Update the flat range ``lo:hi`` of the buffer and moments from
+        ``grad``, its gradient, one ``BLOCK`` slice at a time."""
         lr_t = self.effective_lr(t)
         beta1, beta2 = BETAS
         keep1, keep2 = 1.0 - beta1, 1.0 - beta2
         correct1, correct2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
-        params = self.params
         first, second = self._moments
-        for start, end, pieces in blocks:
+        for start in range(lo, hi, BLOCK):
+            end = min(start + BLOCK, hi)
             n = end - start
             a, b = self._scratch[0][:n], self._scratch[1][:n]
-            if len(pieces) == 1:
-                i, lo, hi = pieces[0]
-                g = params[i].grad.reshape(-1)[lo:hi]
-            else:
-                g = np.concatenate([params[i].grad.reshape(-1)[lo:hi] for i, lo, hi in pieces],
-                                   out=a)
+            g = grad[start - lo:end - lo]
             data, m, v = self.buffer[start:end], first[start:end], second[start:end]
             np.multiply(g, keep1, out=b)
             m *= beta1
@@ -218,19 +213,6 @@ class AdamW:
                 update += b
             update *= lr_t
             data -= update
-
-
-def _cut_blocks(run: list[int], bounds: list[int]) -> list[tuple[int, int, list]]:
-    """Cut the flat range of parameters ``run``, laid out at ``bounds``, into
-    blocks of ``BLOCK`` elements."""
-    blocks = []
-    for start in range(bounds[0], bounds[-1], BLOCK):
-        end = min(start + BLOCK, bounds[-1])
-        span = range(bisect.bisect_right(bounds, start) - 1, bisect.bisect_left(bounds, end))
-        pieces = [(run[j], max(start, bounds[j]) - bounds[j], min(end, bounds[j + 1]) - bounds[j])
-                  for j in span if bounds[j] < bounds[j + 1]]
-        blocks.append((start, end, pieces))
-    return blocks
 
 
 @dataclass

@@ -383,13 +383,13 @@ def per_cluster_candidate_ids(decoder, center, vocab, config, cluster: int) -> l
 
     This is the per-cluster decode that one batch across clusters replaced:
     the same (seed, cluster, candidate) RNG streams, row-wise filter and
-    draw, but only one center in the cache and one cluster in the batch.
+    draw, and every row kept until all have stopped, but only one center in
+    the cache and one cluster in the batch.
     """
     n = config.num_candidates
     k = min(config.top_k, vocab.size)
     rngs = [np.random.default_rng([config.seed, cluster, s]) for s in range(n)]
     generated: list[list[int]] = [[] for _ in rngs]
-    live = list(range(n))
     tokens = [CLS_ID] * n
     cache = decoder.start_cache(np.reshape(center, (1, -1)), n)
     for _ in range(config.max_summary_len):
@@ -397,16 +397,12 @@ def per_cluster_candidate_ids(decoder, center, vocab, config, cluster: int) -> l
         exps = np.exp(logits.astype(np.float64) - logits.max(axis=-1, keepdims=True))
         filtered = filter_top_k_top_p(exps / exps.sum(axis=-1, keepdims=True), k,
                                       config.top_p)
-        drawn = sample_tokens(filtered, np.array([rngs[s].random() for s in live]))
-        for s, token in zip(live, drawn.tolist()):
-            generated[s].append(token)
-        kept = np.flatnonzero(drawn != SEP_ID).tolist()
-        if not kept:
+        tokens = sample_tokens(filtered, np.array([rng.random() for rng in rngs]))
+        for ids, token in zip(generated, tokens.tolist()):
+            if SEP_ID not in ids:
+                ids.append(token)
+        if all(SEP_ID in ids for ids in generated):
             break
-        if len(kept) < len(live):
-            cache.keep(kept)
-            live = [live[row] for row in kept]
-        tokens = drawn[kept]
     return generated
 
 

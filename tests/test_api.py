@@ -9,7 +9,8 @@ Every run setting has one home, ``PipelineConfig``: no other module gives
 a parameter or dataclass field named after a setting a default of its own,
 and every field is read by the package beyond the config's own checks.
 Every other dataclass field is read by the package too, beyond the
-dataclass's own checks.
+dataclass's own checks, and so is every method and property of every
+package class.
 
 Each model job has one signature, with no flag that selects it: a forward
 drops out exactly when it is given a generator, cached decoding is
@@ -201,4 +202,28 @@ def test_every_dataclass_field_is_read_by_the_package():
         declared += _dataclass_fields(tree)
         read.update(_attributes_read(tree, {"__post_init__"}))
     assert ("EpochStats", "epoch") in declared
+    assert sorted(f"{owner}.{name}" for owner, name in declared if name not in read) == []
+
+
+def _methods(tree: ast.Module):
+    """(class, name) of every method and property defined in a class body
+    of ``tree``, dunders aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield node.name, item.name
+
+
+def test_every_method_is_read_by_the_package():
+    """A method or property that no module of the package reads as an
+    attribute is an API only tests call. Like the field guards it matches
+    names only, so a method whose name is read on another object passes."""
+    declared, read = [], set()
+    for path in PACKAGE.glob("*.py"):
+        tree = _parse(path)
+        declared += _methods(tree)
+        read.update(_attributes_read(tree, set()))
+    assert ("AdamW", "start_step") in declared
     assert sorted(f"{owner}.{name}" for owner, name in declared if name not in read) == []

@@ -265,6 +265,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match="unsupported cluster file version 1"):
             ClusterSet.load(path)
 
+    def test_record_without_a_type_is_refused(self, clustered_setup, tmp_path):
+        vocab, docs, labels, encoder = clustered_setup
+        path = tmp_path / "clusters.jsonl"
+        cluster_without_labels(*_ids_and_embeddings(docs, encoder), 2,
+                               rng=np.random.default_rng(16)).save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        del record["type"]
+        path.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2 has no record type"):
+            ClusterSet.load(path)
+
     def test_identical_runs_identical_files(self, clustered_setup, tmp_path):
         vocab, docs, labels, encoder = clustered_setup
         a = tmp_path / "a.jsonl"

@@ -220,29 +220,22 @@ class TestCachedDecoding:
         rng = np.random.default_rng(9)
         center = rng.normal(size=(1, config.hidden_size)).astype(dtype)
         ids = rng.integers(0, vocab.size, size=(5, steps))
-        rows = list(range(5))
         cache = decoder.start_cache(center, 5)
         worst = 0.0
         with no_grad():
             for t in range(steps):
-                if t in (15, 30):
-                    # drop a middle row, as a finished candidate leaves the batch
-                    keep = [i for i in range(len(rows)) if i != 1]
-                    cache.keep(keep)
-                    rows = [rows[i] for i in keep]
-                step = decoder.step(ids[rows, t], cache).data
-                assert step.shape == (len(rows), vocab.size)
-                for i, r in enumerate(rows):
+                step = decoder.step(ids[:, t], cache).data
+                assert step.shape == (5, vocab.size)
+                for r in range(5):
                     full = decoder.forward([ids[r, :t + 1]], center).data[-1]
-                    worst = max(worst, float(np.abs(step[i] - full).max()))
-        assert len(rows) == 3 and cache.length == steps
+                    worst = max(worst, float(np.abs(step[r] - full).max()))
+        assert cache.length == steps
         assert worst <= atol
 
     @pytest.mark.parametrize("dtype, atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_batch_across_centers_matches_per_center_caches(self, setup, dtype, atol):
         """One cache over three centers, two rows each, gives every row the
-        logits of a cache holding its center's rows alone, while rows leave
-        at different steps and one center's rows all leave first."""
+        logits of a cache holding its center's rows alone."""
         vocab = setup[0]
         steps = 30
         config = ModelConfig.desk_scale(vocab.size, max_len=steps, dropout=0.1)
@@ -251,49 +244,34 @@ class TestCachedDecoding:
         rng = np.random.default_rng(12)
         centers = rng.normal(size=(3, config.hidden_size)).astype(dtype)
         ids = rng.integers(0, vocab.size, size=(6, steps))
-        leave_at = {0: 20, 1: 8, 2: 8, 3: 12, 4: 30, 5: 25}  # center 1's rows leave first
-        rows = list(range(6))
         cache = decoder.start_cache(centers, 2)
         alone = [decoder.start_cache(centers[c:c + 1], 2) for c in range(3)]
-        alone_rows = [[2 * c, 2 * c + 1] for c in range(3)]
         worst = 0.0
         with no_grad():
             for t in range(steps):
-                keep = [i for i, r in enumerate(rows) if leave_at[r] > t]
-                if len(keep) < len(rows):
-                    cache.keep(keep)
-                    rows = [rows[i] for i in keep]
-                    for c in range(3):
-                        kept = [i for i, r in enumerate(alone_rows[c]) if leave_at[r] > t]
-                        alone[c].keep(kept)
-                        alone_rows[c] = [alone_rows[c][i] for i in kept]
-                assert cache.memory_rows.tolist() == [r // 2 for r in rows]
-                step = decoder.step(ids[rows, t], cache).data
+                step = decoder.step(ids[:, t], cache).data
                 for c in range(3):
-                    if alone_rows[c]:
-                        single = decoder.step(ids[alone_rows[c], t], alone[c]).data
-                        for i, r in enumerate(alone_rows[c]):
-                            worst = max(worst, float(np.abs(step[rows.index(r)] - single[i]).max()))
-        assert rows == [4] and cache.length == steps
+                    single = decoder.step(ids[2 * c:2 * c + 2, t], alone[c]).data
+                    worst = max(worst, float(np.abs(step[2 * c:2 * c + 2] - single).max()))
+        assert cache.length == steps
         assert worst <= atol
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("hidden, heads", [(64, 4), (768, 12)])
     def test_start_cache_cross_rows_equal_each_center_alone(self, setup, dtype, hidden, heads):
-        """Row c of every block's cached cross output is, byte for byte, the
-        ``cross_attn`` output of center c computed alone."""
+        """Row i of every block's cached cross output is, byte for byte, the
+        ``cross_attn`` output of center ``i // 3`` computed alone."""
         vocab = setup[0]
         config = ModelConfig(hidden, 2, heads, 64, 8, vocab.size, 0.1)
         decoder = DecoderModel(config, np.random.default_rng(13)).astype(dtype)
         centers = np.random.default_rng(14).normal(size=(5, hidden)).astype(dtype)
         cache = decoder.start_cache(centers, 3)
-        assert cache.memory_rows.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
         with no_grad():
             for block, cross in zip(decoder.blocks, cache.cross):
-                assert cross.shape == (5, hidden)
-                for c in range(5):
-                    alone = block.cross_attn(Tensor(centers[c:c + 1])).data
-                    assert cross.data[c:c + 1].tobytes() == alone.tobytes()
+                assert cross.shape == (15, hidden)
+                for i in range(15):
+                    alone = block.cross_attn(Tensor(centers[i // 3:i // 3 + 1])).data
+                    assert cross.data[i:i + 1].tobytes() == alone.tobytes()
 
     def test_ids_must_match_the_cache_rows(self, setup):
         vocab, docs, config, encoder = setup

@@ -254,24 +254,34 @@ class TestSampleCandidates:
         config = PipelineConfig(top_k=5, top_p=0.8, num_candidates=3, max_summary_len=12, seed=1)
         steps = self._record_steps(monkeypatch)
         candidates = _one_cluster(decoder, center, vocab, config)
-        assert sum(len(drawn) for drawn in steps["draw"]) == sum(
-            len(c.token_ids) for c in candidates)
         for t, (filtered, drawn) in enumerate(zip(steps["filter"], steps["draw"])):
-            # the rows of step t are the candidates still live, in order
-            live = [c for c in candidates if len(c.token_ids) > t]
-            assert [c.token_ids[t] for c in live] == drawn.tolist()
-            assert np.all(filtered[np.arange(len(live)), drawn] > 0)
+            # every candidate keeps its row; one that has stopped draws on
+            assert [c.token_ids[t] for c in candidates if len(c.token_ids) > t] == [
+                token for c, token in zip(candidates, drawn) if len(c.token_ids) > t]
+            assert np.all(filtered[np.arange(3), drawn] > 0)
             assert np.all((filtered > 0).sum(axis=-1) <= 5)
 
     def test_one_filter_and_one_draw_per_step(self, long_setup, monkeypatch):
+        """Each step filters every row and draws one uniform per row, until
+        the step where the last candidate emits [SEP]."""
         vocab, decoder, center = long_setup
-        config = PipelineConfig(num_candidates=6, max_summary_len=40, seed=3)
+        config = PipelineConfig(num_candidates=6, max_summary_len=40, seed=4)
         steps = self._record_steps(monkeypatch)
+        uniforms = []
+        draw = generator.sample_tokens
+
+        def recording_uniforms(filtered, u):
+            uniforms.append(u)
+            return draw(filtered, u)
+
+        monkeypatch.setattr(generator, "sample_tokens", recording_uniforms)
         candidates = _one_cluster(decoder, center, vocab, config)
         decoding_steps = max(len(c.token_ids) for c in candidates)
-        assert len(steps["filter"]) == len(steps["draw"]) == decoding_steps
-        assert [len(drawn) for drawn in steps["draw"]] == [
-            sum(len(c.token_ids) > t for c in candidates) for t in range(decoding_steps)]
+        assert decoding_steps < config.max_summary_len
+        assert all(c.token_ids[-1] == SEP_ID for c in candidates)
+        assert len(steps["filter"]) == len(steps["draw"]) == len(uniforms) == decoding_steps
+        assert all(len(f) == len(d) == len(u) == 6
+                   for f, d, u in zip(steps["filter"], steps["draw"], uniforms))
 
     def test_stops_at_sep_or_length_cap(self, generation_setup):
         vocab, encoder, decoder, center = generation_setup
@@ -293,7 +303,7 @@ class TestSampleCandidates:
 
     def test_candidate_independent_of_batch(self, long_setup):
         """Candidate s is the same whether 3 or 6 are decoded, while its
-        neighbours leave the batch at different steps."""
+        neighbours stop at different steps."""
         vocab, decoder, center = long_setup
         three = PipelineConfig(num_candidates=3, max_summary_len=40, seed=7)
         six = PipelineConfig(num_candidates=6, max_summary_len=40, seed=7)

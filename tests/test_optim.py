@@ -52,14 +52,12 @@ class TestWarmup:
         assert opt.effective_lr(step=500) == pytest.approx(2.0)
 
     def test_never_negative(self):
-        opt = AdamW([_param([0.0])], lr=1.0, weight_decay=0.0, warmup_steps=10,
-                    schedule="linear_decay", total_steps=20)
+        opt = AdamW([_param([0.0])], lr=1.0, weight_decay=0.0, warmup_steps=10, total_steps=20)
         for step in range(0, 40):
             assert opt.effective_lr(step=step) >= 0.0
 
     def test_linear_decay_reaches_zero(self):
-        opt = AdamW([_param([0.0])], lr=1.0, weight_decay=0.0, warmup_steps=10,
-                    schedule="linear_decay", total_steps=20)
+        opt = AdamW([_param([0.0])], lr=1.0, weight_decay=0.0, warmup_steps=10, total_steps=20)
         assert opt.effective_lr(step=15) == pytest.approx(0.5)
         assert opt.effective_lr(step=20) == pytest.approx(0.0)
 
@@ -121,8 +119,7 @@ class TestContracts:
         with pytest.raises(ValueError):
             AdamW([_param([0.0])], lr=0.1, warmup_steps=0, weight_decay=-1.0)
         with pytest.raises(ValueError):
-            AdamW([_param([0.0])], lr=0.1, weight_decay=0.0, warmup_steps=0,
-                  schedule="linear_decay")
+            AdamW([_param([0.0])], lr=0.1, weight_decay=0.0, warmup_steps=2, total_steps=2)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -139,8 +136,7 @@ def test_step_matches_reference_formula_bit_for_bit(dtype, weight_decay):
     shadow = [p.data.copy() for p in params]
     m = [np.zeros_like(d) for d in shadow]
     v = [np.zeros_like(d) for d in shadow]
-    opt = AdamW(params, lr=0.01, weight_decay=weight_decay, warmup_steps=2,
-                schedule="linear_decay", total_steps=8)
+    opt = AdamW(params, lr=0.01, weight_decay=weight_decay, warmup_steps=2, total_steps=8)
     for step in range(1, 9):
         grads = [rng.normal(size=s).astype(dtype) for s in shapes]
         grads[0][0, :3] = 0.0

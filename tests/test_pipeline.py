@@ -388,6 +388,20 @@ class TestExitCodes:
         assert not (out / pipeline.SUMMARIES_FILE).exists()
         assert "summarize" not in _stages(out)
 
+    def test_truncated_clusters_file_exits_1(self, corpus, tmp_path, capsys):
+        """clusters.jsonl cut short after train-decoder lacks the last
+        center record: summarize and evaluate exit 1 naming that cluster."""
+        out = tmp_path / "out"
+        for stage in ("build-vocab", "pretrain", "cluster", "train-decoder", "summarize"):
+            assert self._run(stage, corpus, out) == 0
+        path = out / pipeline.CLUSTERS_FILE
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
+        capsys.readouterr()
+        for stage in ("summarize", "evaluate"):
+            assert self._run(stage, corpus, out) == 1
+            assert capsys.readouterr().err.endswith("has no center record for cluster 1\n")
+
     @pytest.mark.parametrize("clustering", ["kmeans", "labels"])
     def test_each_stage_on_an_empty_out_names_the_stage_before_it(
             self, labeled_corpus, tmp_path, capsys, clustering):
