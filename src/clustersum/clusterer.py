@@ -70,9 +70,7 @@ class ClusterSet:
         k = None
         with open(path, "r", encoding="utf-8") as fh:
             for number, line in enumerate(fh, start=1):
-                rec = json.loads(line)
-                if "type" not in rec:
-                    raise ValueError(f"{path} line {number} has no record type")
+                rec = _record(path, number, line)
                 if rec["type"] == "header":
                     if rec["version"] != CLUSTER_FORMAT_VERSION:
                         raise ValueError(f"unsupported cluster file version {rec['version']}")
@@ -81,7 +79,7 @@ class ClusterSet:
                     doc_ids.append(rec["doc_id"])
                     assignment.append(rec["cluster"])
                     weights.append(rec["weight"])
-                elif rec["type"] == "center":
+                else:
                     centers[rec["cluster"]] = rec["vector"]
         if k is None:
             raise ValueError(f"{path} has no cluster header record")
@@ -90,6 +88,46 @@ class ClusterSet:
                 raise ValueError(f"{path} has no center record for cluster {c}")
         return cls(doc_ids, np.array(assignment), np.array(weights),
                    np.array([centers[c] for c in range(k)]))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Each record type's fields, with the JSON type each must have.
+_FIELDS = {
+    "header": {"version": ("an integer", _is_int), "k": ("an integer", _is_int)},
+    "doc": {"doc_id": ("a string", lambda v: isinstance(v, str)),
+            "cluster": ("an integer", _is_int), "weight": ("a number", _is_number)},
+    "center": {"cluster": ("an integer", _is_int),
+               "vector": ("a list of numbers",
+                          lambda v: isinstance(v, list) and all(map(_is_number, v)))},
+}
+
+
+def _record(path: str | Path, number: int, line: str) -> dict:
+    """Line ``number`` of a cluster file as a record whose fields all have
+    their JSON types; anything else raises a ``ValueError`` naming the line."""
+    where = f"{path} line {number}"
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where} is not JSON ({exc})") from None
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    if "type" not in rec:
+        raise ValueError(f"{where} has no record type")
+    fields = _FIELDS.get(rec["type"]) if isinstance(rec["type"], str) else None
+    if fields is None:
+        raise ValueError(f"{where} has an unknown record type {rec['type']!r}")
+    for name, (kind, valid) in fields.items():
+        if not valid(rec.get(name)):
+            raise ValueError(f"{where}: a {rec['type']} record needs {name!r} as {kind}")
+    return rec
 
 
 def _pairwise_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

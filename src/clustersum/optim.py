@@ -1,9 +1,18 @@
 """Adam optimizer with decoupled weight decay and linear learning-rate
-warmup, and ``fit``, the one epoch loop every training objective runs."""
+warmup, and ``fit``, the one epoch loop every training objective runs.
+
+Inside ``fit``'s backward, each large parameter's update is handed to one
+worker thread as soon as its gradient is final, so it runs beside the rest
+of the backward pass; ``AdamW.step`` waits for those updates before it
+does the rest. The thread starts on the first such update, so a run whose
+parameters are all small never starts it.
+"""
 
 from __future__ import annotations
 
 import logging
+import os
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,6 +29,50 @@ EPS = 1e-8
 # Elements per step block: at float32, the block's parameters, moments,
 # gradient and scratch (6 x 256 KiB) stay in a core's L2 cache.
 BLOCK = 1 << 16
+
+# Large-parameter sweeps that may be pending on the worker thread at once;
+# each keeps its gradient alive, up to 9 MiB (768 x 3072) at paper width.
+# With 1, backward waits for each sweep before it can hand off the next: one
+# paper-width decoder step's backward and step took a median 284 / 254 / 247
+# / 257 ms at 1 / 2 / 3 / 4, against 404 ms updating in backward's own thread
+# (12 steps each, 2-CPU VM, 1 BLAS thread), so 2 keeps most of the overlap
+# for one more gradient.
+IN_FLIGHT = 2
+
+_worker = None
+
+
+def _start_worker():
+    """The one thread that runs large-parameter sweeps, started on first use
+    and kept off the CPU of the thread that starts it."""
+    global _worker
+    if _worker is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = ThreadPoolExecutor(max_workers=1, initializer=_avoid_cpu,
+                                     initargs=(_current_cpu(),))
+    return _worker
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread runs on, where Linux reports it."""
+    try:
+        with open("/proc/thread-self/stat", encoding="ascii") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _avoid_cpu(cpu: int | None) -> None:
+    """Let the calling thread run on every allowed CPU but ``cpu``. The two
+    threads hand the GIL to each other between numpy calls, and on a 2-CPU
+    Linux VM the scheduler kept waking the worker on the backward thread's
+    CPU: the other CPU sat idle and the overlap gained nothing."""
+    try:
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except (AttributeError, OSError):
+        pass
 
 
 class AdamW:
@@ -43,8 +96,10 @@ class AdamW:
     view, since the update would not reach it.
 
     A step is ``loss.backward()`` then ``step()``, or, as ``fit`` runs it,
-    ``loss.backward(opt.start_step)`` then ``step()``, which updates the
-    large parameters inside backward: both give the same bytes.
+    ``loss.backward(opt.start_step)`` then ``step()``. The second hands each
+    large parameter's update to the worker thread as soon as its gradient is
+    final, with at most ``IN_FLIGHT`` of them pending, and ``step`` waits
+    for them all before it updates the rest: both give the same bytes.
     """
 
     def __init__(
@@ -106,6 +161,10 @@ class AdamW:
                        for i in large}
         self._small_grad = np.empty(total - bounds[len(large)], dtype)
         self._in_backward = False
+        # sweeps handed to the worker, oldest first, and the first error of
+        # one already waited for, which ``_wait_all`` raises
+        self._pending: deque = deque()
+        self._error: BaseException | None = None
 
     def effective_lr(self, step: int | None = None) -> float:
         t = self.step_count if step is None else step
@@ -125,10 +184,14 @@ class AdamW:
         """The ``Tensor.backward`` hook. Before any backward function runs,
         it checks every parameter as ``step`` does, counting one among the
         reachable ``leaves`` as having a gradient, so a failed check leaves
-        every parameter as it was. It returns the function that gives each
-        large parameter the ``step`` update as soon as its gradient is final
-        and then drops that gradient; ``step`` does the rest.
+        every parameter as it was. It returns the function that, as soon as a
+        large parameter's gradient is final, checks the parameter again,
+        hands its ``step`` update to the worker thread and drops the
+        gradient; ``step`` waits for the worker and does the rest. It first
+        waits for any update a backward that raised left pending, so the new
+        pass never reads a parameter the worker is writing.
         """
+        self._wait_all()
         self._check(range(len(self.params)), {id(leaf) for leaf in leaves})
         self._in_backward = True
         return self._update_large
@@ -139,8 +202,30 @@ class AdamW:
             return
         i, lo, hi = entry
         self._check([i])
-        self._sweep(lo, hi, leaf.grad.reshape(-1), self.step_count + 1)
+        while len(self._pending) >= IN_FLIGHT:
+            self._wait_oldest()
+        self._pending.append(_start_worker().submit(
+            self._sweep_held, lo, hi, [leaf.grad.reshape(-1)], self.step_count + 1))
         leaf.grad = None
+
+    def _sweep_held(self, lo: int, hi: int, held: list[np.ndarray], t: int) -> None:
+        """``_sweep`` on the worker. It takes the gradient out of ``held``, so
+        the gradient is freed when the sweep ends, before its future is done."""
+        self._sweep(lo, hi, held.pop(), t)
+
+    def _wait_oldest(self) -> None:
+        """Wait for the oldest pending sweep and keep the first error."""
+        error = self._pending.popleft().exception()
+        if self._error is None:
+            self._error = error
+
+    def _wait_all(self) -> None:
+        """Wait for every pending sweep, then raise the first error of one."""
+        while self._pending:
+            self._wait_oldest()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
 
     def _check(self, indices, reached: set[int] | None = None) -> None:
         for i in indices:
@@ -157,8 +242,10 @@ class AdamW:
                 raise ValueError(f"parameter {i} {p.shape} has a gradient of shape {p.grad.shape}")
 
     def step(self) -> None:
-        """Apply one update to every parameter, then clear gradients; after
-        a backward with ``start_step``, only the small parameters are left.
+        """Apply one update to every parameter, then clear gradients. After
+        a backward with ``start_step``, it first waits for every update
+        handed to the worker thread, and raises the first error of one;
+        only the small parameters are then left.
 
         The update sweeps the flat buffers in blocks of ``BLOCK`` elements,
         so that each block's parameters, moments, gradient and two scratch
@@ -168,6 +255,7 @@ class AdamW:
         same operations in the same order as a whole-array update, so the
         result does not depend on the blocking.
         """
+        self._wait_all()
         self._check(self._small if self._in_backward else range(len(self.params)))
         self.step_count += 1
         for i, lo, hi in self._large.values():
@@ -246,9 +334,10 @@ def fit(
     batch's share of the epoch's summed loss, and (correct, counted)
     prediction counts; each loss gets one backward and one optimizer step.
     The backward runs ``optimizer.start_step``, so each parameter of
-    ``BLOCK`` elements or more is updated as soon as its gradient is final
-    and no step holds a full set of gradients; ``optimizer.step`` then
-    updates the rest.
+    ``BLOCK`` elements or more is updated on the optimizer's worker thread
+    as soon as its gradient is final, and at most ``IN_FLIGHT`` handed-off
+    gradients are alive at once; ``optimizer.step`` waits for those updates
+    and then updates the rest.
     The epoch loss is that sum over ``len(items)``. After the epoch,
     ``validate(epoch)`` returns the validation loss and accuracy (or
     ``None``). With ``keep_best``, the optimizer's parameters end as they

@@ -131,7 +131,8 @@ class Tensor:
         before the first backward function runs, and the function it returns
         is called with each leaf as soon as the last node that reads it has
         run its backward, when the leaf's gradient is final. The optimizer
-        uses this to update a parameter and drop its gradient mid-pass.
+        uses this to hand a parameter's update to its worker thread, which
+        runs it beside the rest of the pass, and drop its gradient mid-pass.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.shape}")

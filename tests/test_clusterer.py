@@ -1,6 +1,7 @@
 """Clustering: k-means behavior, membership weights, weighted centers."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -276,6 +277,53 @@ class TestPersistence:
         path.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n",
                         encoding="utf-8")
         with pytest.raises(ValueError, match="line 2 has no record type"):
+            ClusterSet.load(path)
+
+    @staticmethod
+    def _saved(tmp_path):
+        """A header on line 1, documents on lines 2-4, centers on lines 5-6."""
+        path = tmp_path / "clusters.jsonl"
+        ClusterSet(["a", "b", "c"], np.array([0, 1, 1]), np.array([1.0, 0.5, 1.0]),
+                   np.arange(6.0).reshape(2, 3)).save(path)
+        return path
+
+    @staticmethod
+    def _edit(path, number, text):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[number - 1] = text
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("number, field, kind, value", [
+        (1, "version", "an integer", None), (1, "version", "an integer", "2"),
+        (1, "k", "an integer", None), (1, "k", "an integer", "2"),
+        (2, "doc_id", "a string", None), (2, "doc_id", "a string", 7),
+        (2, "cluster", "an integer", None), (2, "cluster", "an integer", 0.0),
+        (2, "weight", "a number", None), (2, "weight", "a number", True),
+        (5, "cluster", "an integer", None), (5, "cluster", "an integer", "0"),
+        (5, "vector", "a list of numbers", None), (5, "vector", "a list of numbers", [0.0, "1"]),
+    ])
+    def test_record_with_a_bad_field_is_refused(self, tmp_path, number, field, kind, value):
+        """Each field missing (``None``) or of another JSON type."""
+        path = self._saved(tmp_path)
+        record = json.loads(path.read_text(encoding="utf-8").splitlines()[number - 1])
+        if value is None:
+            del record[field]
+        else:
+            record[field] = value
+        self._edit(path, number, json.dumps(record))
+        message = f"{path} line {number}: a {record['type']} record needs {field!r} as {kind}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ClusterSet.load(path)
+
+    @pytest.mark.parametrize("text, problem", [
+        ("7", "is not a JSON object"), ("[1, 2]", "is not a JSON object"),
+        ('{"type": "doc"', "is not JSON"), ('{"type": "centre"}', "has an unknown record type"),
+        ('{"type": ["doc"]}', "has an unknown record type"),
+    ])
+    def test_line_that_is_not_a_record_is_refused(self, tmp_path, text, problem):
+        path = self._saved(tmp_path)
+        self._edit(path, 3, text)
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 3 {problem}")):
             ClusterSet.load(path)
 
     def test_identical_runs_identical_files(self, clustered_setup, tmp_path):

@@ -1,12 +1,21 @@
 """AdamW update rule, warmup scaling, and contract errors; the ``fit``
 epoch loop on a toy objective."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import clustersum
 from clustersum import optim
 from clustersum.encoder import EncoderModel, ModelConfig, mlm_batch_loss
-from clustersum.optim import BETAS, BLOCK, EPS, AdamW, fit
+from clustersum.optim import BETAS, BLOCK, EPS, IN_FLIGHT, AdamW, fit
 from clustersum.tensor import Tensor, cross_entropy, gelu, init_normal, layer_norm, linear
 
 from corpora import build_docs, pair_texts
@@ -388,8 +397,10 @@ class TestUpdateInBackward:
         return sorted(range(len(opt.params)), key=lambda i: opt.params[i].data.ctypes.data)
 
     def test_each_large_gradient_is_dropped_after_its_update(self, monkeypatch):
-        """No two large gradients are ever alive together, each is gone
-        right after its update, and ``step`` finds none."""
+        """No large parameter but the one being handed off holds a gradient,
+        each drops its gradient once its update is handed to the worker, and
+        ``step`` finds none. At most ``IN_FLIGHT`` handed-off gradients stay
+        alive until their updates end (``TestWorker``)."""
         monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
         model = _Desk(np.float32)
         opt = AdamW(model.params, lr=1e-2, weight_decay=0.0, warmup_steps=0)
@@ -471,3 +482,191 @@ class TestUpdateInBackward:
         opt.step()
         assert all(not np.array_equal(p.data, b) for p, b in zip(model.params, before))
         assert all(p.grad is None for p in model.params)
+
+
+class TestWorker:
+    """Large-parameter updates run on one worker thread beside backward."""
+
+    def test_large_sweeps_run_on_the_worker_and_the_small_run_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
+        model = _Shared(np.float32)
+        opt = AdamW(model.params, lr=1e-2, weight_decay=0.0, warmup_steps=0)
+        threads = {}
+        sweep = AdamW._sweep
+
+        def recorded(self, lo, hi, grad, t):
+            threads.setdefault((lo, hi), set()).add(threading.get_ident())
+            sweep(self, lo, hi, grad, t)
+
+        monkeypatch.setattr(AdamW, "_sweep", recorded)
+        fit(model.items, model.batch_loss, opt, epochs=1, batch_size=4,
+            rng=np.random.default_rng(5))
+        large = {(lo, hi) for _, lo, hi in opt._large.values()}
+        small = (opt.buffer.size - opt._small_grad.size, opt.buffer.size)
+        assert set(threads) == large | {small}
+        assert threads.pop(small) == {threading.get_ident()}
+        (worker,) = set().union(*threads.values())
+        assert worker != threading.get_ident()
+
+    def test_bytes_hold_when_threads_switch_often(self, monkeypatch):
+        """With the interpreter switching threads every microsecond, the
+        worker's sweeps still give the bytes of a plain backward and step."""
+        monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
+        with monkeypatch.context() as m:
+            _plain_backward(m)
+            expected, _ = _fit(_Desk(np.float32), 0.01, False, epochs=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            opt, _ = _fit(_Desk(np.float32), 0.01, False, epochs=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _state(opt) == _state(expected)
+
+    @pytest.mark.parametrize("in_flight", [1, IN_FLIGHT])
+    def test_at_most_in_flight_handed_off_gradients_are_alive(self, monkeypatch, in_flight):
+        """Each large gradient is counted from its hand-off until it is freed;
+        slow sweeps keep the worker behind, so the count reaches the bound.
+        A gradient is freed before its sweep's future is done, so waiting for
+        the oldest sweep makes room at once."""
+        monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
+        monkeypatch.setattr(optim, "IN_FLIGHT", in_flight)
+        model = _Desk(np.float32)
+        opt = AdamW(model.params, lr=1e-2, weight_decay=0.0, warmup_steps=0)
+        lock = threading.Lock()
+        alive, peak, handed = [0], [0], [0]
+
+        def freed():
+            with lock:
+                alive[0] -= 1
+
+        update, sweep = opt._update_large, AdamW._sweep
+
+        held_when_done = []
+
+        def counted(leaf):
+            large = id(leaf) in opt._large
+            if large:
+                weakref.finalize(leaf.grad, freed)
+                grad = weakref.ref(leaf.grad)
+            update(leaf)
+            if large:
+                opt._pending[-1].add_done_callback(
+                    lambda _: held_when_done.append(grad() is not None))
+                with lock:
+                    alive[0] += 1
+                    peak[0] = max(peak[0], alive[0])
+                    handed[0] += 1
+
+        def slow(self, lo, hi, grad, t):
+            if threading.get_ident() != threading.main_thread().ident:
+                time.sleep(0.005)
+            sweep(self, lo, hi, grad, t)
+
+        opt._update_large = counted
+        monkeypatch.setattr(AdamW, "_sweep", slow)
+        fit(model.items, model.batch_loss, opt, epochs=1, batch_size=4,
+            rng=np.random.default_rng(5))
+        assert handed[0] == 3 * len(opt._large)
+        assert held_when_done == [False] * handed[0]
+        assert peak[0] == in_flight
+        assert alive[0] == 0
+
+    def test_an_error_in_the_worker_is_raised_by_the_next_step(self, monkeypatch):
+        """The first sweep fails and the rest run; ``step`` raises that error
+        before it updates anything and leaves nothing pending."""
+        monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
+        model = _Shared(np.float32)
+        opt = AdamW(model.params, lr=1e-2, weight_decay=0.0, warmup_steps=0)
+        small = {i: opt.params[i].data.copy() for i in opt._small}
+        sweep = AdamW._sweep
+        calls = []
+
+        def failing(self, lo, hi, grad, t):
+            calls.append(lo)
+            if len(calls) == 1:
+                raise RuntimeError("sweep failed")
+            sweep(self, lo, hi, grad, t)
+
+        monkeypatch.setattr(AdamW, "_sweep", failing)
+        model.batch_loss([0, 1, 2])[0].backward(opt.start_step)
+        with pytest.raises(RuntimeError, match="sweep failed"):
+            opt.step()
+        assert len(calls) == len(opt._large) > IN_FLIGHT
+        assert not opt._pending and opt._error is None
+        assert opt.step_count == 0
+        assert all(opt.params[i].data.tobytes() == d.tobytes() for i, d in small.items())
+
+    def test_a_new_backward_first_waits_for_what_a_failed_one_left(self, monkeypatch):
+        monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
+        model = _Shared(np.float32)
+        opt = AdamW(model.params, lr=1e-2, weight_decay=0.0, warmup_steps=0)
+
+        def failing(leaves):
+            update = opt.start_step(leaves)
+
+            def hook(leaf):
+                update(leaf)
+                if id(leaf) in opt._large:
+                    raise RuntimeError("backward failed")
+
+            return hook
+
+        with pytest.raises(RuntimeError, match="backward failed"):
+            model.batch_loss([0, 1, 2])[0].backward(failing)
+        assert len(opt._pending) == 1
+        opt.zero_grad()
+        loss = model.batch_loss([0, 1, 2])[0]
+        started = []
+        update = opt.start_step
+
+        def start(leaves):
+            started.append(len(opt._pending))
+            hook = update(leaves)
+            started.append(len(opt._pending))
+            return hook
+
+        loss.backward(start)
+        opt.step()
+        assert started == [1, 0]
+        assert opt.step_count == 1
+
+    def test_importing_the_package_starts_no_thread(self):
+        src = str(Path(clustersum.__file__).resolve().parent.parent)
+        code = ("import sys, threading\n"
+                "before = threading.active_count()\n"
+                "import clustersum, clustersum.cli\n"
+                "assert threading.active_count() == before\n"
+                "assert 'concurrent.futures' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_a_desk_scale_fit_starts_no_thread(self, monkeypatch):
+        """At the default ``BLOCK`` no desk-scale parameter is large."""
+        monkeypatch.setattr(optim, "_worker", None)
+        before = threading.active_count()
+        model = _Desk(np.float32)
+        assert max(p.size for p in model.params) < BLOCK
+        opt, _ = _fit(model, 0.01, False)
+        assert opt.step_count == 3
+        assert optim._worker is None
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                        reason="needs two CPUs and CPU affinity")
+    def test_the_worker_leaves_the_starting_cpu_to_its_caller(self):
+        allowed = os.sched_getaffinity(0)
+        cpu = optim._current_cpu()
+        assert cpu in allowed
+        seen = []
+
+        def start():
+            optim._avoid_cpu(cpu)
+            seen.append(os.sched_getaffinity(0))
+
+        thread = threading.Thread(target=start)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == [allowed - {cpu}]
+        assert os.sched_getaffinity(0) == allowed

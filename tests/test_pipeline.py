@@ -402,6 +402,28 @@ class TestExitCodes:
             assert self._run(stage, corpus, out) == 1
             assert capsys.readouterr().err.endswith("has no center record for cluster 1\n")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: {k: v for k, v in rec.items() if k != "vector"},
+         "line {number}: a center record needs 'vector' as a list of numbers"),
+        (lambda rec: 7, "line {number} is not a JSON object"),
+    ])
+    def test_malformed_clusters_record_exits_1(self, corpus, tmp_path, capsys, edit, message):
+        """The last record of clusters.jsonl, a center, loses its vector or
+        becomes the line ``7``: summarize and evaluate exit 1 naming the line."""
+        out = tmp_path / "out"
+        for stage in ("build-vocab", "pretrain", "cluster", "train-decoder", "summarize"):
+            assert self._run(stage, corpus, out) == 0
+        path = out / pipeline.CLUSTERS_FILE
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[-1] = json.dumps(edit(json.loads(lines[-1]))) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        for stage in ("summarize", "evaluate"):
+            assert self._run(stage, corpus, out) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert err.endswith(message.format(number=len(lines)) + "\n")
+
     @pytest.mark.parametrize("clustering", ["kmeans", "labels"])
     def test_each_stage_on_an_empty_out_names_the_stage_before_it(
             self, labeled_corpus, tmp_path, capsys, clustering):
