@@ -1,24 +1,25 @@
 """Adam optimizer with decoupled weight decay and linear learning-rate
 warmup, and ``fit``, the one epoch loop every training objective runs.
 
-Inside ``fit``'s backward, each large parameter's update is handed to one
-worker thread as soon as its gradient is final, so it runs beside the rest
-of the backward pass; ``AdamW.step`` waits for those updates before it
-does the rest. The thread starts on the first such update, so a run whose
-parameters are all small never starts it.
+Inside ``fit``'s backward, each large parameter's update is handed to the
+package's one worker thread (``tensor._start_worker``) as soon as its
+gradient is final, so it runs beside the rest of the backward pass;
+``AdamW.step`` waits for those updates before it does the rest. The same
+thread also computes parts of ``linear``'s large matrix products, forward
+and backward. It starts on the first such job, so a run whose parameters are
+all small never starts it.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import BLOCK, Tensor, _start_worker
 
 log = logging.getLogger(__name__)
 
@@ -26,53 +27,17 @@ log = logging.getLogger(__name__)
 BETAS = (0.9, 0.999)
 EPS = 1e-8
 
-# Elements per step block: at float32, the block's parameters, moments,
-# gradient and scratch (6 x 256 KiB) stay in a core's L2 cache.
-BLOCK = 1 << 16
-
 # Large-parameter sweeps that may be pending on the worker thread at once;
 # each keeps its gradient alive, up to 9 MiB (768 x 3072) at paper width.
 # With 1, backward waits for each sweep before it can hand off the next: one
 # paper-width decoder step's backward and step took a median 284 / 254 / 247
 # / 257 ms at 1 / 2 / 3 / 4, against 404 ms updating in backward's own thread
 # (12 steps each, 2-CPU VM, 1 BLAS thread), so 2 keeps most of the overlap
-# for one more gradient.
+# for one more gradient. The worker also runs ``linear``'s shared products,
+# which queue behind these sweeps; a product part the worker has not started
+# when the caller is done with its own is run by the caller, so a backward
+# never waits for pending sweeps to reach its weight gradient.
 IN_FLIGHT = 2
-
-_worker = None
-
-
-def _start_worker():
-    """The one thread that runs large-parameter sweeps, started on first use
-    and kept off the CPU of the thread that starts it."""
-    global _worker
-    if _worker is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _worker = ThreadPoolExecutor(max_workers=1, initializer=_avoid_cpu,
-                                     initargs=(_current_cpu(),))
-    return _worker
-
-
-def _current_cpu() -> int | None:
-    """The CPU the calling thread runs on, where Linux reports it."""
-    try:
-        with open("/proc/thread-self/stat", encoding="ascii") as fh:
-            return int(fh.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
-
-
-def _avoid_cpu(cpu: int | None) -> None:
-    """Let the calling thread run on every allowed CPU but ``cpu``. The two
-    threads hand the GIL to each other between numpy calls, and on a 2-CPU
-    Linux VM the scheduler kept waking the worker on the backward thread's
-    CPU: the other CPU sat idle and the overlap gained nothing."""
-    try:
-        others = os.sched_getaffinity(0) - {cpu}
-        if others:
-            os.sched_setaffinity(0, others)
-    except (AttributeError, OSError):
-        pass
 
 
 class AdamW:

@@ -31,13 +31,25 @@ dropout, layer_norm, gelu and cross_entropy pass ``owned=True`` to
 first operand gets a copy of the same array. Later gradients add into the
 first.
 
-A recorded graph belongs to one training context and must not be shared
-across threads; operations on disjoint tensors are otherwise pure.
+The package has one worker thread, started here on first use; ``linear``
+and ``AdamW`` share it. ``linear`` hands it part of each product with a
+weight of ``BLOCK`` elements or more: forward, one column half of ``x @ w``,
+written into the output whose other half the caller fills; backward, the
+weight gradient, while the caller computes the input gradient. The worker
+only reads the operands and writes its disjoint output half or a fresh
+gradient array, and the op returns only once both parts are done: a part the
+worker has not started by the time the caller is done with its own, the
+caller computes itself. ``AdamW`` runs its large-parameter sweeps there, and
+a sweep writes a parameter. In ``fit``, no forward overlaps a pending sweep,
+since ``step`` and ``start_step`` wait for them, and a backward product that reads
+a parameter runs before that parameter's gradient is final and its sweep is
+handed off.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from contextlib import contextmanager
 from typing import Callable
 
@@ -51,6 +63,73 @@ _grad_enabled = True
 # less than 1e-3 absolute over the real line.
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
+
+# Elements that make a parameter large. ``linear`` shares its products with
+# such a weight with the worker thread, and ``AdamW`` updates such a
+# parameter on it inside backward and sweeps its flat buffers in blocks of
+# this size: at float32, a block's parameters, moments, gradient and scratch
+# (6 x 256 KiB) stay in a core's L2 cache.
+BLOCK = 1 << 16
+
+# Multiply-adds each part of a shared product must exceed. A column half of
+# x @ w computes every output element with the whole product's K-ordered
+# accumulation, and gave its bytes at every paper shape and row count tried
+# except (2|3, 768) @ (768, 768): there each half is 10^6 multiply-adds or
+# fewer, and OpenBLAS 0.3.31's small-matrix path rounds it differently (by
+# about 2e-6 at unit inputs and N(0, 0.02) weights). Backward's two products
+# are each computed whole, so there the rule only keeps the hand-off's cost
+# off small products.
+_SPLIT_MACS = 10 ** 6
+
+_worker = None
+
+
+def _start_worker():
+    """The package's one worker thread, started on first use and kept off
+    the CPU of the thread that starts it."""
+    global _worker
+    if _worker is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = ThreadPoolExecutor(max_workers=1, initializer=_avoid_cpu,
+                                     initargs=(_current_cpu(),))
+    return _worker
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread runs on, where Linux reports it."""
+    try:
+        with open("/proc/thread-self/stat", encoding="ascii") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _avoid_cpu(cpu: int | None) -> None:
+    """Let the calling thread run on every allowed CPU but ``cpu``. The two
+    threads hand the GIL to each other between numpy calls, and on a 2-CPU
+    Linux VM the scheduler kept waking the worker on the caller's CPU: the
+    other CPU sat idle and the overlap gained nothing (a column-split product
+    took 11.24 ms unpinned against 11.18 ms inline)."""
+    try:
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except (AttributeError, OSError):
+        pass
+
+
+def _beside(mine: Callable, theirs: Callable) -> tuple:
+    """``(mine(), theirs())``, with ``theirs`` on the worker while the caller
+    runs ``mine``. If the worker has not started ``theirs`` by then (it is
+    still busy with earlier work), the caller cancels it and runs it itself,
+    so the caller never waits behind the worker's queue. An error of
+    ``theirs`` is raised here."""
+    future = _start_worker().submit(theirs)
+    try:
+        first = mine()
+    finally:
+        cancelled = future.cancel()
+    return first, theirs() if cancelled else future.result()
 
 
 @contextmanager
@@ -283,18 +362,47 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # -- core math ops ----------------------------------------------------------
 
 
+def _shared(w: Tensor, macs: int) -> bool:
+    """Whether a product with weight ``w`` and ``macs`` multiply-adds in
+    each part is shared with the worker."""
+    return w.size >= BLOCK and macs > _SPLIT_MACS
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Rows ``x`` [n, in] times ``w`` [in, out], plus the bias row ``b`` if given."""
+    """Rows ``x`` [n, in] times ``w`` [in, out], plus the bias row ``b`` if given.
+
+    With a weight of ``BLOCK`` elements or more and more than
+    ``_SPLIT_MACS`` multiply-adds in each part, the worker thread shares
+    the products. Forward, the caller writes the first ``out // 2`` columns
+    of the output and the worker the rest. Backward, the worker computes the
+    weight gradient while the caller computes the input gradient; both are
+    accumulated before the backward returns, so the weight's gradient is
+    final when its last reader is done. Either way, the caller computes a
+    part itself if the worker has not started it by then (``_beside``), and
+    the bytes are those of the whole products.
+    """
     _common_dtype(x, w)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ValueError(f"linear shape mismatch: {x.shape} x {w.shape}")
-    out = x.data @ w.data
+    (n, k), half = x.shape, w.shape[1] // 2
+    if _shared(w, n * k * half):
+        xd, wd = x.data, w.data
+        out = np.empty((n, wd.shape[1]), xd.dtype)
+        _beside(lambda: np.matmul(xd, wd[:, :half], out=out[:, :half]),
+                lambda: np.matmul(xd, wd[:, half:], out=out[:, half:]))
+    else:
+        out = x.data @ w.data
     if b is not None:
         out += b.data
 
     def backward_fn(grad: np.ndarray) -> None:
         if b is not None and b.requires_grad:
             _accumulate(b, grad.sum(axis=(0,)), owned=True)
+        if x.requires_grad and w.requires_grad and _shared(w, grad.size * k):
+            dx, dw = _beside(lambda: grad @ w.data.T, lambda: x.data.T @ grad)
+            _accumulate(x, dx, owned=True)
+            _accumulate(w, dw, owned=True)
+            return
         if x.requires_grad:
             _accumulate(x, grad @ w.data.T, owned=True)
         if w.requires_grad:

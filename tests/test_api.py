@@ -3,7 +3,8 @@
 The autograd module keeps only what the package runs: every public name
 in ``tensor.py`` is imported by another module of the package, and
 ``Tensor`` has no arithmetic operators or helper methods that only tests
-would call. Ops the tests need live in ``tests/oracles.py``.
+would call. Ops the tests need live in ``tests/oracles.py``. The package has one worker
+thread, and only ``tensor.py`` names a thread or an executor.
 
 Every run setting has one home, ``PipelineConfig``: no other module gives
 a parameter or dataclass field named after a setting a default of its own,
@@ -75,6 +76,30 @@ def test_tensor_defines_no_arithmetic_or_test_only_methods():
     tree = _parse(PACKAGE / "tensor.py")
     (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Tensor"]
     assert sorted(_bound_names(cls.body) & FORBIDDEN_MEMBERS) == []
+
+
+_THREAD_NAMES = {"ThreadPoolExecutor", "Thread"}
+
+
+def _thread_names(tree: ast.Module) -> set[str]:
+    """``ThreadPoolExecutor`` and ``Thread`` wherever ``tree`` names them: as
+    a name, an attribute (``threading.Thread``) or an import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+    return found & _THREAD_NAMES
+
+
+def test_only_tensor_names_a_thread():
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "tensor.py":
+            assert sorted(_thread_names(_parse(path))) == [], path.name
+    assert _thread_names(_parse(PACKAGE / "tensor.py")) == {"ThreadPoolExecutor"}
 
 
 def _setting_names() -> set[str]:

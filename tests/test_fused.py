@@ -1,11 +1,16 @@
 """The fused ops (linear, attention, add_layer_norm) against the composed
 graphs they replace: the same bytes forward and backward, finite-difference
-gradients, shape checks, and the node count of one encoder block."""
+gradients, shape checks, and the node count of one encoder block. At paper
+width, ``linear``'s products shared with the worker thread give the bytes of
+the whole products, also when the worker is busy or its part fails."""
+
+import threading
 
 import numpy as np
 import pytest
 
 import clustersum.layers
+from clustersum import tensor
 from clustersum.decoder import build_training_examples, init_from_encoder, weighted_ce_loss
 from clustersum.encoder import EncoderModel, ModelConfig, classifier_batch_loss, mlm_batch_loss
 from clustersum.layers import EncoderBlock, causal_mask, dropout_from, padding_mask
@@ -262,3 +267,155 @@ def test_encoder_block_at_rows_adds_only_the_gather():
                 rows=np.array([0, 3]))
     assert out.shape == (2, 8)
     assert graph_nodes(out, [x]) <= 13
+
+
+# -- linear's products shared with the worker thread -------------------------
+
+PAPER_WEIGHTS = [(768, 768), (768, 3072), (3072, 768)]
+ROWS = list(range(1, 41)) + [64, 128, 384]
+
+
+def _record_shared(monkeypatch) -> list:
+    """Patch ``tensor._beside`` to count the products shared with the
+    worker: the returned list grows by one entry per shared product."""
+    shared, beside = [], tensor._beside
+
+    def logged(mine, theirs):
+        shared.append(None)
+        return beside(mine, theirs)
+
+    monkeypatch.setattr(tensor, "_beside", logged)
+    return shared
+
+
+def _split_expected(n, k, m) -> bool:
+    return k * m >= tensor.BLOCK and n * k * (m // 2) > tensor._SPLIT_MACS
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+class TestSharedProducts:
+    """At paper width, ``linear`` shares large products with the worker
+    thread and gives the bytes of the whole products."""
+
+    @pytest.mark.parametrize("k, m", PAPER_WEIGHTS)
+    def test_forward_equals_the_whole_product(self, monkeypatch, dtype, k, m):
+        rng = np.random.default_rng(k + m)
+        w = Tensor(rng.normal(size=(k, m)).astype(dtype))
+        xs = rng.normal(size=(max(ROWS), k)).astype(dtype)
+        shared = _record_shared(monkeypatch)
+        split = []
+        for n in ROWS:
+            x = Tensor(xs[:n])
+            before = len(shared)
+            got = linear(x, w).data
+            assert got.dtype == x.dtype and got.flags.c_contiguous
+            assert got.tobytes() == (x.data @ w.data).tobytes(), n
+            if len(shared) > before:
+                split.append(n)
+        assert split == [n for n in ROWS if _split_expected(n, k, m)]
+        assert split[0] == (4 if (k, m) == (768, 768) else 1)
+
+    @pytest.mark.parametrize("n, k, m", [(2, 768, 768), (3, 768, 768), (384, 768, 45)])
+    def test_small_halves_and_the_head_run_whole(self, monkeypatch, dtype, n, k, m):
+        """A column half of a (2|3, 768) @ (768, 768) product is 10^6
+        multiply-adds or fewer, where OpenBLAS rounds it differently from
+        the whole; the 768 x 45 head is under ``BLOCK`` elements, so its
+        backward is not shared either."""
+        rng = np.random.default_rng(n)
+        shared = _record_shared(monkeypatch)
+        x = Tensor(rng.normal(size=(n, k)).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(k, m)).astype(dtype), requires_grad=True)
+        out = linear(x, w)
+        assert shared == []
+        assert out.data.tobytes() == (x.data @ w.data).tobytes()
+        reduce_sum(out).backward()
+        assert len(shared) == (w.size >= tensor.BLOCK)
+
+    def test_gradients_equal_the_unshared_ones(self, monkeypatch, dtype):
+        """A paper-width encoder block and a decoder from it, dropout on:
+        every gradient's bytes match those with sharing disabled."""
+        texts, _ = graded_topic_texts(np.random.default_rng(5), docs_per_topic=3, doc_len=20)
+        vocab, docs = build_docs(texts, max_len=24)
+        config = ModelConfig(768, 1, 12, 3072, 24, vocab.size, 0.1)
+        encoder = EncoderModel(config, np.random.default_rng(6))
+        decoder = init_from_encoder(encoder).astype(dtype)
+        encoder = encoder.astype(dtype)
+        examples = build_training_examples(docs[:4], encoder.embed_documents(docs[:4]), None)
+        losses = [
+            (encoder, lambda: mlm_batch_loss(encoder, docs, 0.3, np.random.default_rng(7),
+                                             len(docs))[0]),
+            (decoder, lambda: weighted_ce_loss(
+                decoder, examples, sum(len(e.target_ids) for e in examples),
+                np.random.default_rng(8))),
+        ]
+        shared = _record_shared(monkeypatch)
+        for model, loss_fn in losses:
+            shared.clear()
+            with_worker = _gradients(model, loss_fn)
+            assert shared, "no product was shared"
+            for p in model.parameters():
+                p.grad = None
+            with monkeypatch.context() as m:
+                m.setattr(tensor, "_SPLIT_MACS", float("inf"))
+                assert _gradients(model, loss_fn) == with_worker
+
+    def test_a_busy_worker_leaves_every_part_to_the_caller(self, dtype):
+        """With the worker held by a task that waits on an event, a shared
+        forward and backward still finish, on the caller, with the bytes of
+        the whole products."""
+        rng = np.random.default_rng(50)
+        arrays = [rng.normal(size=(64, 768)), rng.normal(size=(768, 3072)),
+                  rng.normal(size=3072)]
+        probe = rng.normal(size=(64, 3072))
+        release = threading.Event()
+        busy = tensor._start_worker().submit(release.wait, 30)
+        try:
+            got = _outputs(linear, arrays, probe, dtype)
+            assert not busy.done()
+        finally:
+            release.set()
+        assert busy.result() is True
+        want = _outputs(composed_linear, arrays, probe, dtype)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_an_error_in_a_worker_product_reaches_the_caller(self, monkeypatch, dtype):
+        """The worker's column half raises once it has started; ``linear``
+        raises that error, and the worker then computes the next product's
+        half."""
+        rng = np.random.default_rng(51)
+        x = Tensor(rng.normal(size=(16, 768)).astype(dtype))
+        w = Tensor(rng.normal(size=(768, 3072)).astype(dtype))
+        with monkeypatch.context() as m:
+            m.setattr(tensor, "np", _WorkerFirst(RuntimeError("worker product failed")))
+            with pytest.raises(RuntimeError, match="worker product failed"):
+                linear(x, w)
+        recording = _WorkerFirst()
+        monkeypatch.setattr(tensor, "np", recording)
+        assert linear(x, w).data.tobytes() == (x.data @ w.data).tobytes()
+        assert len(recording.threads) == 2
+        assert recording.threads[0] != threading.main_thread().ident
+
+
+class _WorkerFirst:
+    """Stands in for numpy in ``tensor``: ``matmul`` on the main thread
+    waits until one has started on another thread, which raises ``error``
+    if given. Each call logs its thread, the other thread's first."""
+
+    def __init__(self, error: Exception | None = None):
+        self.error = error
+        self.threads: list[int] = []
+        self._started = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        main = threading.current_thread() is threading.main_thread()
+        if main:
+            assert self._started.wait(30)
+        self.threads.append(threading.get_ident())
+        if not main:
+            self._started.set()
+            if self.error is not None:
+                raise self.error
+        return np.matmul(*args, **kwargs)

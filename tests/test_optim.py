@@ -1,6 +1,7 @@
 """AdamW update rule, warmup scaling, and contract errors; the ``fit``
 epoch loop on a toy objective."""
 
+import json
 import os
 import subprocess
 import sys
@@ -13,12 +14,13 @@ import numpy as np
 import pytest
 
 import clustersum
-from clustersum import optim
+from clustersum import optim, tensor
+from clustersum.cli import main
 from clustersum.encoder import EncoderModel, ModelConfig, mlm_batch_loss
 from clustersum.optim import BETAS, BLOCK, EPS, IN_FLIGHT, AdamW, fit
 from clustersum.tensor import Tensor, cross_entropy, gelu, init_normal, layer_norm, linear
 
-from corpora import build_docs, pair_texts
+from corpora import build_docs, graded_topic_texts, pair_texts
 from oracles import add, mul, reduce_sum, reference_adamw_update
 
 
@@ -641,27 +643,43 @@ class TestWorker:
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
-    def test_a_desk_scale_fit_starts_no_thread(self, monkeypatch):
-        """At the default ``BLOCK`` no desk-scale parameter is large."""
-        monkeypatch.setattr(optim, "_worker", None)
+    def test_a_desk_scale_fit_starts_no_thread(self, monkeypatch, tmp_path):
+        """At the default ``BLOCK`` no desk-scale parameter is large, and no
+        desk weight makes a shared product: neither a fit nor a desk
+        ``run-all``, pretrain and finetune through evaluate, starts the
+        worker."""
+        monkeypatch.setattr(tensor, "_worker", None)
         before = threading.active_count()
         model = _Desk(np.float32)
         assert max(p.size for p in model.params) < BLOCK
         opt, _ = _fit(model, 0.01, False)
         assert opt.step_count == 3
-        assert optim._worker is None
+        texts, labels = graded_topic_texts(np.random.default_rng(13), docs_per_topic=5,
+                                           words_per_topic=6, doc_len=5)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"d{i}", "text": text, "label": f"topic{label}"}) + "\n"
+            for i, (text, label) in enumerate(zip(texts, labels))), encoding="utf-8")
+        settings = ["--preset", "desk", "--clustering", "labels", "--seed", "3"]
+        for item in ("max_len=8", "mlm_epochs=1", "decoder_epochs=1", "num_candidates=2",
+                     "retain_top_m=2", "max_summary_len=4"):
+            settings += ["--set", item]
+        out = tmp_path / "out"
+        assert main(["run-all", "--corpus", str(corpus), "--out", str(out), *settings]) == 0
+        assert (out / "metrics.json").exists()
+        assert tensor._worker is None
         assert threading.active_count() == before
 
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
                         reason="needs two CPUs and CPU affinity")
     def test_the_worker_leaves_the_starting_cpu_to_its_caller(self):
         allowed = os.sched_getaffinity(0)
-        cpu = optim._current_cpu()
+        cpu = tensor._current_cpu()
         assert cpu in allowed
         seen = []
 
         def start():
-            optim._avoid_cpu(cpu)
+            tensor._avoid_cpu(cpu)
             seen.append(os.sched_getaffinity(0))
 
         thread = threading.Thread(target=start)
