@@ -1,43 +1,30 @@
 """Adam optimizer with decoupled weight decay and linear learning-rate
 warmup, and ``fit``, the one epoch loop every training objective runs.
 
-Inside ``fit``'s backward, each large parameter's update is handed to the
-package's one worker thread (``tensor._start_worker``) as soon as its
-gradient is final, so it runs beside the rest of the backward pass;
-``AdamW.step`` waits for those updates before it does the rest. The same
-thread also computes parts of ``linear``'s large matrix products, forward
-and backward. It starts on the first such job, so a run whose parameters are
-all small never starts it.
+Inside ``fit``'s backward, each large parameter is updated as soon as its
+gradient is final, and the gradient is dropped; ``AdamW.step`` then updates
+the rest. A large parameter's update runs in two halves, the caller's and
+one on the package's worker thread (``tensor._beside``), and returns once
+both are done, so no update is pending between ops. The thread starts on
+its first job, so a run whose parameters and products are all small never
+starts it.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import BLOCK, Tensor, _start_worker
+from .tensor import BLOCK, Tensor, _beside
 
 log = logging.getLogger(__name__)
 
 # Adam's moment decay rates and the denominator's stabilizing term.
 BETAS = (0.9, 0.999)
 EPS = 1e-8
-
-# Large-parameter sweeps that may be pending on the worker thread at once;
-# each keeps its gradient alive, up to 9 MiB (768 x 3072) at paper width.
-# With 1, backward waits for each sweep before it can hand off the next: one
-# paper-width decoder step's backward and step took a median 284 / 254 / 247
-# / 257 ms at 1 / 2 / 3 / 4, against 404 ms updating in backward's own thread
-# (12 steps each, 2-CPU VM, 1 BLAS thread), so 2 keeps most of the overlap
-# for one more gradient. The worker also runs ``linear``'s shared products,
-# which queue behind these sweeps; a product part the worker has not started
-# when the caller is done with its own is run by the caller, so a backward
-# never waits for pending sweeps to reach its weight gradient.
-IN_FLIGHT = 2
 
 
 class AdamW:
@@ -61,10 +48,11 @@ class AdamW:
     view, since the update would not reach it.
 
     A step is ``loss.backward()`` then ``step()``, or, as ``fit`` runs it,
-    ``loss.backward(opt.start_step)`` then ``step()``. The second hands each
-    large parameter's update to the worker thread as soon as its gradient is
-    final, with at most ``IN_FLIGHT`` of them pending, and ``step`` waits
-    for them all before it updates the rest: both give the same bytes.
+    ``loss.backward(opt.start_step)`` then ``step()``. The second updates
+    each large parameter as soon as its gradient is final, and ``step``
+    updates the rest: both give the same bytes. A large parameter's range of
+    two blocks or more is swept in two halves split at a block boundary, the
+    second on the worker thread beside the first (``tensor._beside``).
     """
 
     def __init__(
@@ -119,17 +107,15 @@ class AdamW:
             self._views.append(view)
             self.first_moment.append(first[lo:hi].reshape(p.shape))
             self.second_moment.append(second[lo:hi].reshape(p.shape))
-        self._scratch = (np.empty(min(BLOCK, total), dtype), np.empty(min(BLOCK, total), dtype))
+        # a pair of scratch arrays for each half of a large parameter's sweep
+        self._scratch = [(np.empty(min(BLOCK, total), dtype), np.empty(min(BLOCK, total), dtype))
+                         for _ in range(2)]
         # each large parameter's flat range, and one array that gathers the
         # small parameters' gradients, which lie after them, once per step
         self._large = {id(self.params[i]): (i, starts[i], starts[i] + self.params[i].size)
                        for i in large}
         self._small_grad = np.empty(total - bounds[len(large)], dtype)
         self._in_backward = False
-        # sweeps handed to the worker, oldest first, and the first error of
-        # one already waited for, which ``_wait_all`` raises
-        self._pending: deque = deque()
-        self._error: BaseException | None = None
 
     def effective_lr(self, step: int | None = None) -> float:
         t = self.step_count if step is None else step
@@ -151,12 +137,9 @@ class AdamW:
         reachable ``leaves`` as having a gradient, so a failed check leaves
         every parameter as it was. It returns the function that, as soon as a
         large parameter's gradient is final, checks the parameter again,
-        hands its ``step`` update to the worker thread and drops the
-        gradient; ``step`` waits for the worker and does the rest. It first
-        waits for any update a backward that raised left pending, so the new
-        pass never reads a parameter the worker is writing.
+        applies its ``step`` update and drops the gradient; ``step`` does the
+        rest.
         """
-        self._wait_all()
         self._check(range(len(self.params)), {id(leaf) for leaf in leaves})
         self._in_backward = True
         return self._update_large
@@ -167,30 +150,19 @@ class AdamW:
             return
         i, lo, hi = entry
         self._check([i])
-        while len(self._pending) >= IN_FLIGHT:
-            self._wait_oldest()
-        self._pending.append(_start_worker().submit(
-            self._sweep_held, lo, hi, [leaf.grad.reshape(-1)], self.step_count + 1))
+        self._sweep_large(lo, hi, leaf.grad.reshape(-1), self.step_count + 1)
         leaf.grad = None
 
-    def _sweep_held(self, lo: int, hi: int, held: list[np.ndarray], t: int) -> None:
-        """``_sweep`` on the worker. It takes the gradient out of ``held``, so
-        the gradient is freed when the sweep ends, before its future is done."""
-        self._sweep(lo, hi, held.pop(), t)
-
-    def _wait_oldest(self) -> None:
-        """Wait for the oldest pending sweep and keep the first error."""
-        error = self._pending.popleft().exception()
-        if self._error is None:
-            self._error = error
-
-    def _wait_all(self) -> None:
-        """Wait for every pending sweep, then raise the first error of one."""
-        while self._pending:
-            self._wait_oldest()
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
+    def _sweep_large(self, lo: int, hi: int, grad: np.ndarray, t: int) -> None:
+        """``_sweep`` a large parameter's range ``lo:hi``: in two halves split
+        at a ``BLOCK`` boundary, the second on the worker beside the first,
+        or whole on the caller when the range is shorter than two blocks."""
+        mid = lo + (hi - lo) // (2 * BLOCK) * BLOCK
+        if mid == lo:
+            self._sweep(lo, hi, grad, t, self._scratch[0])
+            return
+        _beside(lambda: self._sweep(lo, mid, grad[:mid - lo], t, self._scratch[0]),
+                lambda: self._sweep(mid, hi, grad[mid - lo:], t, self._scratch[1]))
 
     def _check(self, indices, reached: set[int] | None = None) -> None:
         for i in indices:
@@ -208,9 +180,7 @@ class AdamW:
 
     def step(self) -> None:
         """Apply one update to every parameter, then clear gradients. After
-        a backward with ``start_step``, it first waits for every update
-        handed to the worker thread, and raises the first error of one;
-        only the small parameters are then left.
+        a backward with ``start_step``, only the small parameters are left.
 
         The update sweeps the flat buffers in blocks of ``BLOCK`` elements,
         so that each block's parameters, moments, gradient and two scratch
@@ -218,26 +188,28 @@ class AdamW:
         large parameter's gradient is read in place; the small parameters'
         gradients are first gathered into one array. Every element sees the
         same operations in the same order as a whole-array update, so the
-        result does not depend on the blocking.
+        result does not depend on the blocking, nor on the split of a large
+        parameter's range into halves.
         """
-        self._wait_all()
         self._check(self._small if self._in_backward else range(len(self.params)))
         self.step_count += 1
         for i, lo, hi in self._large.values():
             grad = self.params[i].grad
             if grad is not None:  # not updated inside backward
-                self._sweep(lo, hi, grad.reshape(-1), self.step_count)
+                self._sweep_large(lo, hi, grad.reshape(-1), self.step_count)
         if self._small:
             np.concatenate([self.params[i].grad.reshape(-1) for i in self._small],
                            out=self._small_grad)
             self._sweep(self.buffer.size - self._small_grad.size, self.buffer.size,
-                        self._small_grad, self.step_count)
+                        self._small_grad, self.step_count, self._scratch[0])
         self._in_backward = False
         self.zero_grad()
 
-    def _sweep(self, lo: int, hi: int, grad: np.ndarray, t: int) -> None:
+    def _sweep(self, lo: int, hi: int, grad: np.ndarray, t: int,
+               scratch: tuple[np.ndarray, np.ndarray]) -> None:
         """Update the flat range ``lo:hi`` of the buffer and moments from
-        ``grad``, its gradient, one ``BLOCK`` slice at a time."""
+        ``grad``, its gradient, one ``BLOCK`` slice at a time, with the
+        ``scratch`` pair of ``BLOCK``-sized arrays."""
         lr_t = self.effective_lr(t)
         beta1, beta2 = BETAS
         keep1, keep2 = 1.0 - beta1, 1.0 - beta2
@@ -246,7 +218,7 @@ class AdamW:
         for start in range(lo, hi, BLOCK):
             end = min(start + BLOCK, hi)
             n = end - start
-            a, b = self._scratch[0][:n], self._scratch[1][:n]
+            a, b = scratch[0][:n], scratch[1][:n]
             g = grad[start - lo:end - lo]
             data, m, v = self.buffer[start:end], first[start:end], second[start:end]
             np.multiply(g, keep1, out=b)
@@ -299,10 +271,9 @@ def fit(
     batch's share of the epoch's summed loss, and (correct, counted)
     prediction counts; each loss gets one backward and one optimizer step.
     The backward runs ``optimizer.start_step``, so each parameter of
-    ``BLOCK`` elements or more is updated on the optimizer's worker thread
-    as soon as its gradient is final, and at most ``IN_FLIGHT`` handed-off
-    gradients are alive at once; ``optimizer.step`` waits for those updates
-    and then updates the rest.
+    ``BLOCK`` elements or more is updated, half of it on the worker thread,
+    as soon as its gradient is final, and the gradient is dropped once the
+    update is done; ``optimizer.step`` then updates the rest.
     The epoch loss is that sum over ``len(items)``. After the epoch,
     ``validate(epoch)`` returns the validation loss and accuracy (or
     ``None``). With ``keep_best``, the optimizer's parameters end as they

@@ -342,11 +342,18 @@ def load_references(path: str | Path) -> dict[int, list[list[str]]]:
 def _evaluate(ctx: _Context) -> dict:
     config, cluster_set = ctx.config, ctx.cluster_set
     top_summaries: dict[int, str] = {}
-    with open(ctx.out_dir / SUMMARIES_FILE, "r", encoding="utf-8") as fh:
-        for line in fh:
+    path = ctx.out_dir / SUMMARIES_FILE
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
             row = json.loads(line)
+            if not isinstance(row, dict) or not {"cluster", "rank", "text"} <= row.keys():
+                raise ValueError(f"{path}:{lineno}: a summary row needs 'cluster', 'rank' "
+                                 "and 'text'")
             if row["rank"] == 1:
                 top_summaries[row["cluster"]] = row["text"]
+    missing = [c for c in range(cluster_set.k) if c not in top_summaries]
+    if missing:
+        raise ValueError(f"{path}: no rank-1 summary for cluster {missing[0]}")
     summary_embeddings = ctx.encoder.embed_documents(
         [encode(top_summaries[c], ctx.vocab, config.max_len) for c in range(cluster_set.k)])
 

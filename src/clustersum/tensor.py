@@ -31,19 +31,19 @@ dropout, layer_norm, gelu and cross_entropy pass ``owned=True`` to
 first operand gets a copy of the same array. Later gradients add into the
 first.
 
-The package has one worker thread, started here on first use; ``linear``
-and ``AdamW`` share it. ``linear`` hands it part of each product with a
-weight of ``BLOCK`` elements or more: forward, one column half of ``x @ w``,
-written into the output whose other half the caller fills; backward, the
-weight gradient, while the caller computes the input gradient. The worker
-only reads the operands and writes its disjoint output half or a fresh
-gradient array, and the op returns only once both parts are done: a part the
+The package has one worker thread, started here on first use, and one way
+onto it: ``_beside(mine, theirs)`` runs ``theirs`` there while the caller
+runs ``mine``, and returns, or raises, only once both are done. A part the
 worker has not started by the time the caller is done with its own, the
-caller computes itself. ``AdamW`` runs its large-parameter sweeps there, and
-a sweep writes a parameter. In ``fit``, no forward overlaps a pending sweep,
-since ``step`` and ``start_step`` wait for them, and a backward product that reads
-a parameter runs before that parameter's gradient is final and its sweep is
-handed off.
+caller takes back and runs itself. So every job handed to the worker is
+joined before the op that handed it over returns, and the worker holds no
+job between ops. ``linear`` hands it part of each product with a weight of
+``BLOCK`` elements or more: forward, one column half of ``x @ w``, written
+into the output whose other half the caller fills; backward, the weight
+gradient, while the caller computes the input gradient. ``AdamW`` hands it
+one half of each large parameter's update, which writes that half of the
+parameter and its moments. The two parts of an op write disjoint slices or
+fresh arrays, and neither writes what the other reads.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ _GELU_CUBIC = 0.044715
 
 # Elements that make a parameter large. ``linear`` shares its products with
 # such a weight with the worker thread, and ``AdamW`` updates such a
-# parameter on it inside backward and sweeps its flat buffers in blocks of
-# this size: at float32, a block's parameters, moments, gradient and scratch
-# (6 x 256 KiB) stay in a core's L2 cache.
+# parameter inside backward, in two halves on the two threads. It sweeps its
+# flat buffers in blocks of this size: at float32, a block's parameters,
+# moments, gradient and scratch (6 x 256 KiB) stay in a core's L2 cache.
 BLOCK = 1 << 16
 
 # Multiply-adds each part of a shared product must exceed. A column half of
@@ -122,13 +122,17 @@ def _beside(mine: Callable, theirs: Callable) -> tuple:
     """``(mine(), theirs())``, with ``theirs`` on the worker while the caller
     runs ``mine``. If the worker has not started ``theirs`` by then (it is
     still busy with earlier work), the caller cancels it and runs it itself,
-    so the caller never waits behind the worker's queue. An error of
-    ``theirs`` is raised here."""
+    so the caller never waits behind the worker's queue. Otherwise it waits
+    for ``theirs`` to end, also when ``mine`` raised, since ``theirs`` may
+    write what the caller reads next. An error of ``theirs`` is raised here;
+    one of ``mine`` comes first."""
     future = _start_worker().submit(theirs)
     try:
         first = mine()
     finally:
         cancelled = future.cancel()
+        if not cancelled:
+            future.exception()  # waits for theirs without raising its error
     return first, theirs() if cancelled else future.result()
 
 
@@ -210,8 +214,7 @@ class Tensor:
         before the first backward function runs, and the function it returns
         is called with each leaf as soon as the last node that reads it has
         run its backward, when the leaf's gradient is final. The optimizer
-        uses this to hand a parameter's update to its worker thread, which
-        runs it beside the rest of the pass, and drop its gradient mid-pass.
+        uses this to update a parameter and drop its gradient mid-pass.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.shape}")

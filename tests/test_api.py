@@ -4,7 +4,8 @@ The autograd module keeps only what the package runs: every public name
 in ``tensor.py`` is imported by another module of the package, and
 ``Tensor`` has no arithmetic operators or helper methods that only tests
 would call. Ops the tests need live in ``tests/oracles.py``. The package has one worker
-thread, and only ``tensor.py`` names a thread or an executor.
+thread, only ``tensor.py`` names a thread or an executor, and only ``tensor._beside``
+hands the worker a job.
 
 Every run setting has one home, ``PipelineConfig``: no other module gives
 a parameter or dataclass field named after a setting a default of its own,
@@ -100,6 +101,38 @@ def test_only_tensor_names_a_thread():
         if path.name != "tensor.py":
             assert sorted(_thread_names(_parse(path))) == [], path.name
     assert _thread_names(_parse(PACKAGE / "tensor.py")) == {"ThreadPoolExecutor"}
+
+
+def _worker_callers(tree: ast.Module) -> set[str]:
+    """The innermost function (``<module>`` outside any) around each call of
+    ``_start_worker`` or of a ``submit`` method in ``tree``, and
+    ``<import>`` where ``_start_worker`` is imported."""
+    callers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("_start_worker", "submit"):
+                    callers.add(owner)
+            elif isinstance(child, ast.alias) and child.name == "_start_worker":
+                callers.add("<import>")
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_only_beside_hands_the_worker_a_job():
+    """Every job reaches the worker through ``_beside``, which joins it
+    before it returns, so the worker holds no job between ops."""
+    found = {(path.name, owner) for path in PACKAGE.glob("*.py")
+             for owner in _worker_callers(_parse(path))}
+    assert found == {("tensor.py", "_beside")}
 
 
 def _setting_names() -> set[str]:

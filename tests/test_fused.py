@@ -2,7 +2,8 @@
 graphs they replace: the same bytes forward and backward, finite-difference
 gradients, shape checks, and the node count of one encoder block. At paper
 width, ``linear``'s products shared with the worker thread give the bytes of
-the whole products, also when the worker is busy or its part fails."""
+the whole products, also when the worker is busy or its part fails, and an
+error of the caller's part is raised only once the worker's part has ended."""
 
 import threading
 
@@ -394,6 +395,32 @@ class TestSharedProducts:
         assert linear(x, w).data.tobytes() == (x.data @ w.data).tobytes()
         assert len(recording.threads) == 2
         assert recording.threads[0] != threading.main_thread().ident
+
+
+def test_an_error_of_the_caller_waits_for_the_worker_part():
+    """The worker's part is held by an event until after the caller's
+    part has raised; ``_beside`` raises only once the worker's part has
+    ended, since that part may write what the caller reads next."""
+    started, release, ended = threading.Event(), threading.Event(), []
+    timer = threading.Timer(0.05, release.set)
+
+    def theirs():
+        started.set()
+        release.wait(30)
+        ended.append(True)
+
+    def mine():
+        assert started.wait(30)
+        timer.start()
+        raise RuntimeError("caller part failed")
+
+    try:
+        with pytest.raises(RuntimeError, match="caller part failed"):
+            tensor._beside(mine, theirs)
+        assert ended == [True]
+    finally:
+        release.set()
+        timer.cancel()
 
 
 class _WorkerFirst:

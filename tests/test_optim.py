@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import time
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,7 @@ import clustersum
 from clustersum import optim, tensor
 from clustersum.cli import main
 from clustersum.encoder import EncoderModel, ModelConfig, mlm_batch_loss
-from clustersum.optim import BETAS, BLOCK, EPS, IN_FLIGHT, AdamW, fit
+from clustersum.optim import BETAS, BLOCK, EPS, AdamW, fit
 from clustersum.tensor import Tensor, cross_entropy, gelu, init_normal, layer_norm, linear
 
 from corpora import build_docs, graded_topic_texts, pair_texts
@@ -399,10 +398,9 @@ class TestUpdateInBackward:
         return sorted(range(len(opt.params)), key=lambda i: opt.params[i].data.ctypes.data)
 
     def test_each_large_gradient_is_dropped_after_its_update(self, monkeypatch):
-        """No large parameter but the one being handed off holds a gradient,
-        each drops its gradient once its update is handed to the worker, and
-        ``step`` finds none. At most ``IN_FLIGHT`` handed-off gradients stay
-        alive until their updates end (``TestWorker``)."""
+        """No large parameter but the one being updated holds a gradient,
+        each drops its gradient as soon as its update, both halves of it
+        (``TestWorker``), has ended, and ``step`` finds none."""
         monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
         model = _Desk(np.float32)
         opt = AdamW(model.params, lr=1e-2, weight_decay=0.0, warmup_steps=0)
@@ -486,33 +484,62 @@ class TestUpdateInBackward:
         assert all(p.grad is None for p in model.params)
 
 
-class TestWorker:
-    """Large-parameter updates run on one worker thread beside backward."""
+def _first_halves(opt) -> set:
+    """The caller's half, ``(lo, lo + 2 blocks)``, of each large range of two
+    blocks or more, with ``BLOCK`` patched to ``SMALL_BLOCK``."""
+    return {(lo, lo + 2 * SMALL_BLOCK) for _, lo, hi in opt._large.values()
+            if hi - lo >= 2 * SMALL_BLOCK}
 
-    def test_large_sweeps_run_on_the_worker_and_the_small_run_on_the_caller(self, monkeypatch):
+
+class TestWorker:
+    """A large parameter's update runs in two halves, one on the worker
+    thread, and both end before the update returns."""
+
+    def test_large_ranges_of_two_blocks_split_across_the_threads(self, monkeypatch):
+        """In ``_Shared``, ``w`` (5 blocks and 30 elements) and the head's
+        weight (4 blocks and 24) split after two blocks: the caller sweeps the
+        first half and the worker the second. The first bias, the gain and
+        the layer norm's bias (one block and 6) run whole on the caller, and
+        so does the small run. Each caller half waits until the worker has
+        started its half, so the caller never takes that half back."""
         monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
         model = _Shared(np.float32)
         opt = AdamW(model.params, lr=1e-2, weight_decay=0.0, warmup_steps=0)
-        threads = {}
+        caller, worker = threading.get_ident(), "worker"
+        expected = {(opt.buffer.size - opt._small_grad.size, opt.buffer.size): caller}
+        for i, lo, hi in opt._large.values():
+            if i in (0, 4):
+                mid = lo + 2 * SMALL_BLOCK
+                expected.update({(lo, mid): caller, (mid, hi): worker})
+            else:
+                expected[lo, hi] = caller
+        first_halves = _first_halves(opt)
+        assert len(first_halves) == 2
+        threads, started = {}, threading.Event()
         sweep = AdamW._sweep
 
-        def recorded(self, lo, hi, grad, t):
-            threads.setdefault((lo, hi), set()).add(threading.get_ident())
-            sweep(self, lo, hi, grad, t)
+        def recorded(self, lo, hi, grad, t, scratch):
+            on_worker = threading.get_ident() != caller
+            if on_worker:
+                assert scratch is self._scratch[1]
+                started.set()
+            elif (lo, hi) in first_halves:
+                assert started.wait(30)
+                started.clear()
+            threads.setdefault((lo, hi), []).append(worker if on_worker else caller)
+            sweep(self, lo, hi, grad, t, scratch)
 
         monkeypatch.setattr(AdamW, "_sweep", recorded)
         fit(model.items, model.batch_loss, opt, epochs=1, batch_size=4,
             rng=np.random.default_rng(5))
-        large = {(lo, hi) for _, lo, hi in opt._large.values()}
-        small = (opt.buffer.size - opt._small_grad.size, opt.buffer.size)
-        assert set(threads) == large | {small}
-        assert threads.pop(small) == {threading.get_ident()}
-        (worker,) = set().union(*threads.values())
-        assert worker != threading.get_ident()
+        assert opt.step_count == 2
+        assert threads == {key: [thread] * 2 for key, thread in expected.items()}
+        assert tensor._worker is not None
 
     def test_bytes_hold_when_threads_switch_often(self, monkeypatch):
         """With the interpreter switching threads every microsecond, the
-        worker's sweeps still give the bytes of a plain backward and step."""
+        halves swept on the worker still give the bytes of a plain backward
+        and step."""
         monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
         with monkeypatch.context() as m:
             _plain_backward(m)
@@ -525,113 +552,57 @@ class TestWorker:
             sys.setswitchinterval(interval)
         assert _state(opt) == _state(expected)
 
-    @pytest.mark.parametrize("in_flight", [1, IN_FLIGHT])
-    def test_at_most_in_flight_handed_off_gradients_are_alive(self, monkeypatch, in_flight):
-        """Each large gradient is counted from its hand-off until it is freed;
-        slow sweeps keep the worker behind, so the count reaches the bound.
-        A gradient is freed before its sweep's future is done, so waiting for
-        the oldest sweep makes room at once."""
-        monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
-        monkeypatch.setattr(optim, "IN_FLIGHT", in_flight)
-        model = _Desk(np.float32)
-        opt = AdamW(model.params, lr=1e-2, weight_decay=0.0, warmup_steps=0)
-        lock = threading.Lock()
-        alive, peak, handed = [0], [0], [0]
-
-        def freed():
-            with lock:
-                alive[0] -= 1
-
-        update, sweep = opt._update_large, AdamW._sweep
-
-        held_when_done = []
-
-        def counted(leaf):
-            large = id(leaf) in opt._large
-            if large:
-                weakref.finalize(leaf.grad, freed)
-                grad = weakref.ref(leaf.grad)
-            update(leaf)
-            if large:
-                opt._pending[-1].add_done_callback(
-                    lambda _: held_when_done.append(grad() is not None))
-                with lock:
-                    alive[0] += 1
-                    peak[0] = max(peak[0], alive[0])
-                    handed[0] += 1
-
-        def slow(self, lo, hi, grad, t):
-            if threading.get_ident() != threading.main_thread().ident:
-                time.sleep(0.005)
-            sweep(self, lo, hi, grad, t)
-
-        opt._update_large = counted
-        monkeypatch.setattr(AdamW, "_sweep", slow)
-        fit(model.items, model.batch_loss, opt, epochs=1, batch_size=4,
-            rng=np.random.default_rng(5))
-        assert handed[0] == 3 * len(opt._large)
-        assert held_when_done == [False] * handed[0]
-        assert peak[0] == in_flight
-        assert alive[0] == 0
-
-    def test_an_error_in_the_worker_is_raised_by_the_next_step(self, monkeypatch):
-        """The first sweep fails and the rest run; ``step`` raises that error
-        before it updates anything and leaves nothing pending."""
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_an_error_in_either_half_is_raised_by_its_backward(self, monkeypatch, failing):
+        """One half of the first split sweep raises; the caller's half waits
+        until the worker has started its half, so neither runs both. When
+        the caller's half raises, the worker's half is still running; the
+        ``backward`` raises the error only once no sweep is running. No
+        small parameter has moved, and after ``zero_grad`` the next ``fit``
+        steps work."""
         monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
         model = _Shared(np.float32)
         opt = AdamW(model.params, lr=1e-2, weight_decay=0.0, warmup_steps=0)
         small = {i: opt.params[i].data.copy() for i in opt._small}
+        first_halves = _first_halves(opt)
         sweep = AdamW._sweep
-        calls = []
+        lock, running, started, failed = threading.Lock(), [0], threading.Event(), []
 
-        def failing(self, lo, hi, grad, t):
-            calls.append(lo)
-            if len(calls) == 1:
-                raise RuntimeError("sweep failed")
-            sweep(self, lo, hi, grad, t)
+        def fail(lo):
+            failed.append(lo)
+            raise RuntimeError(f"{failing} half failed")
 
-        monkeypatch.setattr(AdamW, "_sweep", failing)
-        model.batch_loss([0, 1, 2])[0].backward(opt.start_step)
-        with pytest.raises(RuntimeError, match="sweep failed"):
-            opt.step()
-        assert len(calls) == len(opt._large) > IN_FLIGHT
-        assert not opt._pending and opt._error is None
+        def failing_sweep(self, lo, hi, grad, t, scratch):
+            with lock:
+                running[0] += 1
+            try:
+                if threading.current_thread() is not threading.main_thread():
+                    started.set()
+                    if failing == "caller":
+                        time.sleep(0.05)
+                    elif not failed:
+                        fail(lo)
+                elif not failed and (lo, hi) in first_halves:
+                    assert started.wait(30)
+                    if failing == "caller":
+                        fail(lo)
+                sweep(self, lo, hi, grad, t, scratch)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(AdamW, "_sweep", failing_sweep)
+        with pytest.raises(RuntimeError, match=f"{failing} half failed"):
+            model.batch_loss([0, 1, 2])[0].backward(opt.start_step)
+        assert running == [0]
+        assert len(failed) == 1
         assert opt.step_count == 0
         assert all(opt.params[i].data.tobytes() == d.tobytes() for i, d in small.items())
-
-    def test_a_new_backward_first_waits_for_what_a_failed_one_left(self, monkeypatch):
-        monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
-        model = _Shared(np.float32)
-        opt = AdamW(model.params, lr=1e-2, weight_decay=0.0, warmup_steps=0)
-
-        def failing(leaves):
-            update = opt.start_step(leaves)
-
-            def hook(leaf):
-                update(leaf)
-                if id(leaf) in opt._large:
-                    raise RuntimeError("backward failed")
-
-            return hook
-
-        with pytest.raises(RuntimeError, match="backward failed"):
-            model.batch_loss([0, 1, 2])[0].backward(failing)
-        assert len(opt._pending) == 1
         opt.zero_grad()
-        loss = model.batch_loss([0, 1, 2])[0]
-        started = []
-        update = opt.start_step
-
-        def start(leaves):
-            started.append(len(opt._pending))
-            hook = update(leaves)
-            started.append(len(opt._pending))
-            return hook
-
-        loss.backward(start)
-        opt.step()
-        assert started == [1, 0]
-        assert opt.step_count == 1
+        fit(model.items, model.batch_loss, opt, epochs=1, batch_size=4,
+            rng=np.random.default_rng(5))
+        assert opt.step_count == 2 and len(failed) == 1
+        assert all(opt.params[i].data.tobytes() != d.tobytes() for i, d in small.items())
 
     def test_importing_the_package_starts_no_thread(self):
         src = str(Path(clustersum.__file__).resolve().parent.parent)

@@ -424,6 +424,32 @@ class TestExitCodes:
             assert err.startswith("error: ")
             assert err.endswith(message.format(number=len(lines)) + "\n")
 
+    @pytest.mark.parametrize("cut, message", [
+        (lambda rows: [r for r in rows if json.loads(r)["cluster"] != 1],
+         "{path}: no rank-1 summary for cluster 1"),
+        (lambda rows: rows[:-1] + [json.dumps({"cluster": 1, "text": "a"}) + "\n"],
+         "{path}:{number}: a summary row needs 'cluster', 'rank' and 'text'"),
+        (lambda rows: rows[:-1] + ["7\n"],
+         "{path}:{number}: a summary row needs 'cluster', 'rank' and 'text'"),
+    ])
+    def test_cut_summaries_file_exits_1(self, corpus, tmp_path, capsys, cut, message):
+        """summaries.jsonl without cluster 1's rows, or whose last row lacks
+        a field or is not an object: evaluate exits 1 naming the file and
+        the cluster or line, and records nothing."""
+        out = tmp_path / "out"
+        for stage in ("build-vocab", "pretrain", "cluster", "train-decoder", "summarize"):
+            assert self._run(stage, corpus, out) == 0
+        path = out / pipeline.SUMMARIES_FILE
+        rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(cut(rows)), encoding="utf-8")
+        capsys.readouterr()
+        assert self._run("evaluate", corpus, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.endswith(message.format(path=path, number=len(rows)) + "\n")
+        assert not (out / pipeline.METRICS_JSON).exists()
+        assert "evaluate" not in _stages(out)
+
     @pytest.mark.parametrize("clustering", ["kmeans", "labels"])
     def test_each_stage_on_an_empty_out_names_the_stage_before_it(
             self, labeled_corpus, tmp_path, capsys, clustering):
