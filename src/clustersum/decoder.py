@@ -152,8 +152,11 @@ def init_from_encoder(encoder: EncoderModel) -> DecoderModel:
     and the prediction head copy their encoder counterparts directly. Each
     block's cross-attention copies the value and output projections of the
     same block's encoder self-attention; the norm that follows it copies the
-    encoder's attention norm. All copies are independent, so decoder
-    training leaves the encoder untouched. The decoder is built
+    encoder's attention norm. A read-only source, such as a loaded
+    checkpoint's mapped weights, is adopted as it is, since nothing can
+    write through it and decoder training copies every parameter into its
+    optimizer; a writable one is copied. So the copies are independent, and
+    decoder training leaves the encoder untouched. The decoder is built
     without a generator, so nothing is drawn only to be overwritten; every
     one of its parameters has an encoder source, whose dtype it takes.
     """
@@ -166,7 +169,7 @@ def init_from_encoder(encoder: EncoderModel) -> DecoderModel:
             raise ValueError(
                 f"cannot initialize {dec_name} ({dst.shape}) from {enc_name} ({src.shape})"
             )
-        dst.data = src.data.copy()
+        dst.data = src.data.copy() if src.data.flags.writeable else src.data
     return decoder
 
 

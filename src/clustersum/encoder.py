@@ -24,7 +24,7 @@ evaluation run in batches of ``EVAL_BATCH_SIZE``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -138,10 +138,17 @@ class Model(Module):
 
     @classmethod
     def load(cls, path) -> "Model":
-        """Rebuild a saved model, in float32 as every checkpoint is."""
+        """Rebuild a saved model, in float32 as every checkpoint is. Its
+        parameters are read-only views of the mapped file
+        (``load_checkpoint``): a model that trains copies them into its
+        optimizer first, and nothing writes into them in place."""
         ckpt = load_checkpoint(path)
         if ckpt.component != cls.component:
             raise ValueError(f"{path} holds a {ckpt.component!r} checkpoint, expected {cls.component!r}")
+        expected = {f.name for f in fields(ModelConfig)}
+        if set(ckpt.config) != expected:
+            raise ValueError(f"{path}: checkpoint config keys do not match the model config: "
+                             f"{sorted(set(ckpt.config) ^ expected)}")
         return cls._filled(ModelConfig(**ckpt.config), ckpt.tensors)
 
     def astype(self, dtype) -> "Model":

@@ -10,12 +10,14 @@ write losses and shared-operand cases with them; no model runs them. The
 composed graphs build linear, attention and residual layer norm from those
 ops, node by node, and the fused ops must match them byte for byte. The
 per-cluster decode is the path that one decoding batch across clusters
-replaced.
+replaced. ``rewrite_checkpoint_header`` edits a checkpoint file from the
+format's layout alone, without the library's loader.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from typing import Sequence
 
@@ -236,6 +238,16 @@ def parameter_hash(model) -> str:
         digest.update(name.encode("utf-8"))
         digest.update(np.ascontiguousarray(p.data).tobytes())
     return digest.hexdigest()
+
+
+def rewrite_checkpoint_header(path, edit) -> None:
+    """Replace the JSON header of the checkpoint file at ``path`` by
+    ``edit(header)``, keeping its payloads on their 64-byte boundaries."""
+    magic, header, rest = path.read_bytes().split(b"\n", 2)
+    payloads = rest[-(len(magic) + len(header) + 2) % 64:]
+    header = json.dumps(edit(json.loads(header))).encode("utf-8")
+    path.write_bytes(magic + b"\n" + header + b"\n"
+                     + bytes(-(len(magic) + len(header) + 2) % 64) + payloads)
 
 
 def dense_gather_rows_grad(existing, shape, dtype, indices, grad: np.ndarray) -> np.ndarray:

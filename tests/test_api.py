@@ -5,7 +5,8 @@ in ``tensor.py`` is imported by another module of the package, and
 ``Tensor`` has no arithmetic operators or helper methods that only tests
 would call. Ops the tests need live in ``tests/oracles.py``. The package has one worker
 thread, only ``tensor.py`` names a thread or an executor, and only ``tensor._beside``
-hands the worker a job.
+hands the worker a job. Only ``checkpoint.atomic_write`` opens a file for
+writing, so a mapped checkpoint is only ever replaced, never rewritten.
 
 Every run setting has one home, ``PipelineConfig``: no other module gives
 a parameter or dataclass field named after a setting a default of its own,
@@ -103,27 +104,35 @@ def test_only_tensor_names_a_thread():
     assert _thread_names(_parse(PACKAGE / "tensor.py")) == {"ThreadPoolExecutor"}
 
 
+def _calls(tree: ast.Module):
+    """(function, call) of every call in ``tree``, where function is the
+    innermost function around the call, or ``<module>`` outside any."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                yield owner, child
+            yield from visit(child, owner)
+
+    yield from visit(tree, "<module>")
+
+
+def _called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _worker_callers(tree: ast.Module) -> set[str]:
     """The innermost function (``<module>`` outside any) around each call of
     ``_start_worker`` or of a ``submit`` method in ``tree``, and
     ``<import>`` where ``_start_worker`` is imported."""
-    callers = set()
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in ("_start_worker", "submit"):
-                    callers.add(owner)
-            elif isinstance(child, ast.alias) and child.name == "_start_worker":
-                callers.add("<import>")
-            visit(child, owner)
-
-    visit(tree, "<module>")
+    callers = {owner for owner, call in _calls(tree)
+               if _called_name(call) in ("_start_worker", "submit")}
+    if any(isinstance(node, ast.alias) and node.name == "_start_worker"
+           for node in ast.walk(tree)):
+        callers.add("<import>")
     return callers
 
 
@@ -133,6 +142,70 @@ def test_only_beside_hands_the_worker_a_job():
     found = {(path.name, owner) for path in PACKAGE.glob("*.py")
              for owner in _worker_callers(_parse(path))}
     assert found == {("tensor.py", "_beside")}
+
+
+def _mode(call: ast.Call, index: int, default: str) -> str:
+    """The mode ``call`` passes at position ``index`` or as ``mode=``, or
+    ``default`` when it passes none; ``"w"`` when it is not a literal string,
+    since a mode the source does not show may write."""
+    node = call.args[index] if len(call.args) > index else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    if node is None:
+        return default
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else "w"
+
+
+_NUMPY_SAVERS = {"save", "savez", "savez_compressed", "savetxt"}
+
+
+def _opens_for_writing(call: ast.Call, yielded: set[str]) -> bool:
+    """Whether ``call`` can open a file for writing: ``open`` (builtin,
+    ``io.``, ``Path.``) or ``os.fdopen`` with a writing mode, ``os.open``,
+    ``write_text``, ``write_bytes``, ``touch`` and ``tofile``, numpy's
+    ``memmap`` in a writing mode, and numpy's savers given anything but a
+    file that ``atomic_write`` yielded (a name in ``yielded``)."""
+    name, func = _called_name(call), call.func
+    module = func.value.id if isinstance(func, ast.Attribute) and isinstance(
+        func.value, ast.Name) else None
+    if name == "open" and module == "os":
+        return True
+    if name in ("open", "fdopen"):
+        index = 1 if isinstance(func, ast.Name) or module in ("io", "os") else 0
+        return bool(set(_mode(call, index, "r")) & set("wax+"))
+    if name in ("write_text", "write_bytes", "touch", "tofile"):
+        return True
+    if module in ("np", "numpy") and name == "memmap":
+        return _mode(call, 2, "r+") not in ("r", "c")
+    if module in ("np", "numpy") and name in _NUMPY_SAVERS:
+        target = call.args[0] if call.args else None
+        return not (isinstance(target, ast.Name) and target.id in yielded)
+    return False
+
+
+def _atomic_write_files(tree: ast.Module) -> set[str]:
+    """Every name bound by ``with atomic_write(...) as name`` in ``tree``."""
+    return {item.optional_vars.id for node in ast.walk(tree) if isinstance(node, ast.With)
+            for item in node.items
+            if isinstance(item.context_expr, ast.Call)
+            and _called_name(item.context_expr) == "atomic_write"
+            and isinstance(item.optional_vars, ast.Name)}
+
+
+def _file_writers(tree: ast.Module) -> set[str]:
+    """The innermost function (``<module>`` outside any) around each call in
+    ``tree`` that can open a file for writing."""
+    yielded = _atomic_write_files(tree)
+    return {owner for owner, call in _calls(tree) if _opens_for_writing(call, yielded)}
+
+
+def test_only_atomic_write_opens_a_file_for_writing():
+    """Every file the package writes is a new file that ``atomic_write``
+    renames over the old one. A loaded checkpoint is a mapping of its file,
+    so the file must only ever be replaced: a write into it in place would
+    change the weights of every model still reading it."""
+    found = {(path.name, owner) for path in PACKAGE.glob("*.py")
+             for owner in _file_writers(_parse(path))}
+    assert found == {("checkpoint.py", "atomic_write")}
 
 
 def _setting_names() -> set[str]:

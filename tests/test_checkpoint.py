@@ -8,11 +8,11 @@ import pytest
 
 import clustersum.encoder
 import clustersum.layers
-from clustersum.checkpoint import load_checkpoint, save_checkpoint
+from clustersum.checkpoint import ALIGN, load_checkpoint, save_checkpoint
 from clustersum.decoder import DecoderModel, init_from_encoder
 from clustersum.encoder import EncoderModel, ModelConfig
 
-from oracles import parameter_hash
+from oracles import parameter_hash, rewrite_checkpoint_header
 
 
 def test_round_trip(tmp_path):
@@ -47,14 +47,98 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_header_of_another_format_version_refused(tmp_path):
-    """A version-1 header (it carried an ``extra`` block) is refused."""
+    """A version-2 header (its payloads were not aligned) is refused."""
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, component="encoder", config={}, tensors={"w": np.zeros(2, np.float32)})
     magic, header, payload = path.read_bytes().split(b"\n", 2)
-    assert json.loads(header)["version"] == 2 and "extra" not in json.loads(header)
-    path.write_bytes(magic + b"\n" + header.replace(b'"version": 2', b'"version": 1') + b"\n"
+    assert json.loads(header)["version"] == 3
+    path.write_bytes(magic + b"\n" + header.replace(b'"version": 3', b'"version": 2') + b"\n"
                      + payload)
-    with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+        load_checkpoint(path)
+
+
+def _payload_offsets(path):
+    """Where each tensor's payload starts in the file, by name, read from the
+    header's shapes and the ``ALIGN`` padding rule."""
+    data = path.read_bytes()
+    magic, header, _ = data.split(b"\n", 2)
+    offset, offsets = len(magic) + len(header) + 2, {}
+    for entry in json.loads(header)["tensors"]:
+        offset += -offset % ALIGN
+        offsets[entry["name"]] = offset
+        offset += 4 * int(np.prod(entry["shape"]))
+    assert offset == len(data)
+    return offsets
+
+
+def test_every_payload_starts_at_a_multiple_of_align(tmp_path):
+    rng = np.random.default_rng(3)
+    tensors = {f"t{i}": rng.normal(size=shape).astype(np.float32)
+               for i, shape in enumerate([(3,), (5, 7), (), (0,), (11,), (2, 64)])}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, component="encoder", config={"odd": "x" * 13}, tensors=tensors)
+    offsets = _payload_offsets(path)
+    assert sorted(offsets) == sorted(tensors)
+    assert all(offset % ALIGN == 0 for offset in offsets.values())
+    data = path.read_bytes()
+    for name, arr in tensors.items():
+        assert data[offsets[name]:offsets[name] + arr.nbytes] == arr.astype("<f4").tobytes()
+
+
+def test_loaded_tensors_are_read_only_aligned_views(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, component="encoder", config={},
+                    tensors={"a": np.ones(3, np.float32), "b": np.ones((4, 4), np.float32)})
+    ckpt = load_checkpoint(path)
+    for arr in ckpt.tensors.values():
+        assert not arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+        assert arr.ctypes.data % ALIGN == 0
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 2.0
+    np.testing.assert_array_equal(ckpt.tensors["b"], 1.0)
+
+
+def test_a_model_loaded_before_its_file_is_replaced_keeps_its_values(tmp_path):
+    """Fine-tuning loads the encoder, trains all but its MLM head, and saves
+    over the same file; the head it never trained still reads the mapping,
+    which must keep the old file's values."""
+    path = tmp_path / "m.ckpt"
+    _desk_model().save(path)
+    loaded = EncoderModel.load(path)
+    before = parameter_hash(loaded)
+    EncoderModel(loaded.config, np.random.default_rng(9)).save(path)
+    assert parameter_hash(loaded) == before
+    assert parameter_hash(EncoderModel.load(path)) != before
+
+
+def _set(key, value):
+    return lambda h: {**h, key: value}
+
+
+def _set_entry(**fields):
+    return lambda h: {**h, "tensors": [{**h["tensors"][0], **fields}] + h["tensors"][1:]}
+
+
+@pytest.mark.parametrize("edit, match", [
+    pytest.param(lambda h: [h], "malformed checkpoint header", id="not-an-object"),
+    pytest.param(_set("component", 3), "'component' must be a string", id="component"),
+    pytest.param(_set("config", [1]), "'config' must be an object", id="config"),
+    pytest.param(_set("tensors", None), "'tensors' must be a list", id="tensors"),
+    pytest.param(_set_entry(name=None), "tensor entry 0 needs a string 'name'", id="name"),
+    pytest.param(_set_entry(shape=[-2]), "tensor entry 0 needs", id="negative"),
+    pytest.param(_set_entry(shape=[True]), "tensor entry 0 needs", id="bool"),
+    pytest.param(_set_entry(shape=2), "tensor entry 0 needs", id="not-a-list"),
+    pytest.param(_set_entry(name="b"), "names a tensor twice", id="duplicate"),
+])
+def test_malformed_header_refused(tmp_path, edit, match):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, component="encoder", config={},
+                    tensors={"a": np.ones(2, np.float32), "b": np.ones(2, np.float32)})
+    rewrite_checkpoint_header(path, lambda h: h)
+    assert load_checkpoint(path).tensors.keys() == {"a", "b"}
+    rewrite_checkpoint_header(path, edit)
+    with pytest.raises(ValueError, match=match):
         load_checkpoint(path)
 
 
@@ -64,6 +148,8 @@ def test_zero_dim_and_empty_tensors_round_trip(tmp_path):
         "empty": np.zeros(0, dtype=np.float32),
         "empty_rows": np.zeros((0, 3), dtype=np.float32),
         "after": np.arange(4, dtype=np.float32),
+        # sorts last, so the file ends with its padding and no payload
+        "zz_empty": np.zeros((2, 0), dtype=np.float32),
     }
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, component="encoder", config={}, tensors=tensors)

@@ -83,6 +83,25 @@ class TestInitFromEncoder:
         train_decoder(decoder, examples, settings, np.random.default_rng(2))
         assert parameter_hash(encoder) == before
 
+    def test_a_loaded_encoder_is_adopted_in_place(self, setup, tmp_path):
+        """A loaded encoder's weights are read-only views of its file: the
+        decoder shares them instead of copying, and training the decoder
+        (its optimizer copies every parameter) leaves them as they were."""
+        vocab, docs, config, encoder = setup
+        encoder.save(tmp_path / "e.ckpt")
+        loaded = EncoderModel.load(tmp_path / "e.ckpt")
+        before = parameter_hash(loaded)
+        decoder = init_from_encoder(loaded)
+        enc = loaded.named_parameters()
+        for dec_name, dst in decoder.named_parameters().items():
+            assert np.shares_memory(dst.data, enc[encoder_source_name(dec_name)].data), dec_name
+        settings = PipelineConfig(decoder_epochs=1, decoder_lr=1e-3, decoder_warmup_steps=5,
+                                  decoder_batch_size=8)
+        train_decoder(decoder, _examples(vocab, docs, loaded), settings,
+                      np.random.default_rng(2))
+        assert parameter_hash(loaded) == before
+        assert parameter_hash(decoder) != parameter_hash(init_from_encoder(loaded))
+
     def test_random_init_ablation_shares_nothing(self, setup):
         vocab, docs, config, encoder = setup
         decoder = DecoderModel(config, np.random.default_rng(33))

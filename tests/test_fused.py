@@ -3,7 +3,9 @@ graphs they replace: the same bytes forward and backward, finite-difference
 gradients, shape checks, and the node count of one encoder block. At paper
 width, ``linear``'s products shared with the worker thread give the bytes of
 the whole products, also when the worker is busy or its part fails, and an
-error of the caller's part is raised only once the worker's part has ended."""
+error of the caller's part is raised only once the worker's part has ended.
+Weights read in place from a mapped checkpoint give the bytes of the same
+weights in fresh arrays, in ``linear`` and in cached decoding."""
 
 import threading
 
@@ -12,11 +14,17 @@ import pytest
 
 import clustersum.layers
 from clustersum import tensor
-from clustersum.decoder import build_training_examples, init_from_encoder, weighted_ce_loss
+from clustersum.checkpoint import load_checkpoint, save_checkpoint
+from clustersum.decoder import (
+    DecoderModel,
+    build_training_examples,
+    init_from_encoder,
+    weighted_ce_loss,
+)
 from clustersum.encoder import EncoderModel, ModelConfig, classifier_batch_loss, mlm_batch_loss
 from clustersum.layers import EncoderBlock, causal_mask, dropout_from, padding_mask
 from clustersum.tensor import Tensor, add_layer_norm, attention, linear
-from clustersum.tokenizer import EncodedDocument
+from clustersum.tokenizer import CLS_ID, EncodedDocument
 
 from corpora import build_docs, graded_topic_texts
 from oracles import (
@@ -395,6 +403,69 @@ class TestSharedProducts:
         assert linear(x, w).data.tobytes() == (x.data @ w.data).tobytes()
         assert len(recording.threads) == 2
         assert recording.threads[0] != threading.main_thread().ident
+
+
+# -- weights read in place from a mapped checkpoint ---------------------------
+
+# the gemv (1 row), the small-matrix path (2-3 rows), the first shared
+# 768 x 768 forward (4 rows), and taller shared products
+MAPPED_ROWS = [1, 2, 3, 4, 64, 384]
+
+
+@pytest.fixture(scope="module")
+def mapped_weights(tmp_path_factory):
+    """Paper-shaped weights and biases in memory, and the same tensors
+    loaded from a checkpoint, where each is a read-only view of the file."""
+    rng = np.random.default_rng(60)
+    arrays = {}
+    for k, m in PAPER_WEIGHTS + [(768, 45)]:
+        arrays[f"w{k}x{m}"] = rng.normal(size=(k, m)).astype(np.float32)
+        arrays[f"b{k}x{m}"] = rng.normal(size=m).astype(np.float32)
+    path = tmp_path_factory.mktemp("mapped") / "w.ckpt"
+    save_checkpoint(path, component="encoder", config={}, tensors=arrays)
+    mapped = load_checkpoint(path).tensors
+    assert not any(a.flags.writeable for a in mapped.values())
+    return arrays, mapped
+
+
+@pytest.mark.parametrize("k, m", PAPER_WEIGHTS + [(768, 45)])
+def test_a_mapped_weight_gives_the_bytes_of_one_in_memory(mapped_weights, k, m):
+    """``linear`` forward and backward, with the weight and bias read from
+    the mapping, give the bytes of the same product with fresh arrays."""
+    arrays, mapped = mapped_weights
+    rng = np.random.default_rng(k * m)
+    for n in MAPPED_ROWS:
+        x = rng.normal(size=(n, k)).astype(np.float32)
+        probe = rng.normal(size=(n, m)).astype(np.float32)
+        results = []
+        for source in (arrays, mapped):
+            leaves = [Tensor(x.copy(), requires_grad=True),
+                      Tensor(source[f"w{k}x{m}"], requires_grad=True),
+                      Tensor(source[f"b{k}x{m}"], requires_grad=True)]
+            out = linear(*leaves)
+            reduce_sum(mul(out, probe)).backward()
+            results.append([out.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves])
+        assert results[0] == results[1], n
+
+
+def test_a_loaded_decoder_decodes_the_bytes_of_the_one_saved(tmp_path):
+    """A paper-width decoder loaded from its checkpoint, every weight read in
+    place, starts and steps a two-center cache with the bytes of the
+    in-memory decoder it was saved from."""
+    config = ModelConfig(768, 2, 12, 3072, 8, 45, 0.1)
+    decoder = DecoderModel(config, np.random.default_rng(61))
+    decoder.save(tmp_path / "d.ckpt")
+    loaded = DecoderModel.load(tmp_path / "d.ckpt")
+    assert not any(p.data.flags.writeable for p in loaded.parameters())
+    centers = np.random.default_rng(62).normal(size=(2, 768)).astype(np.float32)
+    caches = [model.start_cache(centers, 2) for model in (decoder, loaded)]
+    cross = [[c.data.tobytes() for c in cache.cross] for cache in caches]
+    assert cross[0] == cross[1]
+    ids = np.full(4, CLS_ID)
+    for _ in range(config.max_len):
+        got, want = (model.step(ids, cache).data for model, cache in zip((loaded, decoder), caches))
+        assert got.tobytes() == want.tobytes()
+        ids = want.argmax(axis=1)
 
 
 def test_an_error_of_the_caller_waits_for_the_worker_part():

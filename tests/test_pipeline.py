@@ -1,6 +1,6 @@
 """Stage artifacts are replaced atomically; staged runs equal run-all; the
 CLI follows the stage table; its exit codes for out-of-order and
-inapplicable stages, foreign artifacts, bad corpora and bad references."""
+inapplicable stages, foreign or malformed artifacts, bad corpora and bad references."""
 
 import argparse
 import hashlib
@@ -24,6 +24,7 @@ from clustersum.pipeline import CorpusRecord
 from clustersum.tokenizer import Vocabulary, encode
 
 from corpora import graded_topic_texts, pair_texts
+from oracles import rewrite_checkpoint_header
 
 
 @pytest.fixture(scope="module")
@@ -423,6 +424,31 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ")
             assert err.endswith(message.format(number=len(lines)) + "\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: {k: v for k, v in h.items() if k != "tensors"},
+         "checkpoint header 'tensors' must be a list"),
+        (lambda h: {k: v for k, v in h.items() if k != "component"},
+         "checkpoint header 'component' must be a string"),
+        (lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": ["x"]}] + h["tensors"][1:]},
+         "checkpoint tensor entry 0 needs a string 'name' and a 'shape' list of "
+         "non-negative integers"),
+        (lambda h: {**h, "config": {**h["config"], "stray": 1}},
+         "checkpoint config keys do not match the model config: ['stray']"),
+    ])
+    def test_malformed_checkpoint_header_exits_1(self, corpus, tmp_path, capsys, edit, message):
+        """encoder.ckpt's header, rewritten after pretrain, lacks a field,
+        has a shape that is no list of sizes, or a config key the model has
+        not: cluster exits 1 naming the file, and records nothing."""
+        out = tmp_path / "out"
+        for stage in ("build-vocab", "pretrain"):
+            assert self._run(stage, corpus, out) == 0
+        path = out / pipeline.ENCODER_FILE
+        rewrite_checkpoint_header(path, edit)
+        capsys.readouterr()
+        assert self._run("cluster", corpus, out) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert "cluster" not in _stages(out)
 
     @pytest.mark.parametrize("cut, message", [
         (lambda rows: [r for r in rows if json.loads(r)["cluster"] != 1],
