@@ -20,6 +20,12 @@ package never rewrites a file in place: every write goes through
 ``atomic_write``, which renames a new file over the old one, and a mapping
 keeps reading the file it was made from. A mapped file that another process
 truncates in place while a stage still reads it raises SIGBUS.
+
+Every JSON file a stage reads is read here too: ``read_jsonl`` (blank lines
+skipped) and ``read_json`` parse it, and ``check_fields`` checks each record
+against a table of field kinds, so a malformed record fails as one
+``ValueError``, ``path:line: ...``, naming the field and the type it needs.
+Each caller keeps only the rules of its own format.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -86,32 +93,71 @@ def save_checkpoint(path: str | Path, component: str, config: dict,
             fh.write(memoryview(np.ascontiguousarray(tensors[name], dtype="<f4")))
 
 
-def _is_tensor_entry(entry) -> bool:
-    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
-            and all(type(d) is int and d >= 0 for d in entry["shape"]))
+# A field kind: the JSON type an error names, and the test a value must pass.
+Kind = tuple[str, Callable[[object], bool]]
+
+INTEGER: Kind = ("an integer", lambda v: type(v) is int)
+NUMBER: Kind = ("a number", lambda v: type(v) in (int, float))
+STRING: Kind = ("a string", lambda v: type(v) is str)
+OBJECT: Kind = ("an object", lambda v: type(v) is dict)
+LIST: Kind = ("a list", lambda v: type(v) is list)
+NUMBERS: Kind = ("a list of numbers",
+                 lambda v: type(v) is list and all(type(x) in (int, float) for x in v))
+SIZES: Kind = ("a list of non-negative integers",
+               lambda v: type(v) is list and all(type(d) is int and d >= 0 for d in v))
+
+
+def check_fields(where: str, obj, fields: dict[str, Kind], what: str) -> dict:
+    """``obj`` when it is a JSON object whose every field in ``fields`` has
+    its kind (an absent field reads as null); otherwise a ``ValueError``
+    that names ``where``, the field and the type it needs."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where}: {what} must be a JSON object")
+    for name, (kind, valid) in fields.items():
+        if not valid(obj.get(name)):
+            raise ValueError(f"{where}: {what} needs {name!r} as {kind}")
+    return obj
+
+
+def _parse(where: str, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not JSON ({exc})") from None
+
+
+def read_jsonl(path: str | Path, fields: dict[str, Kind],
+               what: str) -> Iterator[tuple[str, dict]]:
+    """``(where, record)`` for each non-blank line of a JSON-lines file,
+    with ``where`` = ``path:line``, each record checked by ``check_fields``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                where = f"{path}:{number}"
+                yield where, check_fields(where, _parse(where, line), fields, what)
+
+
+def read_json(path: str | Path, fields: dict[str, Kind], what: str) -> dict:
+    """A file holding one JSON object, checked by ``check_fields``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return check_fields(str(path), _parse(str(path), fh.read()), fields, what)
+
+
+_HEADER = {"version": INTEGER, "component": STRING, "config": OBJECT, "tensors": LIST}
+_TENSOR_ENTRY = {"name": STRING, "shape": SIZES}
 
 
 def _read_header(line: bytes, path) -> dict:
     """The header line's JSON object, checked to be one this module writes."""
-    header = json.loads(line.decode("utf-8"))
-    if not isinstance(header, dict):
-        raise ValueError(f"{path} has a malformed checkpoint header")
-    if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-    if not isinstance(header.get("component"), str):
-        raise ValueError(f"{path}: checkpoint header 'component' must be a string")
-    if not isinstance(header.get("config"), dict):
-        raise ValueError(f"{path}: checkpoint header 'config' must be an object")
-    entries = header.get("tensors")
-    if not isinstance(entries, list):
-        raise ValueError(f"{path}: checkpoint header 'tensors' must be a list")
-    for i, entry in enumerate(entries):
-        if not _is_tensor_entry(entry):
-            raise ValueError(f"{path}: checkpoint tensor entry {i} needs a string 'name' "
-                             "and a 'shape' list of non-negative integers")
-    if len({e["name"] for e in entries}) != len(entries):
-        raise ValueError(f"{path}: checkpoint header names a tensor twice")
+    where = str(path)
+    header = check_fields(where, _parse(where, line.decode("utf-8")), _HEADER,
+                          "a checkpoint header")
+    if header["version"] != FORMAT_VERSION:
+        raise ValueError(f"{where}: unsupported checkpoint version {header['version']}")
+    for i, entry in enumerate(header["tensors"]):
+        check_fields(where, entry, _TENSOR_ENTRY, f"checkpoint tensor entry {i}")
+    if len({e["name"] for e in header["tensors"]}) != len(header["tensors"]):
+        raise ValueError(f"{where}: checkpoint header names a tensor twice")
     return header
 
 

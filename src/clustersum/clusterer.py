@@ -10,13 +10,12 @@ same weighted way. Embeddings and centers are frozen once computed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import write_jsonl
+from .checkpoint import INTEGER, NUMBER, NUMBERS, STRING, check_fields, read_jsonl, write_jsonl
 
 DISTANCE_EPS = 1e-8
 CLUSTER_FORMAT_VERSION = 2
@@ -63,24 +62,27 @@ class ClusterSet:
 
     @classmethod
     def load(cls, path: str | Path) -> "ClusterSet":
+        """Read a file ``save`` wrote: ``check_fields`` checks each record
+        against its type's table, then this checks the header's version and
+        a center for each of its ``k`` clusters."""
         doc_ids: list[str] = []
         assignment: list[int] = []
         weights: list[float] = []
         centers: dict[int, list[float]] = {}
         k = None
-        with open(path, "r", encoding="utf-8") as fh:
-            for number, line in enumerate(fh, start=1):
-                rec = _record(path, number, line)
-                if rec["type"] == "header":
-                    if rec["version"] != CLUSTER_FORMAT_VERSION:
-                        raise ValueError(f"unsupported cluster file version {rec['version']}")
-                    k = rec["k"]
-                elif rec["type"] == "doc":
-                    doc_ids.append(rec["doc_id"])
-                    assignment.append(rec["cluster"])
-                    weights.append(rec["weight"])
-                else:
-                    centers[rec["cluster"]] = rec["vector"]
+        for where, rec in read_jsonl(path, {"type": _RECORD_TYPE}, "a cluster record"):
+            check_fields(where, rec, _FIELDS[rec["type"]], f"a {rec['type']} record")
+            if rec["type"] == "header":
+                if rec["version"] != CLUSTER_FORMAT_VERSION:
+                    raise ValueError(f"{where}: unsupported cluster file version "
+                                     f"{rec['version']}")
+                k = rec["k"]
+            elif rec["type"] == "doc":
+                doc_ids.append(rec["doc_id"])
+                assignment.append(rec["cluster"])
+                weights.append(rec["weight"])
+            else:
+                centers[rec["cluster"]] = rec["vector"]
         if k is None:
             raise ValueError(f"{path} has no cluster header record")
         for c in range(k):
@@ -90,44 +92,13 @@ class ClusterSet:
                    np.array([centers[c] for c in range(k)]))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # Each record type's fields, with the JSON type each must have.
 _FIELDS = {
-    "header": {"version": ("an integer", _is_int), "k": ("an integer", _is_int)},
-    "doc": {"doc_id": ("a string", lambda v: isinstance(v, str)),
-            "cluster": ("an integer", _is_int), "weight": ("a number", _is_number)},
-    "center": {"cluster": ("an integer", _is_int),
-               "vector": ("a list of numbers",
-                          lambda v: isinstance(v, list) and all(map(_is_number, v)))},
+    "header": {"version": INTEGER, "k": INTEGER},
+    "doc": {"doc_id": STRING, "cluster": INTEGER, "weight": NUMBER},
+    "center": {"cluster": INTEGER, "vector": NUMBERS},
 }
-
-
-def _record(path: str | Path, number: int, line: str) -> dict:
-    """Line ``number`` of a cluster file as a record whose fields all have
-    their JSON types; anything else raises a ``ValueError`` naming the line."""
-    where = f"{path} line {number}"
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{where} is not JSON ({exc})") from None
-    if not isinstance(rec, dict):
-        raise ValueError(f"{where} is not a JSON object")
-    if "type" not in rec:
-        raise ValueError(f"{where} has no record type")
-    fields = _FIELDS.get(rec["type"]) if isinstance(rec["type"], str) else None
-    if fields is None:
-        raise ValueError(f"{where} has an unknown record type {rec['type']!r}")
-    for name, (kind, valid) in fields.items():
-        if not valid(rec.get(name)):
-            raise ValueError(f"{where}: a {rec['type']} record needs {name!r} as {kind}")
-    return rec
+_RECORD_TYPE = ("one of 'header', 'doc' and 'center'", lambda v: type(v) is str and v in _FIELDS)
 
 
 def _pairwise_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

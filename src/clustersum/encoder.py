@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import INTEGER, NUMBER, check_fields, load_checkpoint, save_checkpoint
 from .config import PipelineConfig
 from .layers import (
     EncoderBlock,
@@ -68,7 +68,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.num_blocks < 1:
             raise ValueError(f"need at least one block, got {self.num_blocks}")
-        if self.hidden_size % self.num_heads != 0:
+        if self.num_heads < 1 or self.hidden_size % self.num_heads != 0:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"
             )
@@ -82,6 +82,10 @@ class ModelConfig:
     @classmethod
     def paper_scale(cls, vocab_size: int, max_len: int, dropout: float) -> "ModelConfig":
         return cls(768, 6, 12, 3072, max_len, vocab_size, dropout)
+
+
+# The JSON type of each ModelConfig field, as a checkpoint's config must hold it.
+_CONFIG_FIELDS = {f.name: {"int": INTEGER, "float": NUMBER}[f.type] for f in fields(ModelConfig)}
 
 
 class Model(Module):
@@ -145,10 +149,10 @@ class Model(Module):
         ckpt = load_checkpoint(path)
         if ckpt.component != cls.component:
             raise ValueError(f"{path} holds a {ckpt.component!r} checkpoint, expected {cls.component!r}")
-        expected = {f.name for f in fields(ModelConfig)}
-        if set(ckpt.config) != expected:
+        if ckpt.config.keys() != _CONFIG_FIELDS.keys():
             raise ValueError(f"{path}: checkpoint config keys do not match the model config: "
-                             f"{sorted(set(ckpt.config) ^ expected)}")
+                             f"{sorted(ckpt.config.keys() ^ _CONFIG_FIELDS.keys())}")
+        check_fields(str(path), ckpt.config, _CONFIG_FIELDS, "a checkpoint config")
         return cls._filled(ModelConfig(**ckpt.config), ckpt.tensors)
 
     def astype(self, dtype) -> "Model":

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import FORMAT_VERSION as CHECKPOINT_VERSION
-from .checkpoint import atomic_write, write_jsonl
+from .checkpoint import INTEGER, OBJECT, STRING, atomic_write, read_json, read_jsonl, write_jsonl
 from .clusterer import (
     CLUSTER_FORMAT_VERSION,
     ClusterSet,
@@ -85,52 +85,40 @@ class CorpusRecord:
     label: str | None = None
 
 
+_CORPUS_FIELDS = {"id": ("a string or an integer", lambda v: type(v) in (str, int)),
+                  "text": STRING,
+                  "label": ("a string or null", lambda v: v is None or type(v) is str)}
+
+
 def load_corpus(path: str | Path, require_labels: bool = False) -> list[CorpusRecord]:
     """Read one JSON record per line: {"id", "text", optional "label"}.
 
     An id is a JSON string or integer (read as its decimal string); text
     and label are JSON strings, and a null or absent label means unlabelled.
-    Blank lines are skipped; malformed lines, fields of any other JSON type,
-    duplicate ids, empty texts, and (when required) missing labels are
-    rejected with line numbers.
+    Blank lines are skipped. ``read_jsonl`` checks each line's JSON and
+    field types; this function adds the corpus's own rules: no id twice, no
+    text empty after normalization, and (when required) a label on every
+    record. Each error names the line and exits as a ``CorpusError``.
     """
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus file {path} does not exist")
     records: list[CorpusRecord] = []
-    seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            if not isinstance(raw, dict) or "id" not in raw or "text" not in raw:
-                raise CorpusError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
-            doc_id = raw["id"]
-            if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
-                raise CorpusError(f"{path}:{lineno}: id must be a string or an integer, "
-                                  f"got {json.dumps(doc_id)}")
-            doc_id = str(doc_id)
+    seen: dict[str, str] = {}
+    try:
+        for where, raw in read_jsonl(path, _CORPUS_FIELDS, "a corpus record"):
+            doc_id = str(raw["id"])
             if doc_id in seen:
-                raise CorpusError(
-                    f"duplicate id {doc_id!r} at lines {seen[doc_id]} and {lineno}"
-                )
-            seen[doc_id] = lineno
-            text = raw["text"]
-            if not isinstance(text, str):
-                raise CorpusError(f"{path}:{lineno}: text must be a string, got {json.dumps(text)}")
-            if not tokenize(text):
-                raise CorpusError(f"{path}:{lineno}: text is empty after normalization")
+                raise CorpusError(f"{where}: duplicate id {doc_id!r}, first at {seen[doc_id]}")
+            seen[doc_id] = where
+            if not tokenize(raw["text"]):
+                raise CorpusError(f"{where}: text is empty after normalization")
             label = raw.get("label")
-            if label is not None and not isinstance(label, str):
-                raise CorpusError(f"{path}:{lineno}: label must be a string, "
-                                  f"got {json.dumps(label)}")
             if require_labels and label is None:
-                raise CorpusError(f"{path}:{lineno}: label required in labels mode")
-            records.append(CorpusRecord(doc_id, text, label))
+                raise CorpusError(f"{where}: label required in labels mode")
+            records.append(CorpusRecord(doc_id, raw["text"], label))
+    except ValueError as exc:
+        raise CorpusError(str(exc)) from None
     if not records:
         raise CorpusError(f"corpus file {path} holds no records")
     return records
@@ -315,42 +303,30 @@ def _summarize(ctx: _Context) -> dict:
 
 
 def load_references(path: str | Path) -> dict[int, list[list[str]]]:
-    """Reference summaries: one JSON record {"cluster", "text"} per line."""
+    """Reference summaries, one JSON record {"cluster", "text"} per line,
+    as token lists by cluster. Blank lines are skipped; a line that is not
+    such a record, or whose text is empty after normalization, is a
+    ``CorpusError`` naming the line."""
     references: dict[int, list[list[str]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                cluster = raw["cluster"]
-                if type(cluster) is not int:
-                    raise TypeError(f"cluster must be a JSON integer, got {cluster!r}")
-                text = raw["text"]
-                if not isinstance(text, str):
-                    raise TypeError(f"text must be a string, got {json.dumps(text)}")
-                tokens = tokenize(text)
-                if not tokens:
-                    raise ValueError("text is empty after normalization")
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed reference: {exc}") from exc
-            references.setdefault(cluster, []).append(tokens)
+    try:
+        for where, raw in read_jsonl(path, {"cluster": INTEGER, "text": STRING}, "a reference"):
+            tokens = tokenize(raw["text"])
+            if not tokens:
+                raise CorpusError(f"{where}: text is empty after normalization")
+            references.setdefault(raw["cluster"], []).append(tokens)
+    except ValueError as exc:
+        raise CorpusError(str(exc)) from None
     return references
-
 
 
 def _evaluate(ctx: _Context) -> dict:
     config, cluster_set = ctx.config, ctx.cluster_set
     top_summaries: dict[int, str] = {}
     path = ctx.out_dir / SUMMARIES_FILE
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            row = json.loads(line)
-            if not isinstance(row, dict) or not {"cluster", "rank", "text"} <= row.keys():
-                raise ValueError(f"{path}:{lineno}: a summary row needs 'cluster', 'rank' "
-                                 "and 'text'")
-            if row["rank"] == 1:
-                top_summaries[row["cluster"]] = row["text"]
+    fields = {"cluster": INTEGER, "rank": INTEGER, "text": STRING}
+    for _, row in read_jsonl(path, fields, "a summary row"):
+        if row["rank"] == 1:
+            top_summaries[row["cluster"]] = row["text"]
     missing = [c for c in range(cluster_set.k) if c not in top_summaries]
     if missing:
         raise ValueError(f"{path}: no rank-1 summary for cluster {missing[0]}")
@@ -476,7 +452,7 @@ def run_stage(name: str, config: PipelineConfig, records: list[CorpusRecord],
     }
     manifest_path = out_dir / MANIFEST_FILE
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = read_json(manifest_path, {"stages": OBJECT}, "a manifest")
         for key, value in expected.items():
             if manifest.get(key) != value:
                 raise ArtifactError(

@@ -6,7 +6,9 @@ in ``tensor.py`` is imported by another module of the package, and
 would call. Ops the tests need live in ``tests/oracles.py``. The package has one worker
 thread, only ``tensor.py`` names a thread or an executor, and only ``tensor._beside``
 hands the worker a job. Only ``checkpoint.atomic_write`` opens a file for
-writing, so a mapped checkpoint is only ever replaced, never rewritten.
+writing, so a mapped checkpoint is only ever replaced, never rewritten, and
+only ``checkpoint.py`` parses JSON, so every file a stage reads is checked
+the one way.
 
 Every run setting has one home, ``PipelineConfig``: no other module gives
 a parameter or dataclass field named after a setting a default of its own,
@@ -206,6 +208,32 @@ def test_only_atomic_write_opens_a_file_for_writing():
     found = {(path.name, owner) for path in PACKAGE.glob("*.py")
              for owner in _file_writers(_parse(path))}
     assert found == {("checkpoint.py", "atomic_write")}
+
+
+def _json_parsers(tree: ast.Module) -> list[str]:
+    """The innermost function (``<module>`` outside any) around each call of
+    ``json.load`` or ``json.loads`` in ``tree``, or of either imported by name."""
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "json"
+                for alias in node.names if alias.name in ("load", "loads")}
+    found = []
+    for owner, call in _calls(tree):
+        func = call.func
+        if (isinstance(func, ast.Attribute) and func.attr in ("load", "loads")
+                and isinstance(func.value, ast.Name) and func.value.id == "json"):
+            found.append(owner)
+        elif isinstance(func, ast.Name) and func.id in imported:
+            found.append(owner)
+    return found
+
+
+def test_only_checkpoint_parses_json():
+    """``read_jsonl``, ``read_json`` and the checkpoint header are the only
+    JSON readers, each checked by ``check_fields``: another module that
+    parsed JSON itself would check its fields its own way, or not at all."""
+    found = {(path.name, owner) for path in PACKAGE.glob("*.py")
+             for owner in _json_parsers(_parse(path))}
+    assert found == {("checkpoint.py", "_parse")}
 
 
 def _setting_names() -> set[str]:

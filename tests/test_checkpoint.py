@@ -1,6 +1,7 @@
 """Binary checkpoint container format."""
 
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -121,11 +122,11 @@ def _set_entry(**fields):
 
 
 @pytest.mark.parametrize("edit, match", [
-    pytest.param(lambda h: [h], "malformed checkpoint header", id="not-an-object"),
-    pytest.param(_set("component", 3), "'component' must be a string", id="component"),
-    pytest.param(_set("config", [1]), "'config' must be an object", id="config"),
-    pytest.param(_set("tensors", None), "'tensors' must be a list", id="tensors"),
-    pytest.param(_set_entry(name=None), "tensor entry 0 needs a string 'name'", id="name"),
+    pytest.param(lambda h: [h], "a checkpoint header must be a JSON object", id="not-an-object"),
+    pytest.param(_set("component", 3), "needs 'component' as a string", id="component"),
+    pytest.param(_set("config", [1]), "needs 'config' as an object", id="config"),
+    pytest.param(_set("tensors", None), "needs 'tensors' as a list", id="tensors"),
+    pytest.param(_set_entry(name=None), "tensor entry 0 needs 'name' as a string", id="name"),
     pytest.param(_set_entry(shape=[-2]), "tensor entry 0 needs", id="negative"),
     pytest.param(_set_entry(shape=[True]), "tensor entry 0 needs", id="bool"),
     pytest.param(_set_entry(shape=2), "tensor entry 0 needs", id="not-a-list"),
@@ -139,6 +140,15 @@ def test_malformed_header_refused(tmp_path, edit, match):
     assert load_checkpoint(path).tensors.keys() == {"a", "b"}
     rewrite_checkpoint_header(path, edit)
     with pytest.raises(ValueError, match=match):
+        load_checkpoint(path)
+
+
+def test_header_that_is_not_json_names_the_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, component="encoder", config={}, tensors={"a": np.ones(2, np.float32)})
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(magic + b"\n" + header[:-1] + b"\n" + payload)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not JSON (")):
         load_checkpoint(path)
 
 

@@ -276,7 +276,8 @@ class TestPersistence:
         del record["type"]
         path.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n",
                         encoding="utf-8")
-        with pytest.raises(ValueError, match="line 2 has no record type"):
+        message = f"{path}:2: a cluster record needs 'type' as one of"
+        with pytest.raises(ValueError, match=re.escape(message)):
             ClusterSet.load(path)
 
     @staticmethod
@@ -311,19 +312,25 @@ class TestPersistence:
         else:
             record[field] = value
         self._edit(path, number, json.dumps(record))
-        message = f"{path} line {number}: a {record['type']} record needs {field!r} as {kind}"
+        message = f"{path}:{number}: a {record['type']} record needs {field!r} as {kind}"
         with pytest.raises(ValueError, match=re.escape(message)):
             ClusterSet.load(path)
 
     @pytest.mark.parametrize("text, problem", [
-        ("7", "is not a JSON object"), ("[1, 2]", "is not a JSON object"),
-        ('{"type": "doc"', "is not JSON"), ('{"type": "centre"}', "has an unknown record type"),
-        ('{"type": ["doc"]}', "has an unknown record type"),
+        # an explicit id keeps the name a case had before its message changed
+        pytest.param("7", "a cluster record must be a JSON object", id="7-is not a JSON object"),
+        pytest.param("[1, 2]", "a cluster record must be a JSON object",
+                     id="[1, 2]-is not a JSON object"),
+        pytest.param('{"type": "doc"', "not JSON (", id='{"type": "doc"-is not JSON'),
+        pytest.param('{"type": "centre"}', "a cluster record needs 'type' as one of",
+                     id='{"type": "centre"}-has an unknown record type'),
+        pytest.param('{"type": ["doc"]}', "a cluster record needs 'type' as one of",
+                     id='{"type": ["doc"]}-has an unknown record type'),
     ])
     def test_line_that_is_not_a_record_is_refused(self, tmp_path, text, problem):
         path = self._saved(tmp_path)
         self._edit(path, 3, text)
-        with pytest.raises(ValueError, match=re.escape(f"{path} line 3 {problem}")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {problem}")):
             ClusterSet.load(path)
 
     def test_identical_runs_identical_files(self, clustered_setup, tmp_path):

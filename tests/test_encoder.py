@@ -52,6 +52,12 @@ class TestForward:
         with pytest.raises(ValueError, match="block"):
             ModelConfig(64, 0, 4, 256, 64, 10, 0.1)
 
+    def test_config_needs_a_head(self):
+        """A checkpoint's config can say 0 heads: that is a ``ValueError``,
+        not a division by zero."""
+        with pytest.raises(ValueError, match="num_heads 0"):
+            ModelConfig(64, 2, 0, 256, 64, 10, 0.1)
+
     def test_position_embeddings_active(self, small_setup):
         """Swapping two body tokens changes the document embedding."""
         from clustersum.metrics import cosine_similarity

@@ -56,6 +56,11 @@ ORDER = {
 }
 
 
+def _with(row, **fields):
+    """The JSON line ``row`` with ``fields`` set."""
+    return json.dumps({**json.loads(row), **fields}) + "\n"
+
+
 def _stages(out_dir):
     return json.loads((out_dir / pipeline.MANIFEST_FILE).read_text(encoding="utf-8"))["stages"]
 
@@ -286,17 +291,25 @@ def _evaluate_with_references(run_copy, line):
     return code, references
 
 
-@pytest.mark.parametrize("line", ["[1, 2]", '{"cluster": null, "text": "a"}',
-                                  '{"cluster": 1.7, "text": "a"}',
-                                  '{"cluster": true, "text": "a"}',
-                                  '{"cluster": "0", "text": "a"}',
-                                  '{"cluster": 1, "text": null}',
-                                  '{"cluster": 1, "text": ["a"]}',
-                                  '{"cluster": 1, "text": "!!"}'])
-def test_malformed_reference_line_exits_3(run_copy, capsys, line):
+_MALFORMED_REFERENCES = [
+    ("[1, 2]", "a reference must be a JSON object"),
+    ('{"cluster": null, "text": "a"}', "a reference needs 'cluster' as an integer"),
+    ('{"cluster": 1.7, "text": "a"}', "a reference needs 'cluster' as an integer"),
+    ('{"cluster": true, "text": "a"}', "a reference needs 'cluster' as an integer"),
+    ('{"cluster": "0", "text": "a"}', "a reference needs 'cluster' as an integer"),
+    ('{"cluster": 1, "text": null}', "a reference needs 'text' as a string"),
+    ('{"cluster": 1, "text": ["a"]}', "a reference needs 'text' as a string"),
+    ('{"cluster": 1, "text": "!!"}', "text is empty after normalization"),
+    ('{"cluster": 1', "not JSON ("),
+]
+
+
+@pytest.mark.parametrize("line, message", [pytest.param(line, message, id=line)
+                                           for line, message in _MALFORMED_REFERENCES])
+def test_malformed_reference_line_exits_3(run_copy, capsys, line, message):
     code, references = _evaluate_with_references(run_copy, line)
     assert code == 3
-    assert f"{references}:2: malformed reference" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"corpus error: {references}:2: {message}")
 
 
 def test_reference_cluster_outside_the_clusters_exits_3(run_copy, capsys):
@@ -365,7 +378,7 @@ class TestExitCodes:
         corpus.write_text(corpus.read_text(encoding="utf-8") + "{not json\n", encoding="utf-8")
         out = tmp_path / "out"
         assert self._run("build-vocab", corpus, out) == 3
-        assert ":9: malformed record" in capsys.readouterr().err
+        assert f"{corpus}:9: not JSON (" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("line", [
@@ -404,9 +417,13 @@ class TestExitCodes:
             assert capsys.readouterr().err.endswith("has no center record for cluster 1\n")
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda rec: {k: v for k, v in rec.items() if k != "vector"},
-         "line {number}: a center record needs 'vector' as a list of numbers"),
-        (lambda rec: 7, "line {number} is not a JSON object"),
+        # an explicit id keeps the name a case had before its message changed
+        pytest.param(lambda rec: {k: v for k, v in rec.items() if k != "vector"},
+                     "{path}:{number}: a center record needs 'vector' as a list of numbers",
+                     id="<lambda>-line {number}: a center record needs 'vector' as a list of "
+                        "numbers"),
+        pytest.param(lambda rec: 7, "{path}:{number}: a cluster record must be a JSON object",
+                     id="<lambda>-line {number} is not a JSON object"),
     ])
     def test_malformed_clusters_record_exits_1(self, corpus, tmp_path, capsys, edit, message):
         """The last record of clusters.jsonl, a center, loses its vector or
@@ -423,23 +440,35 @@ class TestExitCodes:
             assert self._run(stage, corpus, out) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ")
-            assert err.endswith(message.format(number=len(lines)) + "\n")
+            assert err.endswith(message.format(path=path, number=len(lines)) + "\n")
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda h: {k: v for k, v in h.items() if k != "tensors"},
-         "checkpoint header 'tensors' must be a list"),
-        (lambda h: {k: v for k, v in h.items() if k != "component"},
-         "checkpoint header 'component' must be a string"),
-        (lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": ["x"]}] + h["tensors"][1:]},
-         "checkpoint tensor entry 0 needs a string 'name' and a 'shape' list of "
-         "non-negative integers"),
+        # an explicit id keeps the name a case had before its message changed
+        pytest.param(lambda h: {k: v for k, v in h.items() if k != "tensors"},
+                     "a checkpoint header needs 'tensors' as a list",
+                     id="<lambda>-checkpoint header 'tensors' must be a list"),
+        pytest.param(lambda h: {k: v for k, v in h.items() if k != "component"},
+                     "a checkpoint header needs 'component' as a string",
+                     id="<lambda>-checkpoint header 'component' must be a string"),
+        pytest.param(lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": ["x"]}]
+                                + h["tensors"][1:]},
+                     "checkpoint tensor entry 0 needs 'shape' as a list of non-negative integers",
+                     id="<lambda>-checkpoint tensor entry 0 needs a string 'name' and a 'shape' "
+                        "list of non-negative integers"),
         (lambda h: {**h, "config": {**h["config"], "stray": 1}},
          "checkpoint config keys do not match the model config: ['stray']"),
+        (lambda h: {**h, "config": {**h["config"], "num_heads": "x"}},
+         "a checkpoint config needs 'num_heads' as an integer"),
+        (lambda h: {**h, "config": {**h["config"], "hidden_size": 16.0}},
+         "a checkpoint config needs 'hidden_size' as an integer"),
+        (lambda h: {**h, "config": {**h["config"], "dropout": "a"}},
+         "a checkpoint config needs 'dropout' as a number"),
     ])
     def test_malformed_checkpoint_header_exits_1(self, corpus, tmp_path, capsys, edit, message):
         """encoder.ckpt's header, rewritten after pretrain, lacks a field,
-        has a shape that is no list of sizes, or a config key the model has
-        not: cluster exits 1 naming the file, and records nothing."""
+        has a shape that is no list of sizes, a config key the model has not
+        or a config value of another JSON type: cluster exits 1 naming the
+        file, and records nothing."""
         out = tmp_path / "out"
         for stage in ("build-vocab", "pretrain"):
             assert self._run(stage, corpus, out) == 0
@@ -453,15 +482,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("cut, message", [
         (lambda rows: [r for r in rows if json.loads(r)["cluster"] != 1],
          "{path}: no rank-1 summary for cluster 1"),
-        (lambda rows: rows[:-1] + [json.dumps({"cluster": 1, "text": "a"}) + "\n"],
-         "{path}:{number}: a summary row needs 'cluster', 'rank' and 'text'"),
-        (lambda rows: rows[:-1] + ["7\n"],
-         "{path}:{number}: a summary row needs 'cluster', 'rank' and 'text'"),
+        # an explicit id keeps the name a case had before its message changed
+        pytest.param(lambda rows: rows[:-1] + [json.dumps({"cluster": 1, "text": "a"}) + "\n"],
+                     "{path}:{number}: a summary row needs 'rank' as an integer",
+                     id="<lambda>-{path}:{number}: a summary row needs 'cluster', 'rank' and "
+                        "'text'0"),
+        pytest.param(lambda rows: rows[:-1] + ["7\n"],
+                     "{path}:{number}: a summary row must be a JSON object",
+                     id="<lambda>-{path}:{number}: a summary row needs 'cluster', 'rank' and "
+                        "'text'1"),
+        (lambda rows: rows[:-1] + [_with(rows[-1], cluster=[0])],
+         "{path}:{number}: a summary row needs 'cluster' as an integer"),
+        (lambda rows: rows[:-1] + [_with(rows[-1], text=5)],
+         "{path}:{number}: a summary row needs 'text' as a string"),
+        (lambda rows: rows[:-1] + [_with(rows[-1], rank=True)],
+         "{path}:{number}: a summary row needs 'rank' as an integer"),
     ])
     def test_cut_summaries_file_exits_1(self, corpus, tmp_path, capsys, cut, message):
         """summaries.jsonl without cluster 1's rows, or whose last row lacks
-        a field or is not an object: evaluate exits 1 naming the file and
-        the cluster or line, and records nothing."""
+        a field, has one of another JSON type or is not an object: evaluate
+        exits 1 naming the file and the cluster or line, and records
+        nothing."""
         out = tmp_path / "out"
         for stage in ("build-vocab", "pretrain", "cluster", "train-decoder", "summarize"):
             assert self._run(stage, corpus, out) == 0
@@ -475,6 +516,63 @@ class TestExitCodes:
         assert err.endswith(message.format(path=path, number=len(rows)) + "\n")
         assert not (out / pipeline.METRICS_JSON).exists()
         assert "evaluate" not in _stages(out)
+
+    def _summarized(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        for stage in ("build-vocab", "pretrain", "cluster", "train-decoder", "summarize"):
+            assert self._run(stage, corpus, out) == 0
+        return out
+
+    def test_blank_lines_in_clusters_and_summaries_are_skipped(self, corpus, tmp_path):
+        """A blank line, inside or at the end, changes nothing that
+        summarize and evaluate read, as in the corpus and the references."""
+        out = self._summarized(corpus, tmp_path)
+        assert self._run("evaluate", corpus, out) == 0
+        before = _digests(out)
+        for name, stage in ((pipeline.CLUSTERS_FILE, "summarize"),
+                            (pipeline.SUMMARIES_FILE, "evaluate")):
+            path = out / name
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text("".join(lines[:2] + ["\n", "  \n"] + lines[2:] + ["\n"]),
+                            encoding="utf-8")
+            assert self._run(stage, corpus, out) == 0
+        after = _digests(out)
+        assert after.pop(pipeline.CLUSTERS_FILE) != before.pop(pipeline.CLUSTERS_FILE)
+        assert after.pop(pipeline.SUMMARIES_FILE) != before.pop(pipeline.SUMMARIES_FILE)
+        assert after == before
+
+    @pytest.mark.parametrize("name", [pipeline.CLUSTERS_FILE, pipeline.SUMMARIES_FILE])
+    def test_a_line_that_is_not_json_names_its_line(self, corpus, tmp_path, capsys, name):
+        out = self._summarized(corpus, tmp_path)
+        path = out / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + ['{"type": "doc"\n'] + lines[3:]), encoding="utf-8")
+        capsys.readouterr()
+        assert self._run("evaluate", corpus, out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: not JSON (")
+        assert "evaluate" not in _stages(out)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: "[]", "a manifest must be a JSON object"),
+        (lambda m: json.dumps({k: v for k, v in m.items() if k != "stages"}),
+         "a manifest needs 'stages' as an object"),
+        (lambda m: json.dumps({**m, "stages": ["build-vocab"]}),
+         "a manifest needs 'stages' as an object"),
+        (lambda m: json.dumps(m)[:-1], "not JSON ("),
+    ])
+    def test_malformed_manifest_exits_1(self, corpus, tmp_path, capsys, edit, message):
+        """manifest.json, rewritten after build-vocab, is no object, has no
+        'stages' object or is not JSON: pretrain exits 1 naming the file,
+        and writes nothing."""
+        out = tmp_path / "out"
+        assert self._run("build-vocab", corpus, out) == 0
+        path = out / pipeline.MANIFEST_FILE
+        path.write_text(edit(json.loads(path.read_text(encoding="utf-8"))), encoding="utf-8")
+        before = _digests(out)
+        capsys.readouterr()
+        assert self._run("pretrain", corpus, out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert _digests(out) == before
 
     @pytest.mark.parametrize("clustering", ["kmeans", "labels"])
     def test_each_stage_on_an_empty_out_names_the_stage_before_it(

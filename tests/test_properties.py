@@ -140,8 +140,8 @@ def test_load_corpus_names_both_lines_of_a_duplicate_id(records, blanks, data):
     copy = CorpusRecord(records[first].id, "another text")
     records = records[:at] + [copy] + records[at:]
     text, numbers = _jsonl(records, blanks)
-    message = f"duplicate id {copy.id!r} at lines {numbers[first]} and {numbers[at]}"
-    with pytest.raises(CorpusError, match=re.escape(message)):
+    message = f":{numbers[at]}: duplicate id {copy.id!r}, first at "
+    with pytest.raises(CorpusError, match=re.escape(message) + r".*:" + f"{numbers[first]}$"):
         _in_file(text, load_corpus)
 
 
@@ -164,7 +164,7 @@ def test_load_corpus_rejects_a_field_of_another_type(records, data):
     key = data.draw(st.sampled_from(sorted(BAD_FIELD)))
     row[key] = data.draw(BAD_FIELD[key])
     lines[at] = json.dumps(row)
-    message = f":{numbers[at]}: {key} must be a string"
+    message = f":{numbers[at]}: a corpus record needs {key!r} as a string"
     with pytest.raises(CorpusError, match=re.escape(message)):
         _in_file("\n".join(lines) + "\n", load_corpus)
 
