@@ -42,7 +42,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 MAGIC = b"CLUSTERSUM-CKPT"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # every payload starts at a multiple of this many bytes from the file's start
 ALIGN = 64
 
@@ -129,11 +129,17 @@ def _parse(where: str, text: str):
 def read_jsonl(path: str | Path, fields: dict[str, Kind],
                what: str) -> Iterator[tuple[str, dict]]:
     """``(where, record)`` for each non-blank line of a JSON-lines file,
-    with ``where`` = ``path:line``, each record checked by ``check_fields``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
+    with ``where`` = ``path:line``, each record checked by ``check_fields``.
+    Lines end at ``\n``; each is decoded here, so a line that is not UTF-8
+    fails as ``path:line: not UTF-8 (...)``, with the offset in that line."""
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, start=1):
+            where = f"{path}:{number}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{where}: not UTF-8 ({exc})") from None
             if line.strip():
-                where = f"{path}:{number}"
                 yield where, check_fields(where, _parse(where, line), fields, what)
 
 

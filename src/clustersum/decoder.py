@@ -52,8 +52,9 @@ class DecoderModel(Model):
     block_type = DecoderBlock
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
-        super().__init__(config, rng)
-        self.lm_head = PredictionHead(rng, config.hidden_size, config.vocab_size)
+        super().__init__(config)
+        self.lm_head = PredictionHead(config.hidden_size, config.vocab_size)
+        self.draw(rng)
 
     def _memory(self, conditioning: np.ndarray, rows: int | None) -> np.ndarray:
         """``conditioning``, ``[rows, hidden]`` (any row count when ``rows``

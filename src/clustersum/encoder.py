@@ -38,9 +38,10 @@ from .layers import (
     Projection,
     dropout_from,
     padding_mask,
+    parameter,
 )
 from .optim import AdamW, EpochStats, fit
-from .tensor import Tensor, cross_entropy, gather_rows, init_normal, no_grad, stable_softmax
+from .tensor import Tensor, cross_entropy, gather_rows, no_grad, stable_softmax
 from .tokenizer import EncodedDocument, mask_for_mlm, pad_batch
 
 # Documents per forward when embedding or evaluating without gradients.
@@ -96,15 +97,19 @@ class Model(Module):
     component: str
     block_type: type
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
-        """Draw every weight matrix from ``rng``, in float32; with ``rng=None``
-        they are zero shells, for a model whose parameters are set after."""
+    def __init__(self, config: ModelConfig):
+        """The embeddings, their norm and the blocks, as float32 shells. A
+        subclass adds its head and then draws every weight matrix at once
+        from its generator (``Module.draw``), so matrix i of
+        ``named_parameters`` comes from child i of the generator's spawn,
+        whatever thread draws it; without a generator the matrices stay
+        zero shells, for a model whose parameters are set after."""
         self.config = config
-        self.word_embedding = init_normal(rng, (config.vocab_size, config.hidden_size))
-        self.position_embedding = init_normal(rng, (config.max_len, config.hidden_size))
+        self.word_embedding = parameter(config.vocab_size, config.hidden_size)
+        self.position_embedding = parameter(config.max_len, config.hidden_size)
         self.embed_norm = LayerNorm(config.hidden_size)
         self.blocks = [
-            self.block_type(rng, config.hidden_size, config.num_heads, config.ffn_size)
+            self.block_type(config.hidden_size, config.num_heads, config.ffn_size)
             for _ in range(config.num_blocks)
         ]
 
@@ -190,17 +195,20 @@ class EncoderModel(Model):
     block_type = EncoderBlock
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
-        super().__init__(config, rng)
-        self.mlm_head = PredictionHead(rng, config.hidden_size, config.vocab_size)
+        super().__init__(config)
+        self.mlm_head = PredictionHead(config.hidden_size, config.vocab_size)
         self.classifier: Projection | None = None
+        self.draw(rng)
 
     # -- structure ----------------------------------------------------------
 
     def add_classifier(self, num_labels: int, rng: np.random.Generator | None) -> None:
-        """A new classifier head in this model's dtype, drawn from ``rng``."""
+        """A new classifier head in this model's dtype, drawn in float32 from
+        ``rng`` (a zero shell without one)."""
         if num_labels < 1:
             raise ValueError(f"need at least one label, got {num_labels}")
-        self.classifier = Projection(rng, self.config.hidden_size, num_labels)
+        self.classifier = Projection(self.config.hidden_size, num_labels)
+        self.classifier.draw(rng)
         self.classifier.weight.data = self.classifier.weight.data.astype(self.dtype, copy=False)
 
     # -- forward ------------------------------------------------------------

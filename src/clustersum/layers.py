@@ -13,7 +13,10 @@ decoder block.
 
 A block takes the forward's dropout as a function (``dropout_from``),
 which draws from the forward's generator or, without one, returns its
-input. Layers are built in float32; float64 is a cast (``Model.astype``).
+input. Layers are built as float32 shells, with zero weights and biases and
+unit gains, and take no generator: a model draws all its weight matrices at
+once, after its last layer exists (``Module.draw``). float64 is a cast
+(``Model.astype``).
 
 Batch layout: a batch of b sequences, right-padded to a common length t,
 travels between layers as a 2-D ``[b·t, hidden]`` tensor whose row i·t + j
@@ -41,8 +44,8 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import (Tensor, add_layer_norm, attend, attention, dropout, gather_rows, gelu,
-                     init_normal, layer_norm, linear)
+from .tensor import (Tensor, add_layer_norm, attend, attention, draw_normal, dropout,
+                     gather_rows, gelu, layer_norm, linear)
 
 LAYER_NORM_EPS = 1e-12
 MASK_FILL = -1e9
@@ -67,21 +70,35 @@ class Module:
     def _nested(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.{name}": p for name, p in self.named_parameters().items()}
 
+    def draw(self, rng: np.random.Generator | None) -> None:
+        """Draw every weight matrix (2-D parameter), in ``named_parameters``
+        order, with ``draw_normal``; vectors keep their constant init. With
+        no generator nothing is drawn and the matrices stay zero shells, for
+        a model whose parameters are set after."""
+        if rng is not None:
+            draw_normal(rng, [p for p in self.named_parameters().values() if p.ndim == 2])
+
+
+def parameter(*shape: int) -> Tensor:
+    """A trainable float32 tensor of zeros: a bias, or a weight shell that a
+    draw (``Module.draw``) or a load fills."""
+    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+
 
 class Projection(Module):
     """Bias-free linear map ``x @ weight``."""
 
-    def __init__(self, rng: np.random.Generator | None, in_dim: int, out_dim: int):
-        self.weight = init_normal(rng, (in_dim, out_dim))
+    def __init__(self, in_dim: int, out_dim: int):
+        self.weight = parameter(in_dim, out_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight)
 
 
 class Linear(Projection):
-    def __init__(self, rng: np.random.Generator | None, in_dim: int, out_dim: int):
-        super().__init__(rng, in_dim, out_dim)
-        self.bias = Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True)
+    def __init__(self, in_dim: int, out_dim: int):
+        super().__init__(in_dim, out_dim)
+        self.bias = parameter(out_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -90,7 +107,7 @@ class Linear(Projection):
 class LayerNorm(Module):
     def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
-        self.bias = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
+        self.bias = parameter(dim)
 
     def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
         if residual is None:
@@ -140,18 +157,21 @@ class MultiHeadAttention(Module):
     in which case the output has those rows only. ``mask`` is added to the
     scores and must broadcast to ``[batch, r, t]``. ``step`` is the cached
     form.
+
+    The key projection has no bias: it would add the same amount to every
+    score of a query row, which softmax cancels, so its gradient is zero.
     """
 
-    def __init__(self, rng: np.random.Generator | None, hidden: int, num_heads: int):
+    def __init__(self, hidden: int, num_heads: int):
         if hidden % num_heads != 0:
             raise ValueError(f"hidden size {hidden} not divisible by {num_heads} heads")
         self.hidden = hidden
         self.num_heads = num_heads
         self.head_dim = hidden // num_heads
-        self.wq = Linear(rng, hidden, hidden)
-        self.wk = Linear(rng, hidden, hidden)
-        self.wv = Linear(rng, hidden, hidden)
-        self.wo = Linear(rng, hidden, hidden)
+        self.wq = Linear(hidden, hidden)
+        self.wk = Projection(hidden, hidden)
+        self.wv = Linear(hidden, hidden)
+        self.wo = Linear(hidden, hidden)
 
     def __call__(self, x: Tensor, batch: int = 1, mask: np.ndarray | None = None,
                  queries: Tensor | None = None) -> Tensor:
@@ -177,18 +197,18 @@ class CrossAttention(Module):
     is exactly 1.0 whatever the query, so every position of the sequence gets
     the same row, ``wo(wv(memory))``; no query or key projection can matter."""
 
-    def __init__(self, rng: np.random.Generator | None, hidden: int):
-        self.wv = Linear(rng, hidden, hidden)
-        self.wo = Linear(rng, hidden, hidden)
+    def __init__(self, hidden: int):
+        self.wv = Linear(hidden, hidden)
+        self.wo = Linear(hidden, hidden)
 
     def __call__(self, memory: Tensor) -> Tensor:
         return self.wo(self.wv(memory))
 
 
 class FeedForward(Module):
-    def __init__(self, rng: np.random.Generator | None, hidden: int, ffn_size: int):
-        self.lin1 = Linear(rng, hidden, ffn_size)
-        self.lin2 = Linear(rng, ffn_size, hidden)
+    def __init__(self, hidden: int, ffn_size: int):
+        self.lin1 = Linear(hidden, ffn_size)
+        self.lin2 = Linear(ffn_size, hidden)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(gelu(self.lin1(x)))
@@ -216,10 +236,10 @@ class EncoderBlock(Module):
     the chosen rows alone.
     """
 
-    def __init__(self, rng: np.random.Generator | None, hidden: int, num_heads: int, ffn_size: int):
-        self.attn = MultiHeadAttention(rng, hidden, num_heads)
+    def __init__(self, hidden: int, num_heads: int, ffn_size: int):
+        self.attn = MultiHeadAttention(hidden, num_heads)
         self.norm_attn = LayerNorm(hidden)
-        self.ffn = FeedForward(rng, hidden, ffn_size)
+        self.ffn = FeedForward(hidden, ffn_size)
         self.norm_ffn = LayerNorm(hidden)
 
     def __call__(self, x: Tensor, batch: int, mask: np.ndarray, drop: Dropout,
@@ -233,12 +253,12 @@ class DecoderBlock(Module):
     """Causal self-attention, cross-attention on one memory row per
     sequence, feed-forward."""
 
-    def __init__(self, rng: np.random.Generator | None, hidden: int, num_heads: int, ffn_size: int):
-        self.self_attn = MultiHeadAttention(rng, hidden, num_heads)
+    def __init__(self, hidden: int, num_heads: int, ffn_size: int):
+        self.self_attn = MultiHeadAttention(hidden, num_heads)
         self.norm_self = LayerNorm(hidden)
-        self.cross_attn = CrossAttention(rng, hidden)
+        self.cross_attn = CrossAttention(hidden)
         self.norm_cross = LayerNorm(hidden)
-        self.ffn = FeedForward(rng, hidden, ffn_size)
+        self.ffn = FeedForward(hidden, ffn_size)
         self.norm_ffn = LayerNorm(hidden)
 
     def __call__(self, x: Tensor, memory: Tensor, batch: int, mask: np.ndarray,
@@ -262,10 +282,10 @@ class DecoderBlock(Module):
 class PredictionHead(Module):
     """Token-prediction head: dense, GELU, layer norm, vocab projection."""
 
-    def __init__(self, rng: np.random.Generator | None, hidden: int, vocab_size: int):
-        self.dense = Linear(rng, hidden, hidden)
+    def __init__(self, hidden: int, vocab_size: int):
+        self.dense = Linear(hidden, hidden)
         self.norm = LayerNorm(hidden)
-        self.proj = Linear(rng, hidden, vocab_size)
+        self.proj = Linear(hidden, vocab_size)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.proj(self.norm(gelu(self.dense(x))))

@@ -42,8 +42,10 @@ job between ops. ``linear`` hands it part of each product with a weight of
 into the output whose other half the caller fills; backward, the weight
 gradient, while the caller computes the input gradient. ``AdamW`` hands it
 one half of each large parameter's update, which writes that half of the
-parameter and its moments. The two parts of an op write disjoint slices or
-fresh arrays, and neither writes what the other reads.
+parameter and its moments. ``draw_normal`` hands it about half of a new
+model's large weight matrices to draw, each from a stream of its own. The
+two parts of a job write disjoint slices or fresh arrays, and neither
+writes what the other reads.
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ _GELU_SCALE = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
 
 # Elements that make a parameter large. ``linear`` shares its products with
-# such a weight with the worker thread, and ``AdamW`` updates such a
-# parameter inside backward, in two halves on the two threads. It sweeps its
+# such a weight with the worker thread, ``draw_normal`` draws such matrices
+# on both threads, and ``AdamW`` updates such a parameter inside backward, in
+# two halves on the two threads. It sweeps its
 # flat buffers in blocks of this size: at float32, a block's parameters,
 # moments, gradient and scratch (6 x 256 KiB) stay in a core's L2 cache.
 BLOCK = 1 << 16
@@ -257,18 +260,33 @@ class Tensor:
                             final(parent)
 
 
-def init_normal(rng: np.random.Generator | None, shape) -> Tensor:
-    """Trainable float32 parameter tensor with N(0, 0.02) entries (BERT's
-    initializer range) drawn from ``rng``.
+def draw_normal(rng: np.random.Generator, tensors: list[Tensor]) -> None:
+    """Fill every float32 tensor of ``tensors`` with N(0, 0.02) entries
+    (BERT's initializer range): tensor i is drawn in float32 from child i of
+    ``rng.spawn(len(tensors))``. Spawning leaves ``rng``'s own stream where
+    it was.
 
-    With ``rng=None`` the tensor is zero-filled and nothing is drawn: a
-    model built only to have its parameters overwritten (by a checkpoint
-    load, a cast or a copy) gets shells of the right shape at no sampling
-    cost.
+    Each tensor has a stream of its own, so its bytes do not depend on the
+    thread that draws it. With two tensors of ``BLOCK`` elements or more,
+    those are cut into two runs of about equal element count, and the
+    caller draws the first run, with every smaller tensor, while the worker
+    draws the second (``_beside``); otherwise the caller draws them all.
     """
-    if rng is None:
-        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
-    return Tensor(rng.normal(0.0, 0.02, size=shape).astype(np.float32), requires_grad=True)
+    streams = list(zip(rng.spawn(len(tensors)), tensors))
+    large = [s for s in streams if s[1].size >= BLOCK]
+    if len(large) < 2:
+        _fill_normal(streams)
+        return
+    small = [s for s in streams if s[1].size < BLOCK]
+    ends = np.cumsum([t.size for _, t in large])
+    cut = 1 + int(np.argmin(np.abs(2 * ends[:-1] - ends[-1])))
+    _beside(lambda: _fill_normal(small + large[:cut]), lambda: _fill_normal(large[cut:]))
+
+
+def _fill_normal(streams: list[tuple[np.random.Generator, Tensor]]) -> None:
+    for stream, t in streams:
+        stream.standard_normal(out=t.data, dtype=np.float32)
+        t.data *= 0.02
 
 
 def _common_dtype(a: Tensor, b: Tensor):

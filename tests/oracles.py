@@ -39,6 +39,12 @@ from clustersum.generator import filter_top_k_top_p, sample_tokens
 from clustersum.tokenizer import CLS_ID, SEP_ID, mask_for_mlm
 
 
+def normal_parameter(rng: np.random.Generator, shape) -> Tensor:
+    """A trainable float32 tensor of N(0, 0.02) entries drawn in float64
+    from ``rng``: a plain random parameter for the op and optimizer tests."""
+    return Tensor(rng.normal(0.0, 0.02, size=shape).astype(np.float32), requires_grad=True)
+
+
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, k = a.shape
     k2, n = b.shape
@@ -424,7 +430,7 @@ def full_cross_attention(queries: np.ndarray, memory: np.ndarray, projections: d
     memory row, by the textbook formula with nothing skipped: queries and
     keys are projected, scored, scaled and soft-maxed per head.
     ``projections`` maps ``wq``, ``wk``, ``wv`` and ``wo`` to (weight, bias)
-    pairs; the result has one row per query."""
+    pairs, where a bias may be a scalar; the result has one row per query."""
     t, hidden = queries.shape
     hd = hidden // num_heads
 
@@ -456,7 +462,7 @@ def init_name_mapping(num_blocks: int) -> dict[str, str]:
         mapping[f"lm_head.{part}"] = f"mlm_head.{part}"
     for i in range(num_blocks):
         for proj in ("wq", "wk", "wv", "wo"):
-            for part in ("weight", "bias"):
+            for part in ("weight",) if proj == "wk" else ("weight", "bias"):
                 mapping[f"block{i}.self_attn.{proj}.{part}"] = f"block{i}.attn.{proj}.{part}"
                 if proj in ("wv", "wo"):
                     mapping[f"block{i}.cross_attn.{proj}.{part}"] = f"block{i}.attn.{proj}.{part}"

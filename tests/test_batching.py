@@ -121,10 +121,9 @@ def test_weighted_decoder_loss_and_gradients(corpus, dtype, atol, docs):
     _assert_equal(loss.item(), grads, expected.item(), _take_grads(decoder), atol)
 
 
-# An attention key bias adds the same amount to every score of a query row,
-# which softmax cancels, so its true gradient is zero: on this batch it read
-# at most 2.2e-12 in float32 and 2.6e-21 in float64, while every other
-# parameter read at least 7e-6.
+# Every parameter's gradient on this batch read at least 7e-6; an attention
+# key bias, which softmax cancels, read at most 2.2e-12 in float32 and
+# 2.6e-21 in float64 while the model still had one.
 DEAD_GRAD = 1e-9
 
 
@@ -141,8 +140,7 @@ def test_no_parameter_is_dead(corpus, dtype):
     weighted_ce_loss(decoder, examples, sum(len(e.target_ids) for e in examples)).backward()
     for model in (encoder, decoder):
         for name, p in model.named_parameters().items():
-            if not name.endswith(".wk.bias"):
-                assert p.grad is not None and np.abs(p.grad).max() > DEAD_GRAD, name
+            assert p.grad is not None and np.abs(p.grad).max() > DEAD_GRAD, name
 
 
 def test_no_two_parameter_gradients_share_memory(corpus):

@@ -7,7 +7,6 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-import clustersum.encoder
 import clustersum.layers
 from clustersum.checkpoint import ALIGN, load_checkpoint, save_checkpoint
 from clustersum.decoder import DecoderModel, init_from_encoder
@@ -48,15 +47,17 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_header_of_another_format_version_refused(tmp_path):
-    """A version-2 header (its payloads were not aligned) is refused."""
+    """A version-3 header (its attention key projections had a bias) and a
+    version-2 one (its payloads were not aligned) are refused."""
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, component="encoder", config={}, tensors={"w": np.zeros(2, np.float32)})
     magic, header, payload = path.read_bytes().split(b"\n", 2)
-    assert json.loads(header)["version"] == 3
-    path.write_bytes(magic + b"\n" + header.replace(b'"version": 3', b'"version": 2') + b"\n"
-                     + payload)
-    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
-        load_checkpoint(path)
+    assert json.loads(header)["version"] == 4
+    for old in (b"3", b"2"):
+        path.write_bytes(magic + b"\n" + header.replace(b'"version": 4', b'"version": ' + old)
+                         + b"\n" + payload)
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {old.decode()}"):
+            load_checkpoint(path)
 
 
 def _payload_offsets(path):
@@ -260,51 +261,53 @@ def test_load_rejects_mismatched_tensors(tmp_path, model_type, edit, match):
 
 
 @pytest.fixture
-def init_normal_generators(monkeypatch):
-    """The ``rng`` argument of every ``init_normal`` call the layers and
-    models make while the fixture is active."""
+def draws(monkeypatch):
+    """The generator of every ``draw_normal`` call the layers and models
+    make while the fixture is active."""
     seen = []
-    real = clustersum.layers.init_normal
+    real = clustersum.layers.draw_normal
 
-    def spy(rng, *args, **kwargs):
+    def spy(rng, tensors):
         seen.append(rng)
-        return real(rng, *args, **kwargs)
+        real(rng, tensors)
 
-    monkeypatch.setattr(clustersum.layers, "init_normal", spy)
-    monkeypatch.setattr(clustersum.encoder, "init_normal", spy)
+    monkeypatch.setattr(clustersum.layers, "draw_normal", spy)
     return seen
 
 
 @pytest.mark.parametrize("model_type,num_labels", [
     (EncoderModel, None), (EncoderModel, 3), (DecoderModel, None),
 ])
-def test_load_draws_nothing(tmp_path, init_normal_generators, model_type, num_labels):
+def test_load_draws_nothing(tmp_path, draws, model_type, num_labels):
     model = _desk_model(model_type, num_labels)
     model.save(tmp_path / "m.ckpt")
-    init_normal_generators.clear()
+    assert draws, "building the model drew nothing the spy saw"
+    draws.clear()
     model_type.load(tmp_path / "m.ckpt")
-    assert init_normal_generators and all(rng is None for rng in init_normal_generators)
+    assert draws == []
 
 
-def test_init_from_encoder_draws_nothing(init_normal_generators):
+def test_init_from_encoder_draws_nothing(draws):
     encoder = _desk_model()
-    init_normal_generators.clear()
+    assert draws, "building the encoder drew nothing the spy saw"
+    draws.clear()
     init_from_encoder(encoder)
-    assert init_normal_generators and all(rng is None for rng in init_normal_generators)
+    assert draws == []
 
 
 @pytest.mark.parametrize("model_type,num_labels", [
     (EncoderModel, None), (EncoderModel, 3), (DecoderModel, None),
 ])
-def test_astype_round_trip_keeps_every_byte(init_normal_generators, model_type, num_labels):
+def test_astype_round_trip_keeps_every_byte(draws, model_type, num_labels):
     """float32 -> float64 -> float32 gives the model back byte for byte,
     classifier head included; the casts are copies built without drawing,
     and the source model is left as it was."""
     model = _desk_model(model_type, num_labels)
     before = parameter_hash(model)
-    init_normal_generators.clear()
+    assert draws, "building the model drew nothing the spy saw"
+    draws.clear()
     wide = model.astype(np.float64)
-    assert init_normal_generators and all(rng is None for rng in init_normal_generators)
+    assert draws == []
     assert type(wide) is model_type and wide.dtype == np.float64
     assert {p.dtype for p in wide.parameters()} == {np.dtype(np.float64)}
     assert wide.named_parameters().keys() == model.named_parameters().keys()

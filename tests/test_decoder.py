@@ -49,7 +49,7 @@ def _cross_projections(encoder_block, cross):
     attn = encoder_block.attn
     return {
         "wq": (attn.wq.weight.data, attn.wq.bias.data),
-        "wk": (attn.wk.weight.data, attn.wk.bias.data),
+        "wk": (attn.wk.weight.data, 0.0),
         "wv": (cross.wv.weight.data, cross.wv.bias.data),
         "wo": (cross.wo.weight.data, cross.wo.bias.data),
     }

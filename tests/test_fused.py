@@ -261,7 +261,8 @@ def test_encoder_block_builds_at_most_12_nodes():
     projection, dropout, residual norm, two FFN linears around GELU,
     dropout, residual norm. The composed graph built 36."""
     rng = np.random.default_rng(46)
-    block = EncoderBlock(rng, 8, 2, 16)
+    block = EncoderBlock(8, 2, 16)
+    block.draw(rng)
     x = Tensor(rng.normal(size=(6, 8)).astype(np.float32), requires_grad=True)
     out = block(x, 2, padding_mask([3, 2], 3, np.float32), dropout_from(rng, 0.1))
     assert graph_nodes(out, [x]) <= 12
@@ -270,7 +271,8 @@ def test_encoder_block_builds_at_most_12_nodes():
 def test_encoder_block_at_rows_adds_only_the_gather():
     """Asking at one row per sequence adds the query-row gather node."""
     rng = np.random.default_rng(46)
-    block = EncoderBlock(rng, 8, 2, 16)
+    block = EncoderBlock(8, 2, 16)
+    block.draw(rng)
     x = Tensor(rng.normal(size=(6, 8)).astype(np.float32), requires_grad=True)
     out = block(x, 2, padding_mask([3, 2], 3, np.float32), dropout_from(rng, 0.1),
                 rows=np.array([0, 3]))

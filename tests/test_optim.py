@@ -17,10 +17,10 @@ from clustersum import optim, tensor
 from clustersum.cli import main
 from clustersum.encoder import EncoderModel, ModelConfig, mlm_batch_loss
 from clustersum.optim import BETAS, BLOCK, EPS, AdamW, fit
-from clustersum.tensor import Tensor, cross_entropy, gelu, init_normal, layer_norm, linear
+from clustersum.tensor import Tensor, cross_entropy, gelu, layer_norm, linear
 
 from corpora import build_docs, graded_topic_texts, pair_texts
-from oracles import add, mul, reduce_sum, reference_adamw_update
+from oracles import add, mul, normal_parameter, reduce_sum, reference_adamw_update
 
 
 def _param(values):
@@ -445,7 +445,7 @@ class TestUpdateInBackward:
     def test_unreachable_parameter_raises_before_any_update(self, monkeypatch, shape):
         monkeypatch.setattr(optim, "BLOCK", SMALL_BLOCK)
         model = _Shared(np.float32)
-        unused = init_normal(np.random.default_rng(9), shape)
+        unused = normal_parameter(np.random.default_rng(9), shape)
         opt = AdamW(model.params + [unused], lr=1e-2, weight_decay=0.0, warmup_steps=0)
         before = opt.buffer.copy()
         with pytest.raises(ValueError, match="parameter 7 has no gradient"):
@@ -461,14 +461,14 @@ class TestUpdateInBackward:
         states = []
         for hooked in (False, True):
             model = _Shared(np.float32)
-            held = init_normal(np.random.default_rng(9), (SMALL_BLOCK,))
+            held = normal_parameter(np.random.default_rng(9), (SMALL_BLOCK,))
             opt = AdamW(model.params + [held], lr=1e-2, weight_decay=0.0, warmup_steps=0)
             held.grad = np.ones(SMALL_BLOCK, dtype=np.float32)
             model.batch_loss([0, 1, 2])[0].backward(opt.start_step if hooked else None)
             opt.step()
             states.append(_state(opt))
         assert states[0] == states[1]
-        fresh = init_normal(np.random.default_rng(9), (SMALL_BLOCK,))
+        fresh = normal_parameter(np.random.default_rng(9), (SMALL_BLOCK,))
         assert held.data.tobytes() != fresh.data.tobytes()
 
     def test_a_plain_step_still_updates_large_parameters(self, monkeypatch):

@@ -381,6 +381,15 @@ class TestExitCodes:
         assert f"{corpus}:9: not JSON (" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_corpus_line_that_is_not_utf8_exits_3(self, corpus, tmp_path, capsys):
+        corpus.write_bytes(corpus.read_bytes() + b'{"id": "z", "text": "a \xff\xfe b"}\n')
+        out = tmp_path / "out"
+        assert self._run("build-vocab", corpus, out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"corpus error: {corpus}:9: not UTF-8 (")
+        assert "position 23" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", [
         '{"id": null, "text": "a b"}', '{"id": 1.0, "text": "a b"}',
         '{"id": true, "text": "a b"}', '{"id": "y", "label": ["l"], "text": "a b"}',
@@ -550,6 +559,17 @@ class TestExitCodes:
         capsys.readouterr()
         assert self._run("evaluate", corpus, out) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}:3: not JSON (")
+        assert "evaluate" not in _stages(out)
+
+    @pytest.mark.parametrize("name", [pipeline.CLUSTERS_FILE, pipeline.SUMMARIES_FILE])
+    def test_a_line_that_is_not_utf8_names_its_line(self, corpus, tmp_path, capsys, name):
+        out = self._summarized(corpus, tmp_path)
+        path = out / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2] + [b'{"text": "\xff\xfe"}\n'] + lines[3:]))
+        capsys.readouterr()
+        assert self._run("evaluate", corpus, out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: not UTF-8 (")
         assert "evaluate" not in _stages(out)
 
     @pytest.mark.parametrize("edit, message", [

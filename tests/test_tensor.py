@@ -9,16 +9,19 @@ from clustersum.tensor import (
     Tensor,
     _row_mean,
     cross_entropy,
+    draw_normal,
     dropout,
     gather_rows,
     gelu,
-    init_normal,
     layer_norm,
     linear,
     no_grad,
     stable_softmax,
 )
 
+from clustersum import tensor
+from clustersum.decoder import DecoderModel
+from clustersum.encoder import EncoderModel, ModelConfig
 from clustersum.layers import MultiHeadAttention, causal_mask, padding_mask
 
 from oracles import (
@@ -29,6 +32,8 @@ from oracles import (
     mul,
     naive_matmul,
     naive_nll,
+    normal_parameter,
+    parameter_hash,
     reduce_sum,
     reshape,
     softmax,
@@ -282,22 +287,22 @@ class TestSharedOperand:
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
-        x = init_normal(np.random.default_rng(8), (3, 4))
+        x = normal_parameter(np.random.default_rng(8), (3, 4))
         reduce_sum(x).backward()
         np.testing.assert_array_equal(x.grad, np.ones((3, 4), dtype=np.float32))
 
     def test_square_gradient_is_2x(self):
-        x = init_normal(np.random.default_rng(9), (5,))
+        x = normal_parameter(np.random.default_rng(9), (5,))
         reduce_sum(mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-6)
 
     def test_backward_requires_scalar(self):
-        x = init_normal(np.random.default_rng(10), (2, 2))
+        x = normal_parameter(np.random.default_rng(10), (2, 2))
         with pytest.raises(ValueError, match="scalar"):
             mul(x, x).backward()
 
     def test_repeated_backward_accumulates(self):
-        x = init_normal(np.random.default_rng(11), (4,))
+        x = normal_parameter(np.random.default_rng(11), (4,))
         loss = reduce_sum(x)
         loss.backward()
         first = x.grad.copy()
@@ -308,7 +313,7 @@ class TestBackward:
     def test_backward_releases_interior_gradients(self):
         """Leaves keep their gradients; interior nodes drop theirs once
         passed on, so a batch's interior gradients are not all held."""
-        x = init_normal(np.random.default_rng(13), (3,))
+        x = normal_parameter(np.random.default_rng(13), (3,))
         y = mul(x, x)
         loss = reduce_sum(y)
         loss.backward()
@@ -319,8 +324,8 @@ class TestBackward:
     def test_shared_gradient_is_not_aliased(self, mul_first):
         """``add`` hands one array to both operands; each leaf's first
         gradient must be its own copy, whichever order they arrive in."""
-        a = init_normal(np.random.default_rng(16), (3,))
-        b = init_normal(np.random.default_rng(17), (3,))
+        a = normal_parameter(np.random.default_rng(16), (3,))
+        b = normal_parameter(np.random.default_rng(17), (3,))
         tail = reduce_sum(mul(a, Tensor(np.full(3, 3.0, dtype=np.float32))))
         head = reduce_sum(mul(add(a, b), Tensor(np.full(3, 2.0, dtype=np.float32))))
         (add(tail, head) if mul_first else add(head, tail)).backward()
@@ -329,14 +334,14 @@ class TestBackward:
         np.testing.assert_array_equal(b.grad, np.full(3, 2.0, dtype=np.float32))
 
     def test_first_gradient_is_c_ordered(self):
-        x = init_normal(np.random.default_rng(18), (3, 4))
+        x = normal_parameter(np.random.default_rng(18), (3, 4))
         w = Tensor(np.arange(12, dtype=np.float32).reshape(4, 3))
         reduce_sum(mul(transpose(x, (1, 0)), w)).backward()
         assert x.grad.flags.c_contiguous
         np.testing.assert_array_equal(x.grad, w.data.T)
 
     def test_no_grad_blocks_recording(self):
-        x = init_normal(np.random.default_rng(12), (3,))
+        x = normal_parameter(np.random.default_rng(12), (3,))
         with no_grad():
             out = reduce_sum(mul(x, x))
         assert out._backward_fn is None and not out.requires_grad
@@ -408,7 +413,7 @@ class TestBackwardHook:
         return run
 
     def test_a_leaf_loss_is_reported(self):
-        x = init_normal(np.random.default_rng(22), (1,))
+        x = normal_parameter(np.random.default_rng(22), (1,))
         calls = []
         x.backward(lambda leaves: calls.append(list(leaves)) or calls.append)
         assert calls[0] == [x] and calls[1] is x
@@ -426,11 +431,93 @@ class TestBackwardHook:
             np.testing.assert_allclose(p.grad, 3 * g, rtol=1e-5)
 
 
-def test_init_normal_without_generator_is_zero_filled():
-    x = init_normal(None, (3, 5))
-    assert x.shape == (3, 5) and x.dtype == np.float32
-    assert x.requires_grad
-    assert not x.data.any()
+def test_a_model_built_without_a_generator_holds_zero_shells():
+    model = EncoderModel(ModelConfig.desk_scale(vocab_size=20, max_len=8, dropout=0.1), None)
+    for name, p in model.named_parameters().items():
+        assert p.dtype == np.float32 and p.requires_grad, name
+        assert not p.data.any() or (name.endswith(".gain") and (p.data == 1).all()), name
+
+
+def _paper_width_config() -> ModelConfig:
+    """Paper widths with two blocks: every block matrix is large."""
+    return ModelConfig(768, 2, 12, 3072, max_len=8, vocab_size=40, dropout=0.1)
+
+
+class TestDrawNormal:
+    """Each weight matrix is drawn from a stream of its own, so neither the
+    thread that draws it nor the order of the draws moves its bytes."""
+
+    @staticmethod
+    def _draw_on_caller(monkeypatch, reverse: bool) -> None:
+        """Run both parts of every ``_beside`` on the caller, in order or
+        the worker's part first."""
+        def serial(mine, theirs):
+            if reverse:
+                second = theirs()
+                return mine(), second
+            return mine(), theirs()
+        monkeypatch.setattr(tensor, "_beside", serial)
+
+    @pytest.mark.parametrize("config,block", [
+        pytest.param(_paper_width_config(), tensor.BLOCK, id="paper-width"),
+        pytest.param(ModelConfig.desk_scale(vocab_size=40, max_len=8, dropout=0.1), 1024,
+                     id="desk-small-block"),
+    ])
+    def test_split_and_serial_draws_give_the_same_bytes(self, monkeypatch, config, block):
+        monkeypatch.setattr(tensor, "BLOCK", block)
+        shared = []
+        real = tensor._beside
+
+        def counted(mine, theirs):
+            shared.append(1)
+            return real(mine, theirs)
+
+        monkeypatch.setattr(tensor, "_beside", counted)
+        split = parameter_hash(EncoderModel(config, np.random.default_rng(3)))
+        assert shared == [1], "the large matrices were not drawn on both threads"
+        for reverse in (False, True):
+            self._draw_on_caller(monkeypatch, reverse)
+            assert parameter_hash(EncoderModel(config, np.random.default_rng(3))) == split
+
+    def test_matrix_i_is_child_i_of_the_spawn(self):
+        config = ModelConfig.desk_scale(vocab_size=40, max_len=8, dropout=0.1)
+        model = EncoderModel(config, np.random.default_rng(4))
+        matrices = [p for p in model.parameters() if p.ndim == 2]
+        children = np.random.default_rng(4).spawn(len(matrices))
+        for child, p in zip(children, matrices):
+            expected = child.standard_normal(p.shape, dtype=np.float32)
+            expected *= np.float32(0.02)
+            assert p.data.tobytes() == expected.tobytes()
+
+    def test_a_desk_model_draws_on_the_caller_only(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_beside", lambda *parts: pytest.fail("worker used"))
+        EncoderModel(ModelConfig.desk_scale(vocab_size=40, max_len=8, dropout=0.1),
+                     np.random.default_rng(5))
+
+    def test_a_large_matrix_has_the_initializer_moments(self):
+        w = Tensor(np.zeros((768, 3072), dtype=np.float32), requires_grad=True)
+        draw_normal(np.random.default_rng(6), [w])
+        assert w.dtype == np.float32
+        # standard errors: 1.3e-5 for the mean, 9e-6 for the std
+        assert abs(float(w.data.mean(dtype=np.float64))) < 1e-4
+        assert abs(float(w.data.std(dtype=np.float64)) - 0.02) < 1e-4
+
+    def test_building_models_leaves_the_generator_where_it_was(self):
+        """``spawn`` does not advance the generator, so the draws that follow
+        a build (split, masks, dropout) start where they would without it;
+        vectors keep their constant init."""
+        config = ModelConfig.desk_scale(vocab_size=40, max_len=8, dropout=0.1)
+        rng = np.random.default_rng(7)
+        encoder = EncoderModel(config, rng)
+        encoder.add_classifier(3, rng)
+        decoder = DecoderModel(config, rng)
+        assert rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
+        for model in (encoder, decoder):
+            for name, p in model.named_parameters().items():
+                if p.ndim == 1:
+                    assert (p.data == (1 if name.endswith(".gain") else 0)).all(), name
+                else:
+                    assert p.data.all(), name
 
 
 class TestFiniteness:
@@ -537,7 +624,8 @@ class TestGradientChecks:
     def test_masked_attention(self, dtype, causal):
         """Two padded sequences (lengths 5 and 3) in one [b·t, h] batch."""
         rng = np.random.default_rng(31)
-        attn = MultiHeadAttention(rng, 8, 2)
+        attn = MultiHeadAttention(8, 2)
+        attn.draw(rng)
         for p in attn.named_parameters().values():
             p.data = (p.data * 20.0).astype(dtype)
         mask = padding_mask([5, 3], 5, dtype)
